@@ -30,6 +30,7 @@ from .rx_common import (
     BalsOptions,
     EstimateReport,
     IdentifiabilityError,
+    NonFiniteError,
     RankDeficiencyError,
 )
 from .scenario import ChannelRealization, ScenarioConfig, add_noise, draw_channels, link_gains, path_loss
@@ -46,6 +47,7 @@ __all__ = [
     "IdentReport",
     "IdentifiabilityError",
     "MetricsRecord",
+    "NonFiniteError",
     "RankDeficiencyError",
     "RankReport",
     "ScenarioConfig",

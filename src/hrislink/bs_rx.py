@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import CodingSet
-from .identifiability import table_min_subframes
 from .rx_common import (
     BalsOptions,
     EstimateReport,
-    IdentifiabilityError,
-    anchor_or_raise,
+    check_received,
     init_symbols,
+    normalize_anchor,
     require_full_rank,
+    run_als,
 )
 from .tensor_ops import khatri_rao, pinv, rank1_approx, unfold, unvec, vec
 
@@ -52,21 +52,6 @@ class ControlLinkPayload:
             raise ValueError(f"scenario must be 1 or 2, got {self.scenario}")
         if self.scenario == 2 and self.symbols is None:
             raise ValueError("scenario 2 requires the symbol estimate in the payload")
-
-
-def _dims(y_bs: np.ndarray, coding: CodingSet) -> tuple[int, int, int, int, int, int]:
-    m, t, k = y_bs.shape
-    if coding.subframes != k:
-        raise ValueError(f"coding built for k={coding.subframes}, signal has k={k}")
-    return m, t, k, coding.elements, coding.ut_antennas, coding.streams
-
-
-def _check_subframes(receiver: str, scheme: str, k: int, *, nc, l, r, n, t, m) -> None:
-    need = table_min_subframes(receiver, "bs", scheme, nc=nc, l=l, r=r, n=n, t=t, m=m)
-    if k < need:
-        raise IdentifiabilityError(
-            f"{receiver} at the BS ({scheme}) needs at least {need} sub-frames, got {k}"
-        )
 
 
 def _reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> list[np.ndarray]:
@@ -111,38 +96,20 @@ def bs_bals(
 ) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols."""
     opts = opts or BalsOptions()
-    m, t, k, n, l, streams = _dims(y_bs, coding)
-    _check_subframes("bals", coding.scheme, k, nc=coding.rf_chains, l=l, r=streams, n=n, t=t, m=m)
-
+    d = check_received(y_bs, coding, "bs_bals")
     blocks = _reflect_blocks(coding, payload.ut_channel)
     y1 = unfold(y_bs, 1)                    # (m, k*t)
     y2t = unfold(y_bs, 2).T                 # (k*m, t)
-    energy = float(np.vdot(y_bs, y_bs).real)
-    floor = 1e-26 * energy
 
-    x_hat = init_symbols(streams, t, opts.init_seed)
-    h_hat = np.zeros((m, n), dtype=complex)
-    residuals: list[float] = []
-    iterations = 0
-    for _ in range(opts.max_iterations):
-        iterations += 1
+    def step(x_hat):
         channel_step = np.hstack([block @ x_hat for block in blocks])
         h_hat = y1 @ pinv(channel_step)
         symbol_step = np.vstack([h_hat @ block for block in blocks])
         x_hat = pinv(symbol_step) @ y2t
-        resid = float(np.linalg.norm(y2t - symbol_step @ x_hat) ** 2)
-        residuals.append(resid)
-        if resid <= floor:
-            break
-        if len(residuals) >= 2:
-            prev = residuals[-2]
-            if prev > 0 and abs(resid - prev) <= opts.tol * prev:
-                break
+        return h_hat, x_hat, float(np.linalg.norm(y2t - symbol_step @ x_hat) ** 2)
 
-    report = EstimateReport(h_hat, x_hat, iterations, residuals)
-    if remove_scaling:
-        report = remove_ambiguity_bs(report)
-    return report
+    report = run_als(step, init_symbols(d.w, d.t, opts.init_seed), y_bs, opts)
+    return remove_ambiguity_bs(report) if remove_scaling else report
 
 
 def bs_kronf(
@@ -157,9 +124,8 @@ def bs_kronf(
     ``vec(diag(psi_k) @ G @ mix_k)`` (tstc) or as the fed-back channel vector
     scaling the Khatri-Rao composite regressor (krstc).
     """
-    m, t, k, n, l, streams = _dims(y_bs, coding)
-    _check_subframes("kronf", coding.scheme, k, nc=coding.rf_chains, l=l, r=streams, n=n, t=t, m=m)
-
+    d = check_received(y_bs, coding, "bs_kronf")
+    m, t, n, streams = d.m, d.t, d.n, d.w
     blocks = _reflect_blocks(coding, payload.ut_channel)
     if coding.scheme == "tstc":
         right = np.column_stack([vec(block) for block in blocks])   # (streams*n, k)
@@ -171,11 +137,8 @@ def bs_kronf(
     u, sigma, v = rank1_approx(rearranged)
     h_hat = unvec(math.sqrt(sigma) * u, m, n)
     x_hat = unvec(math.sqrt(sigma) * v.conj(), t, streams).T
-
-    report = EstimateReport(h_hat, x_hat, 0, [])
-    if remove_scaling:
-        report = remove_ambiguity_bs(report)
-    return report
+    report = EstimateReport(h_hat, x_hat)
+    return remove_ambiguity_bs(report) if remove_scaling else report
 
 
 def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
@@ -186,9 +149,7 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     """
     if payload.scenario != 2 or payload.symbols is None:
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
-    m, t, k, n, l, streams = _dims(y_bs, coding)
-    _check_subframes("h", coding.scheme, k, nc=coding.rf_chains, l=l, r=streams, n=n, t=t, m=m)
-
+    n = check_received(y_bs, coding, "bs_channel_only").n
     blocks = _reflect_blocks(coding, payload.ut_channel)
     channel_step = np.hstack([block @ payload.symbols for block in blocks])
     require_full_rank(channel_step, n, "channel-step regressor")
@@ -198,10 +159,4 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
 
 def remove_ambiguity_bs(report: EstimateReport) -> EstimateReport:
     """Normalize the BS estimates against the (0, 0) anchor symbol."""
-    x, h = report.symbols, report.channel
-    scale = float(np.linalg.norm(x)) / math.sqrt(x.size)
-    beta = anchor_or_raise(complex(x[0, 0]), scale, "symbol")
-    fixed = x / beta
-    fixed[0, 0] = 1.0  # anchor is known a priori; avoid the division ulp
-    return EstimateReport(h * beta, fixed, report.iterations,
-                          report.residuals, ambiguity=beta)
+    return normalize_anchor(report, per_stream=False)

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .harness import format_float, parse_pair, records_to_csv, run_sweep
-from .identifiability import check_identifiability, feedback_bits, flops_estimate
+from .identifiability import check_identifiability, feedback_bits, flops_estimate, receiver_spec
 from .rx_common import IdentifiabilityError
 from .scenario import ScenarioConfig
 
@@ -53,13 +53,13 @@ def _cmd_check(args) -> int:
     cfg = _load_config(args)
     pair = parse_pair(args.pair)
     report = check_identifiability(cfg, pair)
-    scenario = 2 if pair[1] == "h" else 1
+    scenario = receiver_spec(pair[1], "bs", cfg.scheme).scenario
     bits = feedback_bits(cfg, scenario)
     print(f"pair {pair[0]}-{pair[1]}  scheme {cfg.scheme}  k={cfg.k}")
     print(f"{'receiver':<10}{'entity':<8}{'min_k':>6}  {'ok':<4}{'flops':>14}")
     for row in report.rows:
         flops = flops_estimate(cfg, row.receiver, row.entity, iterations=1)
-        suffix = "/iter" if row.receiver == "bals" else ""
+        suffix = "/iter" if receiver_spec(row.receiver, row.entity, cfg.scheme).iterative else ""
         print(f"{row.receiver:<10}{row.entity:<8}{row.min_k:>6}  "
               f"{'yes' if row.satisfied else 'NO':<4}{format_float(flops) + suffix:>14}")
     print(f"feedback bits (scenario {scenario}): {bits}")

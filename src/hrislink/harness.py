@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bs_rx, hris_rx
 from .coding import build_coding, gen_symbols, qam_constellation
-from .identifiability import check_identifiability
-from .rx_common import AmbiguityError, BalsOptions, IdentifiabilityError, RankDeficiencyError
+from .identifiability import ReceiverSpec, check_identifiability, receiver_spec
+from .rx_common import (AmbiguityError, BalsOptions, EstimateReport, IdentifiabilityError,
+                        NonFiniteError, RankDeficiencyError)
 from .scenario import ScenarioConfig, draw_channels
 from .synthesis import synth_ybs, synth_yrc
 from .tensor_ops import khatri_rao
@@ -121,15 +123,22 @@ class MetricsRecord:
     stderr: dict = field(default_factory=dict)
 
 
+def _run_receiver(spec: ReceiverSpec, init_seed: int, *args) -> EstimateReport:
+    """Run the receiver ``spec`` names, looked up in its module at call time."""
+    fn = getattr(hris_rx if spec.entity == "hris" else bs_rx, spec.fn)
+    return fn(*args, BalsOptions(init_seed=init_seed)) if spec.iterative else fn(*args)
+
+
 def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOutcome:
     """Run one full pipeline trial with a dedicated seeded generator.
 
     Draw order is fixed (channels, symbols, receiver init seeds, sensed
     noise, reflected noise) so a (config, seed) pair fully reproduces the
-    trial.  Zero-anchor and rank-deficiency aborts are reported as failed
-    outcomes, not exceptions.
+    trial.  Zero-anchor, rank-deficiency and non-finite-input aborts are
+    reported as failed outcomes, not exceptions.
     """
-    hris_name, bs_name = pair
+    hris_spec = receiver_spec(pair[0], "hris", cfg.scheme)
+    bs_spec = receiver_spec(pair[1], "bs", cfg.scheme)
     rng = np.random.default_rng(seed)
     channels = draw_channels(cfg, rng)
     symbols = gen_symbols(cfg, rng)
@@ -143,29 +152,14 @@ def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOut
     y_bs = synth_ybs(cfg, channels, coding, sent, rng)
 
     try:
-        if hris_name == "bals":
-            hris_rep = hris_rx.hris_bals(y_rc, coding, BalsOptions(init_seed=hris_init))
-        elif hris_name == "kronf":
-            hris_rep = hris_rx.hris_kronf(y_rc, coding)
-        elif hris_name == "krf":
-            hris_rep = hris_rx.hris_krf(y_rc, coding)
-        else:
-            raise ValueError(f"unknown surface receiver {hris_name!r}")
-
+        hris_rep = _run_receiver(hris_spec, hris_init, y_rc, coding)
         payload = bs_rx.ControlLinkPayload(
             ut_channel=hris_rep.channel,
-            symbols=hris_rep.symbols if bs_name == "h" else None,
-            scenario=2 if bs_name == "h" else 1,
+            symbols=hris_rep.symbols if bs_spec.scenario == 2 else None,
+            scenario=bs_spec.scenario,
         )
-        if bs_name == "bals":
-            bs_rep = bs_rx.bs_bals(y_bs, payload, coding, BalsOptions(init_seed=bs_init))
-        elif bs_name == "kronf":
-            bs_rep = bs_rx.bs_kronf(y_bs, payload, coding)
-        elif bs_name == "h":
-            bs_rep = bs_rx.bs_channel_only(y_bs, payload, coding)
-        else:
-            raise ValueError(f"unknown BS receiver {bs_name!r}")
-    except (AmbiguityError, RankDeficiencyError) as exc:
+        bs_rep = _run_receiver(bs_spec, bs_init, y_bs, payload, coding)
+    except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:
         return TrialOutcome(failed=True, failure_reason=str(exc))
 
     effective_ut = amplitude * channels.ut_ris
@@ -199,20 +193,8 @@ def aggregate(outcomes: list[TrialOutcome], sweep_var: str, value: float) -> Met
         else:
             means[name] = math.nan
             errors[name] = math.nan
-    return MetricsRecord(
-        sweep_var=sweep_var,
-        value=float(value),
-        nmse_g=means["nmse_g"],
-        nmse_h=means["nmse_h"],
-        nmse_theta=means["nmse_theta"],
-        ser_hris=means["ser_hris"],
-        ser_bs=means["ser_bs"],
-        iters_hris=means["iters_hris"],
-        iters_bs=means["iters_bs"],
-        trials=len(outcomes),
-        failures=len(outcomes) - len(good),
-        stderr=errors,
-    )
+    return MetricsRecord(sweep_var=sweep_var, value=float(value), **means, trials=len(outcomes),
+                         failures=len(outcomes) - len(good), stderr=errors)
 
 
 def _point_config(cfg: ScenarioConfig, sweep_var: str, value: float) -> ScenarioConfig:
@@ -242,20 +224,21 @@ def run_sweep(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     records = []
-    for value in points:
-        point_cfg = _point_config(cfg, sweep_var, value)
-        report = check_identifiability(point_cfg, pair)
-        if not report.satisfied:
-            raise IdentifiabilityError(
-                f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
-            )
-        seeds = [trial_seed(base_seed, i) for i in range(trials)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    seeds = [trial_seed(base_seed, i) for i in range(trials)]
+    # Worker processes start on the first submitted trial and serve every point.
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for value in points:
+            point_cfg = _point_config(cfg, sweep_var, value)
+            report = check_identifiability(point_cfg, pair)
+            if not report.satisfied:
+                raise IdentifiabilityError(
+                    f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
+                )
+            if pool is not None:
                 outcomes = list(pool.map(run_trial, [point_cfg] * trials, [pair] * trials, seeds))
-        else:
-            outcomes = [run_trial(point_cfg, pair, s) for s in seeds]
-        records.append(aggregate(outcomes, sweep_var, value))
+            else:
+                outcomes = [run_trial(point_cfg, pair, s) for s in seeds]
+            records.append(aggregate(outcomes, sweep_var, value))
     return records
 
 
@@ -267,17 +250,6 @@ def records_to_csv(records: list[MetricsRecord]) -> str:
     """Render sweep records as CSV text with the documented header."""
     lines = [CSV_HEADER]
     for rec in records:
-        lines.append(",".join([
-            rec.sweep_var,
-            format_float(rec.value),
-            format_float(rec.nmse_g),
-            format_float(rec.nmse_h),
-            format_float(rec.nmse_theta),
-            format_float(rec.ser_hris),
-            format_float(rec.ser_bs),
-            format_float(rec.iters_hris),
-            format_float(rec.iters_bs),
-            str(rec.trials),
-            str(rec.failures),
-        ]))
+        floats = [format_float(getattr(rec, name)) for name in ("value", *_METRICS)]
+        lines.append(",".join([rec.sweep_var, *floats, str(rec.trials), str(rec.failures)]))
     return "\n".join(lines) + "\n"

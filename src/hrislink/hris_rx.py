@@ -23,38 +23,16 @@ import math
 import numpy as np
 
 from .coding import CodingSet
-from .identifiability import table_min_subframes
 from .rx_common import (
     BalsOptions,
     EstimateReport,
-    IdentifiabilityError,
-    anchor_or_raise,
+    check_received,
     init_symbols,
+    normalize_anchor,
     require_full_rank,
+    run_als,
 )
 from .tensor_ops import pinv, rank1_approx, unfold, unvec, vec
-
-# Squared-residual floor, relative to the signal energy, at which the ALS
-# loop stops early: the fit is already at machine precision.
-_RESIDUAL_FLOOR = 1e-26
-
-
-def _dims(y_rc: np.ndarray, coding: CodingSet) -> tuple[int, int, int, int, int, int]:
-    nc, t, k = y_rc.shape
-    if coding.sensing.shape[0] != nc or coding.subframes != k:
-        raise ValueError(
-            f"coding built for (nc, k)={coding.sensing.shape[0], coding.subframes}, "
-            f"signal has {(nc, k)}"
-        )
-    return nc, t, k, coding.elements, coding.ut_antennas, coding.streams
-
-
-def _check_subframes(receiver: str, scheme: str, k: int, *, nc, l, r, n, t) -> None:
-    need = table_min_subframes(receiver, "hris", scheme, nc=nc, l=l, r=r, n=n, t=t)
-    if k < need:
-        raise IdentifiabilityError(
-            f"{receiver} at the surface ({scheme}) needs at least {need} sub-frames, got {k}"
-        )
 
 
 def channel_code_matrix(coding: CodingSet) -> np.ndarray:
@@ -98,49 +76,28 @@ def hris_bals(
 ) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     opts = opts or BalsOptions()
-    nc, t, k, n, l, streams = _dims(y_rc, coding)
-    _check_subframes("bals", coding.scheme, k, nc=nc, l=l, r=streams, n=n, t=t)
-
+    d = check_received(y_rc, coding, "hris_bals")
     y2t = unfold(y_rc, 2).T                 # (k*nc, t): stacked sensed slices
     y_vec = vec(unfold(y_rc, 3).T)          # (k*t*nc,): stacked vec'd slices
-    energy = float(np.vdot(y_rc, y_rc).real)
-    floor = _RESIDUAL_FLOOR * energy
 
-    x_hat = init_symbols(streams, t, opts.init_seed)
-    g_hat = np.zeros((n, l), dtype=complex)
-    residuals: list[float] = []
-    iterations = 0
-    for _ in range(opts.max_iterations):
-        iterations += 1
+    def step(x_hat):
         channel_step = np.vstack([
             np.kron((coding.mix_matrix(kk) @ x_hat).T, coding.sensing[:, :, kk])
-            for kk in range(k)
+            for kk in range(d.k)
         ])
-        g_hat = unvec(pinv(channel_step) @ y_vec, n, l)
+        g_hat = unvec(pinv(channel_step) @ y_vec, d.n, d.l)
         fx = symbol_code_matrix(coding, g_hat)
         x_hat = pinv(fx) @ y2t
-        resid = float(np.linalg.norm(y2t - fx @ x_hat) ** 2)
-        residuals.append(resid)
-        if resid <= floor:
-            break
-        if len(residuals) >= 2:
-            prev = residuals[-2]
-            if prev > 0 and abs(resid - prev) <= opts.tol * prev:
-                break
+        return g_hat, x_hat, float(np.linalg.norm(y2t - fx @ x_hat) ** 2)
 
-    report = EstimateReport(g_hat, x_hat, iterations, residuals)
-    if remove_scaling:
-        report = remove_ambiguity_hris(report, coding.scheme)
-    return report
+    report = run_als(step, init_symbols(d.w, d.t, opts.init_seed), y_rc, opts)
+    return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
 
 
 def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -> EstimateReport:
     """Closed-form tstc receiver via Kronecker factorization of the composite."""
-    if coding.scheme != "tstc":
-        raise ValueError("the Kronecker-factorization receiver applies to the tstc scheme")
-    nc, t, k, n, l, r = _dims(y_rc, coding)
-    _check_subframes("kronf", coding.scheme, k, nc=nc, l=l, r=r, n=n, t=t)
-
+    d = check_received(y_rc, coding, "hris_kronf")
+    n, l, r, t = d.n, d.l, d.w, d.t
     fxg = composite_code_matrix(coding)
     require_full_rank(fxg, l * r * n, "composite code matrix")
     # vec of the composite solves (pinv(fxg) x I_t) @ vec(mode-2 unfolding).
@@ -149,20 +106,14 @@ def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True)
     u, sigma, v = rank1_approx(rearranged)
     g_hat = unvec(math.sqrt(sigma) * v.conj(), n, l)
     x_hat = unvec(math.sqrt(sigma) * u, t, r).T
-
-    report = EstimateReport(g_hat, x_hat, 0, [])
-    if remove_scaling:
-        report = remove_ambiguity_hris(report, coding.scheme)
-    return report
+    report = EstimateReport(g_hat, x_hat)
+    return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
 
 
 def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -> EstimateReport:
     """Closed-form krstc receiver via per-stream Khatri-Rao factorization."""
-    if coding.scheme != "krstc":
-        raise ValueError("the Khatri-Rao-factorization receiver applies to the krstc scheme")
-    nc, t, k, n, l, _ = _dims(y_rc, coding)
-    _check_subframes("krf", coding.scheme, k, nc=nc, l=l, r=l, n=n, t=t)
-
+    d = check_received(y_rc, coding, "hris_krf")
+    n, l, t = d.n, d.l, d.t
     fxg = composite_code_matrix(coding)
     require_full_rank(fxg, l * n, "composite code matrix")
     composite = unvec(vec(unfold(y_rc, 2) @ pinv(fxg).T), n * t, l)
@@ -172,11 +123,8 @@ def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -
         u, sigma, v = rank1_approx(unvec(composite[:, col], t, n))
         g_hat[:, col] = math.sqrt(sigma) * v.conj()
         x_hat[col] = math.sqrt(sigma) * u
-
-    report = EstimateReport(g_hat, x_hat, 0, [])
-    if remove_scaling:
-        report = remove_ambiguity_hris(report, coding.scheme)
-    return report
+    report = EstimateReport(g_hat, x_hat)
+    return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
 
 
 def remove_ambiguity_hris(report: EstimateReport, scheme: str) -> EstimateReport:
@@ -184,20 +132,5 @@ def remove_ambiguity_hris(report: EstimateReport, scheme: str) -> EstimateReport
 
     tstc: divide the symbols by the (0, 0) anchor and absorb it into the
     channel.  krstc: same per stream, using the all-ones first column.
-    A vanishing anchor raises :class:`AmbiguityError` so the trial can be
-    counted as a decoding failure instead of silently corrupting metrics.
     """
-    x, g = report.symbols, report.channel
-    scale = float(np.linalg.norm(x)) / math.sqrt(x.size)
-    if scheme == "tstc":
-        alpha = anchor_or_raise(complex(x[0, 0]), scale, "symbol")
-        fixed = x / alpha
-        fixed[0, 0] = 1.0  # anchor is known a priori; avoid the division ulp
-        return EstimateReport(g * alpha, fixed, report.iterations,
-                              report.residuals, ambiguity=alpha)
-    diag = np.array([anchor_or_raise(complex(val), scale, f"stream {i} symbol")
-                     for i, val in enumerate(x[:, 0])])
-    fixed = x / diag[:, None]
-    fixed[:, 0] = 1.0
-    return EstimateReport(g * diag[None, :], fixed, report.iterations,
-                          report.residuals, ambiguity=diag)
+    return normalize_anchor(report, per_stream=scheme == "krstc")

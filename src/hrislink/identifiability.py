@@ -1,5 +1,7 @@
-"""Identifiability thresholds, rank bounds, and cost accounting.
+"""The receiver table, identifiability thresholds, rank bounds, and cost accounting.
 
+``RECEIVERS`` holds one entry per surface or BS receiver; the trial
+dispatch, the receivers' own threshold checks and the CLI all read it.
 ``min_subframes`` evaluates, per receiver/entity/scheme, the minimum number
 of sub-frames that makes the receiver's least-squares steps uniquely
 solvable (under the full-rank coding design).  ``rank_bounds`` checks the
@@ -11,16 +13,96 @@ per-receiver cost and control-link load formulas.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .coding import CodingSet
-from .scenario import ChannelRealization, ScenarioConfig
+from .scenario import SCHEMES, ChannelRealization, ScenarioConfig
 
-HRIS_RECEIVERS = {"tstc": ("bals", "kronf"), "krstc": ("bals", "krf")}
-BS_RECEIVERS = {"tstc": ("bals", "kronf", "h"), "krstc": ("bals", "kronf", "h")}
+
+@dataclass(frozen=True)
+class Sizes:
+    """Problem sizes the receiver formulas read; ``m`` is known at the BS only.
+
+    ``w`` is the symbol-row count (``r`` for tstc, ``l`` for krstc) and ``c``
+    the composite width (``l*r`` for tstc, ``l`` for krstc).
+    """
+
+    scheme: str
+    n: int
+    nc: int
+    l: int
+    w: int
+    t: int
+    k: int
+    m: int | None = None
+
+    @property
+    def c(self) -> int:
+        return self.l * self.w if self.scheme == "tstc" else self.l
+
+    @classmethod
+    def of(cls, cfg: ScenarioConfig, scheme: str) -> "Sizes":
+        w = cfg.r if scheme == "tstc" else cfg.l
+        return cls(scheme, cfg.n, cfg.nc, cfg.l, w, cfg.t, cfg.k, cfg.m)
+
+
+@dataclass(frozen=True)
+class ReceiverSpec:
+    """One receiver: where it runs, which codings it serves, and its formulas.
+
+    ``fn`` names the function in ``hris_rx`` (surface) or ``bs_rx`` (BS)
+    that runs it; callers look it up at call time.  ``min_k`` gives the
+    sub-frame threshold and ``flops`` the dominant flop count (per iteration
+    when ``iterative``).  ``scenario`` is the control-link scenario a BS
+    receiver needs: 2 when the decoded symbols must be fed back too.
+    """
+
+    name: str
+    entity: str
+    schemes: tuple[str, ...]
+    fn: str
+    min_k: Callable[[Sizes], Fraction]
+    flops: Callable[[Sizes], int]
+    iterative: bool = False
+    scenario: int = 1
+
+    def threshold(self, sizes: Sizes) -> int:
+        """Minimum sub-frame count at the given sizes."""
+        return math.ceil(self.min_k(sizes))
+
+
+# kronf (tstc) and krf (krstc) share their formulas through the composite width.
+_HRIS_CLOSED_FORM = dict(min_k=lambda d: Fraction(d.c * d.n, d.nc),
+                         flops=lambda d: d.c * d.n * (d.c * d.n * d.k * d.nc + d.t))
+RECEIVERS = (
+    ReceiverSpec("bals", "hris", SCHEMES, "hris_bals",
+                 lambda d: max(Fraction(d.w), Fraction(d.l * d.n, d.t)) / d.nc,
+                 lambda d: d.k * d.nc * (d.w**2 + d.l**2 * d.n**2 * d.t), iterative=True),
+    ReceiverSpec("kronf", "hris", ("tstc",), "hris_kronf", **_HRIS_CLOSED_FORM),
+    ReceiverSpec("krf", "hris", ("krstc",), "hris_krf", **_HRIS_CLOSED_FORM),
+    ReceiverSpec("bals", "bs", SCHEMES, "bs_bals",
+                 lambda d: max(Fraction(d.w, d.m), Fraction(d.n, d.t)),
+                 lambda d: d.k * (d.w**2 * d.m + d.n**2 * d.t), iterative=True),
+    ReceiverSpec("kronf", "bs", SCHEMES, "bs_kronf",
+                 lambda d: Fraction(d.w * d.n),
+                 lambda d: d.w * d.n * (d.w * d.n * d.k + d.t * d.m)),
+    ReceiverSpec("h", "bs", SCHEMES, "bs_channel_only",
+                 lambda d: Fraction(d.n, d.t),
+                 lambda d: d.k * d.n**2 * d.t, scenario=2),
+)
+ENTITY_NAMES = {"hris": "surface", "bs": "BS"}
+
+
+def receiver_spec(receiver: str, entity: str, scheme: str) -> ReceiverSpec:
+    """The table entry for ``receiver`` at ``entity``; ``ValueError`` if it does not serve ``scheme``."""
+    for spec in RECEIVERS:
+        if spec.name == receiver and spec.entity == entity and scheme in spec.schemes:
+            return spec
+    raise ValueError(f"{receiver!r} is not a {ENTITY_NAMES.get(entity, entity)} receiver for {scheme}")
 
 
 @dataclass
@@ -36,58 +118,21 @@ class IdentReport:
     rows: list = field(default_factory=list)
 
 
-def table_min_subframes(receiver: str, entity: str, scheme: str,
-                        *, nc: int, l: int, r: int, n: int, t: int,
-                        m: int | None = None) -> int:
-    """Minimum sub-frame count for one receiver/entity/scheme combination."""
-    key = (receiver, entity, scheme)
-    if key == ("bals", "hris", "tstc"):
-        value = Fraction(max(Fraction(r), Fraction(l * n, t)), nc)
-    elif key == ("kronf", "hris", "tstc"):
-        value = Fraction(l * r * n, nc)
-    elif key == ("bals", "bs", "tstc"):
-        if m is None:
-            raise ValueError("BS rows need the BS antenna count m")
-        value = max(Fraction(r, m), Fraction(n, t))
-    elif key == ("kronf", "bs", "tstc"):
-        value = Fraction(r * n)
-    elif key == ("bals", "hris", "krstc"):
-        value = Fraction(max(Fraction(l), Fraction(l * n, t)), nc)
-    elif key == ("krf", "hris", "krstc"):
-        value = Fraction(l * n, nc)
-    elif key == ("bals", "bs", "krstc"):
-        if m is None:
-            raise ValueError("BS rows need the BS antenna count m")
-        value = max(Fraction(l, m), Fraction(n, t))
-    elif key == ("kronf", "bs", "krstc"):
-        value = Fraction(l * n)
-    elif key in (("h", "bs", "tstc"), ("h", "bs", "krstc")):
-        value = Fraction(n, t)
-    else:
-        raise ValueError(f"unknown receiver/entity/scheme combination {key}")
-    return math.ceil(value)
-
-
 def min_subframes(cfg: ScenarioConfig, receiver: str, entity: str, scheme: str | None = None) -> int:
     scheme = scheme or cfg.scheme
-    return table_min_subframes(receiver, entity, scheme,
-                               nc=cfg.nc, l=cfg.l, r=cfg.r, n=cfg.n, t=cfg.t, m=cfg.m)
+    return receiver_spec(receiver, entity, scheme).threshold(Sizes.of(cfg, scheme))
 
 
 def check_identifiability(cfg: ScenarioConfig, pair: tuple[str, str], scheme: str | None = None) -> IdentReport:
     """Check one surface/BS receiver pair; both rows must hold simultaneously."""
     scheme = scheme or cfg.scheme
-    hris_rx, bs_rx = pair
-    if hris_rx not in HRIS_RECEIVERS[scheme]:
-        raise ValueError(f"{hris_rx!r} is not a surface receiver for {scheme}")
-    if bs_rx not in BS_RECEIVERS[scheme]:
-        raise ValueError(f"{bs_rx!r} is not a BS receiver for {scheme}")
+    sizes = Sizes.of(cfg, scheme)
     rows = []
-    for receiver, entity in ((hris_rx, "hris"), (bs_rx, "bs")):
-        need = min_subframes(cfg, receiver, entity, scheme)
+    for receiver, entity in zip(pair, ("hris", "bs")):
+        need = receiver_spec(receiver, entity, scheme).threshold(sizes)
         rows.append(IdentReport(receiver, entity, scheme, need, cfg.k, cfg.k >= need))
     min_k = max(row.min_k for row in rows)
-    return IdentReport(f"{hris_rx}-{bs_rx}", "pair", scheme, min_k, cfg.k,
+    return IdentReport(f"{pair[0]}-{pair[1]}", "pair", scheme, min_k, cfg.k,
                        cfg.k >= min_k, rows=rows)
 
 
@@ -100,8 +145,7 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str], scheme: str |
     """
     scheme = scheme or cfg.scheme
     report = check_identifiability(cfg, pair, scheme)
-    code_floor = cfg.r * cfg.l if scheme == "tstc" else cfg.l
-    floor = max(report.min_k, cfg.n, code_floor)
+    floor = max(report.min_k, cfg.n, Sizes.of(cfg, scheme).c)
     return 1 << max(0, (floor - 1).bit_length())
 
 
@@ -141,7 +185,7 @@ def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
     kappa_g = numerical_rank(g, tol)
     kappa_h = numerical_rank(h, tol)
     kappa_x = numerical_rank(x, tol)
-    width = cfg.r if scheme == "tstc" else cfg.l
+    width = Sizes.of(cfg, scheme).w
 
     zeta_blocks, xi_x_blocks, xi_h_blocks, fg_blocks = [], [], [], []
     for k in range(cfg.k):
@@ -158,12 +202,9 @@ def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
     xi_h = max(xi_h_blocks)
     fg_bar_rank = numerical_rank(np.vstack(fg_blocks), tol)
 
-    if scheme == "tstc":
-        zeta_bound = min(cfg.nc, kappa_g, width)
-        xi_x_bound = min(kappa_h, kappa_g, width)
-    else:
-        zeta_bound = min(cfg.nc, kappa_g)
-        xi_x_bound = min(kappa_h, kappa_g)
+    # kappa_g <= l, so the width bound only binds for tstc.
+    zeta_bound = min(cfg.nc, kappa_g, width)
+    xi_x_bound = min(kappa_h, kappa_g, width)
     xi_h_bound = min(kappa_g, kappa_x)
     fg_bar_bound = min(cfg.k * cfg.nc * kappa_x, cfg.l * cfg.n)
 
@@ -182,27 +223,9 @@ def flops_estimate(cfg: ScenarioConfig, receiver: str, entity: str,
                    scheme: str | None = None, iterations: int = 1) -> float:
     """Dominant flop count for one receiver; iterative rows scale with ``iterations``."""
     scheme = scheme or cfg.scheme
-    m, n, nc, l, r, t, k = cfg.m, cfg.n, cfg.nc, cfg.l, cfg.r, cfg.t, cfg.k
-    key = (receiver, entity, scheme)
-    per_iteration = {
-        ("bals", "hris", "tstc"): k * nc * (r**2 + l**2 * n**2 * t),
-        ("bals", "bs", "tstc"): k * (r**2 * m + n**2 * t),
-        ("bals", "hris", "krstc"): l**2 * k * nc * (1 + n**2 * t),
-        ("bals", "bs", "krstc"): k * (l**2 * m + n**2 * t),
-    }
-    single = {
-        ("kronf", "hris", "tstc"): l * r * n * (l * r * n * k * nc + t),
-        ("kronf", "bs", "tstc"): r * n * (r * n * k + t * m),
-        ("krf", "hris", "krstc"): l * n * (l * n * k * nc + t),
-        ("kronf", "bs", "krstc"): l * n * (l * n * k + t * m),
-        ("h", "bs", "tstc"): k * n**2 * t,
-        ("h", "bs", "krstc"): k * n**2 * t,
-    }
-    if key in per_iteration:
-        return float(per_iteration[key] * iterations)
-    if key in single:
-        return float(single[key])
-    raise ValueError(f"unknown receiver/entity/scheme combination {key}")
+    spec = receiver_spec(receiver, entity, scheme)
+    flops = spec.flops(Sizes.of(cfg, scheme))
+    return float(flops * iterations if spec.iterative else flops)
 
 
 def feedback_bits(cfg: ScenarioConfig, scenario: int, scheme: str | None = None) -> int:

@@ -1,10 +1,20 @@
-"""Shared receiver plumbing: options, reports, and failure modes."""
+"""Shared receiver plumbing: failure modes, options, reports, the entry
+check, the shared ALS loop, and the anchor normalization."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .coding import CodingSet
+from .identifiability import ENTITY_NAMES, RECEIVERS, Sizes, numerical_rank
+
+# Squared-residual floor, relative to the signal energy, at which the ALS
+# loop stops early: the fit is already at machine precision.
+RESIDUAL_FLOOR = 1e-26
 
 
 class IdentifiabilityError(ValueError):
@@ -17,6 +27,10 @@ class RankDeficiencyError(RuntimeError):
 
 class AmbiguityError(RuntimeError):
     """The anchor entry used to fix the scaling ambiguity is (numerically) zero."""
+
+
+class NonFiniteError(RuntimeError):
+    """The received tensor holds NaN or infinite entries."""
 
 
 @dataclass(frozen=True)
@@ -63,16 +77,76 @@ def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
+    """Validate the tensor received by the receiver function ``fn``; return the problem sizes.
+
+    ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS.  Raises
+    ``ValueError`` for a scheme the receiver does not serve or shapes that
+    disagree with the coding, :class:`NonFiniteError` on NaN/inf entries,
+    and :class:`IdentifiabilityError` below the sub-frame threshold.
+    """
+    spec = next(spec for spec in RECEIVERS if spec.fn == fn)
+    if coding.scheme not in spec.schemes:
+        raise ValueError(f"{fn} does not apply to the {coding.scheme} scheme")
+    rows, t, k = y.shape
+    if coding.subframes != k or (spec.entity == "hris" and coding.rf_chains != rows):
+        raise ValueError(f"coding built for (nc, k)={coding.rf_chains, coding.subframes}, "
+                         f"signal has shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise NonFiniteError(f"received tensor at the {ENTITY_NAMES[spec.entity]} has non-finite entries")
+    sizes = Sizes(coding.scheme, coding.elements, coding.rf_chains, coding.ut_antennas,
+                  coding.streams, t, k, rows if spec.entity == "bs" else None)
+    need = spec.threshold(sizes)
+    if k < need:
+        raise IdentifiabilityError(f"{spec.name} at the {ENTITY_NAMES[spec.entity]} ({coding.scheme}) "
+                                   f"needs at least {need} sub-frames, got {k}")
+    return sizes
+
+
+def run_als(step: Callable, x0: np.ndarray, y: np.ndarray, opts: BalsOptions) -> EstimateReport:
+    """Alternate least-squares steps until the residual stagnates or hits the floor.
+
+    ``step(x)`` runs a channel step and a symbol step from the symbols ``x``
+    and returns ``(channel, symbols, squared Frobenius residual)``.
+    """
+    floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
+    x_hat = x0
+    residuals: list[float] = []
+    for _ in range(opts.max_iterations):
+        channel, x_hat, resid = step(x_hat)
+        residuals.append(resid)
+        if resid <= floor:
+            break
+        if len(residuals) >= 2:
+            prev = residuals[-2]
+            if prev > 0 and abs(resid - prev) <= opts.tol * prev:
+                break
+    return EstimateReport(channel, x_hat, len(residuals), residuals)
+
+
 def require_full_rank(mat: np.ndarray, need: int, what: str, tol: float = 1e-10) -> None:
     """Raise :class:`RankDeficiencyError` unless ``mat`` has numerical rank ``need``."""
-    s = np.linalg.svd(mat, compute_uv=False)
-    rank = 0 if s.size == 0 or s[0] == 0 else int(np.count_nonzero(s > tol * s[0]))
+    rank = numerical_rank(mat, tol)
     if rank < need:
         raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
 
 
-def anchor_or_raise(value: complex, scale: float, what: str) -> complex:
-    """Guard against dividing by a vanishing anchor entry."""
-    if not np.isfinite(value) or abs(value) <= 1e-12 * scale:
-        raise AmbiguityError(f"{what} anchor is numerically zero ({value!r})")
-    return value
+def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:
+    """Divide the symbols by their anchors and absorb the anchors into the channel.
+
+    The anchor is the (0, 0) symbol, or with ``per_stream`` the first symbol
+    of every stream.  A vanishing anchor raises :class:`AmbiguityError` so the
+    trial counts as a decoding failure instead of corrupting the metrics.
+    """
+    x = report.symbols
+    scale = float(np.linalg.norm(x)) / math.sqrt(x.size)
+    rows = x.shape[0] if per_stream else 1
+    anchors = x[:rows, 0]
+    for i, value in enumerate(anchors):
+        if not np.isfinite(value) or abs(value) <= 1e-12 * scale:
+            where = f"stream {i} " if per_stream else ""
+            raise AmbiguityError(f"{where}symbol anchor is numerically zero ({complex(value)!r})")
+    fixed = x / anchors[:, None]
+    fixed[:rows, 0] = 1.0  # anchors are known a priori; avoid the division ulp
+    return EstimateReport(report.channel * anchors, fixed, report.iterations, report.residuals,
+                          ambiguity=anchors if per_stream else complex(anchors[0]))

@@ -26,6 +26,13 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
+def _finite_watts(dbm: float) -> bool:
+    try:
+        return math.isfinite(dbm_to_watts(dbm))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All dimensions and link parameters for one simulated scenario.
@@ -59,7 +66,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("m", "n", "nc", "l", "r", "t", "k"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"dimension {name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
@@ -74,6 +81,10 @@ class ScenarioConfig:
             raise ValueError(f"qam_order must be a square constellation size, got {self.qam_order}")
         if self.eta < 1:
             raise ValueError("eta must be at least 1 bit per coefficient")
+        if not (math.isfinite(self.pt_dbm) and _finite_watts(self.pt_dbm)):
+            raise ValueError(f"pt_dbm must give a finite transmit power, got {self.pt_dbm}")
+        if not _finite_watts(self.noise_dbm):  # -inf (no noise) is allowed
+            raise ValueError(f"noise_dbm must give a finite noise power, got {self.noise_dbm}")
 
     @property
     def noise_watts(self) -> float:

@@ -41,9 +41,6 @@ PAIRS = {
     "krstc": [("bals", "bals"), ("bals", "kronf"), ("krf", "bals"),
               ("krf", "kronf"), ("bals", "h"), ("krf", "h")],
 }
-# KRSTC closed-form at the BS is exempt from the recovery bound; it is
-# checked through the composite-consistency oracle instead.
-EXEMPT = {("krstc", "bals", "kronf"), ("krstc", "krf", "kronf")}
 
 
 def crandn(rng, *shape):
@@ -164,14 +161,12 @@ def test_criterion_3_exact_recovery_all_pairs():
             cfg = cfg.replace(k=k)
             out = run_trial(cfg, pair, seed=trial_seed(33, 0))
             assert not out.failed, (scheme, pair)
-            if (scheme, *pair) in EXEMPT:
-                continue
             tag = f"{scheme} {pair[0]}-{pair[1]} (k={k})"
             assert out.nmse_g < 1e-10, tag
             assert out.nmse_h < 1e-10, tag
             assert out.ser_hris == 0.0 and out.ser_bs == 0.0, tag
 
-    # exempt pairs: the composite estimate must still be consistent
+    # krstc closed form at the BS: the composite estimate matches the oracle
     cfg = ScenarioConfig(k=16, scheme="krstc", **base)
     rng = np.random.default_rng(4)
     channels = draw_channels(cfg, rng)

@@ -16,7 +16,11 @@ from hrislink.harness import (
     ser,
     trial_seed,
 )
-from hrislink.rx_common import IdentifiabilityError
+from hrislink import harness
+from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
+from hrislink.coding import build_coding
+from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
+from hrislink.rx_common import IdentifiabilityError, NonFiniteError
 from hrislink.scenario import ScenarioConfig
 
 
@@ -180,6 +184,32 @@ def test_failed_trials_excluded_from_means():
     assert rec.nmse_g == 0.5
 
 
+@pytest.mark.parametrize("scheme,receiver", [
+    ("tstc", hris_bals), ("tstc", hris_kronf), ("krstc", hris_krf),
+    ("tstc", bs_bals), ("krstc", bs_kronf), ("tstc", bs_channel_only),
+])
+def test_receivers_reject_non_finite_input(scheme, receiver):
+    cfg = small_cfg(scheme=scheme)
+    coding = build_coding(cfg)
+    if receiver.__module__.endswith("hris_rx"):
+        args = (np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex),)
+    else:
+        g = np.ones((cfg.n, cfg.l), dtype=complex)
+        payload = ControlLinkPayload(g, np.ones((cfg.streams, cfg.t), dtype=complex), scenario=2)
+        args = (np.full((cfg.m, cfg.t, cfg.k), np.nan, dtype=complex), payload)
+    with pytest.raises(NonFiniteError):
+        receiver(*args, coding)
+
+
+def test_non_finite_signal_is_a_failed_trial(monkeypatch):
+    def nan_yrc(cfg, channels, coding, symbols, rng=None):
+        return np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex)
+
+    monkeypatch.setattr(harness, "synth_yrc", nan_yrc)
+    out = run_trial(small_cfg(), ("kronf", "bals"), trial_seed(0, 0))
+    assert out.failed and "non-finite" in out.failure_reason
+
+
 def test_parse_pair():
     assert parse_pair("kronf-bals") == ("kronf", "bals")
     assert parse_pair("BALS-H") == ("bals", "h")
@@ -208,8 +238,8 @@ def test_power_sweep_nmse_nonincreasing():
 
 def test_workers_pool_matches_serial():
     cfg = small_cfg()
-    serial = run_sweep(cfg, ("kronf", "h"), "pt", [30.0], trials=3, base_seed=5)
-    pooled = run_sweep(cfg, ("kronf", "h"), "pt", [30.0], trials=3, base_seed=5,
+    serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=3, base_seed=5)
+    pooled = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=3, base_seed=5,
                        workers=2)
     assert serial == pooled
 

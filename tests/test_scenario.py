@@ -37,6 +37,17 @@ def test_config_validation():
         ScenarioConfig(qam_order=12)
     with pytest.raises(ValueError):
         ScenarioConfig(scheme="other")
+    with pytest.raises(ValueError):
+        ScenarioConfig(m=True)
+    with pytest.raises(ValueError):
+        ScenarioConfig(k=False)
+    for pt_dbm in (3100.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ScenarioConfig(pt_dbm=pt_dbm)
+    for noise_dbm in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ScenarioConfig(noise_dbm=noise_dbm)
+    ScenarioConfig(noise_dbm=-math.inf)  # noiseless runs stay valid
 
 
 def test_dbm_to_watts():
