@@ -122,7 +122,8 @@ def bs_kronf(
 
     The composite right factor is assembled column by column as
     ``vec(diag(psi_k) @ G @ mix_k)`` (tstc) or as the fed-back channel vector
-    scaling the Khatri-Rao composite regressor (krstc).
+    scaling the Khatri-Rao composite regressor, built once per coding set
+    (krstc).
     """
     d = check_received(y_bs, coding, "bs_kronf")
     m, t, n, streams = d.m, d.t, d.n, d.w
@@ -130,9 +131,9 @@ def bs_kronf(
     if coding.scheme == "tstc":
         right = np.column_stack([vec(block) for block in blocks])   # (streams*n, k)
     else:
-        right = vec(payload.ut_channel)[:, None] * composite_code_matrix(coding)
-    require_full_rank(right, streams * n, "composite right factor")
-    composite = unfold(y_bs, 3).T @ pinv(right)                     # (t*m, streams*n)
+        right = vec(payload.ut_channel)[:, None] * coding.cached("bs_composite", composite_code_matrix)
+    inverse = require_full_rank(right, streams * n, "composite right factor")
+    composite = unfold(y_bs, 3).T @ inverse                         # (t*m, streams*n)
     rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)
     h_hat = unvec(math.sqrt(sigma) * u, m, n)
@@ -152,8 +153,7 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     n = check_received(y_bs, coding, "bs_channel_only").n
     blocks = _reflect_blocks(coding, payload.ut_channel)
     channel_step = np.hstack([block @ payload.symbols for block in blocks])
-    require_full_rank(channel_step, n, "channel-step regressor")
-    h_hat = unfold(y_bs, 1) @ pinv(channel_step)
+    h_hat = unfold(y_bs, 1) @ require_full_rank(channel_step, n, "channel-step regressor")
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True), 0, [])
 
 

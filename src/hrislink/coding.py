@@ -7,12 +7,18 @@ matrix: a tensor code of shape ``(l, r, k)`` for the tstc scheme, a ``(k, l)``
 code matrix for krstc.  Amplitudes carry the power split: every sensing
 entry has magnitude ``sqrt((1-rho)/nc)`` and every reflecting entry
 ``sqrt(rho)``, so per element the reflected and sensed powers add to one.
+
+:func:`build_coding` shares one read-only :class:`CodingSet` per coding
+configuration, and each set keeps what the receivers and the synthesis
+derive from it (:meth:`CodingSet.cached`): once per coding, not per trial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import dft, hadamard
@@ -20,19 +26,46 @@ from scipy.linalg import dft, hadamard
 from .scenario import ScenarioConfig
 
 
-@dataclass(frozen=True)
+# Distinct codings kept by build_coding; a sweep over pt or over trials needs one.
+_CODINGS_KEPT = 8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class CodingSet:
     """Everything the transmitter and surface agree on for one block.
 
     ``sensing`` has shape ``(nc, n, k)``, ``reflect`` ``(k, n)``.  ``code``
     is the ``(l, r, k)`` mixing tensor for tstc (includes the ``1/sqrt(l)``
     combiner normalization) or the ``(k, l)`` code matrix for krstc.
+
+    The arrays are read-only copies of the ones passed in, so the products
+    kept by :meth:`cached` can never go stale; equality and hashing are by
+    identity.
     """
 
     scheme: str
     sensing: np.ndarray
     reflect: np.ndarray
     code: np.ndarray
+    _products: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("sensing", "reflect", "code"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+
+    def cached(self, key: str, build: Callable[["CodingSet"], np.ndarray]) -> np.ndarray:
+        """``build(self)``, computed on the first call for ``key`` and kept read-only.
+
+        A ``build`` that raises keeps nothing, so it raises again on every call.
+        """
+        if key not in self._products:
+            self._products[key] = _read_only(build(self))
+        return self._products[key]
 
     def mix_matrix(self, k: int) -> np.ndarray:
         """Per-sub-frame transmit mixing matrix: ``(l, r)`` dense or diagonal."""
@@ -112,10 +145,21 @@ def design_krstc(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def build_coding(cfg: ScenarioConfig) -> CodingSet:
-    """Construct the full coding set for the configured scheme."""
+    """The coding set for the configured scheme.
+
+    Configs that agree on ``scheme``, ``nc``, ``n``, ``k``, ``rho``, ``l``
+    and ``r`` get the same read-only object (the most recent few are kept);
+    copy an array before changing it.
+    """
+    return _coding(cfg.scheme, cfg.nc, cfg.n, cfg.k, cfg.rho, cfg.l, cfg.r)
+
+
+@lru_cache(maxsize=_CODINGS_KEPT)
+def _coding(scheme: str, nc: int, n: int, k: int, rho: float, l: int, r: int) -> CodingSet:
+    cfg = ScenarioConfig(n=n, nc=nc, k=k, rho=rho, l=l, r=r, scheme=scheme)
     phi, psi = design_phase_shifts(cfg)
-    code = design_tstc(cfg) if cfg.scheme == "tstc" else design_krstc(cfg)
-    return CodingSet(scheme=cfg.scheme, sensing=phi, reflect=psi, code=code)
+    code = design_tstc(cfg) if scheme == "tstc" else design_krstc(cfg)
+    return CodingSet(scheme=scheme, sensing=phi, reflect=psi, code=code)
 
 
 def qam_constellation(order: int) -> np.ndarray:

@@ -11,6 +11,9 @@ Three receivers operate on the sensed tensor ``(nc, t, k)``:
 * :func:`hris_krf` (krstc) does the same for the column-wise Khatri-Rao
   structured composite, with one rank-1 problem per stream.
 
+The closed-form receivers share one rank-checked pseudo-inverse of the
+composite regressor per coding set (:func:`composite_pinv`).
+
 Every receiver ends by removing the scaling ambiguity against the anchor
 symbols, unless ``remove_scaling=False`` (useful to inspect the raw,
 mutually compensating estimates).
@@ -68,6 +71,18 @@ def composite_code_matrix(coding: CodingSet) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def composite_pinv(coding: CodingSet) -> np.ndarray:
+    """Pseudo-inverse of the full-column-rank composite regressor, once per coding set.
+
+    Raises :class:`RankDeficiencyError` on every call for a coding whose
+    composite regressor is rank deficient.
+    """
+    def build(coding):
+        fxg = composite_code_matrix(coding)
+        return require_full_rank(fxg, fxg.shape[1], "composite code matrix")
+    return coding.cached("hris_composite_pinv", build)
+
+
 def hris_bals(
     y_rc: np.ndarray,
     coding: CodingSet,
@@ -98,10 +113,8 @@ def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True)
     """Closed-form tstc receiver via Kronecker factorization of the composite."""
     d = check_received(y_rc, coding, "hris_kronf")
     n, l, r, t = d.n, d.l, d.w, d.t
-    fxg = composite_code_matrix(coding)
-    require_full_rank(fxg, l * r * n, "composite code matrix")
     # vec of the composite solves (pinv(fxg) x I_t) @ vec(mode-2 unfolding).
-    composite = unvec(vec(unfold(y_rc, 2) @ pinv(fxg).T), n * t, l * r)
+    composite = unvec(vec(unfold(y_rc, 2) @ composite_pinv(coding).T), n * t, l * r)
     rearranged = composite.reshape(n, t, l, r).transpose(3, 1, 2, 0).reshape(r * t, l * n)
     u, sigma, v = rank1_approx(rearranged)
     g_hat = unvec(math.sqrt(sigma) * v.conj(), n, l)
@@ -114,9 +127,7 @@ def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -
     """Closed-form krstc receiver via per-stream Khatri-Rao factorization."""
     d = check_received(y_rc, coding, "hris_krf")
     n, l, t = d.n, d.l, d.t
-    fxg = composite_code_matrix(coding)
-    require_full_rank(fxg, l * n, "composite code matrix")
-    composite = unvec(vec(unfold(y_rc, 2) @ pinv(fxg).T), n * t, l)
+    composite = unvec(vec(unfold(y_rc, 2) @ composite_pinv(coding).T), n * t, l)
     g_hat = np.empty((n, l), dtype=complex)
     x_hat = np.empty((l, t), dtype=complex)
     for col in range(l):

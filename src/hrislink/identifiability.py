@@ -151,7 +151,11 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str], scheme: str |
 
 def numerical_rank(mat: np.ndarray, tol: float = 1e-10) -> int:
     """Count singular values above ``tol * sigma_max``."""
-    s = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
+    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False), tol)
+
+
+def spectral_rank(s: np.ndarray, tol: float = 1e-10) -> int:
+    """:func:`numerical_rank` read off descending singular values ``s``."""
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

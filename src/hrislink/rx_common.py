@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import CodingSet
-from .identifiability import ENTITY_NAMES, RECEIVERS, Sizes, numerical_rank
+from .identifiability import ENTITY_NAMES, RECEIVERS, Sizes, spectral_rank
+from .tensor_ops import pinv_with_spectrum
 
 # Squared-residual floor, relative to the signal energy, at which the ALS
 # loop stops early: the fit is already at machine precision.
@@ -124,11 +125,17 @@ def run_als(step: Callable, x0: np.ndarray, y: np.ndarray, opts: BalsOptions) ->
     return EstimateReport(channel, x_hat, len(residuals), residuals)
 
 
-def require_full_rank(mat: np.ndarray, need: int, what: str, tol: float = 1e-10) -> None:
-    """Raise :class:`RankDeficiencyError` unless ``mat`` has numerical rank ``need``."""
-    rank = numerical_rank(mat, tol)
+def require_full_rank(mat: np.ndarray, need: int, what: str, tol: float = 1e-10) -> np.ndarray:
+    """The pseudo-inverse of ``mat``, which must have numerical rank ``need``.
+
+    Raises :class:`RankDeficiencyError` otherwise.  The rank check reads
+    the singular values of the SVD that forms the pseudo-inverse.
+    """
+    inverse, s = pinv_with_spectrum(mat)
+    rank = spectral_rank(s, tol)
     if rank < need:
         raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
+    return inverse
 
 
 def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:

@@ -64,23 +64,36 @@ class ScenarioConfig:
     eta: int = 16            # feedback resolution, bits per channel coefficient
 
     def __post_init__(self):
-        for name in ("m", "n", "nc", "l", "r", "t", "k"):
+        for name in ("m", "n", "nc", "l", "r", "t", "k", "eta"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"dimension {name} must be a positive integer, got {value!r}")
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "krstc" and self.r != self.l:
             raise ValueError("krstc has no stream multiplexing: r must equal l")
-        if self.d_ut <= 0 or self.d_bs <= 0 or self.d0 <= 0:
-            raise ValueError("distances must be positive")
+        for name in ("d_ut", "d_bs", "d0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"distance {name} must be finite and positive, got {value}")
+        links_off = self.pl0_db == -math.inf  # all-zero channels, allowed like noise_dbm=-inf
+        if not (math.isfinite(self.pl0_db) or links_off):
+            raise ValueError(f"pl0_db must be finite or -inf, got {self.pl0_db}")
+        for name in ("pl_exp_ut", "pl_exp_bs"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"path-loss exponent {name} must be finite, got {value}")
+        try:
+            gains = link_gains(self)
+        except ArithmeticError:  # overflow, or a distance ratio that underflows to zero
+            gains = (math.nan,)
+        if not all(math.isfinite(gain) and (gain > 0 or links_off) for gain in gains):
+            raise ValueError(f"path loss must give finite nonzero link gains, got {gains}")
         root = math.isqrt(self.qam_order)
         if root * root != self.qam_order or root < 2:
             raise ValueError(f"qam_order must be a square constellation size, got {self.qam_order}")
-        if self.eta < 1:
-            raise ValueError("eta must be at least 1 bit per coefficient")
         if not (math.isfinite(self.pt_dbm) and _finite_watts(self.pt_dbm)):
             raise ValueError(f"pt_dbm must give a finite transmit power, got {self.pt_dbm}")
         if not _finite_watts(self.noise_dbm):  # -inf (no noise) is allowed

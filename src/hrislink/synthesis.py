@@ -6,8 +6,10 @@ Per sub-frame ``k`` the noiseless slices are
 * reflected: ``H @ diag(psi_k) @ G @ mix_k @ X`` -> shape ``(m, t)``
 
 where ``mix_k`` is the dense tstc mixing matrix or ``diag(lambda_k)`` for
-krstc.  Noise is added after the full noiseless synthesis so the noiseless
-path doubles as an oracle.  The caller is responsible for scaling the symbol
+krstc.  Both are batched matrix products over the sub-frame axis, in a
+fixed order, against sub-frame-major stacks kept per coding set.
+Noise is added after the full noiseless synthesis so the noiseless path
+doubles as an oracle.  The caller is responsible for scaling the symbol
 matrix by the transmit amplitude.
 """
 
@@ -34,6 +36,12 @@ def _check_dims(cfg: ScenarioConfig, channels: ChannelRealization, coding: Codin
         raise ValueError(f"coding built for {coding.scheme!r} but config says {cfg.scheme!r}")
 
 
+def _mixed_symbols(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
+    """``mix_k @ X`` for every sub-frame: ``(k, l, t)``."""
+    mix = coding.cached("mix_stack", lambda c: np.stack([c.mix_matrix(k) for k in range(c.subframes)]))
+    return mix @ symbols
+
+
 def synth_yrc(
     cfg: ScenarioConfig,
     channels: ChannelRealization,
@@ -43,11 +51,9 @@ def synth_yrc(
 ) -> np.ndarray:
     """Sensed signal tensor of shape ``(nc, t, k)``; noiseless when ``rng`` is None."""
     _check_dims(cfg, channels, coding, symbols)
-    g = channels.ut_ris
-    if cfg.scheme == "tstc":
-        y = np.einsum("cnk,nl,lrk,rt->ctk", coding.sensing, g, coding.code, symbols)
-    else:
-        y = np.einsum("cnk,nl,lk,lt->ctk", coding.sensing, g, coding.code.T, symbols)
+    sensing = coding.cached("sensing_stack", lambda c: np.ascontiguousarray(c.sensing.transpose(2, 0, 1)))
+    y = (sensing @ channels.ut_ris) @ _mixed_symbols(coding, symbols)   # (k, nc, t)
+    y = np.ascontiguousarray(y.transpose(1, 2, 0))
     if rng is None:
         return y
     return add_noise(y, cfg.noise_watts, rng)
@@ -62,11 +68,9 @@ def synth_ybs(
 ) -> np.ndarray:
     """Reflected signal tensor of shape ``(m, t, k)``; noiseless when ``rng`` is None."""
     _check_dims(cfg, channels, coding, symbols)
-    g, h = channels.ut_ris, channels.ris_bs
-    if cfg.scheme == "tstc":
-        y = np.einsum("mn,kn,nl,lrk,rt->mtk", h, coding.reflect, g, coding.code, symbols)
-    else:
-        y = np.einsum("mn,kn,nl,lk,lt->mtk", h, coding.reflect, g, coding.code.T, symbols)
+    cascade = channels.ris_bs @ (coding.reflect[:, :, None] * channels.ut_ris)   # (k, m, l)
+    y = cascade @ _mixed_symbols(coding, symbols)                               # (k, m, t)
+    y = np.ascontiguousarray(y.transpose(1, 2, 0))
     if rng is None:
         return y
     return add_noise(y, cfg.noise_watts, rng)

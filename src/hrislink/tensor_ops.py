@@ -134,10 +134,23 @@ def pinv(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     ``tol`` is ``max(rows, cols) * machine_eps``, the usual rank-revealing
     threshold.  An all-zero input yields the (transposed-shape) zero matrix.
     """
+    return pinv_with_spectrum(m, tol)[0]
+
+
+def pinv_with_spectrum(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pinv` of ``m`` and the singular values of the one SVD that forms it.
+
+    The singular values come in descending order, so a rank check can read
+    them instead of running a second SVD.  The arithmetic is that of
+    ``numpy.linalg.pinv``.
+    """
     m = np.asarray(m)
     if tol is None:
         tol = max(m.shape) * np.finfo(np.float64).eps
-    return np.linalg.pinv(m, rcond=tol)
+    u, s, vh = np.linalg.svd(m.conj(), full_matrices=False)
+    large = s > tol * s.max(initial=0.0)
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    return vh.T @ (s_inv[:, None] * u.T), s
 
 
 def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

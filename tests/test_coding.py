@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import dft, hadamard
 
 from hrislink.coding import (
+    CodingSet,
     build_coding,
     design_krstc,
     design_phase_shifts,
@@ -181,3 +182,40 @@ def test_build_coding_dispatch():
     kr = build_coding(small_cfg(scheme="krstc"))
     assert kr.code.ndim == 2 and kr.scheme == "krstc"
     assert np.allclose(kr.mix_matrix(0), np.diag(kr.code[0]))
+
+
+# ------------------------------------------------------------- shared codings
+
+def test_build_coding_shared_across_non_coding_fields():
+    coding = build_coding(small_cfg())
+    for change in (dict(pt_dbm=10.0), dict(noise_dbm=-80.0), dict(m=3), dict(t=7), dict(qam_order=16)):
+        assert build_coding(small_cfg(**change)) is coding
+    for change in (dict(scheme="krstc"), dict(nc=1), dict(n=4), dict(k=32), dict(rho=0.5),
+                   dict(l=1), dict(r=1)):
+        assert build_coding(small_cfg(**change)) is not coding
+
+
+def test_coding_arrays_read_only():
+    coding = build_coding(small_cfg())
+    with pytest.raises(ValueError):
+        coding.sensing[0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        coding.reflect[0, 0] = 0
+    with pytest.raises(ValueError):
+        coding.code[0, 0, 0] = 0
+    with pytest.raises(ValueError):
+        coding.mix_matrix(0)[0, 0] = 0
+
+
+def test_hand_built_coding_copies_and_freezes_its_arrays():
+    coding = build_coding(small_cfg())
+    phi, psi, code = coding.sensing.copy(), coding.reflect.copy(), coding.code.copy()
+    hand = CodingSet("tstc", phi, psi, code)
+    phi[0, 0, 0] = 7.0  # the caller's array stays writable and unshared
+    assert hand.sensing[0, 0, 0] == coding.sensing[0, 0, 0]
+    for arr in (hand.sensing, hand.reflect, hand.code):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+    # identity equality: an equal-valued set is a different key for cached products
+    twin = CodingSet("tstc", hand.sensing, hand.reflect, hand.code)
+    assert twin != hand and len({twin, hand}) == 2

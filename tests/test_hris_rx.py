@@ -7,16 +7,18 @@ from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.hris_rx import (
     channel_code_matrix,
     composite_code_matrix,
+    composite_pinv,
     hris_bals,
     hris_kronf,
     hris_krf,
     remove_ambiguity_hris,
     symbol_code_matrix,
 )
-from hrislink.rx_common import AmbiguityError, BalsOptions, EstimateReport, IdentifiabilityError
+from hrislink.rx_common import (AmbiguityError, BalsOptions, EstimateReport, IdentifiabilityError,
+                                RankDeficiencyError, require_full_rank)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
-from hrislink.tensor_ops import vec
+from hrislink.tensor_ops import pinv, vec
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -266,3 +268,42 @@ def test_uniqueness_diagonal_ratio_krstc():
         assert np.max(np.abs(row_ratio - row_ratio[0])) < 1e-8 * abs(row_ratio[0])
         assert np.max(np.abs(col_ratio - col_ratio[0])) < 1e-8 * abs(col_ratio[0])
         assert abs(row_ratio[0] * col_ratio[0] - 1) < 1e-8
+
+
+# ------------------------------------------------- per-coding products, solves
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_composite_pinv_cached_per_coding(scheme):
+    _, _, coding, _, _ = make_case(scheme=scheme)
+    cached = composite_pinv(coding)
+    assert composite_pinv(coding) is cached
+    assert not cached.flags.writeable
+    expected = pinv(composite_code_matrix(coding))
+    assert np.max(np.abs(cached - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("scheme, receiver", [("tstc", hris_kronf), ("krstc", hris_krf)])
+def test_rank_deficient_coding_raises_on_every_call(scheme, receiver):
+    _, _, coding, _, y = make_case(scheme=scheme)
+    bad = CodingSet(scheme, np.zeros_like(coding.sensing), coding.reflect, coding.code)
+    for _ in range(2):
+        with pytest.raises(RankDeficiencyError, match="composite code matrix has numerical rank 0"):
+            receiver(y, bad)
+
+
+def test_require_full_rank_returns_the_pinv():
+    rng = np.random.default_rng(5)
+    for shape in ((12, 5), (5, 12), (16, 16)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = require_full_rank(a, min(shape), "test matrix")
+        assert np.max(np.abs(got - pinv(a))) < 1e-12 * np.max(np.abs(got))
+        assert np.max(np.abs(got - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(got))
+
+
+def test_require_full_rank_message_on_rank_deficiency():
+    rng = np.random.default_rng(6)
+    a = np.outer(rng.standard_normal(6), rng.standard_normal(4))  # rank one
+    with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 1, need 4$"):
+        require_full_rank(a, 4, "test matrix")
+    with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 0, need 2$"):
+        require_full_rank(np.zeros((3, 2)), 2, "test matrix")

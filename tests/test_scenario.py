@@ -48,6 +48,23 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ScenarioConfig(noise_dbm=noise_dbm)
     ScenarioConfig(noise_dbm=-math.inf)  # noiseless runs stay valid
+    for name in ("d_ut", "d_bs", "d0"):
+        for value in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**{name: value})
+    for name in ("pl0_db", "pl_exp_ut", "pl_exp_bs"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**{name: value})
+    for name in ("pl_exp_ut", "pl_exp_bs"):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{name: -math.inf})
+    for gains_out_of_range in (dict(pl0_db=4000.0), dict(pl0_db=-4000.0), dict(pl_exp_ut=400.0),
+                               dict(pl_exp_bs=-400.0), dict(d_ut=1e-300, d0=1e300)):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**gains_out_of_range)
+    with pytest.raises(ValueError):
+        ScenarioConfig(eta=True)
 
 
 def test_dbm_to_watts():

@@ -126,3 +126,34 @@ def test_dimension_mismatch_rejected():
         synth_yrc(cfg, bad, coding, symbols)
     with pytest.raises(ValueError):
         synth_ybs(cfg, channels, coding, symbols[:, :2])
+
+
+# Plain einsum references (no contraction-path search) for the batched products.
+_EINSUM = {
+    "tstc": ("cnk,nl,lrk,rt->ctk", "mn,kn,nl,lrk,rt->mtk", lambda code: code),
+    "krstc": ("cnk,nl,lk,lt->ctk", "mn,kn,nl,lk,lt->mtk", lambda code: code.T),
+}
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+@pytest.mark.parametrize("sizes", [
+    dict(),  # the default config
+    dict(m=3, n=8, nc=3, l=3, r=2, t=5, k=16),
+])
+def test_batched_synthesis_matches_plain_einsum(scheme, sizes):
+    sizes = dict(sizes, scheme=scheme)
+    if scheme == "krstc":
+        sizes["r"] = sizes.get("l", 2)
+    cfg = ScenarioConfig(**sizes)
+    rng = np.random.default_rng(11)
+    channels = draw_channels(cfg, rng)
+    coding = build_coding(cfg)
+    symbols = gen_symbols(cfg, rng)
+    sensed_spec, reflected_spec, code_of = _EINSUM[scheme]
+    code = code_of(coding.code)
+    sensed = np.einsum(sensed_spec, coding.sensing, channels.ut_ris, code, symbols)
+    reflected = np.einsum(reflected_spec, channels.ris_bs, coding.reflect, channels.ut_ris, code, symbols)
+    # Some entries cancel to an exact zero in one summation order only, hence the floor.
+    for got, want in ((synth_yrc(cfg, channels, coding, symbols), sensed),
+                      (synth_ybs(cfg, channels, coding, symbols), reflected)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -14,6 +14,7 @@ from hrislink.tensor_ops import (
     mode_n_product,
     modewise_contraction,
     pinv,
+    pinv_with_spectrum,
     rank1_approx,
     unfold,
     unvec,
@@ -263,6 +264,16 @@ def test_pinv_identity_and_zero():
     out = pinv(np.zeros((2, 3)))
     assert out.shape == (3, 2)
     assert np.all(out == 0)
+
+
+def test_pinv_with_spectrum_matches_numpy():
+    rng = np.random.default_rng(53)
+    for shape in ((7, 3), (3, 7), (128, 128)):
+        a = crandn(rng, *shape)
+        inverse, s = pinv_with_spectrum(a)
+        assert np.array_equal(inverse, pinv(a))
+        assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
+        assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0)
 
 
 def test_pinv_left_inverse_full_column_rank():
