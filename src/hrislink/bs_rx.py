@@ -11,6 +11,9 @@ that channel and the decoded symbols (scenario 2).  Receivers:
 * :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
   solve for the BS-side channel with symbols known.
 
+Every regressor, for both coding schemes, is built from one stack of the
+blocks ``diag(psi_k) @ G @ mix_k`` (times ``X``, times ``H``, or vectorized).
+
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
 """
@@ -32,7 +35,7 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import khatri_rao, pinv, rank1_approx, unfold, unvec, vec
+from .tensor_ops import pinv, rank1_approx, unfold, unvec
 
 
 @dataclass(frozen=True)
@@ -54,37 +57,20 @@ class ControlLinkPayload:
             raise ValueError("scenario 2 requires the symbol estimate in the payload")
 
 
-def _reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> list[np.ndarray]:
-    """Per-sub-frame effective source matrices ``diag(psi_k) @ G @ mix_k``."""
-    return [
-        coding.reflect[k][:, None] * (ut_channel @ coding.mix_matrix(k))
-        for k in range(coding.subframes)
-    ]
+def _reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
+    """Effective source matrices ``diag(psi_k) @ G @ mix_k``, stacked: ``(k, n, streams)``."""
+    return coding.reflect[:, :, None] * (ut_channel @ coding.mix)
 
 
-def channel_code_matrix(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
-    """Channel-step regressor blocks, side by side: shape ``(n, k*streams)``."""
-    return np.hstack(_reflect_blocks(coding, ut_channel))
+def channel_code_matrix(coding: CodingSet, ut_channel: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``."""
+    blocks = _reflect_blocks(coding, ut_channel) @ symbols          # (k, n, t)
+    return blocks.transpose(1, 0, 2).reshape(coding.elements, -1)
 
 
-def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
-    """Symbol-step regressor blocks, stacked: shape ``(k*n, streams)``."""
-    return np.vstack(_reflect_blocks(coding, ut_channel))
-
-
-def composite_code_matrix(coding: CodingSet) -> np.ndarray:
-    """Composite-step regressor.
-
-    tstc: ``kron(mix_k.T, diag(psi_k))`` blocks side by side, shape
-    ``(streams*n, k*l*n)``.  krstc: the column-wise Khatri-Rao product of the
-    code and reflect matrices (both transposed), shape ``(l*n, k)``.
-    """
-    if coding.scheme == "tstc":
-        return np.hstack([
-            np.kron(coding.mix_matrix(k).T, np.diag(coding.reflect[k]))
-            for k in range(coding.subframes)
-        ])
-    return khatri_rao(coding.code.T, coding.reflect.T)
+def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
+    """Symbol-step regressor: the blocks ``H @ diag(psi_k) @ G @ mix_k`` stacked, ``(k*m, streams)``."""
+    return (bs_channel @ _reflect_blocks(coding, ut_channel)).reshape(-1, coding.streams)
 
 
 def bs_bals(
@@ -97,14 +83,13 @@ def bs_bals(
     """Alternating least-squares estimation of the BS-side channel and symbols."""
     opts = opts or BalsOptions()
     d = check_received(y_bs, coding, "bs_bals")
-    blocks = _reflect_blocks(coding, payload.ut_channel)
+    g = payload.ut_channel
     y1 = unfold(y_bs, 1)                    # (m, k*t)
     y2t = unfold(y_bs, 2).T                 # (k*m, t)
 
     def step(x_hat):
-        channel_step = np.hstack([block @ x_hat for block in blocks])
-        h_hat = y1 @ pinv(channel_step)
-        symbol_step = np.vstack([h_hat @ block for block in blocks])
+        h_hat = y1 @ pinv(channel_code_matrix(coding, g, x_hat))
+        symbol_step = symbol_code_matrix(coding, g, h_hat)
         x_hat = pinv(symbol_step) @ y2t
         return h_hat, x_hat, float(np.linalg.norm(y2t - symbol_step @ x_hat) ** 2)
 
@@ -120,18 +105,12 @@ def bs_kronf(
 ) -> EstimateReport:
     """Closed-form estimation via Kronecker factorization of the composite.
 
-    The composite right factor is assembled column by column as
-    ``vec(diag(psi_k) @ G @ mix_k)`` (tstc) or as the fed-back channel vector
-    scaling the Khatri-Rao composite regressor, built once per coding set
-    (krstc).
+    Column ``k`` of the composite right factor is ``vec(diag(psi_k) @ G @ mix_k)``.
     """
     d = check_received(y_bs, coding, "bs_kronf")
     m, t, n, streams = d.m, d.t, d.n, d.w
-    blocks = _reflect_blocks(coding, payload.ut_channel)
-    if coding.scheme == "tstc":
-        right = np.column_stack([vec(block) for block in blocks])   # (streams*n, k)
-    else:
-        right = vec(payload.ut_channel)[:, None] * coding.cached("bs_composite", composite_code_matrix)
+    blocks = _reflect_blocks(coding, payload.ut_channel)           # (k, n, streams)
+    right = blocks.transpose(0, 2, 1).reshape(d.k, -1).T            # (streams*n, k)
     inverse = require_full_rank(right, streams * n, "composite right factor")
     composite = unfold(y_bs, 3).T @ inverse                         # (t*m, streams*n)
     rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
@@ -151,8 +130,7 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     if payload.scenario != 2 or payload.symbols is None:
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
     n = check_received(y_bs, coding, "bs_channel_only").n
-    blocks = _reflect_blocks(coding, payload.ut_channel)
-    channel_step = np.hstack([block @ payload.symbols for block in blocks])
+    channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
     h_hat = unfold(y_bs, 1) @ require_full_rank(channel_step, n, "channel-step regressor")
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True), 0, [])
 

@@ -9,8 +9,9 @@ entry has magnitude ``sqrt((1-rho)/nc)`` and every reflecting entry
 ``sqrt(rho)``, so per element the reflected and sensed powers add to one.
 
 :func:`build_coding` shares one read-only :class:`CodingSet` per coding
-configuration, and each set keeps what the receivers and the synthesis
-derive from it (:meth:`CodingSet.cached`): once per coding, not per trial.
+configuration, with the sub-frame-major stacks every regressor and the
+synthesis multiply against, and keeps what the receivers derive from it
+(:meth:`CodingSet.cached`): once per coding, not per trial.
 """
 
 from __future__ import annotations
@@ -43,20 +44,30 @@ class CodingSet:
     is the ``(l, r, k)`` mixing tensor for tstc (includes the ``1/sqrt(l)``
     combiner normalization) or the ``(k, l)`` code matrix for krstc.
 
-    The arrays are read-only copies of the ones passed in, so the products
-    kept by :meth:`cached` can never go stale; equality and hashing are by
-    identity.
+    ``phi`` stacks the slices ``phi_k`` as ``(k, nc, n)``, ``mix`` the mixing
+    matrices ``mix_k`` as ``(k, l, streams)`` (``diag(code[k])`` for krstc).
+
+    The arrays are read-only copies of the ones passed in, so the stacks and
+    the products kept by :meth:`cached` can never go stale; equality and
+    hashing are by identity.
     """
 
     scheme: str
     sensing: np.ndarray
     reflect: np.ndarray
     code: np.ndarray
+    phi: np.ndarray = field(init=False, repr=False)
+    mix: np.ndarray = field(init=False, repr=False)
     _products: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("sensing", "reflect", "code"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        code = self.code
+        mix = (code.transpose(2, 0, 1).copy() if self.scheme == "tstc"
+               else np.where(np.eye(code.shape[1], dtype=bool), code[:, None, :], 0.0))
+        object.__setattr__(self, "phi", _read_only(self.sensing.transpose(2, 0, 1).copy()))
+        object.__setattr__(self, "mix", _read_only(mix))
 
     def cached(self, key: str, build: Callable[["CodingSet"], np.ndarray]) -> np.ndarray:
         """``build(self)``, computed on the first call for ``key`` and kept read-only.
@@ -68,10 +79,8 @@ class CodingSet:
         return self._products[key]
 
     def mix_matrix(self, k: int) -> np.ndarray:
-        """Per-sub-frame transmit mixing matrix: ``(l, r)`` dense or diagonal."""
-        if self.scheme == "tstc":
-            return self.code[:, :, k]
-        return np.diag(self.code[k])
+        """Per-sub-frame transmit mixing matrix ``mix_k``: ``(l, r)`` dense or diagonal."""
+        return self.mix[k]
 
     @property
     def subframes(self) -> int:
@@ -87,11 +96,11 @@ class CodingSet:
 
     @property
     def ut_antennas(self) -> int:
-        return self.code.shape[0] if self.scheme == "tstc" else self.code.shape[1]
+        return self.mix.shape[1]
 
     @property
     def streams(self) -> int:
-        return self.code.shape[1]
+        return self.mix.shape[2]
 
 
 def design_phase_shifts(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -134,13 +134,15 @@ def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOut
 
     Draw order is fixed (channels, symbols, receiver init seeds, sensed
     noise, reflected noise) so a (config, seed) pair fully reproduces the
-    trial.  Zero-anchor, rank-deficiency and non-finite-input aborts are
-    reported as failed outcomes, not exceptions.
+    trial.  An all-zero drawn channel and zero-anchor, rank-deficiency and
+    non-finite-input aborts are reported as failed outcomes, not exceptions.
     """
     hris_spec = receiver_spec(pair[0], "hris", cfg.scheme)
     bs_spec = receiver_spec(pair[1], "bs", cfg.scheme)
     rng = np.random.default_rng(seed)
     channels = draw_channels(cfg, rng)
+    if not (channels.ut_ris.any() and channels.ris_bs.any()):
+        return TrialOutcome(failed=True, failure_reason="drawn channel is all zero; its NMSE is undefined")
     symbols = gen_symbols(cfg, rng)
     hris_init = int(rng.integers(0, 2**63))
     bs_init = int(rng.integers(0, 2**63))

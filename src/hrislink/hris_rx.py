@@ -11,8 +11,9 @@ Three receivers operate on the sensed tensor ``(nc, t, k)``:
 * :func:`hris_krf` (krstc) does the same for the column-wise Khatri-Rao
   structured composite, with one rank-1 problem per stream.
 
-The closed-form receivers share one rank-checked pseudo-inverse of the
-composite regressor per coding set (:func:`composite_pinv`).
+Each regressor is one batched product over the coding set's sub-frame
+stacks.  The closed-form receivers share one rank-checked pseudo-inverse of
+the composite regressor per coding set (:func:`composite_pinv`).
 
 Every receiver ends by removing the scaling ambiguity against the anchor
 symbols, unless ``remove_scaling=False`` (useful to inspect the raw,
@@ -38,37 +39,33 @@ from .rx_common import (
 from .tensor_ops import pinv, rank1_approx, unfold, unvec, vec
 
 
-def channel_code_matrix(coding: CodingSet) -> np.ndarray:
-    """Static regressor of the channel step: stacked ``kron(mix_k.T, phi_k)`` blocks."""
-    return np.vstack([
-        np.kron(coding.mix_matrix(k).T, coding.sensing[:, :, k])
-        for k in range(coding.subframes)
-    ])
+def _stacked_kron(left: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``kron(left_k, phi_k)`` stacked over ``k``: ``(k*a*nc, b*n)`` from ``left`` of shape ``(k, a, b)``."""
+    (k, a, b), (_, nc, n) = left.shape, phi.shape
+    return (left[:, :, None, :, None] * phi[:, None, :, None, :]).reshape(k * a * nc, b * n)
+
+
+def channel_code_matrix(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
+    """Channel-step regressor: ``kron((mix_k @ X).T, phi_k)`` stacked over ``k``.
+
+    Applied to ``vec(G)`` it gives the stacked ``vec(phi_k @ G @ mix_k @ X)``.
+    """
+    return _stacked_kron((coding.mix @ symbols).transpose(0, 2, 1), coding.phi)
 
 
 def symbol_code_matrix(coding: CodingSet, channel: np.ndarray) -> np.ndarray:
-    """Regressor of the symbol step: stacked ``phi_k @ channel @ mix_k`` blocks."""
-    return np.vstack([
-        coding.sensing[:, :, k] @ channel @ coding.mix_matrix(k)
-        for k in range(coding.subframes)
-    ])
+    """Symbol-step regressor: ``phi_k @ G @ mix_k`` stacked over ``k``, shape ``(k*nc, w)``."""
+    return ((coding.phi @ channel) @ coding.mix).reshape(-1, coding.streams)
 
 
 def composite_code_matrix(coding: CodingSet) -> np.ndarray:
-    """Regressor of the one-shot composite estimate.
+    """Composite regressor: ``kron(w_k.T, phi_k)`` stacked over ``k``.
 
-    Block ``k`` is ``kron(vec(mix_k.T).T, phi_k)`` for tstc or
-    ``kron(code_row_k.T, phi_k)`` for krstc, so the column count is
-    ``l*r*n`` vs ``l*n``.
+    ``w_k`` is ``vec(mix_k.T)`` for tstc (``l*r*n`` columns) or code row
+    ``k`` for krstc (``l*n`` columns).
     """
-    blocks = []
-    for k in range(coding.subframes):
-        if coding.scheme == "tstc":
-            vk = vec(coding.mix_matrix(k).T)
-        else:
-            vk = coding.code[k]
-        blocks.append(np.kron(vk[None, :], coding.sensing[:, :, k]))
-    return np.vstack(blocks)
+    weights = coding.mix.reshape(coding.subframes, -1) if coding.scheme == "tstc" else coding.code
+    return _stacked_kron(weights[:, None, :], coding.phi)
 
 
 def composite_pinv(coding: CodingSet) -> np.ndarray:
@@ -96,11 +93,7 @@ def hris_bals(
     y_vec = vec(unfold(y_rc, 3).T)          # (k*t*nc,): stacked vec'd slices
 
     def step(x_hat):
-        channel_step = np.vstack([
-            np.kron((coding.mix_matrix(kk) @ x_hat).T, coding.sensing[:, :, kk])
-            for kk in range(d.k)
-        ])
-        g_hat = unvec(pinv(channel_step) @ y_vec, d.n, d.l)
+        g_hat = unvec(pinv(channel_code_matrix(coding, x_hat)) @ y_vec, d.n, d.l)
         fx = symbol_code_matrix(coding, g_hat)
         x_hat = pinv(fx) @ y2t
         return g_hat, x_hat, float(np.linalg.norm(y2t - fx @ x_hat) ** 2)

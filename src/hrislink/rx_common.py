@@ -47,10 +47,11 @@ class BalsOptions:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass

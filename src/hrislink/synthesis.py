@@ -7,7 +7,7 @@ Per sub-frame ``k`` the noiseless slices are
 
 where ``mix_k`` is the dense tstc mixing matrix or ``diag(lambda_k)`` for
 krstc.  Both are batched matrix products over the sub-frame axis, in a
-fixed order, against sub-frame-major stacks kept per coding set.
+fixed order, against the coding set's ``phi`` and ``mix`` stacks.
 Noise is added after the full noiseless synthesis so the noiseless path
 doubles as an oracle.  The caller is responsible for scaling the symbol
 matrix by the transmit amplitude.
@@ -36,12 +36,6 @@ def _check_dims(cfg: ScenarioConfig, channels: ChannelRealization, coding: Codin
         raise ValueError(f"coding built for {coding.scheme!r} but config says {cfg.scheme!r}")
 
 
-def _mixed_symbols(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
-    """``mix_k @ X`` for every sub-frame: ``(k, l, t)``."""
-    mix = coding.cached("mix_stack", lambda c: np.stack([c.mix_matrix(k) for k in range(c.subframes)]))
-    return mix @ symbols
-
-
 def synth_yrc(
     cfg: ScenarioConfig,
     channels: ChannelRealization,
@@ -51,12 +45,7 @@ def synth_yrc(
 ) -> np.ndarray:
     """Sensed signal tensor of shape ``(nc, t, k)``; noiseless when ``rng`` is None."""
     _check_dims(cfg, channels, coding, symbols)
-    sensing = coding.cached("sensing_stack", lambda c: np.ascontiguousarray(c.sensing.transpose(2, 0, 1)))
-    y = (sensing @ channels.ut_ris) @ _mixed_symbols(coding, symbols)   # (k, nc, t)
-    y = np.ascontiguousarray(y.transpose(1, 2, 0))
-    if rng is None:
-        return y
-    return add_noise(y, cfg.noise_watts, rng)
+    return _received(cfg, (coding.phi @ channels.ut_ris) @ (coding.mix @ symbols), rng)
 
 
 def synth_ybs(
@@ -69,8 +58,10 @@ def synth_ybs(
     """Reflected signal tensor of shape ``(m, t, k)``; noiseless when ``rng`` is None."""
     _check_dims(cfg, channels, coding, symbols)
     cascade = channels.ris_bs @ (coding.reflect[:, :, None] * channels.ut_ris)   # (k, m, l)
-    y = cascade @ _mixed_symbols(coding, symbols)                               # (k, m, t)
-    y = np.ascontiguousarray(y.transpose(1, 2, 0))
-    if rng is None:
-        return y
-    return add_noise(y, cfg.noise_watts, rng)
+    return _received(cfg, cascade @ (coding.mix @ symbols), rng)
+
+
+def _received(cfg: ScenarioConfig, slices: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+    """The ``(k, rows, t)`` slices as a ``(rows, t, k)`` tensor, plus noise unless ``rng`` is None."""
+    y = np.ascontiguousarray(slices.transpose(1, 2, 0))
+    return y if rng is None else add_noise(y, cfg.noise_watts, rng)

@@ -9,7 +9,6 @@ from hrislink.bs_rx import (
     bs_channel_only,
     bs_kronf,
     channel_code_matrix,
-    composite_code_matrix,
     remove_ambiguity_bs,
     symbol_code_matrix,
 )
@@ -47,7 +46,7 @@ def test_channel_code_matrix_single_subframe():
     cfg, channels, coding, _, _ = make_case()
     single = CodingSet("tstc", coding.sensing[:, :, :1], coding.reflect[:1],
                        coding.code[:, :, :1])
-    out = channel_code_matrix(single, channels.ut_ris)
+    out = channel_code_matrix(single, channels.ut_ris, np.eye(cfg.r))
     expected = np.diag(single.reflect[0]) @ channels.ut_ris @ single.code[:, :, 0]
     assert np.allclose(out, expected)
 
@@ -55,17 +54,9 @@ def test_channel_code_matrix_single_subframe():
 def test_design_matrices_zero_channel():
     cfg, _, coding, _, _ = make_case()
     zero = np.zeros((cfg.n, cfg.l), dtype=complex)
-    assert np.all(channel_code_matrix(coding, zero) == 0)
-    assert np.all(symbol_code_matrix(coding, zero) == 0)
-    assert symbol_code_matrix(coding, zero).shape == (cfg.k * cfg.n, cfg.r)
-
-
-def test_composite_code_matrix_column_counts():
-    cfg_t, _, coding_t, _, _ = make_case()
-    assert composite_code_matrix(coding_t).shape == (cfg_t.r * cfg_t.n,
-                                                     cfg_t.k * cfg_t.l * cfg_t.n)
-    cfg_k, _, coding_k, _, _ = make_case(scheme="krstc")
-    assert composite_code_matrix(coding_k).shape == (cfg_k.l * cfg_k.n, cfg_k.k)
+    assert np.all(channel_code_matrix(coding, zero, np.eye(cfg.r)) == 0)
+    assert np.all(symbol_code_matrix(coding, zero, np.eye(cfg.n)) == 0)
+    assert symbol_code_matrix(coding, zero, np.eye(cfg.n)).shape == (cfg.k * cfg.n, cfg.r)
 
 
 # ------------------------------------------------------------------- als path

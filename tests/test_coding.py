@@ -196,15 +196,12 @@ def test_build_coding_shared_across_non_coding_fields():
 
 
 def test_coding_arrays_read_only():
-    coding = build_coding(small_cfg())
-    with pytest.raises(ValueError):
-        coding.sensing[0, 0, 0] = 0
-    with pytest.raises(ValueError):
-        coding.reflect[0, 0] = 0
-    with pytest.raises(ValueError):
-        coding.code[0, 0, 0] = 0
-    with pytest.raises(ValueError):
-        coding.mix_matrix(0)[0, 0] = 0
+    for scheme in ("tstc", "krstc"):
+        coding = build_coding(small_cfg(scheme=scheme))
+        for array in (coding.sensing, coding.reflect, coding.code, coding.phi, coding.mix,
+                      coding.mix_matrix(0), coding.mix_matrix(coding.subframes - 1)):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
 
 
 def test_hand_built_coding_copies_and_freezes_its_arrays():

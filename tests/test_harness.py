@@ -23,6 +23,8 @@ from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
 from hrislink.rx_common import IdentifiabilityError, NonFiniteError
 from hrislink.scenario import ScenarioConfig
 
+from test_acceptance import PAIRS
+
 
 def small_cfg(**kw):
     base = dict(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, pt_dbm=30.0)
@@ -208,6 +210,18 @@ def test_non_finite_signal_is_a_failed_trial(monkeypatch):
     monkeypatch.setattr(harness, "synth_yrc", nan_yrc)
     out = run_trial(small_cfg(), ("kronf", "bals"), trial_seed(0, 0))
     assert out.failed and "non-finite" in out.failure_reason
+
+
+@pytest.mark.parametrize("noise_dbm", [-90.0, -math.inf])
+def test_zero_channel_is_a_failed_trial(noise_dbm):
+    # pl0_db = -inf zeroes both links; NMSE against a zero channel is undefined
+    for scheme, pairs in PAIRS.items():
+        cfg = small_cfg(scheme=scheme, pl0_db=-math.inf, noise_dbm=noise_dbm)
+        for pair in pairs:
+            out = run_trial(cfg, pair, trial_seed(0, 0))
+            assert out.failed and "all zero" in out.failure_reason, pair
+            (rec,) = run_sweep(cfg, pair, "pt", [20.0], trials=2)
+            assert rec.trials == 2 and rec.failures == 2 and math.isnan(rec.nmse_g)
 
 
 def test_parse_pair():

@@ -43,7 +43,7 @@ def test_channel_code_matrix_single_subframe():
     cfg, channels, coding, symbols, _ = make_case()
     single = CodingSet("tstc", coding.sensing[:, :, :1], coding.reflect[:1],
                        coding.code[:, :, :1])
-    out = channel_code_matrix(single)
+    out = channel_code_matrix(single, np.eye(cfg.r))
     expected = np.kron(single.code[:, :, 0], single.sensing[:, :, 0].T).T
     assert np.allclose(out, expected)
     assert out.shape == (cfg.r * cfg.nc, cfg.l * cfg.n)
@@ -68,7 +68,7 @@ def test_composite_code_matrix_column_counts():
 def test_channel_code_matrix_stacks_sensed_fit():
     # applying it to vec(channel) reproduces the per-sub-frame coded channel
     _, channels, coding, _, _ = make_case()
-    fg = channel_code_matrix(coding)
+    fg = channel_code_matrix(coding, np.eye(coding.streams))
     out = fg @ vec(channels.ut_ris)
     k0 = coding.sensing[:, :, 0] @ channels.ut_ris @ coding.mix_matrix(0)
     assert np.allclose(out[: k0.size], vec(k0))
@@ -117,6 +117,21 @@ def test_bals_identifiability_precheck():
                       coding.reflect[: need - 1], coding.code[:, :, : need - 1])
     with pytest.raises(IdentifiabilityError):
         hris_bals(y[:, :, : need - 1], short)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tol=np.nan), dict(tol=np.inf), dict(tol=-np.inf), dict(tol=0.0), dict(tol=-1e-6),
+    dict(max_iterations=2.5), dict(max_iterations=True), dict(max_iterations=0),
+    dict(max_iterations="3"),
+])
+def test_bals_options_rejects_invalid(bad):
+    with pytest.raises(ValueError):
+        BalsOptions(**bad)
+
+
+def test_bals_options_accepts_valid_values():
+    opts = BalsOptions(max_iterations=5, tol=1e-3)
+    assert (opts.max_iterations, opts.tol) == (5, 1e-3)
 
 
 # ------------------------------------------------------------------ kronf path
