@@ -5,7 +5,8 @@ the estimated UT-side channel over the control link (scenario 1) or both
 that channel and the decoded symbols (scenario 2).  Receivers:
 
 * :func:`bs_bals`: alternating least-squares over the BS-side channel
-  (mode-1 unfolding) and the symbols (transposed mode-2 unfolding);
+  (mode-1 unfolding) and the symbols (transposed mode-2 unfolding), each
+  a normal-equation solve (:func:`lstsq_normal`);
 * :func:`bs_kronf`: one least-squares solve for the Kronecker-structured
   composite of symbols and BS-side channel, then a rank-1 split;
 * :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
@@ -35,7 +36,8 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import pinv, rank1_approx, unfold, unvec
+from .tensor_ops import lstsq_normal, rank1_approx, unfold, unvec
+from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,12 @@ def bs_bals(
     y2t = unfold(y_bs, 2).T                 # (k*m, t)
 
     def step(x_hat):
-        h_hat = y1 @ pinv(channel_code_matrix(coding, g, x_hat))
+        # h_hat @ C = y1 with C wide, solved as its transpose C.T @ h_hat.T = y1.T
+        h_t, h_fallback = lstsq_normal(channel_code_matrix(coding, g, x_hat).T, y1.T)
+        h_hat = h_t.T
         symbol_step = symbol_code_matrix(coding, g, h_hat)
-        x_hat = pinv(symbol_step) @ y2t
-        return h_hat, x_hat, float(np.linalg.norm(y2t - symbol_step @ x_hat) ** 2)
+        x_hat, x_fallback = lstsq_normal(symbol_step, y2t)
+        return h_hat, x_hat, float(np.linalg.norm(y2t - symbol_step @ x_hat) ** 2), h_fallback + x_fallback
 
     report = run_als(step, init_symbols(d.w, d.t, opts.init_seed), y_bs, opts)
     return remove_ambiguity_bs(report) if remove_scaling else report

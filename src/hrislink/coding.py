@@ -126,12 +126,6 @@ def design_phase_shifts(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
-def _hadamard_or_raise(k: int) -> np.ndarray:
-    if k < 1 or (k & (k - 1)) != 0:
-        raise ValueError(f"Sylvester Hadamard construction needs k to be a power of two, got {k}")
-    return hadamard(k).astype(float)
-
-
 def design_tstc(cfg: ScenarioConfig) -> np.ndarray:
     """Tensor code: slice ``k`` reshapes row ``k`` of a truncated Hadamard matrix.
 
@@ -141,7 +135,7 @@ def design_tstc(cfg: ScenarioConfig) -> np.ndarray:
     l, r, k = cfg.l, cfg.r, cfg.k
     if k < r * l:
         raise ValueError(f"tstc code truncation needs k >= r*l, got {k} < {r * l}")
-    had = _hadamard_or_raise(k)
+    had = hadamard(k).astype(float)
     return had[:, : r * l].reshape(k, r, l).transpose(2, 1, 0) / math.sqrt(l)
 
 
@@ -150,7 +144,7 @@ def design_krstc(cfg: ScenarioConfig) -> np.ndarray:
     l, k = cfg.l, cfg.k
     if k < l:
         raise ValueError(f"krstc code truncation needs k >= l, got {k} < {l}")
-    return _hadamard_or_raise(k)[:, :l].copy()
+    return hadamard(k)[:, :l].astype(float)
 
 
 def build_coding(cfg: ScenarioConfig) -> CodingSet:

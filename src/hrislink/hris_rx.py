@@ -4,7 +4,8 @@ Three receivers operate on the sensed tensor ``(nc, t, k)``:
 
 * :func:`hris_bals` alternates two exact least-squares steps (channel step
   on the vectorized mode-3 unfolding, symbol step on the transposed mode-2
-  unfolding) until the reconstruction residual stagnates;
+  unfolding), each a normal-equation solve (:func:`lstsq_normal`), until
+  the reconstruction residual stagnates;
 * :func:`hris_kronf` (tstc) recovers the Kronecker-structured composite of
   channel and symbols in one least-squares solve, then splits it with a
   rank-1 factorization after a block rearrangement;
@@ -36,7 +37,8 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import pinv, rank1_approx, unfold, unvec, vec
+from .tensor_ops import lstsq_normal, rank1_approx, unfold, unvec, vec
+from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps hris_rx.pinv by name
 
 
 def _stacked_kron(left: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -93,10 +95,11 @@ def hris_bals(
     y_vec = vec(unfold(y_rc, 3).T)          # (k*t*nc,): stacked vec'd slices
 
     def step(x_hat):
-        g_hat = unvec(pinv(channel_code_matrix(coding, x_hat)) @ y_vec, d.n, d.l)
+        g_vec, g_fallback = lstsq_normal(channel_code_matrix(coding, x_hat), y_vec)
+        g_hat = unvec(g_vec, d.n, d.l)
         fx = symbol_code_matrix(coding, g_hat)
-        x_hat = pinv(fx) @ y2t
-        return g_hat, x_hat, float(np.linalg.norm(y2t - fx @ x_hat) ** 2)
+        x_hat, x_fallback = lstsq_normal(fx, y2t)
+        return g_hat, x_hat, float(np.linalg.norm(y2t - fx @ x_hat) ** 2), g_fallback + x_fallback
 
     report = run_als(step, init_symbols(d.w, d.t, opts.init_seed), y_rc, opts)
     return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report

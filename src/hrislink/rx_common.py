@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,7 +63,9 @@ class EstimateReport:
     ``iterations`` is 0 for closed-form receivers.  ``residuals`` traces the
     squared Frobenius reconstruction error per iteration.  ``ambiguity``
     records the scaling removed: a complex scalar, or one scalar per stream
-    for the krstc surface receivers.
+    for the krstc surface receivers.  ``fallbacks`` counts the ALS
+    least-squares solves that took the SVD path instead of the Cholesky one
+    (always 0 for closed-form receivers).
     """
 
     channel: np.ndarray
@@ -71,6 +73,7 @@ class EstimateReport:
     iterations: int = 0
     residuals: list = field(default_factory=list)
     ambiguity: object = None
+    fallbacks: int = 0
 
 
 def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -109,21 +112,23 @@ def run_als(step: Callable, x0: np.ndarray, y: np.ndarray, opts: BalsOptions) ->
     """Alternate least-squares steps until the residual stagnates or hits the floor.
 
     ``step(x)`` runs a channel step and a symbol step from the symbols ``x``
-    and returns ``(channel, symbols, squared Frobenius residual)``.
+    and returns ``(channel, symbols, squared Frobenius residual, SVD fallbacks)``.
     """
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
     x_hat = x0
     residuals: list[float] = []
+    fallbacks = 0
     for _ in range(opts.max_iterations):
-        channel, x_hat, resid = step(x_hat)
+        channel, x_hat, resid, step_fallbacks = step(x_hat)
         residuals.append(resid)
+        fallbacks += step_fallbacks
         if resid <= floor:
             break
         if len(residuals) >= 2:
             prev = residuals[-2]
             if prev > 0 and abs(resid - prev) <= opts.tol * prev:
                 break
-    return EstimateReport(channel, x_hat, len(residuals), residuals)
+    return EstimateReport(channel, x_hat, len(residuals), residuals, fallbacks=fallbacks)
 
 
 def require_full_rank(mat: np.ndarray, need: int, what: str, tol: float = 1e-10) -> np.ndarray:
@@ -156,5 +161,5 @@ def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport
             raise AmbiguityError(f"{where}symbol anchor is numerically zero ({complex(value)!r})")
     fixed = x / anchors[:, None]
     fixed[:rows, 0] = 1.0  # anchors are known a priori; avoid the division ulp
-    return EstimateReport(report.channel * anchors, fixed, report.iterations, report.residuals,
-                          ambiguity=anchors if per_stream else complex(anchors[0]))
+    return replace(report, channel=report.channel * anchors, symbols=fixed,
+                   ambiguity=anchors if per_stream else complex(anchors[0]))

@@ -68,6 +68,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.k & (self.k - 1):
+            raise ValueError(f"Sylvester Hadamard construction needs k to be a power of two, got {self.k}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if self.scheme not in SCHEMES:

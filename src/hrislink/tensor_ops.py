@@ -33,11 +33,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, shape ``(Ia*Ib, Ja*Jb)``."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product; inputs must share their column count."""
     a = np.atleast_2d(np.asarray(a))
@@ -64,69 +59,6 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given target ``dims``."""
-    m = np.asarray(m)
-    i1, i2, i3 = dims
-    expected = {1: (i1, i3 * i2), 2: (i2, i3 * i1), 3: (i3, i2 * i1)}
-    if mode not in expected:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    if m.shape != expected[mode]:
-        raise ValueError(
-            f"mode-{mode} unfolding of a {dims} tensor has shape "
-            f"{expected[mode]}, got {m.shape}"
-        )
-    if mode == 1:
-        return m.reshape(i1, i3, i2).transpose(0, 2, 1)
-    if mode == 2:
-        return m.reshape(i2, i3, i1).transpose(2, 0, 1)
-    return m.reshape(i3, i2, i1).transpose(2, 1, 0)
-
-
-def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply ``m`` into ``t`` along ``mode``.
-
-    Satisfies ``unfold(result, mode) == m @ unfold(t, mode)``.
-    """
-    t = np.asarray(t)
-    m = np.atleast_2d(np.asarray(m))
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    if m.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"matrix has {m.shape[1]} columns but tensor mode {mode} "
-            f"has size {t.shape[mode - 1]}"
-        )
-    if mode == 1:
-        return np.einsum("ai,ijk->ajk", m, t)
-    if mode == 2:
-        return np.einsum("aj,ijk->iak", m, t)
-    return np.einsum("ak,ijk->ija", m, t)
-
-
-def modewise_contraction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Slice-wise matrix product of two tensors sharing their third dimension.
-
-    Frontal slice ``k`` of the result is ``a[:, :, k] @ b[:, :, k]``; requires
-    ``a.shape[1] == b.shape[0]`` and ``a.shape[2] == b.shape[2]``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError("modewise_contraction expects two third-order tensors")
-    if a.shape[2] != b.shape[2]:
-        raise ValueError(
-            f"third dimensions differ: {a.shape[2]} vs {b.shape[2]}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"slice shapes do not chain: {a.shape[:2]} x {b.shape[:2]}"
-        )
-    return np.einsum("ilk,ljk->ijk", a, b)
-
-
 def pinv(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse.
 
@@ -151,6 +83,33 @@ def pinv_with_spectrum(m: np.ndarray, tol: float | None = None) -> tuple[np.ndar
     large = s > tol * s.max(initial=0.0)
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     return vh.T @ (s_inv[:, None] * u.T), s
+
+
+# Reciprocal condition estimate of the Gram matrix below which
+# :func:`lstsq_normal` falls back to the SVD pseudo-inverse: the Gram squares
+# the condition number of the regressor, so this keeps that below about 1e5.
+GRAM_RCOND_FLOOR = 1e-10
+
+
+def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Least-squares solution of ``a @ x = b`` and whether it fell back to the SVD.
+
+    Solves the normal equations ``a^H a x = a^H b`` with a Cholesky factor
+    of the Gram.  Returns ``pinv(a) @ b`` instead when the factorization
+    fails, the Gram's reciprocal condition estimate is below
+    ``GRAM_RCOND_FLOOR``, or the solution is not finite.
+    """
+    ah = a.conj().T
+    gram = ah @ a
+    potrf, pocon, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "pocon", "potrs"), (gram,))
+    factor, info = potrf(gram)
+    if info == 0:
+        rcond, info = pocon(factor, np.abs(gram).sum(axis=0).max())
+        if info == 0 and rcond >= GRAM_RCOND_FLOOR:
+            x, info = potrs(factor, ah @ b)
+            if info == 0 and np.isfinite(x).all():
+                return x, False
+    return pinv(a) @ b, True
 
 
 def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

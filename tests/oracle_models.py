@@ -3,12 +3,75 @@
 These rebuild the received tensors through the decoupled tensor forms
 (mode-n products of identity-core or phase tensors, contracted slice-wise)
 and through raw scalar sums, without touching the slice-wise synthesis code
-they are checked against.
+they are checked against.  The tensor operations that only these oracles
+need (:func:`fold`, :func:`mode_n_product`, :func:`modewise_contraction`)
+live here, following the unfolding conventions of ``hrislink.tensor_ops``.
 """
 
 import numpy as np
 
-from hrislink.tensor_ops import mode_n_product, modewise_contraction
+
+def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
+    """Inverse of ``hrislink.tensor_ops.unfold`` for the given target ``dims``."""
+    m = np.asarray(m)
+    i1, i2, i3 = dims
+    expected = {1: (i1, i3 * i2), 2: (i2, i3 * i1), 3: (i3, i2 * i1)}
+    if mode not in expected:
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    if m.shape != expected[mode]:
+        raise ValueError(
+            f"mode-{mode} unfolding of a {dims} tensor has shape "
+            f"{expected[mode]}, got {m.shape}"
+        )
+    if mode == 1:
+        return m.reshape(i1, i3, i2).transpose(0, 2, 1)
+    if mode == 2:
+        return m.reshape(i2, i3, i1).transpose(2, 0, 1)
+    return m.reshape(i3, i2, i1).transpose(2, 1, 0)
+
+
+def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
+    """Multiply ``m`` into ``t`` along ``mode``.
+
+    Satisfies ``unfold(result, mode) == m @ unfold(t, mode)``.
+    """
+    t = np.asarray(t)
+    m = np.atleast_2d(np.asarray(m))
+    if t.ndim != 3:
+        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    if m.shape[1] != t.shape[mode - 1]:
+        raise ValueError(
+            f"matrix has {m.shape[1]} columns but tensor mode {mode} "
+            f"has size {t.shape[mode - 1]}"
+        )
+    if mode == 1:
+        return np.einsum("ai,ijk->ajk", m, t)
+    if mode == 2:
+        return np.einsum("aj,ijk->iak", m, t)
+    return np.einsum("ak,ijk->ija", m, t)
+
+
+def modewise_contraction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Slice-wise matrix product of two tensors sharing their third dimension.
+
+    Frontal slice ``k`` of the result is ``a[:, :, k] @ b[:, :, k]``; requires
+    ``a.shape[1] == b.shape[0]`` and ``a.shape[2] == b.shape[2]``.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 3 or b.ndim != 3:
+        raise ValueError("modewise_contraction expects two third-order tensors")
+    if a.shape[2] != b.shape[2]:
+        raise ValueError(
+            f"third dimensions differ: {a.shape[2]} vs {b.shape[2]}"
+        )
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"slice shapes do not chain: {a.shape[:2]} x {b.shape[:2]}"
+        )
+    return np.einsum("ilk,ljk->ijk", a, b)
 
 
 def identity_tensor(n: int) -> np.ndarray:

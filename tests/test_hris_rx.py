@@ -109,6 +109,24 @@ def test_bals_true_init_converges_immediately():
     assert nmse(rep.channel, channels.ut_ris) < 1e-10
 
 
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_bals_solves_take_no_fallback_on_ordinary_input(scheme):
+    cfg, channels, coding, symbols, y = make_case(scheme=scheme)
+    noisy = synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, np.random.default_rng(5))
+    for received in (y, noisy):
+        assert hris_bals(received, coding).fallbacks == 0
+    closed_form = hris_kronf if scheme == "tstc" else hris_krf
+    assert closed_form(noisy, coding).fallbacks == 0
+
+
+def test_bals_counts_svd_fallbacks():
+    # an all-zero input gives an all-zero channel estimate, whose symbol-step Gram has no Cholesky factor
+    rep = hris_bals(np.zeros((2, 4, 64), complex), build_coding(ScenarioConfig()), remove_scaling=False)
+    assert rep.fallbacks >= 1
+    for estimate in (rep.channel, rep.symbols):
+        assert np.isfinite(estimate).all() and not estimate.any()
+
+
 def test_bals_identifiability_precheck():
     cfg, channels, coding, symbols, y = make_case()
     # truncating sub-frames below the threshold must be rejected up front
@@ -220,11 +238,12 @@ def test_remove_ambiguity_constructed_scalar():
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[0, 0] = 1.0
     c = 0.3 - 1.7j
-    rep = remove_ambiguity_hris(EstimateReport(g / c, c * x), "tstc")
+    rep = remove_ambiguity_hris(EstimateReport(g / c, c * x, 4, [2.0, 1.0], fallbacks=3), "tstc")
     assert np.allclose(rep.channel, g)
     assert np.allclose(rep.symbols, x)
     assert rep.symbols[0, 0] == 1.0
     assert np.isclose(rep.ambiguity, c)
+    assert (rep.iterations, rep.residuals, rep.fallbacks) == (4, [2.0, 1.0], 3)
 
 
 def test_remove_ambiguity_constructed_diagonal():

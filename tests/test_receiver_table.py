@@ -55,10 +55,11 @@ def reference_flops(key, iterations, *, m, n, nc, l, r, t, k):
 
 
 size = st.integers(min_value=1, max_value=64)
+subframes = st.integers(min_value=0, max_value=6).map(lambda e: 1 << e)  # configs need a power of two
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=size, n=size, nc=size, l=size, r=size, t=size, k=size,
+@given(m=size, n=size, nc=size, l=size, r=size, t=size, k=subframes,
        iterations=st.integers(min_value=0, max_value=300))
 def test_merged_formulas_match_reference_rows(m, n, nc, l, r, t, k, iterations):
     for key in ROWS:

@@ -41,6 +41,9 @@ def test_config_validation():
         ScenarioConfig(m=True)
     with pytest.raises(ValueError):
         ScenarioConfig(k=False)
+    for k in (3, 96):  # the transmit code is a Sylvester Hadamard matrix
+        with pytest.raises(ValueError, match="power of two"):
+            ScenarioConfig(k=k)
     for pt_dbm in (3100.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             ScenarioConfig(pt_dbm=pt_dbm)

@@ -6,20 +6,13 @@ loops, power iteration) rather than by the functions under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hrislink.tensor_ops import (
-    fold,
-    khatri_rao,
-    kron,
-    mode_n_product,
-    modewise_contraction,
-    pinv,
-    pinv_with_spectrum,
-    rank1_approx,
-    unfold,
-    unvec,
-    vec,
-)
+from hrislink.tensor_ops import (khatri_rao, lstsq_normal, pinv, pinv_with_spectrum, rank1_approx, unfold,
+                                 unvec, vec)
+
+from oracle_models import fold, mode_n_product, modewise_contraction
 
 
 def crandn(rng, *shape):
@@ -82,7 +75,7 @@ def test_unfold_fold_errors():
 
 def test_kron_identity_block_diagonal():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = kron(np.eye(2), a)
+    out = np.kron(np.eye(2), a)
     assert np.array_equal(out[:2, :2], a)
     assert np.array_equal(out[2:, 2:], a)
     assert np.all(out[:2, 2:] == 0) and np.all(out[2:, :2] == 0)
@@ -90,15 +83,15 @@ def test_kron_identity_block_diagonal():
 
 def test_kron_scalar():
     a = np.array([[1.0 + 1j, 2.0], [0.0, -1j]])
-    assert np.allclose(kron(np.array([[2.0 - 1j]]), a), (2.0 - 1j) * a)
+    assert np.allclose(np.kron(np.array([[2.0 - 1j]]), a), (2.0 - 1j) * a)
 
 
 def test_kron_mixed_product():
     rng = np.random.default_rng(3)
     for _ in range(100):
         a, b, c, d = (crandn(rng, 2, 2) for _ in range(4))
-        lhs = kron(a @ b, c @ d)
-        rhs = kron(a, c) @ kron(b, d)
+        lhs = np.kron(a @ b, c @ d)
+        rhs = np.kron(a, c) @ np.kron(b, d)
         assert np.linalg.norm(lhs - rhs) < 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -108,7 +101,7 @@ def test_khatri_rao_single_columns():
     rng = np.random.default_rng(5)
     a = crandn(rng, 3, 1)
     b = crandn(rng, 2, 1)
-    assert np.allclose(khatri_rao(a, b), kron(a, b))
+    assert np.allclose(khatri_rao(a, b), np.kron(a, b))
 
 
 def test_khatri_rao_identity_columns():
@@ -129,7 +122,7 @@ def test_khatri_rao_reduction_matrix():
         xi = np.zeros((p * p, p))
         for j in range(p):
             xi[j * p + j, j] = 1.0
-        assert np.linalg.norm(khatri_rao(a, b) - kron(a, b) @ xi) < 1e-12
+        assert np.linalg.norm(khatri_rao(a, b) - np.kron(a, b) @ xi) < 1e-12
 
 
 def test_khatri_rao_column_mismatch():
@@ -150,7 +143,7 @@ def test_vec_three_factor_identity():
         b = crandn(rng, 3, 3)
         c = crandn(rng, 3, 2)
         lhs = vec(a @ b @ c)
-        rhs = kron(c.T, a) @ vec(b)
+        rhs = np.kron(c.T, a) @ vec(b)
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
 
 
@@ -297,6 +290,48 @@ def test_pinv_idempotent():
     rng = np.random.default_rng(67)
     a = crandn(rng, 4, 6)
     assert np.linalg.norm(pinv(pinv(a)) - a) < 1e-10 * np.linalg.norm(a)
+
+
+# ------------------------------------------------------ normal-equation solve
+
+def with_singular_values(rng, rows, s):
+    """A complex ``rows x len(s)`` matrix with singular values ``s``."""
+    u, _ = np.linalg.qr(crandn(rng, rows, len(s)))
+    v, _ = np.linalg.qr(crandn(rng, len(s), len(s)))
+    return (u * s) @ v.conj().T
+
+
+@settings(max_examples=100, deadline=None)
+@given(cols=st.integers(1, 12), extra_rows=st.integers(0, 40), rhs=st.integers(0, 3),
+       spread=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_lstsq_normal_matches_pinv_on_full_column_rank(cols, extra_rows, rhs, spread, seed):
+    rng = np.random.default_rng(seed)
+    a = with_singular_values(rng, cols + extra_rows, np.logspace(0.0, -spread, cols))
+    b = crandn(rng, cols + extra_rows, rhs) if rhs else crandn(rng, cols + extra_rows)
+    x, fell_back = lstsq_normal(a, b)
+    want = pinv(a) @ b
+    assert not fell_back
+    assert x.shape == want.shape
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def fallback_input(case):
+    rng = np.random.default_rng(89)
+    full = crandn(rng, 20, 4)
+    if case == "rank deficient":
+        return np.hstack([full[:, :3], full[:, :1]]), crandn(rng, 20, 2)      # rank 3 of 4
+    if case == "all zero":
+        return np.zeros((20, 4), dtype=complex), crandn(rng, 20, 2)
+    # cond(a) = 1e6, so the Gram's reciprocal condition is about 1e-12 < GRAM_RCOND_FLOOR
+    return with_singular_values(rng, 20, np.array([1.0, 1e-2, 1e-4, 1e-6])), crandn(rng, 20)
+
+
+@pytest.mark.parametrize("case", ["rank deficient", "all zero", "ill conditioned"])
+def test_lstsq_normal_falls_back_to_pinv(case):
+    a, b = fallback_input(case)
+    x, fell_back = lstsq_normal(a, b)
+    assert fell_back
+    assert np.array_equal(x, pinv(a) @ b)
 
 
 # --------------------------------------------------------------- rank-1 split
