@@ -36,7 +36,7 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import lstsq_normal, rank1_approx, unfold, unvec
+from .tensor_ops import lstsq_normal, rank1_approx, unfold
 from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
 
 
@@ -86,18 +86,15 @@ def bs_bals(
     opts = opts or BalsOptions()
     d = check_received(y_bs, coding, "bs_bals")
     g = payload.ut_channel
-    y1 = unfold(y_bs, 1)                    # (m, k*t)
-    y2t = unfold(y_bs, 2).T                 # (k*m, t)
+    y1t = unfold(y_bs, 1).T                 # (k*t, m)
 
-    def step(x_hat):
+    def channel_step(x_hat):
         # h_hat @ C = y1 with C wide, solved as its transpose C.T @ h_hat.T = y1.T
-        h_t, h_fallback = lstsq_normal(channel_code_matrix(coding, g, x_hat).T, y1.T)
-        h_hat = h_t.T
-        symbol_step = symbol_code_matrix(coding, g, h_hat)
-        x_hat, x_fallback = lstsq_normal(symbol_step, y2t)
-        return h_hat, x_hat, float(np.linalg.norm(y2t - symbol_step @ x_hat) ** 2), h_fallback + x_fallback
+        h_t, fell_back = lstsq_normal(channel_code_matrix(coding, g, x_hat).T, y1t)
+        return h_t.T, fell_back
 
-    report = run_als(step, init_symbols(d.w, d.t, opts.init_seed), y_bs, opts)
+    report = run_als(y_bs, init_symbols(d.w, d.t, opts.init_seed), opts, channel_step,
+                     lambda h_hat: symbol_code_matrix(coding, g, h_hat))
     return remove_ambiguity_bs(report) if remove_scaling else report
 
 
@@ -119,8 +116,8 @@ def bs_kronf(
     composite = unfold(y_bs, 3).T @ inverse                         # (t*m, streams*n)
     rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)
-    h_hat = unvec(math.sqrt(sigma) * u, m, n)
-    x_hat = unvec(math.sqrt(sigma) * v.conj(), t, streams).T
+    h_hat = (math.sqrt(sigma) * u).reshape(n, m).T
+    x_hat = (math.sqrt(sigma) * v.conj()).reshape(streams, t)
     report = EstimateReport(h_hat, x_hat)
     return remove_ambiguity_bs(report) if remove_scaling else report
 

@@ -78,10 +78,6 @@ class CodingSet:
             self._products[key] = _read_only(build(self))
         return self._products[key]
 
-    def mix_matrix(self, k: int) -> np.ndarray:
-        """Per-sub-frame transmit mixing matrix ``mix_k``: ``(l, r)`` dense or diagonal."""
-        return self.mix[k]
-
     @property
     def subframes(self) -> int:
         return self.sensing.shape[2]

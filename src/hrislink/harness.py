@@ -21,6 +21,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import bs_rx, hris_rx
 from .coding import build_coding, gen_symbols, qam_constellation
@@ -29,7 +30,6 @@ from .rx_common import (AmbiguityError, BalsOptions, EstimateReport, Identifiabi
                         NonFiniteError, RankDeficiencyError)
 from .scenario import ScenarioConfig, draw_channels
 from .synthesis import synth_ybs, synth_yrc
-from .tensor_ops import khatri_rao
 
 CSV_HEADER = "sweep_var,value,nmse_g,nmse_h,nmse_theta,ser_hris,ser_bs,iters_hris,iters_bs,trials,failures"
 
@@ -63,7 +63,7 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
 
 def combined_channel(ut_ris: np.ndarray, ris_bs: np.ndarray) -> np.ndarray:
     """Khatri-Rao structured cascade of the two links, shape ``(l*m, n)``."""
-    return khatri_rao(np.asarray(ut_ris).T, np.asarray(ris_bs))
+    return scipy.linalg.khatri_rao(np.asarray(ut_ris).T, np.asarray(ris_bs))
 
 
 def ser(x_hat: np.ndarray, x_true: np.ndarray, order: int) -> float:

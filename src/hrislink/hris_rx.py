@@ -91,17 +91,14 @@ def hris_bals(
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     opts = opts or BalsOptions()
     d = check_received(y_rc, coding, "hris_bals")
-    y2t = unfold(y_rc, 2).T                 # (k*nc, t): stacked sensed slices
     y_vec = vec(unfold(y_rc, 3).T)          # (k*t*nc,): stacked vec'd slices
 
-    def step(x_hat):
-        g_vec, g_fallback = lstsq_normal(channel_code_matrix(coding, x_hat), y_vec)
-        g_hat = unvec(g_vec, d.n, d.l)
-        fx = symbol_code_matrix(coding, g_hat)
-        x_hat, x_fallback = lstsq_normal(fx, y2t)
-        return g_hat, x_hat, float(np.linalg.norm(y2t - fx @ x_hat) ** 2), g_fallback + x_fallback
+    def channel_step(x_hat):
+        g_vec, fell_back = lstsq_normal(channel_code_matrix(coding, x_hat), y_vec)
+        return unvec(g_vec, d.n, d.l), fell_back
 
-    report = run_als(step, init_symbols(d.w, d.t, opts.init_seed), y_rc, opts)
+    report = run_als(y_rc, init_symbols(d.w, d.t, opts.init_seed), opts, channel_step,
+                     lambda g_hat: symbol_code_matrix(coding, g_hat))
     return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
 
 
@@ -109,12 +106,11 @@ def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True)
     """Closed-form tstc receiver via Kronecker factorization of the composite."""
     d = check_received(y_rc, coding, "hris_kronf")
     n, l, r, t = d.n, d.l, d.w, d.t
-    # vec of the composite solves (pinv(fxg) x I_t) @ vec(mode-2 unfolding).
-    composite = unvec(vec(unfold(y_rc, 2) @ composite_pinv(coding).T), n * t, l * r)
-    rearranged = composite.reshape(n, t, l, r).transpose(3, 1, 2, 0).reshape(r * t, l * n)
+    composite = unfold(y_rc, 2) @ composite_pinv(coding).T
+    rearranged = composite.reshape(t, l, r, n).transpose(2, 0, 1, 3).reshape(r * t, l * n)
     u, sigma, v = rank1_approx(rearranged)
-    g_hat = unvec(math.sqrt(sigma) * v.conj(), n, l)
-    x_hat = unvec(math.sqrt(sigma) * u, t, r).T
+    g_hat = (math.sqrt(sigma) * v.conj()).reshape(l, n).T
+    x_hat = (math.sqrt(sigma) * u).reshape(r, t)
     report = EstimateReport(g_hat, x_hat)
     return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
 
@@ -123,11 +119,11 @@ def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -
     """Closed-form krstc receiver via per-stream Khatri-Rao factorization."""
     d = check_received(y_rc, coding, "hris_krf")
     n, l, t = d.n, d.l, d.t
-    composite = unvec(vec(unfold(y_rc, 2) @ composite_pinv(coding).T), n * t, l)
+    composite = (unfold(y_rc, 2) @ composite_pinv(coding).T).reshape(t, l, n)
     g_hat = np.empty((n, l), dtype=complex)
     x_hat = np.empty((l, t), dtype=complex)
     for col in range(l):
-        u, sigma, v = rank1_approx(unvec(composite[:, col], t, n))
+        u, sigma, v = rank1_approx(composite[:, col])
         g_hat[:, col] = math.sqrt(sigma) * v.conj()
         x_hat[col] = math.sqrt(sigma) * u
     report = EstimateReport(g_hat, x_hat)

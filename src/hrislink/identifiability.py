@@ -149,16 +149,21 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str], scheme: str |
     return 1 << max(0, (floor - 1).bit_length())
 
 
-def numerical_rank(mat: np.ndarray, tol: float = 1e-10) -> int:
-    """Count singular values above ``tol * sigma_max``."""
-    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False), tol)
+# Singular values at or below this fraction of the largest one count as zero
+# in every rank check: the rank bounds and the receivers' full-rank solves.
+RANK_TOL = 1e-10
 
 
-def spectral_rank(s: np.ndarray, tol: float = 1e-10) -> int:
+def numerical_rank(mat: np.ndarray) -> int:
+    """Count singular values above ``RANK_TOL * sigma_max``."""
+    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False))
+
+
+def spectral_rank(s: np.ndarray) -> int:
     """:func:`numerical_rank` read off descending singular values ``s``."""
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 @dataclass
@@ -181,25 +186,25 @@ class RankReport:
 
 def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
                 coding: CodingSet, symbols: np.ndarray,
-                scheme: str | None = None, tol: float = 1e-10) -> RankReport:
+                scheme: str | None = None) -> RankReport:
     """Evaluate the per-block rank bounds on a concrete realization."""
     scheme = scheme or cfg.scheme
     g, h = realization.ut_ris, realization.ris_bs
-    kappa_g = numerical_rank(g, tol)
-    kappa_h = numerical_rank(h, tol)
-    kappa_x = numerical_rank(symbols, tol)
+    kappa_g = numerical_rank(g)
+    kappa_h = numerical_rank(h)
+    kappa_x = numerical_rank(symbols)
     width = Sizes.of(cfg, scheme).w
 
     from . import bs_rx, hris_rx  # the receiver modules import this one
 
     def max_block_rank(stack):
-        return max(spectral_rank(s, tol) for s in np.linalg.svd(stack, compute_uv=False))
+        return max(spectral_rank(s) for s in np.linalg.svd(stack, compute_uv=False))
 
     zeta_x = max_block_rank(hris_rx.symbol_code_matrix(coding, g).reshape(cfg.k, cfg.nc, -1))
     xi_x = max_block_rank(bs_rx.symbol_code_matrix(coding, g, h).reshape(cfg.k, cfg.m, -1))
     xi_h_stack = bs_rx.channel_code_matrix(coding, g, symbols).reshape(cfg.n, cfg.k, -1).transpose(1, 0, 2)
     xi_h = max_block_rank(xi_h_stack)
-    fg_bar_rank = numerical_rank(hris_rx.channel_code_matrix(coding, symbols), tol)
+    fg_bar_rank = numerical_rank(hris_rx.channel_code_matrix(coding, symbols))
 
     # kappa_g <= l, so the width bound only binds for tstc.
     zeta_bound = min(cfg.nc, kappa_g, width)

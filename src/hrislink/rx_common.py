@@ -1,5 +1,5 @@
 """Shared receiver plumbing: failure modes, options, reports, the entry
-check, the shared ALS loop, and the anchor normalization."""
+check, the shared ALS iteration, and the anchor normalization."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .coding import CodingSet
 from .identifiability import ENTITY_NAMES, RECEIVERS, Sizes, spectral_rank
-from .tensor_ops import pinv_with_spectrum
+from .tensor_ops import lstsq_normal, pinv_with_spectrum, unfold
 
 # Squared-residual floor, relative to the signal energy, at which the ALS
 # loop stops early: the fit is already at machine precision.
@@ -108,20 +108,27 @@ def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
     return sizes
 
 
-def run_als(step: Callable, x0: np.ndarray, y: np.ndarray, opts: BalsOptions) -> EstimateReport:
+def run_als(y: np.ndarray, x0: np.ndarray, opts: BalsOptions,
+            channel_step: Callable, symbol_regressor: Callable) -> EstimateReport:
     """Alternate least-squares steps until the residual stagnates or hits the floor.
 
-    ``step(x)`` runs a channel step and a symbol step from the symbols ``x``
-    and returns ``(channel, symbols, squared Frobenius residual, SVD fallbacks)``.
+    ``channel_step(x)`` returns the channel estimate from the symbols ``x``
+    and whether its solve fell back to the SVD.  The symbol step solves
+    ``symbol_regressor(channel) @ x = unfold(y, 2).T``; its squared
+    Frobenius misfit is the residual of the iteration.
     """
+    y2t = unfold(y, 2).T
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
     x_hat = x0
     residuals: list[float] = []
     fallbacks = 0
     for _ in range(opts.max_iterations):
-        channel, x_hat, resid, step_fallbacks = step(x_hat)
+        channel, channel_fallback = channel_step(x_hat)
+        regressor = symbol_regressor(channel)
+        x_hat, symbol_fallback = lstsq_normal(regressor, y2t)
+        resid = float(np.linalg.norm(y2t - regressor @ x_hat) ** 2)
         residuals.append(resid)
-        fallbacks += step_fallbacks
+        fallbacks += channel_fallback + symbol_fallback
         if resid <= floor:
             break
         if len(residuals) >= 2:
@@ -131,14 +138,14 @@ def run_als(step: Callable, x0: np.ndarray, y: np.ndarray, opts: BalsOptions) ->
     return EstimateReport(channel, x_hat, len(residuals), residuals, fallbacks=fallbacks)
 
 
-def require_full_rank(mat: np.ndarray, need: int, what: str, tol: float = 1e-10) -> np.ndarray:
+def require_full_rank(mat: np.ndarray, need: int, what: str) -> np.ndarray:
     """The pseudo-inverse of ``mat``, which must have numerical rank ``need``.
 
     Raises :class:`RankDeficiencyError` otherwise.  The rank check reads
     the singular values of the SVD that forms the pseudo-inverse.
     """
     inverse, s = pinv_with_spectrum(mat)
-    rank = spectral_rank(s, tol)
+    rank = spectral_rank(s)
     if rank < need:
         raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
     return inverse

@@ -33,17 +33,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product; inputs must share their column count."""
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}"
-        )
-    return scipy.linalg.khatri_rao(a, b)
-
-
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Matricize a third-order tensor along ``mode`` (1, 2 or 3)."""
     t = np.asarray(t)
@@ -59,17 +48,17 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def pinv(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse.
 
-    Singular values below ``tol * sigma_max`` are treated as zero; the default
-    ``tol`` is ``max(rows, cols) * machine_eps``, the usual rank-revealing
-    threshold.  An all-zero input yields the (transposed-shape) zero matrix.
+    Singular values below ``max(rows, cols) * machine_eps * sigma_max`` are
+    treated as zero, the truncation of ``numpy.linalg.pinv``.  An all-zero
+    input yields the (transposed-shape) zero matrix.
     """
-    return pinv_with_spectrum(m, tol)[0]
+    return pinv_with_spectrum(m)[0]
 
 
-def pinv_with_spectrum(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def pinv_with_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pinv` of ``m`` and the singular values of the one SVD that forms it.
 
     The singular values come in descending order, so a rank check can read
@@ -77,10 +66,8 @@ def pinv_with_spectrum(m: np.ndarray, tol: float | None = None) -> tuple[np.ndar
     ``numpy.linalg.pinv``.
     """
     m = np.asarray(m)
-    if tol is None:
-        tol = max(m.shape) * np.finfo(np.float64).eps
     u, s, vh = np.linalg.svd(m.conj(), full_matrices=False)
-    large = s > tol * s.max(initial=0.0)
+    large = s > max(m.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     return vh.T @ (s_inv[:, None] * u.T), s
 

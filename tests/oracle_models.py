@@ -114,7 +114,7 @@ def sensed_scalar(channels, coding, symbols, ic: int, it: int, ik: int) -> compl
     for n in range(n_el):
         for il in range(l):
             for ir in range(streams):
-                mix = coding.mix_matrix(ik)[il, ir]
+                mix = coding.mix[ik][il, ir]
                 total += coding.sensing[ic, n, ik] * g[n, il] * mix * symbols[ir, it]
     return total
 
@@ -128,6 +128,6 @@ def reflected_scalar(channels, coding, symbols, im: int, it: int, ik: int) -> co
     for n in range(n_el):
         for il in range(l):
             for ir in range(streams):
-                mix = coding.mix_matrix(ik)[il, ir]
+                mix = coding.mix[ik][il, ir]
                 total += h[im, n] * coding.reflect[ik, n] * g[n, il] * mix * symbols[ir, it]
     return total

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import khatri_rao
 
 import hrislink as hl
 from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_kronf
@@ -26,7 +27,7 @@ from hrislink.identifiability import check_identifiability, feedback_bits, flops
 from hrislink.rx_common import BalsOptions, IdentifiabilityError
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
-from hrislink.tensor_ops import khatri_rao, pinv, unfold, vec
+from hrislink.tensor_ops import pinv, unfold, vec
 
 from oracle_models import (
     fold,

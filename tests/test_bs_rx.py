@@ -21,7 +21,7 @@ from hrislink.rx_common import (
 )
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs
-from hrislink.tensor_ops import vec
+from hrislink.tensor_ops import unfold, vec
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -81,6 +81,16 @@ def test_bals_residual_trace_nonincreasing():
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_bals_residual_is_the_squared_symbol_step_misfit(scheme):
+    cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
+    y = synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, np.random.default_rng(5))
+    payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
+    rep = bs_bals(y, payload, coding, remove_scaling=False)
+    misfit = unfold(y, 2).T - symbol_code_matrix(coding, payload.ut_channel, rep.channel) @ rep.symbols
+    assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
+
+
 def test_bals_true_init_converges_immediately():
     cfg, channels, coding, symbols, y = make_case(seed=3)
     import hrislink.bs_rx as mod
@@ -116,7 +126,7 @@ def test_kronf_composite_is_kronecker_of_truth():
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
     from hrislink.tensor_ops import pinv, unfold
 
-    blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix_matrix(k)
+    blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix[k]
               for k in range(cfg.k)]
     right = np.column_stack([vec(b) for b in blocks])
     z = unfold(y, 3).T @ pinv(right)
@@ -161,7 +171,7 @@ def test_channel_only_equals_single_bals_channel_step():
     payload = ControlLinkPayload(channels.ut_ris, symbols, scenario=2)
     rep = bs_channel_only(y, payload, coding)
     from hrislink.tensor_ops import pinv, unfold
-    blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix_matrix(k) @ symbols
+    blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix[k] @ symbols
               for k in range(cfg.k)]
     direct = unfold(y, 1) @ pinv(np.hstack(blocks))
     assert np.allclose(rep.channel, direct)
@@ -212,7 +222,7 @@ def test_reconstruction_compensation_before_removal():
     rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding, remove_scaling=False)
     for k in (0, cfg.k - 1):
         recon = (rep.channel @ np.diag(coding.reflect[k]) @ channels.ut_ris
-                 @ coding.mix_matrix(k) @ rep.symbols)
+                 @ coding.mix[k] @ rep.symbols)
         assert np.linalg.norm(recon - y[:, :, k]) < 1e-10 * max(1.0, np.linalg.norm(y[:, :, k]))
 
 

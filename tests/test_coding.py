@@ -85,7 +85,7 @@ def test_full_rank_slices():
     assert np.linalg.matrix_rank(rows) == cfg.l * cfg.r
     kr = build_coding(small_cfg(scheme="krstc", rho=0.5))
     for k in range(cfg.k):
-        assert np.linalg.matrix_rank(kr.mix_matrix(k)) == cfg.l
+        assert np.linalg.matrix_rank(kr.mix[k]) == cfg.l
     assert np.linalg.matrix_rank(kr.code) == cfg.l
 
 
@@ -181,7 +181,7 @@ def test_build_coding_dispatch():
     assert tstc.code.ndim == 3 and tstc.scheme == "tstc"
     kr = build_coding(small_cfg(scheme="krstc"))
     assert kr.code.ndim == 2 and kr.scheme == "krstc"
-    assert np.allclose(kr.mix_matrix(0), np.diag(kr.code[0]))
+    assert np.allclose(kr.mix[0], np.diag(kr.code[0]))
 
 
 # ------------------------------------------------------------- shared codings
@@ -199,7 +199,7 @@ def test_coding_arrays_read_only():
     for scheme in ("tstc", "krstc"):
         coding = build_coding(small_cfg(scheme=scheme))
         for array in (coding.sensing, coding.reflect, coding.code, coding.phi, coding.mix,
-                      coding.mix_matrix(0), coding.mix_matrix(coding.subframes - 1)):
+                      coding.mix[0], coding.mix[coding.subframes - 1]):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
 

@@ -14,11 +14,12 @@ from hrislink.hris_rx import (
     remove_ambiguity_hris,
     symbol_code_matrix,
 )
+from hrislink.identifiability import numerical_rank
 from hrislink.rx_common import (AmbiguityError, BalsOptions, EstimateReport, IdentifiabilityError,
                                 RankDeficiencyError, require_full_rank)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
-from hrislink.tensor_ops import pinv, vec
+from hrislink.tensor_ops import pinv, unfold, vec
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -70,7 +71,7 @@ def test_channel_code_matrix_stacks_sensed_fit():
     _, channels, coding, _, _ = make_case()
     fg = channel_code_matrix(coding, np.eye(coding.streams))
     out = fg @ vec(channels.ut_ris)
-    k0 = coding.sensing[:, :, 0] @ channels.ut_ris @ coding.mix_matrix(0)
+    k0 = coding.sensing[:, :, 0] @ channels.ut_ris @ coding.mix[0]
     assert np.allclose(out[: k0.size], vec(k0))
 
 
@@ -92,6 +93,15 @@ def test_bals_residual_trace_nonincreasing():
         rep = hris_bals(y, coding, BalsOptions(init_seed=seed))
         trace = rep.residuals
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_bals_residual_is_the_squared_symbol_step_misfit(scheme):
+    cfg, channels, coding, symbols, _ = make_case(seed=3, scheme=scheme)
+    y = synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, np.random.default_rng(10))
+    rep = hris_bals(y, coding, remove_scaling=False)
+    misfit = unfold(y, 2).T - symbol_code_matrix(coding, rep.channel) @ rep.symbols
+    assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
 
 def test_bals_true_init_converges_immediately():
@@ -277,9 +287,9 @@ def test_compensation_law_before_removal(scheme, receiver):
     rep = receiver(y, coding, remove_scaling=False)
     for k in (0, cfg.k // 2, cfg.k - 1):
         recon = (coding.sensing[:, :, k] @ rep.channel
-                 @ coding.mix_matrix(k) @ rep.symbols)
+                 @ coding.mix[k] @ rep.symbols)
         truth = (coding.sensing[:, :, k] @ channels.ut_ris
-                 @ coding.mix_matrix(k) @ symbols)
+                 @ coding.mix[k] @ symbols)
         assert np.linalg.norm(recon - truth) < 1e-10 * max(1.0, np.linalg.norm(truth))
 
 
@@ -341,3 +351,14 @@ def test_require_full_rank_message_on_rank_deficiency():
         require_full_rank(a, 4, "test matrix")
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 0, need 2$"):
         require_full_rank(np.zeros((3, 2)), 2, "test matrix")
+
+
+def test_rank_threshold_sits_between_5e_11_and_2e_10():
+    # singular values relative to the largest: 2e-10 counts, 5e-11 does not
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    a = u @ np.diag([1.0, 2e-10, 5e-11]) @ v.conj().T
+    assert numerical_rank(a) == 2
+    with pytest.raises(RankDeficiencyError, match=r"numerical rank 2, need 3"):
+        require_full_rank(a, 3, "test matrix")

@@ -8,13 +8,14 @@ random symbol matrix, for both coding schemes.
 
 import numpy as np
 import pytest
+from scipy.linalg import khatri_rao
 
 from hrislink import bs_rx
 from hrislink.bs_rx import ControlLinkPayload, bs_kronf
 from hrislink.coding import build_coding
 from hrislink.hris_rx import channel_code_matrix, composite_code_matrix, symbol_code_matrix
 from hrislink.scenario import ScenarioConfig
-from hrislink.tensor_ops import khatri_rao, vec
+from hrislink.tensor_ops import vec
 
 
 def crandn(rng, *shape):

@@ -60,7 +60,7 @@ def test_scalar_pipeline_single_entry():
     symbols = gen_symbols(cfg, rng)
     y = synth_yrc(cfg, channels, coding, symbols)
     expected = (coding.sensing[0, 0, 0] * channels.ut_ris[0, 0]
-                * coding.mix_matrix(0)[0, 0] * symbols[0, 0])
+                * coding.mix[0][0, 0] * symbols[0, 0])
     assert abs(y[0, 0, 0] - expected) < 1e-15
 
 

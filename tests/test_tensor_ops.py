@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import khatri_rao
 
-from hrislink.tensor_ops import (khatri_rao, lstsq_normal, pinv, pinv_with_spectrum, rank1_approx, unfold,
-                                 unvec, vec)
+from hrislink.tensor_ops import lstsq_normal, pinv, pinv_with_spectrum, rank1_approx, unfold, unvec, vec
 
 from oracle_models import fold, mode_n_product, modewise_contraction
 
@@ -95,7 +95,7 @@ def test_kron_mixed_product():
         assert np.linalg.norm(lhs - rhs) < 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
-# ----------------------------------------------------------------- khatri_rao
+# ----------------------------------------------------- scipy.linalg.khatri_rao
 
 def test_khatri_rao_single_columns():
     rng = np.random.default_rng(5)
