@@ -27,7 +27,6 @@ from .identifiability import (
 )
 from .rx_common import (
     AmbiguityError,
-    BalsOptions,
     EstimateReport,
     IdentifiabilityError,
     NonFiniteError,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityError",
-    "BalsOptions",
     "ChannelRealization",
     "CodingSet",
     "ControlLinkPayload",

@@ -28,7 +28,6 @@ import numpy as np
 
 from .coding import CodingSet
 from .rx_common import (
-    BalsOptions,
     EstimateReport,
     check_received,
     init_symbols,
@@ -79,11 +78,10 @@ def bs_bals(
     y_bs: np.ndarray,
     payload: ControlLinkPayload,
     coding: CodingSet,
-    opts: BalsOptions | None = None,
+    init_seed: int = 0,
     remove_scaling: bool = True,
 ) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols."""
-    opts = opts or BalsOptions()
     d = check_received(y_bs, coding, "bs_bals")
     g = payload.ut_channel
     y1t = unfold(y_bs, 1).T                 # (k*t, m)
@@ -93,7 +91,7 @@ def bs_bals(
         h_t, fell_back = lstsq_normal(channel_code_matrix(coding, g, x_hat).T, y1t)
         return h_t.T, fell_back
 
-    report = run_als(y_bs, init_symbols(d.w, d.t, opts.init_seed), opts, channel_step,
+    report = run_als(y_bs, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda h_hat: symbol_code_matrix(coding, g, h_hat))
     return remove_ambiguity_bs(report) if remove_scaling else report
 
@@ -133,7 +131,7 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     n = check_received(y_bs, coding, "bs_channel_only").n
     channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
     h_hat = unfold(y_bs, 1) @ require_full_rank(channel_step, n, "channel-step regressor")
-    return EstimateReport(h_hat, np.array(payload.symbols, copy=True), 0, [])
+    return EstimateReport(h_hat, np.array(payload.symbols, copy=True))
 
 
 def remove_ambiguity_bs(report: EstimateReport) -> EstimateReport:

@@ -26,8 +26,8 @@ import scipy.linalg
 from . import bs_rx, hris_rx
 from .coding import build_coding, gen_symbols, qam_constellation
 from .identifiability import ReceiverSpec, check_identifiability, receiver_spec
-from .rx_common import (AmbiguityError, BalsOptions, EstimateReport, IdentifiabilityError,
-                        NonFiniteError, RankDeficiencyError)
+from .rx_common import (AmbiguityError, EstimateReport, IdentifiabilityError, NonFiniteError,
+                        RankDeficiencyError)
 from .scenario import ScenarioConfig, draw_channels
 from .synthesis import synth_ybs, synth_yrc
 
@@ -126,7 +126,7 @@ class MetricsRecord:
 def _run_receiver(spec: ReceiverSpec, init_seed: int, *args) -> EstimateReport:
     """Run the receiver ``spec`` names, looked up in its module at call time."""
     fn = getattr(hris_rx if spec.entity == "hris" else bs_rx, spec.fn)
-    return fn(*args, BalsOptions(init_seed=init_seed)) if spec.iterative else fn(*args)
+    return fn(*args, init_seed=init_seed) if spec.iterative else fn(*args)
 
 
 def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOutcome:
@@ -134,20 +134,24 @@ def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOut
 
     Draw order is fixed (channels, symbols, receiver init seeds, sensed
     noise, reflected noise) so a (config, seed) pair fully reproduces the
-    trial.  An all-zero drawn channel and zero-anchor, rank-deficiency and
-    non-finite-input aborts are reported as failed outcomes, not exceptions.
+    trial.  A scoring reference channel that is all zero or whose energy
+    underflows, and zero-anchor, rank-deficiency and non-finite-input aborts
+    are reported as failed outcomes, not exceptions.
     """
     hris_spec = receiver_spec(pair[0], "hris", cfg.scheme)
     bs_spec = receiver_spec(pair[1], "bs", cfg.scheme)
     rng = np.random.default_rng(seed)
     channels = draw_channels(cfg, rng)
-    if not (channels.ut_ris.any() and channels.ris_bs.any()):
-        return TrialOutcome(failed=True, failure_reason="drawn channel is all zero; its NMSE is undefined")
+    amplitude = math.sqrt(cfg.pt_watts)
+    effective_ut = amplitude * channels.ut_ris
+    combined = combined_channel(effective_ut, channels.ris_bs)
+    if not all(np.linalg.norm(ref) ** 2 > 0 for ref in (effective_ut, channels.ris_bs, combined)):
+        return TrialOutcome(failed=True,
+                            failure_reason="reference channel is all zero or underflows; its NMSE is undefined")
     symbols = gen_symbols(cfg, rng)
     hris_init = int(rng.integers(0, 2**63))
     bs_init = int(rng.integers(0, 2**63))
 
-    amplitude = math.sqrt(cfg.pt_watts)
     sent = amplitude * symbols
     coding = build_coding(cfg)
     y_rc = synth_yrc(cfg, channels, coding, sent, rng)
@@ -164,15 +168,13 @@ def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOut
     except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:
         return TrialOutcome(failed=True, failure_reason=str(exc))
 
-    effective_ut = amplitude * channels.ut_ris
     ser_hris = ser(hris_rep.symbols, symbols, cfg.qam_order)
     # The channel-only BS receiver reuses the fed-back symbol decisions.
     ser_bs = ser(bs_rep.symbols, symbols, cfg.qam_order)
     return TrialOutcome(
         nmse_g=nmse(hris_rep.channel, effective_ut),
         nmse_h=nmse(bs_rep.channel, channels.ris_bs),
-        nmse_theta=nmse(combined_channel(hris_rep.channel, bs_rep.channel),
-                        combined_channel(effective_ut, channels.ris_bs)),
+        nmse_theta=nmse(combined_channel(hris_rep.channel, bs_rep.channel), combined),
         ser_hris=ser_hris,
         ser_bs=ser_bs,
         iters_hris=hris_rep.iterations,

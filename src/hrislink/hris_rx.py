@@ -29,7 +29,6 @@ import numpy as np
 
 from .coding import CodingSet
 from .rx_common import (
-    BalsOptions,
     EstimateReport,
     check_received,
     init_symbols,
@@ -85,11 +84,10 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
 def hris_bals(
     y_rc: np.ndarray,
     coding: CodingSet,
-    opts: BalsOptions | None = None,
+    init_seed: int = 0,
     remove_scaling: bool = True,
 ) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
-    opts = opts or BalsOptions()
     d = check_received(y_rc, coding, "hris_bals")
     y_vec = vec(unfold(y_rc, 3).T)          # (k*t*nc,): stacked vec'd slices
 
@@ -97,7 +95,7 @@ def hris_bals(
         g_vec, fell_back = lstsq_normal(channel_code_matrix(coding, x_hat), y_vec)
         return unvec(g_vec, d.n, d.l), fell_back
 
-    report = run_als(y_rc, init_symbols(d.w, d.t, opts.init_seed), opts, channel_step,
+    report = run_als(y_rc, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda g_hat: symbol_code_matrix(coding, g_hat))
     return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
 

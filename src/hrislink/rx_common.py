@@ -1,5 +1,5 @@
-"""Shared receiver plumbing: failure modes, options, reports, the entry
-check, the shared ALS iteration, and the anchor normalization."""
+"""Shared receiver plumbing: failure modes, reports, the entry check, the
+shared ALS iteration, and the anchor normalization."""
 
 from __future__ import annotations
 
@@ -13,8 +13,12 @@ from .coding import CodingSet
 from .identifiability import ENTITY_NAMES, RECEIVERS, Sizes, spectral_rank
 from .tensor_ops import lstsq_normal, pinv_with_spectrum, unfold
 
-# Squared-residual floor, relative to the signal energy, at which the ALS
-# loop stops early: the fit is already at machine precision.
+# The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
+# MAX_ITERATIONS iterations, ending early once the squared residual changes by
+# at most REL_TOL relative to the previous one, or falls to RESIDUAL_FLOOR
+# times the signal energy (the fit is then at machine precision).
+MAX_ITERATIONS = 200
+REL_TOL = 1e-6
 RESIDUAL_FLOOR = 1e-26
 
 
@@ -34,34 +38,14 @@ class NonFiniteError(RuntimeError):
     """The received tensor holds NaN or infinite entries."""
 
 
-@dataclass(frozen=True)
-class BalsOptions:
-    """Iteration control for the alternating least-squares receivers.
-
-    Convergence is declared when the relative change of the squared
-    reconstruction residual drops below ``tol``.
-    """
-
-    max_iterations: int = 200
-    tol: float = 1e-6
-    init_seed: int = 0
-
-    def __post_init__(self):
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-
-
 @dataclass
 class EstimateReport:
     """Output of one receiver run.
 
     ``channel`` is the matrix estimated at the running entity (UT-side at the
     surface, BS-side at the BS); ``symbols`` the estimated symbol matrix.
-    ``iterations`` is 0 for closed-form receivers.  ``residuals`` traces the
-    squared Frobenius reconstruction error per iteration.  ``ambiguity``
+    ``residuals`` traces the squared Frobenius reconstruction error per ALS
+    iteration (empty for closed-form receivers).  ``ambiguity``
     records the scaling removed: a complex scalar, or one scalar per stream
     for the krstc surface receivers.  ``fallbacks`` counts the ALS
     least-squares solves that took the SVD path instead of the Cholesky one
@@ -70,10 +54,14 @@ class EstimateReport:
 
     channel: np.ndarray
     symbols: np.ndarray
-    iterations: int = 0
     residuals: list = field(default_factory=list)
     ambiguity: object = None
     fallbacks: int = 0
+
+    @property
+    def iterations(self) -> int:
+        """ALS iterations run: one residual each, 0 for closed-form receivers."""
+        return len(self.residuals)
 
 
 def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -108,8 +96,8 @@ def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
     return sizes
 
 
-def run_als(y: np.ndarray, x0: np.ndarray, opts: BalsOptions,
-            channel_step: Callable, symbol_regressor: Callable) -> EstimateReport:
+def run_als(y: np.ndarray, x0: np.ndarray, channel_step: Callable,
+            symbol_regressor: Callable) -> EstimateReport:
     """Alternate least-squares steps until the residual stagnates or hits the floor.
 
     ``channel_step(x)`` returns the channel estimate from the symbols ``x``
@@ -122,7 +110,7 @@ def run_als(y: np.ndarray, x0: np.ndarray, opts: BalsOptions,
     x_hat = x0
     residuals: list[float] = []
     fallbacks = 0
-    for _ in range(opts.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         channel, channel_fallback = channel_step(x_hat)
         regressor = symbol_regressor(channel)
         x_hat, symbol_fallback = lstsq_normal(regressor, y2t)
@@ -133,9 +121,9 @@ def run_als(y: np.ndarray, x0: np.ndarray, opts: BalsOptions,
             break
         if len(residuals) >= 2:
             prev = residuals[-2]
-            if prev > 0 and abs(resid - prev) <= opts.tol * prev:
+            if prev > 0 and abs(resid - prev) <= REL_TOL * prev:
                 break
-    return EstimateReport(channel, x_hat, len(residuals), residuals, fallbacks=fallbacks)
+    return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
 
 
 def require_full_rank(mat: np.ndarray, need: int, what: str) -> np.ndarray:

@@ -96,8 +96,8 @@ class ScenarioConfig:
         root = math.isqrt(self.qam_order)
         if root * root != self.qam_order or root < 2:
             raise ValueError(f"qam_order must be a square constellation size, got {self.qam_order}")
-        if not (math.isfinite(self.pt_dbm) and _finite_watts(self.pt_dbm)):
-            raise ValueError(f"pt_dbm must give a finite transmit power, got {self.pt_dbm}")
+        if not (_finite_watts(self.pt_dbm) and self.pt_watts > 0):
+            raise ValueError(f"pt_dbm must give a finite positive transmit power, got {self.pt_dbm}")
         if not _finite_watts(self.noise_dbm):  # -inf (no noise) is allowed
             raise ValueError(f"noise_dbm must give a finite noise power, got {self.noise_dbm}")
 

@@ -24,7 +24,7 @@ from hrislink.harness import (
 )
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
 from hrislink.identifiability import check_identifiability, feedback_bits, flops_estimate, min_subframes, rank_bounds
-from hrislink.rx_common import BalsOptions, IdentifiabilityError
+from hrislink.rx_common import IdentifiabilityError
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
 from hrislink.tensor_ops import pinv, unfold, vec
@@ -310,7 +310,7 @@ def test_criterion_6_bals_monotonicity_and_iteration_trend():
             coding = build_coding(cfg)
             sent = math.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
             y = synth_yrc(cfg, channels, coding, sent, rng)
-            rep = hris_bals(y, coding, BalsOptions(init_seed=i))
+            rep = hris_bals(y, coding, init_seed=i)
             trace = rep.residuals
             assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
             iters.append(rep.iterations)
@@ -327,7 +327,7 @@ def test_criterion_6_bals_monotonicity_and_iteration_trend():
             synth_yrc(cfg, channels, coding, sent, rng)  # keep the draw order of a full trial
             y = synth_ybs(cfg, channels, coding, sent, rng)
             payload = ControlLinkPayload(math.sqrt(cfg.pt_watts) * channels.ut_ris)
-            rep = bs_bals(y, payload, coding, BalsOptions(init_seed=i))
+            rep = bs_bals(y, payload, coding, init_seed=i)
             trace = rep.residuals
             assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
             iters.append(rep.iterations)

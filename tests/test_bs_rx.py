@@ -14,7 +14,6 @@ from hrislink.bs_rx import (
 )
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.rx_common import (
-    BalsOptions,
     EstimateReport,
     IdentifiabilityError,
     RankDeficiencyError,
@@ -76,7 +75,7 @@ def test_bals_residual_trace_nonincreasing():
     y = synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, rng)
     payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
     for seed in range(5):
-        rep = bs_bals(y, payload, coding, BalsOptions(init_seed=seed))
+        rep = bs_bals(y, payload, coding, init_seed=seed)
         trace = rep.residuals
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
 

@@ -214,14 +214,18 @@ def test_non_finite_signal_is_a_failed_trial(monkeypatch):
 
 @pytest.mark.parametrize("noise_dbm", [-90.0, -math.inf])
 def test_zero_channel_is_a_failed_trial(noise_dbm):
-    # pl0_db = -inf zeroes both links; NMSE against a zero channel is undefined
-    for scheme, pairs in PAIRS.items():
-        cfg = small_cfg(scheme=scheme, pl0_db=-math.inf, noise_dbm=noise_dbm)
-        for pair in pairs:
-            out = run_trial(cfg, pair, trial_seed(0, 0))
-            assert out.failed and "all zero" in out.failure_reason, pair
-            (rec,) = run_sweep(cfg, pair, "pt", [20.0], trials=2)
-            assert rec.trials == 2 and rec.failures == 2 and math.isnan(rec.nmse_g)
+    # pl0_db = -inf zeroes both links; pl0_db = -1600 dB makes the combined channel's
+    # energy underflow, pt_dbm = -3150 dBm the effective UT channel's.  NMSE against
+    # a reference with zero energy is undefined.
+    for zeroing in (dict(pl0_db=-math.inf), dict(pl0_db=-1600.0), dict(pt_dbm=-3150.0)):
+        point = zeroing.get("pt_dbm", 20.0)  # a pt sweep overrides pt_dbm
+        for scheme, pairs in PAIRS.items():
+            cfg = small_cfg(scheme=scheme, noise_dbm=noise_dbm, **zeroing)
+            for pair in pairs:
+                out = run_trial(cfg, pair, trial_seed(0, 0))
+                assert out.failed and "all zero" in out.failure_reason, (zeroing, pair)
+                (rec,) = run_sweep(cfg, pair, "pt", [point], trials=2)
+                assert rec.trials == 2 and rec.failures == 2 and math.isnan(rec.nmse_g)
 
 
 def test_parse_pair():

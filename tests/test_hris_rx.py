@@ -1,5 +1,7 @@
 """Surface-side receivers: design matrices, recovery oracles, ambiguities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from hrislink.hris_rx import (
     symbol_code_matrix,
 )
 from hrislink.identifiability import numerical_rank
-from hrislink.rx_common import (AmbiguityError, BalsOptions, EstimateReport, IdentifiabilityError,
-                                RankDeficiencyError, require_full_rank)
+from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, IdentifiabilityError,
+                                RankDeficiencyError, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
 from hrislink.tensor_ops import pinv, unfold, vec
@@ -90,7 +92,7 @@ def test_bals_residual_trace_nonincreasing():
     rng = np.random.default_rng(10)
     y = synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, rng)
     for seed in range(5):
-        rep = hris_bals(y, coding, BalsOptions(init_seed=seed))
+        rep = hris_bals(y, coding, init_seed=seed)
         trace = rep.residuals
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -137,6 +139,16 @@ def test_bals_counts_svd_fallbacks():
         assert np.isfinite(estimate).all() and not estimate.any()
 
 
+def test_run_als_stops_at_the_iteration_cap():
+    # unfold(y, 2).T = [[1], [2]] against regressors alternating [[1], [0]] and [[0], [1]]:
+    # the residuals go 4, 1, 4, ..., never settle, and never reach the floor
+    y = np.array([1.0, 2.0], dtype=complex).reshape(2, 1, 1)
+    regressors = itertools.cycle([np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)])
+    rep = run_als(y, np.ones((1, 1), complex), lambda x: (x, False), lambda channel: next(regressors))
+    assert rep.iterations == MAX_ITERATIONS
+    assert rep.residuals[:3] == pytest.approx([4.0, 1.0, 4.0])
+
+
 def test_bals_identifiability_precheck():
     cfg, channels, coding, symbols, y = make_case()
     # truncating sub-frames below the threshold must be rejected up front
@@ -145,21 +157,6 @@ def test_bals_identifiability_precheck():
                       coding.reflect[: need - 1], coding.code[:, :, : need - 1])
     with pytest.raises(IdentifiabilityError):
         hris_bals(y[:, :, : need - 1], short)
-
-
-@pytest.mark.parametrize("bad", [
-    dict(tol=np.nan), dict(tol=np.inf), dict(tol=-np.inf), dict(tol=0.0), dict(tol=-1e-6),
-    dict(max_iterations=2.5), dict(max_iterations=True), dict(max_iterations=0),
-    dict(max_iterations="3"),
-])
-def test_bals_options_rejects_invalid(bad):
-    with pytest.raises(ValueError):
-        BalsOptions(**bad)
-
-
-def test_bals_options_accepts_valid_values():
-    opts = BalsOptions(max_iterations=5, tol=1e-3)
-    assert (opts.max_iterations, opts.tol) == (5, 1e-3)
 
 
 # ------------------------------------------------------------------ kronf path
@@ -248,12 +245,12 @@ def test_remove_ambiguity_constructed_scalar():
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[0, 0] = 1.0
     c = 0.3 - 1.7j
-    rep = remove_ambiguity_hris(EstimateReport(g / c, c * x, 4, [2.0, 1.0], fallbacks=3), "tstc")
+    rep = remove_ambiguity_hris(EstimateReport(g / c, c * x, [4.0, 3.0, 2.0, 1.0], fallbacks=3), "tstc")
     assert np.allclose(rep.channel, g)
     assert np.allclose(rep.symbols, x)
     assert rep.symbols[0, 0] == 1.0
     assert np.isclose(rep.ambiguity, c)
-    assert (rep.iterations, rep.residuals, rep.fallbacks) == (4, [2.0, 1.0], 3)
+    assert (rep.iterations, rep.residuals, rep.fallbacks) == (4, [4.0, 3.0, 2.0, 1.0], 3)
 
 
 def test_remove_ambiguity_constructed_diagonal():

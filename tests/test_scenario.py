@@ -44,7 +44,7 @@ def test_config_validation():
     for k in (3, 96):  # the transmit code is a Sylvester Hadamard matrix
         with pytest.raises(ValueError, match="power of two"):
             ScenarioConfig(k=k)
-    for pt_dbm in (3100.0, math.nan, math.inf, -math.inf):
+    for pt_dbm in (3100.0, -4000.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             ScenarioConfig(pt_dbm=pt_dbm)
     for noise_dbm in (math.nan, math.inf):
