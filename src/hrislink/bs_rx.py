@@ -6,7 +6,9 @@ that channel and the decoded symbols (scenario 2).  Receivers:
 
 * :func:`bs_bals`: alternating least-squares over the BS-side channel
   (mode-1 unfolding) and the symbols (transposed mode-2 unfolding), each
-  a normal-equation solve (:func:`lstsq_normal`);
+  a normal-equation solve; the channel step forms its Gram from the blocks
+  below, built once per call, and its explicit regressor only for the SVD
+  fallback;
 * :func:`bs_kronf`: one least-squares solve for the Kronecker-structured
   composite of symbols and BS-side channel, then a rank-1 split;
 * :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
@@ -35,7 +37,7 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import lstsq_normal, rank1_approx, unfold
+from .tensor_ops import rank1_approx, solve_gram, unfold
 from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
 
 
@@ -84,15 +86,22 @@ def bs_bals(
     """Alternating least-squares estimation of the BS-side channel and symbols."""
     d = check_received(y_bs, coding, "bs_bals")
     g = payload.ut_channel
-    y1t = unfold(y_bs, 1).T                 # (k*t, m)
+    blocks = _reflect_blocks(coding, g)                              # B_k, (k, n, w)
+    b_cat = blocks.transpose(1, 0, 2).reshape(d.n, -1)              # [B_1 ... B_K], (n, k*w)
+    b_conj = b_cat.conj()
+    y_cat = y_bs.transpose(1, 2, 0).reshape(d.t, -1)                # [Y_1^T ... Y_K^T], (t, k*m)
 
     def channel_step(x_hat):
-        # h_hat @ C = y1 with C wide, solved as its transpose C.T @ h_hat.T = y1.T
-        h_t, fell_back = lstsq_normal(channel_code_matrix(coding, g, x_hat).T, y1t)
+        # h_hat C = y1, C = [B_1 X ... B_K X], solved as C^T h_hat^T = y1^T: the Gram is
+        # conj(C C^H) = sum_k conj(B_k) conj(X X^H) B_k^T, the right-hand side sum_k conj(B_k X) Y_k^T
+        x_conj = x_hat.conj()
+        gram = (b_conj.reshape(-1, d.w) @ (x_conj @ x_hat.T)).reshape(d.n, -1) @ b_cat.T
+        rhs = b_conj @ (x_conj @ y_cat).reshape(d.w, d.k, d.m).transpose(1, 0, 2).reshape(-1, d.m)
+        h_t, fell_back = solve_gram(gram, rhs, lambda: (channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T))
         return h_t.T, fell_back
 
     report = run_als(y_bs, init_symbols(d.w, d.t, init_seed), channel_step,
-                     lambda h_hat: symbol_code_matrix(coding, g, h_hat))
+                     lambda h_hat: (h_hat @ blocks).reshape(-1, d.w))
     return remove_ambiguity_bs(report) if remove_scaling else report
 
 

@@ -4,8 +4,9 @@ Three receivers operate on the sensed tensor ``(nc, t, k)``:
 
 * :func:`hris_bals` alternates two exact least-squares steps (channel step
   on the vectorized mode-3 unfolding, symbol step on the transposed mode-2
-  unfolding), each a normal-equation solve (:func:`lstsq_normal`), until
-  the reconstruction residual stagnates;
+  unfolding), each a normal-equation solve, until the reconstruction
+  residual stagnates; the channel step forms its Gram from the Kronecker
+  structure and builds its explicit regressor only for the SVD fallback;
 * :func:`hris_kronf` (tstc) recovers the Kronecker-structured composite of
   channel and symbols in one least-squares solve, then splits it with a
   rank-1 factorization after a block rearrangement;
@@ -36,7 +37,7 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import lstsq_normal, rank1_approx, unfold, unvec, vec
+from .tensor_ops import rank1_approx, solve_gram, unfold, unvec, vec
 from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps hris_rx.pinv by name
 
 
@@ -89,11 +90,21 @@ def hris_bals(
 ) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
-    y_vec = vec(unfold(y_rc, 3).T)          # (k*t*nc,): stacked vec'd slices
+    n, l, t, k = d.n, d.l, d.t, d.k
+    phi_h = coding.phi.reshape(-1, n).conj().T                      # Phi^H, (n, k*nc)
+    # phi_k^H Y_k side by side, (n, k*t), fixed within the call
+    phi_h_y = (coding.phi.conj().transpose(0, 2, 1) @ y_rc.transpose(2, 0, 1)).transpose(1, 0, 2).reshape(n, -1)
 
     def channel_step(x_hat):
-        g_vec, fell_back = lstsq_normal(channel_code_matrix(coding, x_hat), y_vec)
-        return unvec(g_vec, d.n, d.l), fell_back
+        # The regressor stacks kron(M_k^T, phi_k), M_k = mix_k X: its Gram is
+        # sum_k kron(conj(M_k) M_k^T, phi_k^H phi_k), its right-hand side vec(sum_k phi_k^H Y_k M_k^H)
+        m_k = (coding.mix.reshape(-1, d.w) @ x_hat).reshape(k, l, t)
+        a_k = m_k.conj() @ m_k.transpose(0, 2, 1)                   # (k, l, l)
+        weighted = (a_k[:, None, :, :, None] * coding.phi[:, :, None, None, :]).reshape(-1, l * l * n)
+        gram = (phi_h @ weighted).reshape(n, l, l, n).transpose(1, 0, 2, 3).reshape(l * n, l * n)
+        rhs = vec(phi_h_y @ m_k.conj().transpose(0, 2, 1).reshape(k * t, l))
+        g_vec, fell_back = solve_gram(gram, rhs, lambda: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)))
+        return unvec(g_vec, n, l), fell_back
 
     report = run_als(y_rc, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda g_hat: symbol_code_matrix(coding, g_hat))

@@ -11,10 +11,15 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 * mode 2: transposed frontal slices side by side, shape ``(I2, I3*I1)``;
 * mode 3: ``vec`` of each frontal slice stacked as rows, shape ``(I3, I2*I1)``.
 
+Least-squares solves go through the normal equations (:func:`solve_gram`),
+which need the explicit regressor only for their SVD fallback.
+
 All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
@@ -73,30 +78,36 @@ def pinv_with_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Reciprocal condition estimate of the Gram matrix below which
-# :func:`lstsq_normal` falls back to the SVD pseudo-inverse: the Gram squares
+# :func:`solve_gram` falls back to the SVD pseudo-inverse: the Gram squares
 # the condition number of the regressor, so this keeps that below about 1e5.
 GRAM_RCOND_FLOOR = 1e-10
 
 
-def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Least-squares solution of ``a @ x = b`` and whether it fell back to the SVD.
+def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np.ndarray, bool]:
+    """Solve the normal equations ``gram @ x = rhs``, and whether it fell back to the SVD.
 
-    Solves the normal equations ``a^H a x = a^H b`` with a Cholesky factor
-    of the Gram.  Returns ``pinv(a) @ b`` instead when the factorization
-    fails, the Gram's reciprocal condition estimate is below
-    ``GRAM_RCOND_FLOOR``, or the solution is not finite.
+    ``gram`` and ``rhs`` are ``a^H a`` and ``a^H b`` of the least-squares problem
+    ``a @ x = b``, however the caller formed them; a Cholesky factor solves it.
+    When the factorization fails, the Gram's reciprocal condition estimate is
+    below ``GRAM_RCOND_FLOOR``, or the solution is not finite, it calls
+    ``problem()`` for the explicit ``(a, b)`` and returns ``pinv(a) @ b``.
     """
-    ah = a.conj().T
-    gram = ah @ a
     potrf, pocon, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "pocon", "potrs"), (gram,))
     factor, info = potrf(gram)
     if info == 0:
         rcond, info = pocon(factor, np.abs(gram).sum(axis=0).max())
         if info == 0 and rcond >= GRAM_RCOND_FLOOR:
-            x, info = potrs(factor, ah @ b)
+            x, info = potrs(factor, rhs)
             if info == 0 and np.isfinite(x).all():
                 return x, False
+    a, b = problem()
     return pinv(a) @ b, True
+
+
+def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Least-squares solution of ``a @ x = b`` through :func:`solve_gram` of ``a^H a``."""
+    ah = a.conj().T
+    return solve_gram(ah @ a, ah @ b, lambda: (a, b))
 
 
 def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

@@ -103,6 +103,16 @@ def test_bals_true_init_converges_immediately():
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
 
 
+def test_bals_counts_svd_fallbacks():
+    # an all-zero fed-back channel zeroes both regressors, so neither Gram has a Cholesky factor
+    cfg, channels, coding, symbols, y = make_case()
+    zero = ControlLinkPayload(np.zeros_like(channels.ut_ris))
+    rep = bs_bals(y, zero, coding, remove_scaling=False)
+    assert rep.fallbacks >= 1
+    for estimate in (rep.channel, rep.symbols):
+        assert np.isfinite(estimate).all() and not estimate.any()
+
+
 def test_bals_identifiability_precheck():
     cfg, channels, coding, symbols, y = make_case(t=2, n=8)
     # bs bals needs k >= ceil(n/t) = 4; truncate below that
@@ -235,7 +245,7 @@ def test_scalar_ambiguity_law():
     assert abs(x_ratio[0, 0] / h_ratio[0, 0] - 1) < 1e-8
 
 
-def test_channel_only_invariant_to_bals_options():
+def test_channel_only_repeats_exactly():
     cfg, channels, coding, symbols, y = make_case(k=8)
     payload = ControlLinkPayload(channels.ut_ris, symbols, scenario=2)
     a = bs_channel_only(y, payload, coding)

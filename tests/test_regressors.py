@@ -3,19 +3,26 @@
 The receivers build their regressors as batched products over the coding
 set's sub-frame stacks.  Here each one is rebuilt block by block with
 ``np.kron``/``np.diag`` from the raw code, on ``k > 1`` sub-frames and a
-random symbol matrix, for both coding schemes.
+random symbol matrix, for both coding schemes.  The ALS channel steps never
+build their regressor unless they fall back to the SVD; the normal
+equations they form from its structure are checked against the explicit
+regressor over random feasible configurations.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from hrislink import bs_rx
+from hrislink import bs_rx, hris_rx
 from hrislink.bs_rx import ControlLinkPayload, bs_kronf
-from hrislink.coding import build_coding
+from hrislink.coding import build_coding, gen_symbols
 from hrislink.hris_rx import channel_code_matrix, composite_code_matrix, symbol_code_matrix
-from hrislink.scenario import ScenarioConfig
-from hrislink.tensor_ops import vec
+from hrislink.identifiability import feasible_subframes
+from hrislink.scenario import ScenarioConfig, draw_channels
+from hrislink.synthesis import synth_ybs, synth_yrc
+from hrislink.tensor_ops import unfold, vec
 
 
 def crandn(rng, *shape):
@@ -89,3 +96,97 @@ def test_bs_kronf_right_factor(case, monkeypatch):
         # same products, taken in the other operand order, so it agrees to rounding.
         khatri_rao_form = vec(g)[:, None] * khatri_rao(coding.code.T, coding.reflect.T)
         assert np.max(np.abs(right - khatri_rao_form)) <= 4 * np.finfo(float).eps * np.max(np.abs(right))
+
+
+# ------------------------------------------- structured ALS normal equations
+
+@st.composite
+def feasible_problems(draw):
+    """A feasible ``bals-bals`` config, with ``k`` 1, 2 or 4 times its floor, and a seed."""
+    scheme = draw(st.sampled_from(["tstc", "krstc"]))
+    l = draw(st.integers(1, 3))
+    r = l if scheme == "krstc" else draw(st.integers(1, 3))
+    cfg = ScenarioConfig(m=draw(st.integers(1, 3)), n=draw(st.integers(1, 8)), nc=draw(st.integers(1, 3)),
+                         l=l, r=r, t=draw(st.integers(1, 5)), k=1, scheme=scheme)
+    k = feasible_subframes(cfg, ("bals", "bals")) * draw(st.sampled_from([1, 2, 4]))
+    return cfg.replace(k=k), draw(st.integers(0, 2**32 - 1))
+
+
+# Configs where aliasing between the Walsh and DFT frequencies makes the
+# surface channel-step Gram non-diagonal (at the defaults it is c*I).
+NON_DIAGONAL = [ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=3, k=4, scheme="tstc"),
+                ScenarioConfig(m=2, n=5, nc=2, l=3, r=3, t=2, k=8, scheme="krstc")]
+
+
+class Captured(Exception):
+    """Stops a receiver once its first channel step has called ``solve_gram``."""
+
+
+def first_normal_equations(module, receive, x):
+    """The ``(gram, rhs)`` of the first channel step of ``receive()``, started from ``x``."""
+    seen = []
+
+    def capture(gram, rhs, problem):
+        seen.append((gram, rhs))
+        raise Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "solve_gram", capture)
+        patch.setattr(module, "init_symbols", lambda rows, cols, seed: x)
+        with pytest.raises(Captured):
+            receive()
+    return seen[0]
+
+
+def assert_normal_equations(got, a, b):
+    ah = a.conj().T
+    for got_part, want in zip(got, (ah @ a, ah @ b)):
+        assert got_part.shape == want.shape
+        assert np.max(np.abs(got_part - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=feasible_problems())
+@example(problem=(NON_DIAGONAL[0], 1))
+@example(problem=(NON_DIAGONAL[1], 2))
+def test_channel_steps_form_the_exact_normal_equations(problem):
+    cfg, seed = problem
+    coding = build_coding(cfg)
+    rng = np.random.default_rng(seed)
+    x = crandn(rng, cfg.streams, cfg.t)
+    g = crandn(rng, cfg.n, cfg.l)
+    y_rc = crandn(rng, cfg.nc, cfg.t, cfg.k)
+    y_bs = crandn(rng, cfg.m, cfg.t, cfg.k)
+
+    got = first_normal_equations(hris_rx, lambda: hris_rx.hris_bals(y_rc, coding), x)
+    assert_normal_equations(got, channel_code_matrix(coding, x), vec(unfold(y_rc, 3).T))
+
+    got = first_normal_equations(bs_rx, lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x)
+    assert_normal_equations(got, bs_rx.channel_code_matrix(coding, g, x).T, unfold(y_bs, 1).T)
+
+
+@pytest.mark.parametrize("cfg", NON_DIAGONAL, ids=["tstc", "krstc"])
+def test_examples_have_a_non_diagonal_surface_gram(cfg):
+    x = crandn(np.random.default_rng(3), cfg.streams, cfg.t)
+    a = channel_code_matrix(build_coding(cfg), x)
+    gram = a.conj().T @ a
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 0.01 * np.max(np.abs(gram))
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
+    def explicit(*args):
+        raise AssertionError("the explicit channel-step regressor is built only on an SVD fallback")
+
+    monkeypatch.setattr(hris_rx, "channel_code_matrix", explicit)
+    monkeypatch.setattr(bs_rx, "channel_code_matrix", explicit)
+    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, scheme=scheme)
+    rng = np.random.default_rng(23)
+    channels, coding = draw_channels(cfg, rng), build_coding(cfg)
+    sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
+    for noise in (None, rng):
+        y_rc = synth_yrc(cfg, channels, coding, sent, noise)
+        y_bs = synth_ybs(cfg, channels, coding, sent, noise)
+        surface = hris_rx.hris_bals(y_rc, coding)
+        bs = bs_rx.bs_bals(y_bs, ControlLinkPayload(surface.channel), coding)
+        assert surface.fallbacks == bs.fallbacks == 0

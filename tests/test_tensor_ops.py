@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from hrislink.tensor_ops import lstsq_normal, pinv, pinv_with_spectrum, rank1_approx, unfold, unvec, vec
+from hrislink.tensor_ops import lstsq_normal, pinv, pinv_with_spectrum, rank1_approx, solve_gram, unfold, unvec, vec
 
 from oracle_models import fold, mode_n_product, modewise_contraction
 
@@ -332,6 +332,25 @@ def test_lstsq_normal_falls_back_to_pinv(case):
     x, fell_back = lstsq_normal(a, b)
     assert fell_back
     assert np.array_equal(x, pinv(a) @ b)
+
+
+def test_solve_gram_calls_problem_only_on_fallback():
+    calls = []
+
+    def problem_of(a, b):
+        return lambda: calls.append(1) or (a, b)
+
+    rng = np.random.default_rng(97)
+    a, b = with_singular_values(rng, 20, np.array([1.0, 0.5, 0.2, 0.1])), crandn(rng, 20, 2)
+    x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
+    assert not fell_back and not calls
+    assert np.linalg.norm(x - pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
+    for case in ("rank deficient", "all zero"):
+        a, b = fallback_input(case)
+        calls.clear()
+        x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
+        assert fell_back and calls == [1]
+        assert np.array_equal(x, pinv(a) @ b)
 
 
 # --------------------------------------------------------------- rank-1 split
