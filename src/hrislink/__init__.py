@@ -1,7 +1,7 @@
 """Link-level simulator for semi-blind joint channel and symbol estimation
 with a hybrid reflecting/sensing reconfigurable surface."""
 
-from .bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf, remove_ambiguity_bs
+from .bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
 from .coding import CodingSet, build_coding, design_krstc, design_phase_shifts, design_tstc, gen_symbols, qam_constellation
 from .harness import (
     MetricsRecord,
@@ -14,7 +14,7 @@ from .harness import (
     run_trial,
     ser,
 )
-from .hris_rx import hris_bals, hris_kronf, hris_krf, remove_ambiguity_hris
+from .hris_rx import hris_bals, hris_kronf, hris_krf
 from .identifiability import (
     IdentReport,
     RankReport,
@@ -31,6 +31,7 @@ from .rx_common import (
     IdentifiabilityError,
     NonFiniteError,
     RankDeficiencyError,
+    normalize_anchor,
 )
 from .scenario import ChannelRealization, ScenarioConfig, add_noise, draw_channels, link_gains, path_loss
 
@@ -71,13 +72,12 @@ __all__ = [
     "link_gains",
     "min_subframes",
     "nmse",
+    "normalize_anchor",
     "parse_pair",
     "path_loss",
     "qam_constellation",
     "rank_bounds",
     "records_to_csv",
-    "remove_ambiguity_bs",
-    "remove_ambiguity_hris",
     "run_sweep",
     "run_trial",
     "ser",

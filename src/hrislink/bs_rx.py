@@ -45,19 +45,16 @@ from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.p
 class ControlLinkPayload:
     """What the surface controller feeds back to the BS.
 
-    ``scenario`` 1 carries only the UT-side channel estimate; scenario 2
+    Scenario 1 carries only the UT-side channel estimate; scenario 2
     additionally carries the symbol estimate, already anchored.
     """
 
     ut_channel: np.ndarray
     symbols: np.ndarray | None = None
-    scenario: int = 1
 
-    def __post_init__(self):
-        if self.scenario not in (1, 2):
-            raise ValueError(f"scenario must be 1 or 2, got {self.scenario}")
-        if self.scenario == 2 and self.symbols is None:
-            raise ValueError("scenario 2 requires the symbol estimate in the payload")
+    @property
+    def scenario(self) -> int:
+        return 1 if self.symbols is None else 2
 
 
 def _reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ def bs_bals(
 
     report = run_als(y_bs, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda h_hat: (h_hat @ blocks).reshape(-1, d.w))
-    return remove_ambiguity_bs(report) if remove_scaling else report
+    return normalize_anchor(report, per_stream=False) if remove_scaling else report
 
 
 def bs_kronf(
@@ -126,7 +123,7 @@ def bs_kronf(
     h_hat = (math.sqrt(sigma) * u).reshape(n, m).T
     x_hat = (math.sqrt(sigma) * v.conj()).reshape(streams, t)
     report = EstimateReport(h_hat, x_hat)
-    return remove_ambiguity_bs(report) if remove_scaling else report
+    return normalize_anchor(report, per_stream=False) if remove_scaling else report
 
 
 def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
@@ -135,14 +132,9 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     Uses the fed-back channel and symbol estimates as-is; any residual
     scaling they carry is inherited, so no anchor normalization is applied.
     """
-    if payload.scenario != 2 or payload.symbols is None:
+    if payload.symbols is None:
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
     n = check_received(y_bs, coding, "bs_channel_only").n
     channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
     h_hat = unfold(y_bs, 1) @ require_full_rank(channel_step, n, "channel-step regressor")
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))
-
-
-def remove_ambiguity_bs(report: EstimateReport) -> EstimateReport:
-    """Normalize the BS estimates against the (0, 0) anchor symbol."""
-    return normalize_anchor(report, per_stream=False)

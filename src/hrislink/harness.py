@@ -159,11 +159,7 @@ def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOut
 
     try:
         hris_rep = _run_receiver(hris_spec, hris_init, y_rc, coding)
-        payload = bs_rx.ControlLinkPayload(
-            ut_channel=hris_rep.channel,
-            symbols=hris_rep.symbols if bs_spec.scenario == 2 else None,
-            scenario=bs_spec.scenario,
-        )
+        payload = bs_rx.ControlLinkPayload(hris_rep.channel, hris_rep.symbols if bs_spec.scenario == 2 else None)
         bs_rep = _run_receiver(bs_spec, bs_init, y_bs, payload, coding)
     except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:
         return TrialOutcome(failed=True, failure_reason=str(exc))

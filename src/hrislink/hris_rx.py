@@ -18,8 +18,9 @@ stacks.  The closed-form receivers share one rank-checked pseudo-inverse of
 the composite regressor per coding set (:func:`composite_pinv`).
 
 Every receiver ends by removing the scaling ambiguity against the anchor
-symbols, unless ``remove_scaling=False`` (useful to inspect the raw,
-mutually compensating estimates).
+symbols (one scalar for tstc, one per stream for krstc), unless
+``remove_scaling=False`` (useful to inspect the raw, mutually compensating
+estimates).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def hris_bals(
 
     report = run_als(y_rc, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda g_hat: symbol_code_matrix(coding, g_hat))
-    return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
+    return normalize_anchor(report, per_stream=coding.scheme == "krstc") if remove_scaling else report
 
 
 def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -> EstimateReport:
@@ -121,7 +122,7 @@ def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True)
     g_hat = (math.sqrt(sigma) * v.conj()).reshape(l, n).T
     x_hat = (math.sqrt(sigma) * u).reshape(r, t)
     report = EstimateReport(g_hat, x_hat)
-    return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
+    return normalize_anchor(report, per_stream=False) if remove_scaling else report
 
 
 def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -> EstimateReport:
@@ -136,13 +137,4 @@ def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -
         g_hat[:, col] = math.sqrt(sigma) * v.conj()
         x_hat[col] = math.sqrt(sigma) * u
     report = EstimateReport(g_hat, x_hat)
-    return remove_ambiguity_hris(report, coding.scheme) if remove_scaling else report
-
-
-def remove_ambiguity_hris(report: EstimateReport, scheme: str) -> EstimateReport:
-    """Normalize estimates against the anchor symbols.
-
-    tstc: divide the symbols by the (0, 0) anchor and absorb it into the
-    channel.  krstc: same per stream, using the all-ones first column.
-    """
-    return normalize_anchor(report, per_stream=scheme == "krstc")
+    return normalize_anchor(report, per_stream=True) if remove_scaling else report

@@ -45,9 +45,8 @@ class Sizes:
         return self.l * self.w if self.scheme == "tstc" else self.l
 
     @classmethod
-    def of(cls, cfg: ScenarioConfig, scheme: str) -> "Sizes":
-        w = cfg.r if scheme == "tstc" else cfg.l
-        return cls(scheme, cfg.n, cfg.nc, cfg.l, w, cfg.t, cfg.k, cfg.m)
+    def of(cls, cfg: ScenarioConfig) -> "Sizes":
+        return cls(cfg.scheme, cfg.n, cfg.nc, cfg.l, cfg.streams, cfg.t, cfg.k, cfg.m)
 
 
 @dataclass(frozen=True)
@@ -118,34 +117,32 @@ class IdentReport:
     rows: list = field(default_factory=list)
 
 
-def min_subframes(cfg: ScenarioConfig, receiver: str, entity: str, scheme: str | None = None) -> int:
-    scheme = scheme or cfg.scheme
-    return receiver_spec(receiver, entity, scheme).threshold(Sizes.of(cfg, scheme))
+def min_subframes(cfg: ScenarioConfig, receiver: str, entity: str) -> int:
+    return receiver_spec(receiver, entity, cfg.scheme).threshold(Sizes.of(cfg))
 
 
-def check_identifiability(cfg: ScenarioConfig, pair: tuple[str, str], scheme: str | None = None) -> IdentReport:
+def check_identifiability(cfg: ScenarioConfig, pair: tuple[str, str]) -> IdentReport:
     """Check one surface/BS receiver pair; both rows must hold simultaneously."""
-    scheme = scheme or cfg.scheme
-    sizes = Sizes.of(cfg, scheme)
+    sizes = Sizes.of(cfg)
     rows = []
     for receiver, entity in zip(pair, ("hris", "bs")):
-        need = receiver_spec(receiver, entity, scheme).threshold(sizes)
-        rows.append(IdentReport(receiver, entity, scheme, need, cfg.k, cfg.k >= need))
+        need = receiver_spec(receiver, entity, cfg.scheme).threshold(sizes)
+        rows.append(IdentReport(receiver, entity, cfg.scheme, need, cfg.k, cfg.k >= need))
     min_k = max(row.min_k for row in rows)
-    return IdentReport(f"{pair[0]}-{pair[1]}", "pair", scheme, min_k, cfg.k,
+    return IdentReport(f"{pair[0]}-{pair[1]}", "pair", cfg.scheme, min_k, cfg.k,
                        cfg.k >= min_k, rows=rows)
 
 
-def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str], scheme: str | None = None) -> int:
-    """Smallest power-of-two sub-frame count a pair can actually run with.
+def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
+    """Smallest power-of-two sub-frame count that meets a pair's necessary floors.
 
     Covers the identifiability rows plus the construction floors of the
     coding design: the reflecting columns need ``k >= n`` and the Hadamard
-    truncation needs ``k >= r*l`` (tstc) or ``k >= l`` (krstc).
+    truncation needs ``k >= r*l`` (tstc) or ``k >= l`` (krstc).  The floor is
+    necessary, not sufficient: the shipped coding can still be rank deficient.
     """
-    scheme = scheme or cfg.scheme
-    report = check_identifiability(cfg, pair, scheme)
-    floor = max(report.min_k, cfg.n, Sizes.of(cfg, scheme).c)
+    report = check_identifiability(cfg, pair)
+    floor = max(report.min_k, cfg.n, Sizes.of(cfg).c)
     return 1 << max(0, (floor - 1).bit_length())
 
 
@@ -185,15 +182,13 @@ class RankReport:
 
 
 def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
-                coding: CodingSet, symbols: np.ndarray,
-                scheme: str | None = None) -> RankReport:
+                coding: CodingSet, symbols: np.ndarray) -> RankReport:
     """Evaluate the per-block rank bounds on a concrete realization."""
-    scheme = scheme or cfg.scheme
     g, h = realization.ut_ris, realization.ris_bs
     kappa_g = numerical_rank(g)
     kappa_h = numerical_rank(h)
     kappa_x = numerical_rank(symbols)
-    width = Sizes.of(cfg, scheme).w
+    width = coding.streams
 
     from . import bs_rx, hris_rx  # the receiver modules import this one
 
@@ -221,26 +216,26 @@ def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
 def flops_estimate(cfg: ScenarioConfig, receiver: str, entity: str,
                    scheme: str | None = None, iterations: int = 1) -> float:
     """Dominant flop count for one receiver; iterative rows scale with ``iterations``."""
-    scheme = scheme or cfg.scheme
-    spec = receiver_spec(receiver, entity, scheme)
-    flops = spec.flops(Sizes.of(cfg, scheme))
+    # ``scheme`` stays because perfbench/flops.py passes it beside a default config.
+    cfg = cfg.replace(scheme=scheme or cfg.scheme)
+    spec = receiver_spec(receiver, entity, cfg.scheme)
+    flops = spec.flops(Sizes.of(cfg))
     return float(flops * iterations if spec.iterative else flops)
 
 
-def feedback_bits(cfg: ScenarioConfig, scenario: int, scheme: str | None = None) -> int:
+def feedback_bits(cfg: ScenarioConfig, scenario: int) -> int:
     """Control-link load in bits for one coherence block.
 
     Scenario 1 feeds back only the quantized UT-side channel estimate;
     scenario 2 additionally feeds back the decoded data symbols (anchors
     are known and not sent).
     """
-    scheme = scheme or cfg.scheme
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
     channel_bits = cfg.l * cfg.n * cfg.eta
     if scenario == 1:
         return channel_bits
     bits_per_symbol = round(math.log2(cfg.qam_order))
-    if scheme == "tstc":
+    if cfg.scheme == "tstc":
         return (cfg.r * cfg.t - 1) * bits_per_symbol + channel_bits
     return cfg.l * (cfg.t - 1) * bits_per_symbol + channel_bits

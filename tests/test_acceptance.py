@@ -55,11 +55,11 @@ def _passline(num, t0, limit, detail=""):
     print(f"ACCEPTANCE {num}: PASS ({elapsed:.1f}s) {detail}")
 
 
-def recovery_subframes(cfg: ScenarioConfig, pair, scheme) -> int:
+def recovery_subframes(cfg: ScenarioConfig, pair) -> int:
     """Smallest power-of-two K meeting the pair's table rows, the joint
     uniqueness conditions (composite matrix ranks), and the design floors."""
-    rows = check_identifiability(cfg, pair, scheme).min_k
-    if scheme == "tstc":
+    rows = check_identifiability(cfg, pair).min_k
+    if cfg.scheme == "tstc":
         floor = max(rows, cfg.l * cfg.r * cfg.n // cfg.nc, cfg.r * cfg.n,
                     cfg.n, cfg.r * cfg.l)
     else:
@@ -159,7 +159,7 @@ def test_criterion_3_exact_recovery_all_pairs():
     for scheme, pairs in PAIRS.items():
         for pair in pairs:
             cfg = ScenarioConfig(k=16, scheme=scheme, **base)
-            k = recovery_subframes(cfg, pair, scheme)
+            k = recovery_subframes(cfg, pair)
             cfg = cfg.replace(k=k)
             out = run_trial(cfg, pair, seed=trial_seed(33, 0))
             assert not out.failed, (scheme, pair)
@@ -206,7 +206,7 @@ def _truncated(coding, k):
 def test_criterion_4_identifiability_table():
     t0 = time.time()
     defaults = ScenarioConfig()
-    values = [min_subframes(defaults, rx, entity, scheme)
+    values = [min_subframes(defaults.replace(scheme=scheme), rx, entity)
               for rx, entity, scheme, _ in TABLE_ROWS]
     assert values == [expected for *_, expected in TABLE_ROWS]
 
@@ -410,7 +410,7 @@ def test_criterion_9_cost_accounting():
     assert flops_estimate(defaults, "h", "bs", "tstc") == 64 * 1024 * 4
     # five hand-computed feedback loads
     assert feedback_bits(defaults, 1) == 1024
-    assert feedback_bits(defaults, 2, "tstc") == 1066
+    assert feedback_bits(defaults, 2) == 1066
     assert feedback_bits(defaults.replace(scheme="krstc"), 2) == 2 * 3 * 6 + 1024
     assert feedback_bits(defaults.replace(eta=8), 1) == 512
     lone = ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=1, k=4, scheme="krstc")

@@ -9,7 +9,6 @@ from hrislink.bs_rx import (
     bs_channel_only,
     bs_kronf,
     channel_code_matrix,
-    remove_ambiguity_bs,
     symbol_code_matrix,
 )
 from hrislink.coding import CodingSet, build_coding, gen_symbols
@@ -17,6 +16,7 @@ from hrislink.rx_common import (
     EstimateReport,
     IdentifiabilityError,
     RankDeficiencyError,
+    normalize_anchor,
 )
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs
@@ -162,7 +162,7 @@ def test_kronf_exact_recovery_krstc():
 
 def test_channel_only_exact_recovery():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, symbols, scenario=2)
+    payload = ControlLinkPayload(channels.ut_ris, symbols)
     rep = bs_channel_only(y, payload, coding)
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
     assert rep.iterations == 0
@@ -170,14 +170,14 @@ def test_channel_only_exact_recovery():
 
 def test_channel_only_zero_symbols_rank_deficient():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, np.zeros_like(symbols), scenario=2)
+    payload = ControlLinkPayload(channels.ut_ris, np.zeros_like(symbols))
     with pytest.raises(RankDeficiencyError):
         bs_channel_only(y, payload, coding)
 
 
 def test_channel_only_equals_single_bals_channel_step():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, symbols, scenario=2)
+    payload = ControlLinkPayload(channels.ut_ris, symbols)
     rep = bs_channel_only(y, payload, coding)
     from hrislink.tensor_ops import pinv, unfold
     blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix[k] @ symbols
@@ -190,8 +190,8 @@ def test_channel_only_requires_scenario_two():
     cfg, channels, coding, symbols, y = make_case(k=8)
     with pytest.raises(ValueError):
         bs_channel_only(y, ControlLinkPayload(channels.ut_ris), coding)
-    with pytest.raises(ValueError):
-        ControlLinkPayload(channels.ut_ris, None, scenario=2)
+    assert ControlLinkPayload(channels.ut_ris).scenario == 1
+    assert ControlLinkPayload(channels.ut_ris, symbols).scenario == 2
 
 
 # ------------------------------------------------------------------ ambiguity
@@ -201,7 +201,7 @@ def test_remove_ambiguity_anchored_unchanged():
     h = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[0, 0] = 1.0
-    rep = remove_ambiguity_bs(EstimateReport(h.copy(), x.copy()))
+    rep = normalize_anchor(EstimateReport(h.copy(), x.copy()), per_stream=False)
     assert np.allclose(rep.channel, h) and np.allclose(rep.symbols, x)
 
 
@@ -211,7 +211,7 @@ def test_remove_ambiguity_constructed_scalar():
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[0, 0] = 1.0
     beta = -0.4 + 2.2j
-    rep = remove_ambiguity_bs(EstimateReport(h / beta, beta * x))
+    rep = normalize_anchor(EstimateReport(h / beta, beta * x), per_stream=False)
     assert np.allclose(rep.channel, h) and np.allclose(rep.symbols, x)
 
 
@@ -219,7 +219,7 @@ def test_remove_ambiguity_after_kronf_pipeline():
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
     raw = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding, remove_scaling=False)
     # the raw estimates carry a mutual scalar; removal must cancel it
-    fixed = remove_ambiguity_bs(raw)
+    fixed = normalize_anchor(raw, per_stream=False)
     assert nmse(fixed.channel, channels.ris_bs) < 1e-10
     assert nmse(fixed.symbols, symbols) < 1e-10
 
@@ -247,7 +247,7 @@ def test_scalar_ambiguity_law():
 
 def test_channel_only_repeats_exactly():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, symbols, scenario=2)
+    payload = ControlLinkPayload(channels.ut_ris, symbols)
     a = bs_channel_only(y, payload, coding)
     b = bs_channel_only(y, payload, coding)
     assert np.array_equal(a.channel, b.channel)

@@ -16,10 +16,11 @@ from hrislink.harness import (
     ser,
     trial_seed,
 )
-from hrislink import harness
+from hrislink import bs_rx, harness
 from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
 from hrislink.coding import build_coding
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
+from hrislink.identifiability import receiver_spec
 from hrislink.rx_common import IdentifiabilityError, NonFiniteError
 from hrislink.scenario import ScenarioConfig
 
@@ -142,6 +143,26 @@ def test_scenario2_reports_fed_back_ser():
     assert out.iters_bs == 0
 
 
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+@pytest.mark.parametrize("bs_receiver", ["bals", "kronf", "h"])
+def test_trial_feeds_back_symbols_exactly_for_scenario_two(monkeypatch, scheme, bs_receiver):
+    spec = receiver_spec(bs_receiver, "bs", scheme)
+    real = getattr(bs_rx, spec.fn)
+    seen = []
+
+    def record(y_bs, payload, coding, **kw):
+        seen.append(payload)
+        return real(y_bs, payload, coding, **kw)
+
+    monkeypatch.setattr(bs_rx, spec.fn, record)
+    surface = "kronf" if scheme == "tstc" else "krf"
+    out = run_trial(small_cfg(scheme=scheme, noise_dbm=-math.inf), (surface, bs_receiver), seed=5)
+    assert not out.failed
+    [payload] = seen
+    assert (payload.symbols is not None) == (spec.scenario == 2)
+    assert payload.scenario == spec.scenario
+
+
 # ---------------------------------------------------------------------- sweeps
 
 def test_single_point_single_trial_equals_run_trial():
@@ -197,7 +218,7 @@ def test_receivers_reject_non_finite_input(scheme, receiver):
         args = (np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex),)
     else:
         g = np.ones((cfg.n, cfg.l), dtype=complex)
-        payload = ControlLinkPayload(g, np.ones((cfg.streams, cfg.t), dtype=complex), scenario=2)
+        payload = ControlLinkPayload(g, np.ones((cfg.streams, cfg.t), dtype=complex))
         args = (np.full((cfg.m, cfg.t, cfg.k), np.nan, dtype=complex), payload)
     with pytest.raises(NonFiniteError):
         receiver(*args, coding)

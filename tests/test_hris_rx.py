@@ -13,12 +13,11 @@ from hrislink.hris_rx import (
     hris_bals,
     hris_kronf,
     hris_krf,
-    remove_ambiguity_hris,
     symbol_code_matrix,
 )
 from hrislink.identifiability import numerical_rank
 from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, IdentifiabilityError,
-                                RankDeficiencyError, require_full_rank, run_als)
+                                RankDeficiencyError, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
 from hrislink.tensor_ops import pinv, unfold, vec
@@ -235,7 +234,7 @@ def test_remove_ambiguity_anchored_input_unchanged():
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[0, 0] = 1.0
-    rep = remove_ambiguity_hris(EstimateReport(g.copy(), x.copy()), "tstc")
+    rep = normalize_anchor(EstimateReport(g.copy(), x.copy()), per_stream=False)
     assert np.allclose(rep.channel, g) and np.allclose(rep.symbols, x)
 
 
@@ -245,7 +244,7 @@ def test_remove_ambiguity_constructed_scalar():
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[0, 0] = 1.0
     c = 0.3 - 1.7j
-    rep = remove_ambiguity_hris(EstimateReport(g / c, c * x, [4.0, 3.0, 2.0, 1.0], fallbacks=3), "tstc")
+    rep = normalize_anchor(EstimateReport(g / c, c * x, [4.0, 3.0, 2.0, 1.0], fallbacks=3), per_stream=False)
     assert np.allclose(rep.channel, g)
     assert np.allclose(rep.symbols, x)
     assert rep.symbols[0, 0] == 1.0
@@ -259,8 +258,8 @@ def test_remove_ambiguity_constructed_diagonal():
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     x[:, 0] = 1.0
     d = np.array([2.0, -1j])
-    rep = remove_ambiguity_hris(
-        EstimateReport(g / d[None, :], d[:, None] * x), "krstc")
+    rep = normalize_anchor(
+        EstimateReport(g / d[None, :], d[:, None] * x), per_stream=True)
     assert np.all(rep.symbols[:, 0] == 1.0)
     assert np.allclose(rep.symbols, x)
     assert np.allclose(rep.channel, g)
@@ -270,7 +269,7 @@ def test_zero_anchor_raises():
     g = np.ones((2, 2), dtype=complex)
     x = np.zeros((2, 3), dtype=complex)
     with pytest.raises(AmbiguityError):
-        remove_ambiguity_hris(EstimateReport(g, x), "tstc")
+        normalize_anchor(EstimateReport(g, x), per_stream=False)
 
 
 # ---------------------------------------------------------------- invariants

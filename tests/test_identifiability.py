@@ -1,10 +1,17 @@
 """Threshold table, rank bounds, and cost accounting."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.identifiability import (
+    RECEIVERS,
+    Sizes,
     check_identifiability,
     feasible_subframes,
     feedback_bits,
@@ -12,6 +19,7 @@ from hrislink.identifiability import (
     min_subframes,
     rank_bounds,
 )
+from hrislink.rx_common import check_received
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 
 DEFAULTS = ScenarioConfig()
@@ -33,23 +41,23 @@ TABLE_AT_DEFAULTS = [
 
 @pytest.mark.parametrize("receiver,entity,scheme,expected", TABLE_AT_DEFAULTS)
 def test_min_subframes_default_table(receiver, entity, scheme, expected):
-    assert min_subframes(DEFAULTS, receiver, entity, scheme) == expected
+    assert min_subframes(DEFAULTS.replace(scheme=scheme), receiver, entity) == expected
 
 
 def test_min_subframes_ceiling_arithmetic():
     # fractional interior values must round up
     cfg = ScenarioConfig(m=8, n=30, nc=2, l=2, r=2, t=4, k=64)
-    assert min_subframes(cfg, "bals", "hris", "tstc") == 8   # ceil(max(2, 15)/2)
-    assert min_subframes(cfg, "h", "bs", "tstc") == 8        # ceil(30/4)
+    assert min_subframes(cfg, "bals", "hris") == 8   # ceil(max(2, 15)/2)
+    assert min_subframes(cfg, "h", "bs") == 8        # ceil(30/4)
     cfg2 = ScenarioConfig(m=8, n=32, nc=3, l=2, r=2, t=4, k=64)
-    assert min_subframes(cfg2, "kronf", "hris", "tstc") == 43  # ceil(128/3)
+    assert min_subframes(cfg2, "kronf", "hris") == 43  # ceil(128/3)
 
 
 def test_min_subframes_unknown_combo():
     with pytest.raises(ValueError):
-        min_subframes(DEFAULTS, "kronf", "hris", "krstc")
+        min_subframes(DEFAULTS.replace(scheme="krstc"), "kronf", "hris")
     with pytest.raises(ValueError):
-        min_subframes(DEFAULTS, "h", "hris", "tstc")
+        min_subframes(DEFAULTS, "h", "hris")
 
 
 def test_check_identifiability_pairs():
@@ -79,6 +87,35 @@ def test_feasible_subframes_covers_design_floors():
     assert feasible_subframes(kr, ("krf", "kronf")) == 16
 
 
+@st.composite
+def feasible_configs(draw):
+    """A config whose ``k`` meets the floors of every pair of its scheme."""
+    scheme = draw(st.sampled_from(["tstc", "krstc"]))
+    l = draw(st.integers(1, 3))
+    r = l if scheme == "krstc" else draw(st.integers(1, 3))
+    cfg = ScenarioConfig(m=draw(st.integers(1, 4)), n=draw(st.integers(1, 8)), nc=draw(st.integers(1, 3)),
+                         l=l, r=r, t=draw(st.integers(1, 5)), k=1, scheme=scheme)
+    names = {entity: [s.name for s in RECEIVERS if s.entity == entity and scheme in s.schemes]
+             for entity in ("hris", "bs")}
+    k = max(feasible_subframes(cfg, pair) for pair in itertools.product(names["hris"], names["bs"]))
+    return cfg.replace(k=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=feasible_configs())
+def test_sizes_from_config_match_sizes_from_coding(cfg):
+    # The sweep's pre-check reads Sizes.of(cfg); each receiver reads check_received.
+    coding = build_coding(cfg)
+    expected = Sizes.of(cfg)
+    for spec in RECEIVERS:
+        if cfg.scheme not in spec.schemes:
+            continue
+        rows = cfg.nc if spec.entity == "hris" else cfg.m
+        got = check_received(np.zeros((rows, cfg.t, cfg.k), dtype=complex), coding, spec.fn)
+        assert got == (expected if spec.entity == "bs" else replace(expected, m=None)), spec.fn
+        assert spec.threshold(got) == spec.threshold(expected) == min_subframes(cfg, spec.name, spec.entity)
+
+
 # ----------------------------------------------------------------- rank bounds
 
 def random_full_rank_coding(cfg, rng):
@@ -92,8 +129,9 @@ def random_full_rank_coding(cfg, rng):
     return CodingSet("krstc", phi, psi, np.sign(rng.standard_normal((cfg.k, cfg.l))))
 
 
-def test_rank_bounds_full_rank_realization():
-    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=8, rho=0.5)
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_rank_bounds_full_rank_realization(scheme):
+    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=8, rho=0.5, scheme=scheme)
     rng = np.random.default_rng(0)
     channels = draw_channels(cfg, rng)
     coding = random_full_rank_coding(cfg, rng)
@@ -105,15 +143,17 @@ def test_rank_bounds_full_rank_realization():
     assert rep.zeta_x == rep.zeta_x_bound == 2
 
 
-def test_rank_bounds_hold_with_shipped_design():
-    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=8, rho=0.5)
+# tstc: Hadamard mixing slices are rank one, so the observed block rank is 1.
+# krstc: the mixing slices diag(code[k]) are +-1 diagonals, so it reaches the bound 2.
+@pytest.mark.parametrize("scheme,zeta_x", [("tstc", 1), ("krstc", 2)])
+def test_rank_bounds_hold_with_shipped_design(scheme, zeta_x):
+    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=8, rho=0.5, scheme=scheme)
     rng = np.random.default_rng(1)
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     rep = rank_bounds(cfg, channels, coding, gen_symbols(cfg, rng))
     assert rep.ok
-    # Hadamard mixing slices are rank one, so the observed block rank is 1
-    assert rep.zeta_x == 1 <= rep.zeta_x_bound
+    assert rep.zeta_x == zeta_x <= rep.zeta_x_bound
 
 
 def test_rank_bounds_rank_one_channel():
@@ -155,7 +195,7 @@ def test_flops_hand_computed():
 
 def test_feedback_bits_hand_computed():
     assert feedback_bits(DEFAULTS, 1) == 1024
-    assert feedback_bits(DEFAULTS, 2, "tstc") == 1066
+    assert feedback_bits(DEFAULTS, 2) == 1066
     kr = DEFAULTS.replace(scheme="krstc")
     assert feedback_bits(kr, 2) == 2 * 3 * 6 + 1024
     single = ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=1, k=4, scheme="krstc")

@@ -1,0 +1,13 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    [example] = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    exec(compile(example, str(README), "exec"), {})
+    nmses = [float(line) for line in capsys.readouterr().out.split()]
+    assert len(nmses) == 2 and all(value < 1e-10 for value in nmses)
