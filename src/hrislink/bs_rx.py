@@ -29,8 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import CodingSet
+from .identifiability import Sizes
 from .rx_common import (
     EstimateReport,
+    NonFiniteError,
     check_received,
     init_symbols,
     normalize_anchor,
@@ -57,6 +59,21 @@ class ControlLinkPayload:
         return 1 if self.symbols is None else 2
 
 
+def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, fn: str) -> Sizes:
+    """:func:`check_received`, then the fed-back ``(n, l)`` channel and, if sent, ``(streams, t)`` symbols.
+
+    A wrong shape raises ``ValueError``, a non-finite entry :class:`NonFiniteError`.
+    """
+    d = check_received(y_bs, coding, fn)
+    for name, shape in (("ut_channel", (d.n, d.l)), ("symbols", (d.w, d.t))):
+        value = getattr(payload, name)
+        if value is not None and np.shape(value) != shape:
+            raise ValueError(f"fed-back {name} must be {shape}, got {np.shape(value)}")
+        if value is not None and not np.isfinite(value).all():
+            raise NonFiniteError(f"fed-back {name} has non-finite entries")
+    return d
+
+
 def _reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
     """Effective source matrices ``diag(psi_k) @ G @ mix_k``, stacked: ``(k, n, streams)``."""
     return coding.reflect[:, :, None] * (ut_channel @ coding.mix)
@@ -73,15 +90,9 @@ def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np
     return (bs_channel @ _reflect_blocks(coding, ut_channel)).reshape(-1, coding.streams)
 
 
-def bs_bals(
-    y_bs: np.ndarray,
-    payload: ControlLinkPayload,
-    coding: CodingSet,
-    init_seed: int = 0,
-    remove_scaling: bool = True,
-) -> EstimateReport:
+def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols."""
-    d = check_received(y_bs, coding, "bs_bals")
+    d = _check_inputs(y_bs, payload, coding, "bs_bals")
     g = payload.ut_channel
     blocks = _reflect_blocks(coding, g)                              # B_k, (k, n, w)
     b_cat = blocks.transpose(1, 0, 2).reshape(d.n, -1)              # [B_1 ... B_K], (n, k*w)
@@ -99,20 +110,15 @@ def bs_bals(
 
     report = run_als(y_bs, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda h_hat: (h_hat @ blocks).reshape(-1, d.w))
-    return normalize_anchor(report, per_stream=False) if remove_scaling else report
+    return normalize_anchor(report, per_stream=False)
 
 
-def bs_kronf(
-    y_bs: np.ndarray,
-    payload: ControlLinkPayload,
-    coding: CodingSet,
-    remove_scaling: bool = True,
-) -> EstimateReport:
+def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
     """Closed-form estimation via Kronecker factorization of the composite.
 
     Column ``k`` of the composite right factor is ``vec(diag(psi_k) @ G @ mix_k)``.
     """
-    d = check_received(y_bs, coding, "bs_kronf")
+    d = _check_inputs(y_bs, payload, coding, "bs_kronf")
     m, t, n, streams = d.m, d.t, d.n, d.w
     blocks = _reflect_blocks(coding, payload.ut_channel)           # (k, n, streams)
     right = blocks.transpose(0, 2, 1).reshape(d.k, -1).T            # (streams*n, k)
@@ -122,8 +128,7 @@ def bs_kronf(
     u, sigma, v = rank1_approx(rearranged)
     h_hat = (math.sqrt(sigma) * u).reshape(n, m).T
     x_hat = (math.sqrt(sigma) * v.conj()).reshape(streams, t)
-    report = EstimateReport(h_hat, x_hat)
-    return normalize_anchor(report, per_stream=False) if remove_scaling else report
+    return normalize_anchor(EstimateReport(h_hat, x_hat), per_stream=False)
 
 
 def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
@@ -134,7 +139,7 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     """
     if payload.symbols is None:
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
-    n = check_received(y_bs, coding, "bs_channel_only").n
+    n = _check_inputs(y_bs, payload, coding, "bs_channel_only").n
     channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
     h_hat = unfold(y_bs, 1) @ require_full_rank(channel_step, n, "channel-step regressor")
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))

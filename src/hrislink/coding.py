@@ -10,14 +10,12 @@ entry has magnitude ``sqrt((1-rho)/nc)`` and every reflecting entry
 
 :func:`build_coding` shares one read-only :class:`CodingSet` per coding
 configuration, with the sub-frame-major stacks every regressor and the
-synthesis multiply against, and keeps what the receivers derive from it
-(:meth:`CodingSet.cached`): once per coding, not per trial.
+synthesis multiply against: built once per coding, not per trial.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,8 +25,9 @@ from scipy.linalg import dft, hadamard
 from .scenario import ScenarioConfig
 
 
-# Distinct codings kept by build_coding; a sweep over pt or over trials needs one.
-_CODINGS_KEPT = 8
+# Distinct codings kept by build_coding and by the receivers' per-coding
+# caches; a sweep over pt or over trials needs one.
+CODINGS_KEPT = 8
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -48,8 +47,8 @@ class CodingSet:
     matrices ``mix_k`` as ``(k, l, streams)`` (``diag(code[k])`` for krstc).
 
     The arrays are read-only copies of the ones passed in, so the stacks and
-    the products kept by :meth:`cached` can never go stale; equality and
-    hashing are by identity.
+    anything derived from them can never go stale; equality and hashing are
+    by identity.
     """
 
     scheme: str
@@ -58,7 +57,6 @@ class CodingSet:
     code: np.ndarray
     phi: np.ndarray = field(init=False, repr=False)
     mix: np.ndarray = field(init=False, repr=False)
-    _products: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("sensing", "reflect", "code"):
@@ -68,15 +66,6 @@ class CodingSet:
                else np.where(np.eye(code.shape[1], dtype=bool), code[:, None, :], 0.0))
         object.__setattr__(self, "phi", _read_only(self.sensing.transpose(2, 0, 1).copy()))
         object.__setattr__(self, "mix", _read_only(mix))
-
-    def cached(self, key: str, build: Callable[["CodingSet"], np.ndarray]) -> np.ndarray:
-        """``build(self)``, computed on the first call for ``key`` and kept read-only.
-
-        A ``build`` that raises keeps nothing, so it raises again on every call.
-        """
-        if key not in self._products:
-            self._products[key] = _read_only(build(self))
-        return self._products[key]
 
     @property
     def subframes(self) -> int:
@@ -153,7 +142,7 @@ def build_coding(cfg: ScenarioConfig) -> CodingSet:
     return _coding(cfg.scheme, cfg.nc, cfg.n, cfg.k, cfg.rho, cfg.l, cfg.r)
 
 
-@lru_cache(maxsize=_CODINGS_KEPT)
+@lru_cache(maxsize=CODINGS_KEPT)
 def _coding(scheme: str, nc: int, n: int, k: int, rho: float, l: int, r: int) -> CodingSet:
     cfg = ScenarioConfig(n=n, nc=nc, k=k, rho=rho, l=l, r=r, scheme=scheme)
     phi, psi = design_phase_shifts(cfg)

@@ -18,18 +18,17 @@ stacks.  The closed-form receivers share one rank-checked pseudo-inverse of
 the composite regressor per coding set (:func:`composite_pinv`).
 
 Every receiver ends by removing the scaling ambiguity against the anchor
-symbols (one scalar for tstc, one per stream for krstc), unless
-``remove_scaling=False`` (useful to inspect the raw, mutually compensating
-estimates).
+symbols (one scalar for tstc, one per stream for krstc).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .coding import CodingSet
+from .coding import CODINGS_KEPT, CodingSet
 from .rx_common import (
     EstimateReport,
     check_received,
@@ -71,24 +70,21 @@ def composite_code_matrix(coding: CodingSet) -> np.ndarray:
     return _stacked_kron(weights[:, None, :], coding.phi)
 
 
+@lru_cache(maxsize=CODINGS_KEPT)
 def composite_pinv(coding: CodingSet) -> np.ndarray:
     """Pseudo-inverse of the full-column-rank composite regressor, once per coding set.
 
-    Raises :class:`RankDeficiencyError` on every call for a coding whose
-    composite regressor is rank deficient.
+    The result is read-only and shared; the last ``CODINGS_KEPT`` codings keep
+    theirs.  A coding whose composite regressor is rank deficient raises
+    :class:`RankDeficiencyError` on every call.
     """
-    def build(coding):
-        fxg = composite_code_matrix(coding)
-        return require_full_rank(fxg, fxg.shape[1], "composite code matrix")
-    return coding.cached("hris_composite_pinv", build)
+    fxg = composite_code_matrix(coding)
+    inverse = require_full_rank(fxg, fxg.shape[1], "composite code matrix")
+    inverse.flags.writeable = False
+    return inverse
 
 
-def hris_bals(
-    y_rc: np.ndarray,
-    coding: CodingSet,
-    init_seed: int = 0,
-    remove_scaling: bool = True,
-) -> EstimateReport:
+def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
     n, l, t, k = d.n, d.l, d.t, d.k
@@ -109,10 +105,10 @@ def hris_bals(
 
     report = run_als(y_rc, init_symbols(d.w, d.t, init_seed), channel_step,
                      lambda g_hat: symbol_code_matrix(coding, g_hat))
-    return normalize_anchor(report, per_stream=coding.scheme == "krstc") if remove_scaling else report
+    return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 
 
-def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -> EstimateReport:
+def hris_kronf(y_rc: np.ndarray, coding: CodingSet) -> EstimateReport:
     """Closed-form tstc receiver via Kronecker factorization of the composite."""
     d = check_received(y_rc, coding, "hris_kronf")
     n, l, r, t = d.n, d.l, d.w, d.t
@@ -121,11 +117,10 @@ def hris_kronf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True)
     u, sigma, v = rank1_approx(rearranged)
     g_hat = (math.sqrt(sigma) * v.conj()).reshape(l, n).T
     x_hat = (math.sqrt(sigma) * u).reshape(r, t)
-    report = EstimateReport(g_hat, x_hat)
-    return normalize_anchor(report, per_stream=False) if remove_scaling else report
+    return normalize_anchor(EstimateReport(g_hat, x_hat), per_stream=False)
 
 
-def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -> EstimateReport:
+def hris_krf(y_rc: np.ndarray, coding: CodingSet) -> EstimateReport:
     """Closed-form krstc receiver via per-stream Khatri-Rao factorization."""
     d = check_received(y_rc, coding, "hris_krf")
     n, l, t = d.n, d.l, d.t
@@ -136,5 +131,4 @@ def hris_krf(y_rc: np.ndarray, coding: CodingSet, remove_scaling: bool = True) -
         u, sigma, v = rank1_approx(composite[:, col])
         g_hat[:, col] = math.sqrt(sigma) * v.conj()
         x_hat[col] = math.sqrt(sigma) * u
-    report = EstimateReport(g_hat, x_hat)
-    return normalize_anchor(report, per_stream=True) if remove_scaling else report
+    return normalize_anchor(EstimateReport(g_hat, x_hat), per_stream=True)

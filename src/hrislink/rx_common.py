@@ -35,7 +35,7 @@ class AmbiguityError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """The received tensor holds NaN or infinite entries."""
+    """A received tensor or a fed-back estimate holds NaN or infinite entries."""
 
 
 @dataclass

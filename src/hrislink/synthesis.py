@@ -8,7 +8,9 @@ Per sub-frame ``k`` the noiseless slices are
 where ``mix_k`` is the dense tstc mixing matrix or ``diag(lambda_k)`` for
 krstc.  Both are batched matrix products over the sub-frame axis, in a
 fixed order, against the coding set's ``phi`` and ``mix`` stacks.
-Noise is added after the full noiseless synthesis so the noiseless path
+Noise of power ``cfg.noise_watts`` is added after the full noiseless
+synthesis, drawn from the caller's generator; a config with
+``noise_dbm=-inf`` draws nothing and gives the noiseless signal, which
 doubles as an oracle.  The caller is responsible for scaling the symbol
 matrix by the transmit amplitude.
 """
@@ -41,9 +43,9 @@ def synth_yrc(
     channels: ChannelRealization,
     coding: CodingSet,
     symbols: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sensed signal tensor of shape ``(nc, t, k)``; noiseless when ``rng`` is None."""
+    """Sensed signal tensor of shape ``(nc, t, k)``, noise included."""
     _check_dims(cfg, channels, coding, symbols)
     return _received(cfg, (coding.phi @ channels.ut_ris) @ (coding.mix @ symbols), rng)
 
@@ -53,15 +55,14 @@ def synth_ybs(
     channels: ChannelRealization,
     coding: CodingSet,
     symbols: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Reflected signal tensor of shape ``(m, t, k)``; noiseless when ``rng`` is None."""
+    """Reflected signal tensor of shape ``(m, t, k)``, noise included."""
     _check_dims(cfg, channels, coding, symbols)
     cascade = channels.ris_bs @ (coding.reflect[:, :, None] * channels.ut_ris)   # (k, m, l)
     return _received(cfg, cascade @ (coding.mix @ symbols), rng)
 
 
-def _received(cfg: ScenarioConfig, slices: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-    """The ``(k, rows, t)`` slices as a ``(rows, t, k)`` tensor, plus noise unless ``rng`` is None."""
-    y = np.ascontiguousarray(slices.transpose(1, 2, 0))
-    return y if rng is None else add_noise(y, cfg.noise_watts, rng)
+def _received(cfg: ScenarioConfig, slices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The ``(k, rows, t)`` slices as a ``(rows, t, k)`` tensor, plus noise."""
+    return add_noise(np.ascontiguousarray(slices.transpose(1, 2, 0)), cfg.noise_watts, rng)

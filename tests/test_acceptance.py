@@ -133,12 +133,12 @@ def test_criterion_2_model_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(7)
     for _ in range(20):
-        cfg = _random_small_config(rng)
+        cfg = _random_small_config(rng).replace(noise_dbm=-math.inf)
         channels = draw_channels(cfg, rng)
         coding = build_coding(cfg)
         symbols = gen_symbols(cfg, rng)
-        y_rc = synth_yrc(cfg, channels, coding, symbols)
-        y_bs = synth_ybs(cfg, channels, coding, symbols)
+        y_rc = synth_yrc(cfg, channels, coding, symbols, rng)
+        y_bs = synth_ybs(cfg, channels, coding, symbols, rng)
         assert np.max(np.abs(y_rc - sensed_tensor_form(channels, coding, symbols))) < 1e-12
         assert np.max(np.abs(y_bs - reflected_tensor_form(channels, coding, symbols))) < 1e-12
         for _ in range(10):
@@ -174,7 +174,7 @@ def test_criterion_3_exact_recovery_all_pairs():
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y_bs = synth_ybs(cfg, channels, coding, symbols)
+    y_bs = synth_ybs(cfg, channels, coding, symbols, rng)
     exh = khatri_rao(coding.code.T, coding.reflect.T)
     right = vec(channels.ut_ris)[:, None] * exh
     z = unfold(y_bs, 3).T @ pinv(right)
@@ -216,11 +216,11 @@ def test_criterion_4_identifiability_table():
     def fresh(scheme, k):
         cfg = ScenarioConfig(k=k, scheme=scheme, **base)
         rng = np.random.default_rng(99)
-        return cfg, draw_channels(cfg, rng), build_coding(cfg), gen_symbols(cfg, rng)
+        return cfg, draw_channels(cfg, rng), build_coding(cfg), gen_symbols(cfg, rng), rng
 
     # surface closed-form, tstc: threshold l*r*n/nc = 16
-    cfg, ch, cod, x = fresh("tstc", 16)
-    y = synth_yrc(cfg, ch, cod, x)
+    cfg, ch, cod, x, rng = fresh("tstc", 16)
+    y = synth_yrc(cfg, ch, cod, x, rng)
     rep = hris_kronf(y, cod)
     assert hl.nmse(rep.channel, ch.ut_ris) < 1e-10
     assert hl.nmse(rep.symbols, x) < 1e-10
@@ -228,15 +228,15 @@ def test_criterion_4_identifiability_table():
         hris_kronf(y[:, :, :15], _truncated(cod, 15))
 
     # bs closed-form, tstc: threshold r*n = 16
-    y = synth_ybs(cfg, ch, cod, x)
+    y = synth_ybs(cfg, ch, cod, x, rng)
     rep = bs_kronf(y, ControlLinkPayload(ch.ut_ris), cod)
     assert hl.nmse(rep.channel, ch.ris_bs) < 1e-10
     with pytest.raises(IdentifiabilityError):
         bs_kronf(y[:, :, :15], ControlLinkPayload(ch.ut_ris), _truncated(cod, 15))
 
     # surface closed-form, krstc: threshold l*n/nc = 8
-    cfg, ch, cod, x = fresh("krstc", 8)
-    y = synth_yrc(cfg, ch, cod, x)
+    cfg, ch, cod, x, rng = fresh("krstc", 8)
+    y = synth_yrc(cfg, ch, cod, x, rng)
     rep = hris_krf(y, cod)
     assert hl.nmse(rep.channel, ch.ut_ris) < 1e-10
     assert hl.nmse(rep.symbols, x) < 1e-10
@@ -244,8 +244,8 @@ def test_criterion_4_identifiability_table():
         hris_krf(y[:, :, :7], _truncated(cod, 7))
 
     # bs closed-form, krstc: threshold l*n = 16
-    cfg, ch, cod, x = fresh("krstc", 16)
-    y = synth_ybs(cfg, ch, cod, x)
+    cfg, ch, cod, x, rng = fresh("krstc", 16)
+    y = synth_ybs(cfg, ch, cod, x, rng)
     rep = bs_kronf(y, ControlLinkPayload(ch.ut_ris), cod)
     assert hl.nmse(rep.channel, ch.ris_bs) < 1e-10
     with pytest.raises(IdentifiabilityError):

@@ -1,5 +1,7 @@
 """BS-side receivers: design matrices, recovery oracles, ambiguity removal."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.rx_common import (
     EstimateReport,
     IdentifiabilityError,
+    NonFiniteError,
     RankDeficiencyError,
     normalize_anchor,
 )
@@ -31,7 +34,7 @@ def make_case(seed=0, scheme="tstc", **kw):
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_ybs(cfg, channels, coding, symbols)
+    y = synth_ybs(cfg.replace(noise_dbm=-math.inf), channels, coding, symbols, rng)
     return cfg, channels, coding, symbols, y
 
 
@@ -81,11 +84,11 @@ def test_bals_residual_trace_nonincreasing():
 
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
-def test_bals_residual_is_the_squared_symbol_step_misfit(scheme):
+def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
     y = synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, np.random.default_rng(5))
     payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
-    rep = bs_bals(y, payload, coding, remove_scaling=False)
+    rep = bs_bals(y, payload, coding)
     misfit = unfold(y, 2).T - symbol_code_matrix(coding, payload.ut_channel, rep.channel) @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
@@ -103,11 +106,11 @@ def test_bals_true_init_converges_immediately():
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
 
 
-def test_bals_counts_svd_fallbacks():
+def test_bals_counts_svd_fallbacks(raw_estimates):
     # an all-zero fed-back channel zeroes both regressors, so neither Gram has a Cholesky factor
     cfg, channels, coding, symbols, y = make_case()
     zero = ControlLinkPayload(np.zeros_like(channels.ut_ris))
-    rep = bs_bals(y, zero, coding, remove_scaling=False)
+    rep = bs_bals(y, zero, coding)
     assert rep.fallbacks >= 1
     for estimate in (rep.channel, rep.symbols):
         assert np.isfinite(estimate).all() and not estimate.any()
@@ -194,6 +197,38 @@ def test_channel_only_requires_scenario_two():
     assert ControlLinkPayload(channels.ut_ris, symbols).scenario == 2
 
 
+# --------------------------------------------------------------- payload checks
+
+BS_RECEIVERS = [bs_bals, bs_kronf, bs_channel_only]
+
+
+@pytest.mark.parametrize("receiver", BS_RECEIVERS)
+def test_wrong_ut_channel_shape_rejected(receiver):
+    # a (1, l) channel would broadcast against the (n, l) one the BS expects
+    cfg, channels, coding, symbols, y = make_case()
+    payload = ControlLinkPayload(np.ones((1, cfg.l)), symbols)
+    with pytest.raises(ValueError, match=r"^fed-back ut_channel must be \(8, 2\), got \(1, 2\)$"):
+        receiver(y, payload, coding)
+
+
+@pytest.mark.parametrize("receiver", BS_RECEIVERS)
+def test_wrong_symbol_shape_rejected(receiver):
+    cfg, channels, coding, symbols, y = make_case()
+    payload = ControlLinkPayload(channels.ut_ris, symbols[:, :2])
+    with pytest.raises(ValueError, match=r"^fed-back symbols must be \(2, 4\), got \(2, 2\)$"):
+        receiver(y, payload, coding)
+
+
+@pytest.mark.parametrize("receiver", BS_RECEIVERS)
+@pytest.mark.parametrize("name", ["ut_channel", "symbols"])
+def test_non_finite_payload_raises(receiver, name):
+    cfg, channels, coding, symbols, y = make_case()
+    fed_back = {"ut_channel": channels.ut_ris.copy(), "symbols": symbols.copy()}
+    fed_back[name][0, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=f"fed-back {name} has non-finite entries"):
+        receiver(y, ControlLinkPayload(**fed_back), coding)
+
+
 # ------------------------------------------------------------------ ambiguity
 
 def test_remove_ambiguity_anchored_unchanged():
@@ -215,9 +250,9 @@ def test_remove_ambiguity_constructed_scalar():
     assert np.allclose(rep.channel, h) and np.allclose(rep.symbols, x)
 
 
-def test_remove_ambiguity_after_kronf_pipeline():
+def test_remove_ambiguity_after_kronf_pipeline(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    raw = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding, remove_scaling=False)
+    raw = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
     # the raw estimates carry a mutual scalar; removal must cancel it
     fixed = normalize_anchor(raw, per_stream=False)
     assert nmse(fixed.channel, channels.ris_bs) < 1e-10
@@ -226,18 +261,18 @@ def test_remove_ambiguity_after_kronf_pipeline():
 
 # ---------------------------------------------------------------- invariants
 
-def test_reconstruction_compensation_before_removal():
+def test_reconstruction_compensation_before_removal(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding, remove_scaling=False)
+    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
     for k in (0, cfg.k - 1):
         recon = (rep.channel @ np.diag(coding.reflect[k]) @ channels.ut_ris
                  @ coding.mix[k] @ rep.symbols)
         assert np.linalg.norm(recon - y[:, :, k]) < 1e-10 * max(1.0, np.linalg.norm(y[:, :, k]))
 
 
-def test_scalar_ambiguity_law():
+def test_scalar_ambiguity_law(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding, remove_scaling=False)
+    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
     x_ratio = rep.symbols / symbols
     h_ratio = channels.ris_bs / rep.channel
     assert np.max(np.abs(x_ratio - x_ratio[0, 0])) < 1e-8 * abs(x_ratio[0, 0])

@@ -1,6 +1,7 @@
 """Metrics, trial pipeline, sweep aggregation, and determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hrislink.harness import (
     ser,
     trial_seed,
 )
-from hrislink import bs_rx, harness
+from hrislink import bs_rx, harness, hris_rx
 from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
 from hrislink.coding import build_coding
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
@@ -225,12 +226,23 @@ def test_receivers_reject_non_finite_input(scheme, receiver):
 
 
 def test_non_finite_signal_is_a_failed_trial(monkeypatch):
-    def nan_yrc(cfg, channels, coding, symbols, rng=None):
+    def nan_yrc(cfg, channels, coding, symbols, rng):
         return np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex)
 
     monkeypatch.setattr(harness, "synth_yrc", nan_yrc)
     out = run_trial(small_cfg(), ("kronf", "bals"), trial_seed(0, 0))
     assert out.failed and "non-finite" in out.failure_reason
+
+
+def test_non_finite_feedback_is_a_failed_trial(monkeypatch):
+    def nan_channel(y_rc, coding):
+        report = hris_kronf(y_rc, coding)
+        return replace(report, channel=np.full_like(report.channel, np.nan))
+
+    monkeypatch.setattr(hris_rx, "hris_kronf", nan_channel)
+    for bs in ("bals", "kronf", "h"):
+        out = run_trial(small_cfg(), ("kronf", bs), trial_seed(0, 0))
+        assert out.failed and "fed-back ut_channel has non-finite entries" in out.failure_reason, bs
 
 
 @pytest.mark.parametrize("noise_dbm", [-90.0, -math.inf])

@@ -1,6 +1,7 @@
 """Surface-side receivers: design matrices, recovery oracles, ambiguities."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def make_case(seed=0, scheme="tstc", **kw):
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_yrc(cfg, channels, coding, symbols)
+    y = synth_yrc(cfg.replace(noise_dbm=-math.inf), channels, coding, symbols, rng)
     return cfg, channels, coding, symbols, y
 
 
@@ -97,10 +98,10 @@ def test_bals_residual_trace_nonincreasing():
 
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
-def test_bals_residual_is_the_squared_symbol_step_misfit(scheme):
+def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=3, scheme=scheme)
     y = synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, np.random.default_rng(10))
-    rep = hris_bals(y, coding, remove_scaling=False)
+    rep = hris_bals(y, coding)
     misfit = unfold(y, 2).T - symbol_code_matrix(coding, rep.channel) @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
@@ -130,9 +131,9 @@ def test_bals_solves_take_no_fallback_on_ordinary_input(scheme):
     assert closed_form(noisy, coding).fallbacks == 0
 
 
-def test_bals_counts_svd_fallbacks():
+def test_bals_counts_svd_fallbacks(raw_estimates):
     # an all-zero input gives an all-zero channel estimate, whose symbol-step Gram has no Cholesky factor
-    rep = hris_bals(np.zeros((2, 4, 64), complex), build_coding(ScenarioConfig()), remove_scaling=False)
+    rep = hris_bals(np.zeros((2, 4, 64), complex), build_coding(ScenarioConfig()))
     assert rep.fallbacks >= 1
     for estimate in (rep.channel, rep.symbols):
         assert np.isfinite(estimate).all() and not estimate.any()
@@ -220,7 +221,7 @@ def test_krf_single_antenna_matches_kronf():
     cfg_k = ScenarioConfig(scheme="krstc", **kw)
     coding_k = build_coding(cfg_k)
     assert np.allclose(coding_t.code[:, 0, :].T, coding_k.code)
-    y_k = synth_yrc(cfg_k, channels, coding_k, symbols)
+    y_k = synth_yrc(cfg_k.replace(noise_dbm=-math.inf), channels, coding_k, symbols, np.random.default_rng(0))
     rep_t = hris_kronf(y_t, coding_t)
     rep_k = hris_krf(y_k, coding_k)
     assert np.allclose(rep_t.channel, rep_k.channel, atol=1e-10)
@@ -278,9 +279,9 @@ def test_zero_anchor_raises():
     ("tstc", hris_bals), ("tstc", hris_kronf),
     ("krstc", hris_bals), ("krstc", hris_krf),
 ])
-def test_compensation_law_before_removal(scheme, receiver):
+def test_compensation_law_before_removal(scheme, receiver, raw_estimates):
     cfg, channels, coding, symbols, y = make_case(scheme=scheme, n=4, k=32)
-    rep = receiver(y, coding, remove_scaling=False)
+    rep = receiver(y, coding)
     for k in (0, cfg.k // 2, cfg.k - 1):
         recon = (coding.sensing[:, :, k] @ rep.channel
                  @ coding.mix[k] @ rep.symbols)
@@ -289,9 +290,9 @@ def test_compensation_law_before_removal(scheme, receiver):
         assert np.linalg.norm(recon - truth) < 1e-10 * max(1.0, np.linalg.norm(truth))
 
 
-def test_uniqueness_scalar_ratio_tstc():
+def test_uniqueness_scalar_ratio_tstc(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    rep = hris_kronf(y, coding, remove_scaling=False)
+    rep = hris_kronf(y, coding)
     ratios = rep.symbols / symbols
     assert np.max(np.abs(ratios - ratios[0, 0])) < 1e-8 * abs(ratios[0, 0])
     g_ratio = rep.channel / channels.ut_ris
@@ -299,9 +300,9 @@ def test_uniqueness_scalar_ratio_tstc():
     assert abs(ratios[0, 0] * g_ratio[0, 0] - 1) < 1e-8
 
 
-def test_uniqueness_diagonal_ratio_krstc():
+def test_uniqueness_diagonal_ratio_krstc(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(scheme="krstc", n=4, k=16)
-    rep = hris_krf(y, coding, remove_scaling=False)
+    rep = hris_krf(y, coding)
     for stream in range(cfg.l):
         row_ratio = rep.symbols[stream] / symbols[stream]
         col_ratio = rep.channel[:, stream] / channels.ut_ris[:, stream]

@@ -1,6 +1,9 @@
-"""The package's public names: every entry of ``__all__`` exists and star-imports."""
+"""The package's public names and the call signatures of the pipeline."""
+
+import inspect
 
 import hrislink
+from hrislink.synthesis import synth_ybs, synth_yrc
 
 
 def test_all_names_resolve_and_star_import():
@@ -9,3 +12,22 @@ def test_all_names_resolve_and_star_import():
     namespace = {}
     exec("from hrislink import *", namespace)
     assert set(hrislink.__all__) <= namespace.keys()
+
+
+def test_pipeline_signatures():
+    # The receivers always anchor their estimates and the synthesis always
+    # takes the noise generator: no switch for either may come back.
+    expected = {
+        hrislink.hris_bals: ["y_rc", "coding", "init_seed"],
+        hrislink.hris_kronf: ["y_rc", "coding"],
+        hrislink.hris_krf: ["y_rc", "coding"],
+        hrislink.bs_bals: ["y_bs", "payload", "coding", "init_seed"],
+        hrislink.bs_kronf: ["y_bs", "payload", "coding"],
+        hrislink.bs_channel_only: ["y_bs", "payload", "coding"],
+        synth_yrc: ["cfg", "channels", "coding", "symbols", "rng"],
+        synth_ybs: ["cfg", "channels", "coding", "symbols", "rng"],
+    }
+    for fn, names in expected.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
+    for fn in (synth_yrc, synth_ybs):
+        assert inspect.signature(fn).parameters["rng"].default is inspect.Parameter.empty

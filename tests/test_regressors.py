@@ -9,6 +9,8 @@ equations they form from its structure are checked against the explicit
 regressor over random feasible configurations.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -184,9 +186,9 @@ def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
     rng = np.random.default_rng(23)
     channels, coding = draw_channels(cfg, rng), build_coding(cfg)
     sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
-    for noise in (None, rng):
-        y_rc = synth_yrc(cfg, channels, coding, sent, noise)
-        y_bs = synth_ybs(cfg, channels, coding, sent, noise)
+    for noise_dbm in (-math.inf, cfg.noise_dbm):
+        y_rc = synth_yrc(cfg.replace(noise_dbm=noise_dbm), channels, coding, sent, rng)
+        y_bs = synth_ybs(cfg.replace(noise_dbm=noise_dbm), channels, coding, sent, rng)
         surface = hris_rx.hris_bals(y_rc, coding)
         bs = bs_rx.bs_bals(y_bs, ControlLinkPayload(surface.channel), coding)
         assert surface.fallbacks == bs.fallbacks == 0

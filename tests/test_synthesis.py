@@ -1,4 +1,10 @@
-"""Slice-wise synthesis against the decoupled tensor and scalar oracles."""
+"""Slice-wise synthesis against the decoupled tensor and scalar oracles.
+
+The configs are noiseless (``noise_dbm=-inf``), so the generator passed to the
+synthesis draws nothing.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from oracle_models import (
 
 
 def make_case(seed=0, **kw):
-    base = dict(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, rho=0.6)
+    base = dict(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, rho=0.6, noise_dbm=-math.inf)
     base.update(kw)
     cfg = ScenarioConfig(**base)
     rng = np.random.default_rng(seed)
@@ -28,18 +34,18 @@ def make_case(seed=0, **kw):
 
 def test_all_reflect_gives_zero_sensed():
     cfg, channels, coding, symbols = make_case(rho=1.0)
-    assert np.all(synth_yrc(cfg, channels, coding, symbols) == 0)
+    assert np.all(synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0)) == 0)
 
 
 def test_all_sense_gives_zero_reflected():
     cfg, channels, coding, symbols = make_case(rho=0.0)
-    assert np.all(synth_ybs(cfg, channels, coding, symbols) == 0)
+    assert np.all(synth_ybs(cfg, channels, coding, symbols, np.random.default_rng(0)) == 0)
 
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_sensed_matches_tensor_form(scheme):
     cfg, channels, coding, symbols = make_case(scheme=scheme)
-    y = synth_yrc(cfg, channels, coding, symbols)
+    y = synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0))
     oracle = sensed_tensor_form(channels, coding, symbols)
     assert np.max(np.abs(y - oracle)) < 1e-12
 
@@ -47,18 +53,18 @@ def test_sensed_matches_tensor_form(scheme):
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_reflected_matches_tensor_form(scheme):
     cfg, channels, coding, symbols = make_case(scheme=scheme)
-    y = synth_ybs(cfg, channels, coding, symbols)
+    y = synth_ybs(cfg, channels, coding, symbols, np.random.default_rng(0))
     oracle = reflected_tensor_form(channels, coding, symbols)
     assert np.max(np.abs(y - oracle)) < 1e-12
 
 
 def test_scalar_pipeline_single_entry():
-    cfg = ScenarioConfig(m=1, n=1, nc=1, l=1, r=1, t=1, k=1, rho=0.5)
+    cfg = ScenarioConfig(m=1, n=1, nc=1, l=1, r=1, t=1, k=1, rho=0.5, noise_dbm=-math.inf)
     rng = np.random.default_rng(3)
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_yrc(cfg, channels, coding, symbols)
+    y = synth_yrc(cfg, channels, coding, symbols, rng)
     expected = (coding.sensing[0, 0, 0] * channels.ut_ris[0, 0]
                 * coding.mix[0][0, 0] * symbols[0, 0])
     assert abs(y[0, 0, 0] - expected) < 1e-15
@@ -67,9 +73,9 @@ def test_scalar_pipeline_single_entry():
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_scalar_sum_consistency(scheme):
     cfg, channels, coding, symbols = make_case(seed=5, scheme=scheme)
-    y_rc = synth_yrc(cfg, channels, coding, symbols)
-    y_bs = synth_ybs(cfg, channels, coding, symbols)
     rng = np.random.default_rng(11)
+    y_rc = synth_yrc(cfg, channels, coding, symbols, rng)
+    y_bs = synth_ybs(cfg, channels, coding, symbols, rng)
     for _ in range(5):
         ic = int(rng.integers(cfg.nc))
         im = int(rng.integers(cfg.m))
@@ -81,7 +87,8 @@ def test_scalar_sum_consistency(scheme):
 
 def test_krstc_is_diagonal_special_case_of_tstc():
     cfg_kr, channels, coding_kr, symbols = make_case(scheme="krstc")
-    y_kr = synth_ybs(cfg_kr, channels, coding_kr, symbols)
+    rng = np.random.default_rng(0)
+    y_kr = synth_ybs(cfg_kr, channels, coding_kr, symbols, rng)
     # same signal through the tstc path with per-sub-frame diagonal mixing
     cfg_w = cfg_kr.replace(scheme="tstc")
     w = np.zeros((cfg_kr.l, cfg_kr.l, cfg_kr.k))
@@ -89,11 +96,11 @@ def test_krstc_is_diagonal_special_case_of_tstc():
         w[:, :, k] = np.diag(coding_kr.code[k])
     coding_w = type(coding_kr)(scheme="tstc", sensing=coding_kr.sensing,
                                reflect=coding_kr.reflect, code=w)
-    y_w = synth_ybs(cfg_w, channels, coding_w, symbols)
+    y_w = synth_ybs(cfg_w, channels, coding_w, symbols, rng)
     assert np.max(np.abs(y_kr - y_w)) < 1e-12
     assert np.max(np.abs(
-        synth_yrc(cfg_kr, channels, coding_kr, symbols)
-        - synth_yrc(cfg_w, channels, coding_w, symbols))) < 1e-12
+        synth_yrc(cfg_kr, channels, coding_kr, symbols, rng)
+        - synth_yrc(cfg_w, channels, coding_w, symbols, rng))) < 1e-12
 
 
 def test_energy_monotne_in_power_split():
@@ -102,18 +109,18 @@ def test_energy_monotne_in_power_split():
     channels, symbols = base[1], base[3]
     sensed, reflected = [], []
     for rho in np.linspace(0.05, 0.95, 7):
-        cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, rho=float(rho))
+        cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, rho=float(rho), noise_dbm=-math.inf)
         coding = build_coding(cfg)
-        sensed.append(np.linalg.norm(synth_yrc(cfg, channels, coding, symbols)) ** 2)
-        reflected.append(np.linalg.norm(synth_ybs(cfg, channels, coding, symbols)) ** 2)
+        sensed.append(np.linalg.norm(synth_yrc(cfg, channels, coding, symbols, rng)) ** 2)
+        reflected.append(np.linalg.norm(synth_ybs(cfg, channels, coding, symbols, rng)) ** 2)
     assert all(a >= b - 1e-15 for a, b in zip(sensed, sensed[1:]))
     assert all(a <= b + 1e-15 for a, b in zip(reflected, reflected[1:]))
 
 
 def test_noise_is_additive_after_synthesis():
     cfg, channels, coding, symbols = make_case(seed=2)
-    clean = synth_yrc(cfg, channels, coding, symbols)
-    noisy = synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0))
+    clean = synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0))
+    noisy = synth_yrc(cfg.replace(noise_dbm=-90.0), channels, coding, symbols, np.random.default_rng(0))
     diff = noisy - clean
     assert diff.shape == clean.shape
     assert np.all(diff != 0)
@@ -122,10 +129,11 @@ def test_noise_is_additive_after_synthesis():
 def test_dimension_mismatch_rejected():
     cfg, channels, coding, symbols = make_case()
     bad = ChannelRealization(channels.ut_ris[:, :1], channels.ris_bs)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        synth_yrc(cfg, bad, coding, symbols)
+        synth_yrc(cfg, bad, coding, symbols, rng)
     with pytest.raises(ValueError):
-        synth_ybs(cfg, channels, coding, symbols[:, :2])
+        synth_ybs(cfg, channels, coding, symbols[:, :2], rng)
 
 
 # Plain einsum references (no contraction-path search) for the batched products.
@@ -144,7 +152,7 @@ def test_batched_synthesis_matches_plain_einsum(scheme, sizes):
     sizes = dict(sizes, scheme=scheme)
     if scheme == "krstc":
         sizes["r"] = sizes.get("l", 2)
-    cfg = ScenarioConfig(**sizes)
+    cfg = ScenarioConfig(**sizes, noise_dbm=-math.inf)
     rng = np.random.default_rng(11)
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
@@ -154,6 +162,6 @@ def test_batched_synthesis_matches_plain_einsum(scheme, sizes):
     sensed = np.einsum(sensed_spec, coding.sensing, channels.ut_ris, code, symbols)
     reflected = np.einsum(reflected_spec, channels.ris_bs, coding.reflect, channels.ut_ris, code, symbols)
     # Some entries cancel to an exact zero in one summation order only, hence the floor.
-    for got, want in ((synth_yrc(cfg, channels, coding, symbols), sensed),
-                      (synth_ybs(cfg, channels, coding, symbols), reflected)):
+    for got, want in ((synth_yrc(cfg, channels, coding, symbols, rng), sensed),
+                      (synth_ybs(cfg, channels, coding, symbols, rng), reflected)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
