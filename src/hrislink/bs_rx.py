@@ -17,6 +17,10 @@ that channel and the decoded symbols (scenario 2).  Receivers:
 Every regressor, for both coding schemes, is built from one stack of the
 blocks ``diag(psi_k) @ G @ mix_k`` (times ``X``, times ``H``, or vectorized).
 
+Both closed-form solves run no SVD when a Householder QR certifies full rank
+(:func:`~hrislink.rx_common.require_full_rank`): ``|R|_F |R^{-1}|_F`` bounds
+``sigma_max / sigma_min``, so the SVD rank rule would agree.
+
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
 """

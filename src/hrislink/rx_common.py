@@ -1,5 +1,6 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
-shared ALS iteration, and the anchor normalization."""
+shared ALS iteration, the rank-checked pseudo-inverse, and the anchor
+normalization."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coding import CodingSet
-from .identifiability import ENTITY_NAMES, RECEIVERS, Sizes, spectral_rank
-from .tensor_ops import lstsq_normal, pinv_with_spectrum, unfold
+from .identifiability import ENTITY_NAMES, RANK_TOL, RECEIVERS, Sizes, spectral_rank
+from .tensor_ops import lstsq_normal, pinv_with_spectrum, qr_pinv, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -20,6 +21,11 @@ from .tensor_ops import lstsq_normal, pinv_with_spectrum, unfold
 MAX_ITERATIONS = 200
 REL_TOL = 1e-6
 RESIDUAL_FLOOR = 1e-26
+
+# QR condition certificates (tensor_ops.qr_pinv) below this prove full rank
+# without an SVD: sigma_min/sigma_max then exceeds 100 * RANK_TOL, and Householder
+# QR is backward stable, so the margin of 100 dwarfs the rounding of either method.
+FULL_RANK_CERTIFICATE = 1e-2 / RANK_TOL
 
 
 class IdentifiabilityError(ValueError):
@@ -129,9 +135,16 @@ def run_als(y: np.ndarray, x0: np.ndarray, channel_step: Callable,
 def require_full_rank(mat: np.ndarray, need: int, what: str) -> np.ndarray:
     """The pseudo-inverse of ``mat``, which must have numerical rank ``need``.
 
-    Raises :class:`RankDeficiencyError` otherwise.  The rank check reads
-    the singular values of the SVD that forms the pseudo-inverse.
+    Raises :class:`RankDeficiencyError` otherwise.  A full rank certified by
+    :func:`~hrislink.tensor_ops.qr_pinv` needs no SVD: a certificate below
+    ``FULL_RANK_CERTIFICATE`` keeps every singular value 100 times above the
+    ``RANK_TOL`` cut, so the SVD rule would count full rank too.  Otherwise the
+    rank is read off the SVD that forms the pseudo-inverse.
     """
+    if need == min(mat.shape) > 0:
+        inverse, certificate = qr_pinv(mat)
+        if certificate < FULL_RANK_CERTIFICATE:
+            return inverse
     inverse, s = pinv_with_spectrum(mat)
     rank = spectral_rank(s)
     if rank < need:

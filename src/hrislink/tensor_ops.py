@@ -12,7 +12,10 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 * mode 3: ``vec`` of each frontal slice stacked as rows, shape ``(I3, I2*I1)``.
 
 Least-squares solves go through the normal equations (:func:`solve_gram`),
-which need the explicit regressor only for their SVD fallback.
+which need the explicit regressor only for their SVD fallback.  A full-rank
+pseudo-inverse comes from a Householder QR (:func:`qr_pinv`) with the
+certificate ``|R|_F |R^{-1}|_F >= sigma_max / sigma_min``; QR is backward
+stable, so a small certificate shows that an SVD would count full rank too.
 
 All functions are pure and never mutate their inputs.
 """
@@ -75,6 +78,29 @@ def pinv_with_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     large = s > max(m.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     return vh.T @ (s_inv[:, None] * u.T), s
+
+
+def qr_pinv(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pseudo-inverse of a full-rank ``m`` from a Householder QR, and its condition certificate.
+
+    The tall orientation of ``m`` (itself or ``m^H``) is ``Q R``, with
+    pseudo-inverse ``R^{-1} Q^H``.  The certificate ``|R|_F |R^{-1}|_F``
+    bounds ``sigma_max / sigma_min``; it is infinite for an exactly singular
+    ``R`` or a non-finite inverse.
+    """
+    m = np.asarray(m)
+    wide = m.shape[0] < m.shape[1]
+    a = m.conj().T if wide else m
+    geqrf, ungqr, trtrs = scipy.linalg.lapack.get_lapack_funcs(
+        ("geqrf", "ungqr" if np.iscomplexobj(a) else "orgqr", "trtrs"), (a,))
+    qr, tau, _, info = geqrf(a)
+    q, _, info_q = ungqr(qr, tau)
+    # trtrs reads only the upper triangle, R; the reflectors below it are ignored
+    inverse, info_r = trtrs(qr[:a.shape[1]], q.conj().T)
+    solved = not (info or info_q or info_r) and np.isfinite(inverse).all()
+    # |m|_F = |R|_F and |R^{-1} Q^H|_F = |R^{-1}|_F, as Q has orthonormal columns
+    certificate = float(np.linalg.norm(m) * np.linalg.norm(inverse)) if solved else np.inf
+    return (inverse.conj().T if wide else inverse), certificate
 
 
 # Reciprocal condition estimate of the Gram matrix below which

@@ -17,7 +17,7 @@ from hrislink.harness import (
     ser,
     trial_seed,
 )
-from hrislink import bs_rx, harness, hris_rx
+from hrislink import bs_rx, harness, hris_rx, rx_common
 from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
 from hrislink.coding import build_coding
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
@@ -135,6 +135,41 @@ def test_full_reflection_trial_fails():
     out = run_trial(cfg, ("kronf", "bals"), seed=1)
     assert out.failed
     assert math.isnan(out.nmse_g)
+
+
+@pytest.mark.parametrize("scheme, pair", [("tstc", ("kronf", "kronf")), ("tstc", ("kronf", "h")),
+                                          ("krstc", ("krf", "kronf")), ("krstc", ("krf", "h"))])
+def test_closed_form_pairs_certify_full_rank_without_an_svd(monkeypatch, scheme, pair):
+    def no_svd(mat):
+        raise AssertionError(f"require_full_rank fell back to the SVD on a {mat.shape} matrix")
+
+    hris_rx.composite_pinv.cache_clear()
+    monkeypatch.setattr(rx_common, "pinv_with_spectrum", no_svd)
+    out = run_trial(ScenarioConfig(scheme=scheme), pair, seed=3)
+    assert not out.failed, out.failure_reason
+
+
+# Rank-deficient solves that the QR certificate rejects keep the SVD rule's
+# decision and message.  The two krstc cases sit at feasible_subframes, which
+# is a floor and not a guarantee, and recover at twice as many sub-frames;
+# with rho=0 nothing is reflected, so the BS solves fail at any k.
+@pytest.mark.parametrize("cfg, pair, reason, recovers_at_2k", [
+    (ScenarioConfig(m=2, n=5, nc=5, l=3, r=3, t=5, k=16, scheme="krstc"), ("krf", "kronf"),
+     "composite right factor has numerical rank 13, need 15", True),
+    (ScenarioConfig(m=4, n=5, nc=2, l=3, r=3, t=6, k=8, scheme="krstc"), ("krf", "h"),
+     "composite code matrix has numerical rank 13, need 15", True),
+    (ScenarioConfig(rho=0.0), ("kronf", "kronf"), "composite right factor has numerical rank 0, need 64", False),
+    (ScenarioConfig(rho=0.0), ("kronf", "h"), "channel-step regressor has numerical rank 0, need 32", False),
+])
+def test_uncertified_solves_keep_the_svd_failure(cfg, pair, reason, recovers_at_2k):
+    cfg = cfg.replace(noise_dbm=-math.inf)
+    out = run_trial(cfg, pair, seed=3)
+    assert out.failed and out.failure_reason == reason
+    doubled = run_trial(cfg.replace(k=2 * cfg.k), pair, seed=3)
+    if recovers_at_2k:
+        assert not doubled.failed and doubled.nmse_g < 1e-10 and doubled.nmse_h < 1e-10
+    else:
+        assert doubled.failed and doubled.failure_reason == reason
 
 
 def test_scenario2_reports_fed_back_ser():

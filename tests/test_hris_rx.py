@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.hris_rx import (
@@ -16,7 +18,7 @@ from hrislink.hris_rx import (
     hris_krf,
     symbol_code_matrix,
 )
-from hrislink.identifiability import numerical_rank
+from hrislink.identifiability import RANK_TOL, numerical_rank, spectral_rank
 from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, IdentifiabilityError,
                                 RankDeficiencyError, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
@@ -339,6 +341,33 @@ def test_require_full_rank_returns_the_pinv():
         got = require_full_rank(a, min(shape), "test matrix")
         assert np.max(np.abs(got - pinv(a))) < 1e-12 * np.max(np.abs(got))
         assert np.max(np.abs(got - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(got))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), log_ratio=st.floats(-13.0, -5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_require_full_rank_decides_as_the_svd_rule(rows, cols, log_ratio, seed):
+    # singular values from 1 down to 10**log_ratio: the range straddles both the
+    # RANK_TOL cut and the QR certificate bound, so both paths are exercised
+    rng = np.random.default_rng(seed)
+    size = min(rows, cols)
+    middle = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, max(size - 2, 0)))[::-1]
+    s = np.r_[1.0, middle, 10.0 ** log_ratio][:size]
+    # within a hair of the cut, two SVD drivers may round a singular value to either side
+    assume(np.all(np.abs(np.log10(s) - math.log10(RANK_TOL)) > 1e-4))
+    u, _ = np.linalg.qr(rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, size)) + 1j * rng.standard_normal((cols, size)))
+    a = (u * s) @ v.conj().T
+    spectrum = np.linalg.svd(a, compute_uv=False)
+    rank = spectral_rank(spectrum)
+    if rank < size:
+        with pytest.raises(RankDeficiencyError, match=rf"^m has numerical rank {rank}, need {size}$"):
+            require_full_rank(a, size, "m")
+    else:
+        got = require_full_rank(a, size, "m")
+        expected = np.linalg.pinv(a)
+        kappa = spectrum[0] / spectrum[-1]
+        assert np.linalg.norm(got - expected) <= 1e-12 * kappa * np.linalg.norm(expected)
 
 
 def test_require_full_rank_message_on_rank_deficiency():

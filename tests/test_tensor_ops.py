@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from hrislink.tensor_ops import lstsq_normal, pinv, pinv_with_spectrum, rank1_approx, solve_gram, unfold, unvec, vec
+from hrislink.tensor_ops import (lstsq_normal, pinv, pinv_with_spectrum, qr_pinv, rank1_approx, solve_gram, unfold,
+                                 unvec, vec)
 
 from oracle_models import fold, mode_n_product, modewise_contraction
 
@@ -267,6 +268,21 @@ def test_pinv_with_spectrum_matches_numpy():
         assert np.array_equal(inverse, pinv(a))
         assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
         assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0)
+
+
+def test_qr_pinv_matches_numpy_and_bounds_the_condition_number():
+    rng = np.random.default_rng(71)
+    for a in (crandn(rng, 9, 4), crandn(rng, 4, 9), crandn(rng, 6, 6), rng.standard_normal((9, 4))):
+        inverse, certificate = qr_pinv(a)
+        assert inverse.dtype == a.dtype
+        assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
+        assert np.linalg.cond(a) <= certificate <= np.sqrt(min(a.shape)) * np.linalg.cond(a) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("a", [np.zeros((5, 3)), np.zeros((3, 5), dtype=complex),
+                               np.outer(np.arange(1.0, 5.0), np.ones(4))])
+def test_qr_pinv_certificate_of_a_singular_matrix_is_at_least_one_over_eps(a):
+    assert qr_pinv(a)[1] >= 1 / np.finfo(float).eps
 
 
 def test_pinv_left_inverse_full_column_rank():
