@@ -25,8 +25,8 @@ from scipy.linalg import dft, hadamard
 from .scenario import ScenarioConfig
 
 
-# Distinct codings kept by build_coding and by the receivers' per-coding
-# caches; a sweep over pt or over trials needs one.
+# Distinct codings (or constellation orders) kept by build_coding, the receivers'
+# per-coding caches and qam_constellation; a sweep over pt or over trials needs one.
 CODINGS_KEPT = 8
 
 
@@ -150,8 +150,9 @@ def _coding(scheme: str, nc: int, n: int, k: int, rho: float, l: int, r: int) ->
     return CodingSet(scheme=scheme, sensing=phi, reflect=psi, code=code)
 
 
+@lru_cache(maxsize=CODINGS_KEPT)
 def qam_constellation(order: int) -> np.ndarray:
-    """Unit-average-energy square QAM constellation points.
+    """Unit-average-energy square QAM constellation points: one shared read-only array per order.
 
     Points are laid out on the Gray-coded square grid and scaled so the mean
     symbol energy is exactly one.
@@ -161,7 +162,7 @@ def qam_constellation(order: int) -> np.ndarray:
         raise ValueError(f"order must be a square constellation size, got {order}")
     levels = 2.0 * np.arange(side) - (side - 1)
     points = (levels[:, None] + 1j * levels[None, :]).reshape(-1)
-    return points / math.sqrt(2.0 * (order - 1) / 3.0)
+    return _read_only(points / math.sqrt(2.0 * (order - 1) / 3.0))
 
 
 def gen_symbols(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

@@ -5,7 +5,8 @@ synthesizes both received tensors, runs the configured surface/BS receiver
 pair, and scores channel NMSEs, the combined-channel NMSE, and symbol error
 rates.  Trial ``i`` of a sweep point uses the seed ``splitmix64(base ^ i)``,
 so trials are reproducible and independent, and sweeps can be parallelized
-or re-batched without changing the aggregate.
+or re-batched without changing the aggregate.  What the configuration fixes
+(coding, constellation, receiver entry facts) is cached where it is derived.
 
 Transmit power enters by scaling the unit-energy symbol matrix with
 ``sqrt(Pt)``; receivers then estimate the power-bearing effective UT-side
@@ -21,7 +22,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import bs_rx, hris_rx
 from .coding import build_coding, gen_symbols, qam_constellation
@@ -62,8 +62,11 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
 
 
 def combined_channel(ut_ris: np.ndarray, ris_bs: np.ndarray) -> np.ndarray:
-    """Khatri-Rao structured cascade of the two links, shape ``(l*m, n)``."""
-    return scipy.linalg.khatri_rao(np.asarray(ut_ris).T, np.asarray(ris_bs))
+    """Khatri-Rao cascade of the two links, ``(l*m, n)``, bit for bit ``scipy.linalg.khatri_rao(ut_ris.T, ris_bs)``."""
+    g, h = np.asarray(ut_ris), np.asarray(ris_bs)
+    if g.ndim != 2 or h.ndim != 2 or g.shape[0] != h.shape[1]:
+        raise ValueError(f"links of shapes {g.shape} and {h.shape} do not cascade")
+    return (g.T[:, None, :] * h[None]).reshape(g.shape[1] * h.shape[0], h.shape[1])
 
 
 def ser(x_hat: np.ndarray, x_true: np.ndarray, order: int) -> float:
@@ -184,17 +187,14 @@ _METRICS = ("nmse_g", "nmse_h", "nmse_theta", "ser_hris", "ser_bs", "iters_hris"
 def aggregate(outcomes: list[TrialOutcome], sweep_var: str, value: float) -> MetricsRecord:
     """Average a batch of trials into one record (order-independent)."""
     good = [o for o in outcomes if not o.failed]
-    means, errors = {}, {}
-    for name in _METRICS:
-        if good:
-            samples = np.array([getattr(o, name) for o in good], dtype=float)
-            means[name] = float(samples.mean())
-            errors[name] = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-        else:
-            means[name] = math.nan
-            errors[name] = math.nan
-    return MetricsRecord(sweep_var=sweep_var, value=float(value), **means, trials=len(outcomes),
-                         failures=len(outcomes) - len(good), stderr=errors)
+    # One row per metric, reduced along its contiguous last axis: pairwise, as a 1-D array sums.
+    table = np.array([[getattr(o, name) for o in good] for name in _METRICS], dtype=float)
+    means = table.mean(axis=1) if good else np.full(len(_METRICS), math.nan)
+    errors = (table.std(ddof=1, axis=1) / math.sqrt(len(good)) if len(good) > 1
+              else np.zeros(len(_METRICS)) if good else means)
+    return MetricsRecord(sweep_var=sweep_var, value=float(value), **dict(zip(_METRICS, means.tolist())),
+                         trials=len(outcomes), failures=len(outcomes) - len(good),
+                         stderr=dict(zip(_METRICS, errors.tolist())))
 
 
 def _point_config(cfg: ScenarioConfig, sweep_var: str, value: float) -> ScenarioConfig:

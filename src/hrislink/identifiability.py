@@ -16,6 +16,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,8 +70,9 @@ class ReceiverSpec:
     iterative: bool = False
     scenario: int = 1
 
+    @lru_cache(maxsize=64)
     def threshold(self, sizes: Sizes) -> int:
-        """Minimum sub-frame count at the given sizes."""
+        """Minimum sub-frame count at the given sizes, evaluated once per entry and sizes."""
         return math.ceil(self.min_k(sizes))
 
 
@@ -148,6 +150,9 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
 
 # Singular values at or below this fraction of the largest one count as zero
 # in every rank check: the rank bounds and the receivers' full-rank solves.
+# A QR certificate |R|_F |R^-1|_F >= sigma_max/sigma_min below rx_common.FULL_RANK_CERTIFICATE
+# = 1e-2 / RANK_TOL keeps sigma_min/sigma_max 100 times above this cut.  tensor_ops.GRAM_RCOND_FLOOR
+# = 1e-10 is on the Gram a^H a, which squares the condition: Cholesky needs sigma_min/sigma_max >~ 1e-5.
 RANK_TOL = 1e-10
 
 

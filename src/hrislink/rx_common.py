@@ -7,11 +7,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .coding import CodingSet
-from .identifiability import ENTITY_NAMES, RANK_TOL, RECEIVERS, Sizes, spectral_rank
+from .coding import CODINGS_KEPT, CodingSet
+from .identifiability import ENTITY_NAMES, RANK_TOL, RECEIVERS, ReceiverSpec, Sizes, spectral_rank
 from .tensor_ops import lstsq_normal, pinv_with_spectrum, qr_pinv, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
@@ -22,9 +23,8 @@ MAX_ITERATIONS = 200
 REL_TOL = 1e-6
 RESIDUAL_FLOOR = 1e-26
 
-# QR condition certificates (tensor_ops.qr_pinv) below this prove full rank
-# without an SVD: sigma_min/sigma_max then exceeds 100 * RANK_TOL, and Householder
-# QR is backward stable, so the margin of 100 dwarfs the rounding of either method.
+# QR condition certificates (tensor_ops.qr_pinv) below this prove full rank without an SVD (see
+# RANK_TOL); Householder QR is backward stable, so the margin of 100 dwarfs either method's rounding.
 FULL_RANK_CERTIFICATE = 1e-2 / RANK_TOL
 
 
@@ -82,24 +82,27 @@ def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
     ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS.  Raises
     ``ValueError`` for a scheme the receiver does not serve or shapes that
     disagree with the coding, :class:`NonFiniteError` on NaN/inf entries,
-    and :class:`IdentifiabilityError` below the sub-frame threshold.
+    and :class:`IdentifiabilityError` below the sub-frame threshold.  Its entry, sizes and threshold are cached per shape.
     """
-    spec = next(spec for spec in RECEIVERS if spec.fn == fn)
-    if coding.scheme not in spec.schemes:
-        raise ValueError(f"{fn} does not apply to the {coding.scheme} scheme")
-    rows, t, k = y.shape
-    if coding.subframes != k or (spec.entity == "hris" and coding.rf_chains != rows):
-        raise ValueError(f"coding built for (nc, k)={coding.rf_chains, coding.subframes}, "
-                         f"signal has shape {y.shape}")
+    spec, sizes, need = _entry_facts(fn, coding.scheme, coding.sensing.shape, coding.mix.shape, y.shape)
     if not np.isfinite(y).all():
         raise NonFiniteError(f"received tensor at the {ENTITY_NAMES[spec.entity]} has non-finite entries")
-    sizes = Sizes(coding.scheme, coding.elements, coding.rf_chains, coding.ut_antennas,
-                  coding.streams, t, k, rows if spec.entity == "bs" else None)
-    need = spec.threshold(sizes)
-    if k < need:
-        raise IdentifiabilityError(f"{spec.name} at the {ENTITY_NAMES[spec.entity]} ({coding.scheme}) "
-                                   f"needs at least {need} sub-frames, got {k}")
+    if sizes.k < need:
+        raise IdentifiabilityError(f"{spec.name} at the {ENTITY_NAMES[spec.entity]} ({sizes.scheme}) "
+                                   f"needs at least {need} sub-frames, got {sizes.k}")
     return sizes
+
+
+@lru_cache(maxsize=CODINGS_KEPT * len(RECEIVERS))
+def _entry_facts(fn, scheme, sensing_shape, mix_shape, shape) -> tuple[ReceiverSpec, Sizes, int]:
+    spec = next(spec for spec in RECEIVERS if spec.fn == fn)
+    if scheme not in spec.schemes:
+        raise ValueError(f"{fn} does not apply to the {scheme} scheme")
+    (nc, n, k), (_, l, w), (rows, t, y_k) = sensing_shape, mix_shape, shape
+    if k != y_k or (spec.entity == "hris" and nc != rows):
+        raise ValueError(f"coding built for (nc, k)={nc, k}, signal has shape {shape}")
+    sizes = Sizes(scheme, n, nc, l, w, t, k, rows if spec.entity == "bs" else None)
+    return spec, sizes, spec.threshold(sizes)
 
 
 def run_als(y: np.ndarray, x0: np.ndarray, channel_step: Callable,

@@ -103,9 +103,8 @@ def qr_pinv(m: np.ndarray) -> tuple[np.ndarray, float]:
     return (inverse.conj().T if wide else inverse), certificate
 
 
-# Reciprocal condition estimate of the Gram matrix below which
-# :func:`solve_gram` falls back to the SVD pseudo-inverse: the Gram squares
-# the condition number of the regressor, so this keeps that below about 1e5.
+# Reciprocal condition estimate of the Gram matrix below which :func:`solve_gram`
+# falls back to the SVD pseudo-inverse; identifiability.RANK_TOL relates it to the rank cut.
 GRAM_RCOND_FLOOR = 1e-10
 
 

@@ -151,6 +151,18 @@ def test_qam_constellation_unit_energy():
         assert math.isclose(np.mean(np.abs(points) ** 2), 1.0)
 
 
+def test_qam_constellation_is_one_shared_read_only_array():
+    points = qam_constellation(64)
+    assert qam_constellation(64) is points
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0] = 0.0
+    # gen_symbols indexes a copy, so setting its anchors leaves the constellation alone
+    before = points.copy()
+    gen_symbols(small_cfg(scheme="krstc"), np.random.default_rng(0))
+    assert np.array_equal(qam_constellation(64), before)
+
+
 def test_tstc_anchor():
     cfg = small_cfg()
     x = gen_symbols(cfg, np.random.default_rng(0))

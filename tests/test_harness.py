@@ -1,10 +1,14 @@
 """Metrics, trial pipeline, sweep aggregation, and determinism."""
 
 import math
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrislink.coding import qam_constellation
 from hrislink.harness import (
@@ -17,12 +21,12 @@ from hrislink.harness import (
     ser,
     trial_seed,
 )
-from hrislink import bs_rx, harness, hris_rx, rx_common
+from hrislink import bs_rx, harness, hris_rx, identifiability, rx_common
 from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
 from hrislink.coding import build_coding
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
 from hrislink.identifiability import receiver_spec
-from hrislink.rx_common import IdentifiabilityError, NonFiniteError
+from hrislink.rx_common import IdentifiabilityError, NonFiniteError, check_received
 from hrislink.scenario import ScenarioConfig
 
 from test_acceptance import PAIRS
@@ -71,6 +75,32 @@ def test_combined_channel_scalar_compensation():
     direct = combined_channel(g, h)
     compensated = combined_channel(g / alpha, alpha * h)
     assert np.allclose(direct, compensated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), l=st.integers(1, 6),
+       spread=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_combined_channel_equals_scipy_khatri_rao_bit_for_bit(m, n, l, spread, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.uniform(-spread, spread, (2, *shape))
+        return parts[0] + 1j * parts[1]
+
+    g, h = draw((n, l)), draw((m, n))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ours, theirs = combined_channel(g, h), scipy.linalg.khatri_rao(g.T, h)
+    assert ours.shape == theirs.shape == (l * m, n)
+    # real and imaginary parts apart, so a NaN in one part does not hide the other
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(ours), part(theirs), equal_nan=True)
+
+
+def test_combined_channel_rejects_links_that_do_not_cascade():
+    with pytest.raises(ValueError):
+        combined_channel(np.ones((3, 2)), np.ones((4, 5)))
+    with pytest.raises(ValueError):
+        combined_channel(np.ones((3, 2)), np.ones((4, 1)))
 
 
 def test_ser_zero_and_counting():
@@ -243,6 +273,89 @@ def test_failed_trials_excluded_from_means():
     assert rec.nmse_g == 0.5
 
 
+def aggregate_per_metric(outcomes, sweep_var, value):
+    """Oracle: each metric averaged as its own 1-D array, failed trials left out."""
+    good = [o for o in outcomes if not o.failed]
+    means, errors = {}, {}
+    for name in harness._METRICS:
+        if good:
+            samples = np.array([getattr(o, name) for o in good], dtype=float)
+            means[name] = float(samples.mean())
+            errors[name] = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+        else:
+            means[name] = math.nan
+            errors[name] = math.nan
+    return harness.MetricsRecord(sweep_var=sweep_var, value=float(value), **means, trials=len(outcomes),
+                                 failures=len(outcomes) - len(good), stderr=errors)
+
+
+def same_value(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+# n_good crosses 8, where numpy's float sum switches to its unrolled pairwise loop.
+@settings(max_examples=300, deadline=None)
+@given(n_good=st.integers(0, 40), n_failed=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_aggregate_equals_the_per_metric_reduction_bit_for_bit(n_good, n_failed, seed):
+    from hrislink.harness import TrialOutcome
+
+    rng = np.random.default_rng(seed)
+    outcomes = [TrialOutcome(nmse_g=float(10.0 ** rng.uniform(-12, 2)), nmse_h=float(rng.lognormal(-5, 4)),
+                             nmse_theta=float(rng.uniform()), ser_hris=float(rng.integers(0, 7) / 6),
+                             ser_bs=float(rng.integers(0, 13) / 12), iters_hris=int(rng.integers(0, 201)),
+                             iters_bs=int(rng.integers(0, 201)))
+                for _ in range(n_good)]
+    for _ in range(n_failed):
+        outcomes.insert(int(rng.integers(0, len(outcomes) + 1)), TrialOutcome(failed=True, failure_reason="x"))
+    got, want = aggregate(outcomes, "rho", 0.5), aggregate_per_metric(outcomes, "rho", 0.5)
+    for f in fields(got):
+        if f.name != "stderr":
+            assert same_value(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert got.stderr.keys() == want.stderr.keys()
+    for name in want.stderr:
+        assert same_value(got.stderr[name], want.stderr[name]), name
+        assert type(got.stderr[name]) is float and type(getattr(got, name)) is float
+
+
+def test_check_received_repeats_its_failures_exactly():
+    cfg = small_cfg()
+    coding = build_coding(cfg)
+    y = np.zeros((cfg.nc, cfg.t, cfg.k), dtype=complex)
+    cases = [
+        (ValueError, lambda: check_received(y, build_coding(cfg.replace(scheme="krstc")), "hris_kronf")),
+        (ValueError, lambda: check_received(y[:, :, :8], coding, "hris_kronf")),
+        (NonFiniteError, lambda: check_received(np.full_like(y, np.nan), coding, "hris_kronf")),
+        (IdentifiabilityError, lambda: check_received(y[:, :, :8], build_coding(cfg.replace(k=8)), "hris_kronf")),
+    ]
+    for expected, call in cases:
+        seen = set()
+        for _ in range(3):
+            with pytest.raises(expected) as info:
+                call()
+            seen.add((type(info.value), str(info.value)))
+        assert len(seen) == 1, seen
+    assert check_received(y, coding, "hris_kronf") == check_received(y, coding, "hris_kronf")
+
+
+def test_thresholds_are_evaluated_once_per_receiver_and_sizes(monkeypatch):
+    calls = Counter()
+
+    def counted(spec):
+        def min_k(sizes):
+            calls[spec.fn, sizes] += 1
+            return spec.min_k(sizes)
+        return replace(spec, min_k=min_k)
+
+    table = tuple(counted(spec) for spec in identifiability.RECEIVERS)
+    monkeypatch.setattr(identifiability, "RECEIVERS", table)
+    monkeypatch.setattr(rx_common, "RECEIVERS", table)
+    # m=3, t=7: sizes no other test runs a receiver at, so no cache holds them yet
+    for pair in (("bals", "bals"), ("kronf", "h")):
+        run_sweep(small_cfg(m=3, t=7), pair, "rho", [0.1, 0.5, 0.9], trials=8)
+    assert {fn for fn, _ in calls} == {"hris_bals", "bs_bals", "hris_kronf", "bs_channel_only"}
+    assert max(calls.values()) == 1, calls
+
+
 @pytest.mark.parametrize("scheme,receiver", [
     ("tstc", hris_bals), ("tstc", hris_kronf), ("krstc", hris_krf),
     ("tstc", bs_bals), ("krstc", bs_kronf), ("tstc", bs_channel_only),
@@ -327,6 +440,15 @@ def test_workers_pool_matches_serial():
     serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=3, base_seed=5)
     pooled = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=3, base_seed=5,
                        workers=2)
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("scheme, pair", [("tstc", ("bals", "bals")), ("krstc", ("krf", "kronf"))])
+def test_workers_pool_matches_serial_over_rho(scheme, pair):
+    # the coding changes at every rho point, and every worker process keeps its own caches
+    cfg = small_cfg(scheme=scheme)
+    serial = run_sweep(cfg, pair, "rho", [0.1, 0.5, 0.9], trials=3, base_seed=11)
+    pooled = run_sweep(cfg, pair, "rho", [0.1, 0.5, 0.9], trials=3, base_seed=11, workers=2)
     assert serial == pooled
 
 
