@@ -6,9 +6,12 @@ that channel and the decoded symbols (scenario 2).  Receivers:
 
 * :func:`bs_bals`: alternating least-squares over the BS-side channel
   (mode-1 unfolding) and the symbols (transposed mode-2 unfolding), each
-  a normal-equation solve; the channel step forms its Gram from the blocks
-  below, built once per call, and its explicit regressor only for the SVD
-  fallback;
+  a normal-equation solve.  Two tables built once per call from the blocks
+  below give the channel step's Gram and right-hand side: a ``(w*w, n*n)``
+  Gram table and a ``(w*t, n*m)`` cross table with the received signal
+  (64 KB and 32 KB at the default sizes), contracted per iteration with
+  ``conj(X) X^T`` and ``conj(X)``.  The explicit regressor is built only for the
+  SVD fallback;
 * :func:`bs_kronf`: one least-squares solve for the Kronecker-structured
   composite of symbols and BS-side channel, then a rank-1 split;
 * :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
@@ -97,23 +100,30 @@ def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np
 def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols."""
     d = _check_inputs(y_bs, payload, coding, "bs_bals")
+    n, w, t, k, m = d.n, d.w, d.t, d.k, d.m
     g = payload.ut_channel
     blocks = _reflect_blocks(coding, g)                              # B_k, (k, n, w)
-    b_cat = blocks.transpose(1, 0, 2).reshape(d.n, -1)              # [B_1 ... B_K], (n, k*w)
-    b_conj = b_cat.conj()
-    y_cat = y_bs.transpose(1, 2, 0).reshape(d.t, -1)                # [Y_1^T ... Y_K^T], (t, k*m)
+    b_cat = blocks.transpose(1, 0, 2).reshape(n, -1)                # [B_1 ... B_K], (n, k*w)
+    b_kw = blocks.transpose(1, 2, 0).reshape(-1, k)                 # b_kw[(i, s), k] = B_k[i, s], (n*w, k)
+    b_conj = b_kw.conj()
+    # The channel step solves h_hat C = y1, C = [B_1 X ... B_K X], as C^T h_hat^T = y1^T.  With
+    # P = conj(X X^H) = conj(X) X^T, its Gram conj(C C^H) is P.ravel() @ gram_table and its
+    # right-hand side conj(C) y1^T is conj(X).ravel() @ cross, from two tables fixed within the call:
+    #   gram_table[(s, s'), (i, j)] = sum_k conj(B_k[i, s]) B_k[j, s'],  (w*w, n*n)
+    #   cross[(s, tau), (i, r)]     = sum_k conj(B_k[i, s]) Y_k[r, tau], (w*t, n*m)
+    gram_table = (b_conj @ b_kw.T).reshape(n, w, n, w).transpose(1, 3, 0, 2).reshape(w * w, n * n)
+    cross = (b_conj @ y_bs.reshape(m * t, k).T).reshape(n, w, m, t).transpose(1, 3, 0, 2).reshape(w * t, n * m)
 
     def channel_step(x_hat):
-        # h_hat C = y1, C = [B_1 X ... B_K X], solved as C^T h_hat^T = y1^T: the Gram is
-        # conj(C C^H) = sum_k conj(B_k) conj(X X^H) B_k^T, the right-hand side sum_k conj(B_k X) Y_k^T
         x_conj = x_hat.conj()
-        gram = (b_conj.reshape(-1, d.w) @ (x_conj @ x_hat.T)).reshape(d.n, -1) @ b_cat.T
-        rhs = b_conj @ (x_conj @ y_cat).reshape(d.w, d.k, d.m).transpose(1, 0, 2).reshape(-1, d.m)
+        gram = ((x_conj @ x_hat.T).reshape(-1) @ gram_table).reshape(n, n)
+        rhs = (x_conj.reshape(-1) @ cross).reshape(n, m)
         h_t, fell_back = solve_gram(gram, rhs, lambda: (channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T))
         return h_t.T, fell_back
 
-    report = run_als(y_bs, init_symbols(d.w, d.t, init_seed), channel_step,
-                     lambda h_hat: (h_hat @ blocks).reshape(-1, d.w))
+    # the symbol regressor stacks H B_k over k, from the one product H [B_1 ... B_K]
+    report = run_als(y_bs, init_symbols(w, t, init_seed), channel_step,
+                     lambda h_hat: (h_hat @ b_cat).reshape(m, k, w).transpose(1, 0, 2).reshape(-1, w))
     return normalize_anchor(report, per_stream=False)
 
 

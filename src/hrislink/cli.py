@@ -39,7 +39,7 @@ def _cmd_sweep(args) -> int:
     pair = parse_pair(args.pair)
     points = [float(p) for p in args.points.split(",") if p.strip()]
     records = run_sweep(cfg, pair, args.sweep, points,
-                        trials=args.trials, base_seed=args.seed)
+                        trials=args.trials, base_seed=args.seed, workers=args.workers)
     text = records_to_csv(records)
     if args.out == "-":
         sys.stdout.write(text)
@@ -81,6 +81,8 @@ def main(argv=None) -> int:
     sweep.add_argument("--points", required=True, help="comma-separated sweep values")
     sweep.add_argument("--trials", type=int, default=500)
     sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="worker processes for the trials (1: run them in this process)")
     sweep.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -225,7 +225,8 @@ def run_sweep(
         raise ValueError("trials must be at least 1")
     records = []
     seeds = [trial_seed(base_seed, i) for i in range(trials)]
-    # Worker processes start on the first submitted trial and serve every point.
+    # Worker processes start on the first submitted trial and serve every point;
+    # each takes one contiguous chunk of a point's trials, and map keeps their order.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for value in points:
             point_cfg = _point_config(cfg, sweep_var, value)
@@ -235,7 +236,8 @@ def run_sweep(
                     f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
                 )
             if pool is not None:
-                outcomes = list(pool.map(run_trial, [point_cfg] * trials, [pair] * trials, seeds))
+                outcomes = list(pool.map(run_trial, [point_cfg] * trials, [pair] * trials, seeds,
+                                         chunksize=math.ceil(trials / workers)))
             else:
                 outcomes = [run_trial(point_cfg, pair, s) for s in seeds]
             records.append(aggregate(outcomes, sweep_var, value))

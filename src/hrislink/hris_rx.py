@@ -5,8 +5,11 @@ Three receivers operate on the sensed tensor ``(nc, t, k)``:
 * :func:`hris_bals` alternates two exact least-squares steps (channel step
   on the vectorized mode-3 unfolding, symbol step on the transposed mode-2
   unfolding), each a normal-equation solve, until the reconstruction
-  residual stagnates; the channel step forms its Gram from the Kronecker
-  structure and builds its explicit regressor only for the SVD fallback;
+  residual stagnates.  The channel step reads its Gram from a
+  ``(w*w, (l*n)**2)`` table kept per coding set (:func:`channel_gram_table`)
+  and its right-hand side from a ``(w*t, l*n)`` cross table with the
+  received signal, built once per call (256 KB and 8 KB at the default
+  sizes); it builds its explicit regressor only for the SVD fallback;
 * :func:`hris_kronf` (tstc) recovers the Kronecker-structured composite of
   channel and symbols in one least-squares solve, then splits it with a
   rank-1 factorization after a block rearrangement;
@@ -56,8 +59,12 @@ def channel_code_matrix(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
 
 
 def symbol_code_matrix(coding: CodingSet, channel: np.ndarray) -> np.ndarray:
-    """Symbol-step regressor: ``phi_k @ G @ mix_k`` stacked over ``k``, shape ``(k*nc, w)``."""
-    return ((coding.phi @ channel) @ coding.mix).reshape(-1, coding.streams)
+    """Symbol-step regressor: ``phi_k @ G @ mix_k`` stacked over ``k``, shape ``(k*nc, w)``.
+
+    The stacked ``phi_k @ G`` is one product of ``(k*nc, n)`` and ``(n, l)``.
+    """
+    k, nc, n = coding.phi.shape
+    return ((coding.phi.reshape(-1, n) @ channel).reshape(k, nc, -1) @ coding.mix).reshape(-1, coding.streams)
 
 
 def composite_code_matrix(coding: CodingSet) -> np.ndarray:
@@ -84,26 +91,44 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
     return inverse
 
 
+@lru_cache(maxsize=CODINGS_KEPT)
+def channel_gram_table(coding: CodingSet) -> np.ndarray:
+    """The table ``T`` that gives the channel-step Gram as ``(conj(X) @ X.T).ravel() @ T``, once per coding set.
+
+    With ``M_k = mix_k @ X`` the Gram ``sum_k kron(conj(M_k) M_k^T, phi_k^H phi_k)``
+    is ``sum_{s,s'} (conj(X) X^T)[s, s'] T_{ss'}``, where row ``(s, s')`` of ``T``
+    holds ``T_{ss'} = sum_k kron(conj(mix_k[:, s]) mix_k[:, s']^T, phi_k^H phi_k)``.
+    ``T`` is ``(w*w, (l*n)**2)``: ``16 w^2 l^2 n^2`` bytes, 256 KB at the default
+    sizes.  The result is read-only and shared; the last ``CODINGS_KEPT`` codings keep theirs.
+    """
+    (k, l, w), n = coding.mix.shape, coding.elements
+    mix_t = coding.mix.transpose(0, 2, 1)                           # mix_k^T, (k, w, l)
+    outer = (mix_t.conj()[:, :, None, :, None] * mix_t[:, None, :, None, :]).reshape(k, -1)  # (k, (s, s', a, b))
+    phi_gram = (coding.phi.conj().transpose(0, 2, 1) @ coding.phi).reshape(k, -1)             # (k, (i, j))
+    table = (outer.T @ phi_gram).reshape(w, w, l, l, n, n).transpose(0, 1, 2, 4, 3, 5).reshape(w * w, -1)
+    table.flags.writeable = False
+    return table
+
+
 def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
-    n, l, t, k = d.n, d.l, d.t, d.k
-    phi_h = coding.phi.reshape(-1, n).conj().T                      # Phi^H, (n, k*nc)
-    # phi_k^H Y_k side by side, (n, k*t), fixed within the call
-    phi_h_y = (coding.phi.conj().transpose(0, 2, 1) @ y_rc.transpose(2, 0, 1)).transpose(1, 0, 2).reshape(n, -1)
+    n, l, w, t, k = d.n, d.l, d.w, d.t, d.k
+    gram_table = channel_gram_table(coding)
+    # The right-hand side vec(sum_k phi_k^H Y_k M_k^H) is conj(X).ravel() @ cross, from a table
+    # fixed within the call: cross[(s, tau), (a, i)] = sum_k conj(mix_k[a, s]) (phi_k^H Y_k)[i, tau], (w*t, l*n)
+    phi_h_y = coding.phi.conj().transpose(0, 2, 1) @ y_rc.transpose(2, 0, 1)          # (k, n, t)
+    cross = (coding.mix.conj().reshape(k, -1).T @ phi_h_y.reshape(k, -1)).reshape(l, w, n, t)
+    cross = cross.transpose(1, 3, 0, 2).reshape(w * t, l * n)
 
     def channel_step(x_hat):
-        # The regressor stacks kron(M_k^T, phi_k), M_k = mix_k X: its Gram is
-        # sum_k kron(conj(M_k) M_k^T, phi_k^H phi_k), its right-hand side vec(sum_k phi_k^H Y_k M_k^H)
-        m_k = (coding.mix.reshape(-1, d.w) @ x_hat).reshape(k, l, t)
-        a_k = m_k.conj() @ m_k.transpose(0, 2, 1)                   # (k, l, l)
-        weighted = (a_k[:, None, :, :, None] * coding.phi[:, :, None, None, :]).reshape(-1, l * l * n)
-        gram = (phi_h @ weighted).reshape(n, l, l, n).transpose(1, 0, 2, 3).reshape(l * n, l * n)
-        rhs = vec(phi_h_y @ m_k.conj().transpose(0, 2, 1).reshape(k * t, l))
+        x_conj = x_hat.conj()
+        gram = ((x_conj @ x_hat.T).reshape(-1) @ gram_table).reshape(l * n, l * n)
+        rhs = x_conj.reshape(-1) @ cross
         g_vec, fell_back = solve_gram(gram, rhs, lambda: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)))
         return unvec(g_vec, n, l), fell_back
 
-    report = run_als(y_rc, init_symbols(d.w, d.t, init_seed), channel_step,
+    report = run_als(y_rc, init_symbols(w, t, init_seed), channel_step,
                      lambda g_hat: symbol_code_matrix(coding, g_hat))
     return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 

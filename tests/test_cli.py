@@ -59,6 +59,16 @@ def test_sweep_byte_identical_reruns(cfg_file, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_sweep_workers_give_byte_identical_csv(cfg_file, tmp_path):
+    outs = {workers: tmp_path / f"workers{workers}.csv" for workers in (1, 2)}
+    for workers, out in outs.items():
+        result = run_cli("sweep", "--config", cfg_file, "--pair", "bals-bals", "--sweep", "rho",
+                         "--points", "0.5,0.9", "--trials", "3", "--seed", "7",
+                         "--workers", str(workers), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+    assert outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_sweep_to_stdout(cfg_file):
     result = run_cli("sweep", "--config", cfg_file, "--pair", "kronf-h",
                      "--sweep", "pt", "--points", "30", "--trials", "1", "--seed", "0")

@@ -435,12 +435,21 @@ def test_power_sweep_nmse_nonincreasing():
             assert values[i + 1] <= values[i] + slack[i] + slack[i + 1]
 
 
-def test_workers_pool_matches_serial():
+def test_workers_pool_matches_serial(monkeypatch):
+    # 5 trials on 2 workers: one chunk of 3 and one of 2, in trial order
+    chunksizes = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            chunksizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
     cfg = small_cfg()
-    serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=3, base_seed=5)
-    pooled = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=3, base_seed=5,
-                       workers=2)
+    serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=5, base_seed=5)
+    pooled = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=5, base_seed=5, workers=2)
     assert serial == pooled
+    assert chunksizes == [3, 3]
 
 
 @pytest.mark.parametrize("scheme, pair", [("tstc", ("bals", "bals")), ("krstc", ("krf", "kronf"))])

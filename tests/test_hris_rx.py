@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.hris_rx import (
     channel_code_matrix,
+    channel_gram_table,
     composite_code_matrix,
     composite_pinv,
     hris_bals,
@@ -323,6 +324,20 @@ def test_composite_pinv_cached_per_coding(scheme):
     assert not cached.flags.writeable
     expected = pinv(composite_code_matrix(coding))
     assert np.max(np.abs(cached - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_channel_gram_table_cached_per_coding(scheme):
+    cfg, _, coding, _, _ = make_case(scheme=scheme)
+    cached = channel_gram_table(coding)
+    assert channel_gram_table(coding) is cached
+    assert not cached.flags.writeable
+    assert cached.nbytes == 16 * (cfg.streams * cfg.l * cfg.n) ** 2
+    # row (s, s'): sum_k kron(conj(mix_k[:, s]) mix_k[:, s']^T, phi_k^H phi_k)
+    want = np.array([sum(np.kron(np.outer(coding.mix[k][:, s].conj(), coding.mix[k][:, s2]),
+                                 coding.phi[k].conj().T @ coding.phi[k]) for k in range(cfg.k)).ravel()
+                     for s, s2 in itertools.product(range(cfg.streams), repeat=2)])
+    assert np.max(np.abs(cached - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("scheme, receiver", [("tstc", hris_kronf), ("krstc", hris_krf)])

@@ -5,8 +5,8 @@ set's sub-frame stacks.  Here each one is rebuilt block by block with
 ``np.kron``/``np.diag`` from the raw code, on ``k > 1`` sub-frames and a
 random symbol matrix, for both coding schemes.  The ALS channel steps never
 build their regressor unless they fall back to the SVD; the normal
-equations they form from its structure are checked against the explicit
-regressor over random feasible configurations.
+equations they read from their tables are checked, at every iteration,
+against the explicit regressor over random feasible configurations.
 """
 
 import math
@@ -120,24 +120,31 @@ NON_DIAGONAL = [ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=3, k=4, scheme="tstc"
                 ScenarioConfig(m=2, n=5, nc=2, l=3, r=3, t=2, k=8, scheme="krstc")]
 
 
-class Captured(Exception):
-    """Stops a receiver once its first channel step has called ``solve_gram``."""
+def channel_solves(module, receive, x0):
+    """Every ``(gram, rhs, x)`` that ``receive()``, started from ``x0``, passes to ``solve_gram``.
 
+    ``x`` is the symbol estimate the channel step of that solve started from.
+    """
+    solves, starts = [], []
+    solve_gram, run_als = module.solve_gram, module.run_als
 
-def first_normal_equations(module, receive, x):
-    """The ``(gram, rhs)`` of the first channel step of ``receive()``, started from ``x``."""
-    seen = []
+    def recording_solve(gram, rhs, problem):
+        solves.append((gram, rhs))
+        return solve_gram(gram, rhs, problem)
 
-    def capture(gram, rhs, problem):
-        seen.append((gram, rhs))
-        raise Captured
+    def recording_run_als(y, x, channel_step, symbol_regressor):
+        def step(x_hat):
+            starts.append(x_hat)
+            return channel_step(x_hat)
+        return run_als(y, x, step, symbol_regressor)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "solve_gram", capture)
-        patch.setattr(module, "init_symbols", lambda rows, cols, seed: x)
-        with pytest.raises(Captured):
-            receive()
-    return seen[0]
+        patch.setattr(module, "solve_gram", recording_solve)
+        patch.setattr(module, "run_als", recording_run_als)
+        patch.setattr(module, "init_symbols", lambda rows, cols, seed: x0)
+        receive()
+    assert len(solves) == len(starts)
+    return [(gram, rhs, x) for (gram, rhs), x in zip(solves, starts)]
 
 
 def assert_normal_equations(got, a, b):
@@ -152,7 +159,19 @@ def assert_normal_equations(got, a, b):
 @example(problem=(NON_DIAGONAL[0], 1))
 @example(problem=(NON_DIAGONAL[1], 2))
 def test_channel_steps_form_the_exact_normal_equations(problem):
-    cfg, seed = problem
+    check_every_channel_step(*problem)
+
+
+@pytest.mark.parametrize("cfg", NON_DIAGONAL, ids=["tstc", "krstc"])
+def test_channel_step_checks_reach_later_iterations(cfg):
+    # the tables behind the Grams and right-hand sides are built before the first
+    # iteration and reused, so a wrong or stale table shows from the second on
+    hris_steps, bs_steps = check_every_channel_step(cfg, 4)
+    assert hris_steps >= 2 and bs_steps >= 2
+
+
+def check_every_channel_step(cfg, seed):
+    """Check each channel solve of both ``bals`` receivers on random data; return how many each made."""
     coding = build_coding(cfg)
     rng = np.random.default_rng(seed)
     x = crandn(rng, cfg.streams, cfg.t)
@@ -160,11 +179,14 @@ def test_channel_steps_form_the_exact_normal_equations(problem):
     y_rc = crandn(rng, cfg.nc, cfg.t, cfg.k)
     y_bs = crandn(rng, cfg.m, cfg.t, cfg.k)
 
-    got = first_normal_equations(hris_rx, lambda: hris_rx.hris_bals(y_rc, coding), x)
-    assert_normal_equations(got, channel_code_matrix(coding, x), vec(unfold(y_rc, 3).T))
+    hris_steps = channel_solves(hris_rx, lambda: hris_rx.hris_bals(y_rc, coding), x)
+    for gram, rhs, x_hat in hris_steps:
+        assert_normal_equations((gram, rhs), channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T))
 
-    got = first_normal_equations(bs_rx, lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x)
-    assert_normal_equations(got, bs_rx.channel_code_matrix(coding, g, x).T, unfold(y_bs, 1).T)
+    bs_steps = channel_solves(bs_rx, lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x)
+    for gram, rhs, x_hat in bs_steps:
+        assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T)
+    return len(hris_steps), len(bs_steps)
 
 
 @pytest.mark.parametrize("cfg", NON_DIAGONAL, ids=["tstc", "krstc"])
