@@ -20,9 +20,11 @@ that channel and the decoded symbols (scenario 2).  Receivers:
 Every regressor, for both coding schemes, is built from one stack of the
 blocks ``diag(psi_k) @ G @ mix_k`` (times ``X``, times ``H``, or vectorized).
 
-Both closed-form solves run no SVD when a Householder QR certifies full rank
-(:func:`~hrislink.rx_common.require_full_rank`): ``|R|_F |R^{-1}|_F`` bounds
-``sigma_max / sigma_min``, so the SVD rank rule would agree.
+Both closed-form solves apply the pseudo-inverse straight to the received
+unfolding and run no SVD when a Cholesky factor ``U`` of the small Gram
+certifies full rank (:func:`~hrislink.rx_common.require_full_rank`):
+``sqrt(tr(a^H a)) |U^{-1}|_F`` bounds ``sigma_max / sigma_min``, so the SVD
+rank rule would agree.
 
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
 
 from .coding import CodingSet
 from .identifiability import Sizes
@@ -47,7 +50,6 @@ from .rx_common import (
     run_als,
 )
 from .tensor_ops import rank1_approx, solve_gram, unfold
-from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,7 @@ def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -
     m, t, n, streams = d.m, d.t, d.n, d.w
     blocks = _reflect_blocks(coding, payload.ut_channel)           # (k, n, streams)
     right = blocks.transpose(0, 2, 1).reshape(d.k, -1).T            # (streams*n, k)
-    inverse = require_full_rank(right, streams * n, "composite right factor")
-    composite = unfold(y_bs, 3).T @ inverse                         # (t*m, streams*n)
+    composite = require_full_rank(unfold(y_bs, 3).T, right, streams * n, "composite right factor")  # (t*m, streams*n)
     rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)
     h_hat = (math.sqrt(sigma) * u).reshape(n, m).T
@@ -155,5 +156,5 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
     n = _check_inputs(y_bs, payload, coding, "bs_channel_only").n
     channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
-    h_hat = unfold(y_bs, 1) @ require_full_rank(channel_step, n, "channel-step regressor")
+    h_hat = require_full_rank(unfold(y_bs, 1), channel_step, n, "channel-step regressor")
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))

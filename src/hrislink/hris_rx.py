@@ -30,6 +30,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps hris_rx.pinv by name
 
 from .coding import CODINGS_KEPT, CodingSet
 from .rx_common import (
@@ -41,7 +42,6 @@ from .rx_common import (
     run_als,
 )
 from .tensor_ops import rank1_approx, solve_gram, unfold, unvec, vec
-from .tensor_ops import pinv  # noqa: F401 -- perfbench/tracing.py wraps hris_rx.pinv by name
 
 
 def _stacked_kron(left: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
     :class:`RankDeficiencyError` on every call.
     """
     fxg = composite_code_matrix(coding)
-    inverse = require_full_rank(fxg, fxg.shape[1], "composite code matrix")
+    inverse = require_full_rank(np.eye(fxg.shape[1]), fxg, fxg.shape[1], "composite code matrix")
     inverse.flags.writeable = False
     return inverse
 

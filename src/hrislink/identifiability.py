@@ -150,9 +150,10 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
 
 # Singular values at or below this fraction of the largest one count as zero
 # in every rank check: the rank bounds and the receivers' full-rank solves.
-# A QR certificate |R|_F |R^-1|_F >= sigma_max/sigma_min below rx_common.FULL_RANK_CERTIFICATE
-# = 1e-2 / RANK_TOL keeps sigma_min/sigma_max 100 times above this cut.  tensor_ops.GRAM_RCOND_FLOOR
-# = 1e-10 is on the Gram a^H a, which squares the condition: Cholesky needs sigma_min/sigma_max >~ 1e-5.
+# A Gram certificate sqrt(tr(a^H a)) |U^-1|_F >= sigma_max/sigma_min (tensor_ops.apply_pinv) below
+# rx_common.GRAM_CERTIFICATE_MAX = 1e4 keeps sigma_min/sigma_max above ~1e-4, 1e6 times above this
+# cut.  tensor_ops.GRAM_RCOND_FLOOR = 1e-10 is on the Gram a^H a, which squares the condition: a
+# solve_gram Cholesky needs sigma_min/sigma_max >~ 1e-5, so every certified Gram would pass it too.
 RANK_TOL = 1e-10
 
 

@@ -1,6 +1,6 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
-shared ALS iteration, the rank-checked pseudo-inverse, and the anchor
-normalization."""
+shared ALS iteration, the rank-checked product with a pseudo-inverse, and
+the anchor normalization."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
-from .identifiability import ENTITY_NAMES, RANK_TOL, RECEIVERS, ReceiverSpec, Sizes, spectral_rank
-from .tensor_ops import lstsq_normal, pinv_with_spectrum, qr_pinv, unfold
+from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, spectral_rank
+from .tensor_ops import apply_pinv, lstsq_normal, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -23,9 +23,9 @@ MAX_ITERATIONS = 200
 REL_TOL = 1e-6
 RESIDUAL_FLOOR = 1e-26
 
-# QR condition certificates (tensor_ops.qr_pinv) below this prove full rank without an SVD (see
-# RANK_TOL); Householder QR is backward stable, so the margin of 100 dwarfs either method's rounding.
-FULL_RANK_CERTIFICATE = 1e-2 / RANK_TOL
+# Gram certificates (tensor_ops.apply_pinv) below this prove full rank without an SVD and bound the
+# normal-equation error of the product by about eps * 1e8; the comment at identifiability.RANK_TOL relates the cuts.
+GRAM_CERTIFICATE_MAX = 1e4
 
 
 class IdentifiabilityError(ValueError):
@@ -135,24 +135,23 @@ def run_als(y: np.ndarray, x0: np.ndarray, channel_step: Callable,
     return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
 
 
-def require_full_rank(mat: np.ndarray, need: int, what: str) -> np.ndarray:
-    """The pseudo-inverse of ``mat``, which must have numerical rank ``need``.
+def require_full_rank(lhs: np.ndarray, mat: np.ndarray, need: int, what: str) -> np.ndarray:
+    """``lhs @ pinv(mat)``, where ``mat`` must have numerical rank ``need``.
 
     Raises :class:`RankDeficiencyError` otherwise.  A full rank certified by
-    :func:`~hrislink.tensor_ops.qr_pinv` needs no SVD: a certificate below
-    ``FULL_RANK_CERTIFICATE`` keeps every singular value 100 times above the
-    ``RANK_TOL`` cut, so the SVD rule would count full rank too.  Otherwise the
-    rank is read off the SVD that forms the pseudo-inverse.
+    :func:`~hrislink.tensor_ops.apply_pinv` needs no SVD: a certificate below
+    ``GRAM_CERTIFICATE_MAX`` keeps ``sigma_min / sigma_max`` above ``1e-4``,
+    far above the ``RANK_TOL`` cut, so the SVD rule would count full rank too.
+    Every other matrix has its rank read off its singular values.
     """
     if need == min(mat.shape) > 0:
-        inverse, certificate = qr_pinv(mat)
-        if certificate < FULL_RANK_CERTIFICATE:
-            return inverse
-    inverse, s = pinv_with_spectrum(mat)
-    rank = spectral_rank(s)
+        product, certificate = apply_pinv(lhs, mat)
+        if certificate < GRAM_CERTIFICATE_MAX:
+            return product
+    rank = spectral_rank(np.linalg.svd(mat, compute_uv=False))
     if rank < need:
         raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
-    return inverse
+    return lhs @ np.linalg.pinv(mat)
 
 
 def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:

@@ -12,16 +12,19 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 * mode 3: ``vec`` of each frontal slice stacked as rows, shape ``(I3, I2*I1)``.
 
 Least-squares solves go through the normal equations (:func:`solve_gram`),
-which need the explicit regressor only for their SVD fallback.  A full-rank
-pseudo-inverse comes from a Householder QR (:func:`qr_pinv`) with the
-certificate ``|R|_F |R^{-1}|_F >= sigma_max / sigma_min``; QR is backward
-stable, so a small certificate shows that an SVD would count full rank too.
+which need the explicit regressor only for their SVD fallback.  A product
+``lhs @ pinv(m)`` with a full-rank ``m`` comes from a Cholesky factor ``U`` of
+the small Gram (:func:`apply_pinv`), with the certificate
+``sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max / sigma_min``; a small certificate
+shows that an SVD would count full rank too.  The rank-1 split
+(:func:`rank1_approx`) takes the top eigenpair of the small Gram.
 
 All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -56,51 +59,34 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def pinv(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse.
+def apply_pinv(lhs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``lhs @ pinv(m)`` for a full-rank ``m``, from a Cholesky factor of its small Gram, and a rank certificate.
 
-    Singular values below ``max(rows, cols) * machine_eps * sigma_max`` are
-    treated as zero, the truncation of ``numpy.linalg.pinv``.  An all-zero
-    input yields the (transposed-shape) zero matrix.
-    """
-    return pinv_with_spectrum(m)[0]
-
-
-def pinv_with_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pinv` of ``m`` and the singular values of the one SVD that forms it.
-
-    The singular values come in descending order, so a rank check can read
-    them instead of running a second SVD.  The arithmetic is that of
-    ``numpy.linalg.pinv``.
-    """
-    m = np.asarray(m)
-    u, s, vh = np.linalg.svd(m.conj(), full_matrices=False)
-    large = s > max(m.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
-    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return vh.T @ (s_inv[:, None] * u.T), s
-
-
-def qr_pinv(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pseudo-inverse of a full-rank ``m`` from a Householder QR, and its condition certificate.
-
-    The tall orientation of ``m`` (itself or ``m^H``) is ``Q R``, with
-    pseudo-inverse ``R^{-1} Q^H``.  The certificate ``|R|_F |R^{-1}|_F``
-    bounds ``sigma_max / sigma_min``; it is infinite for an exactly singular
-    ``R`` or a non-finite inverse.
+    With ``a`` the tall orientation of ``m`` (itself or ``m^H``), ``potrf``
+    factors ``a^H a = U^H U`` and ``trtri`` inverts ``U``; the product is
+    ``((lhs @ U^{-1}) @ U^{-H}) @ a^H`` for a tall ``m`` and
+    ``((lhs @ a) @ U^{-1}) @ U^{-H}`` for a wide one, so no pseudo-inverse is
+    formed.  The certificate ``sqrt(tr(a^H a)) |U^{-1}|_F`` bounds
+    ``sigma_max / sigma_min``; it is infinite when LAPACK reports a failure or
+    the product is not finite, and the product then means nothing.
     """
     m = np.asarray(m)
     wide = m.shape[0] < m.shape[1]
     a = m.conj().T if wide else m
-    geqrf, ungqr, trtrs = scipy.linalg.lapack.get_lapack_funcs(
-        ("geqrf", "ungqr" if np.iscomplexobj(a) else "orgqr", "trtrs"), (a,))
-    qr, tau, _, info = geqrf(a)
-    q, _, info_q = ungqr(qr, tau)
-    # trtrs reads only the upper triangle, R; the reflectors below it are ignored
-    inverse, info_r = trtrs(qr[:a.shape[1]], q.conj().T)
-    solved = not (info or info_q or info_r) and np.isfinite(inverse).all()
-    # |m|_F = |R|_F and |R^{-1} Q^H|_F = |R^{-1}|_F, as Q has orthonormal columns
-    certificate = float(np.linalg.norm(m) * np.linalg.norm(inverse)) if solved else np.inf
-    return (inverse.conj().T if wide else inverse), certificate
+    gram = a.conj().T @ a
+    potrf, trtri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri"), (gram,))
+    factor, info = potrf(gram)
+    u_inv, info_inv = trtri(factor)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow voids the certificate
+        if wide:
+            product = ((lhs @ a) @ u_inv) @ u_inv.conj().T
+        else:
+            product = ((lhs @ u_inv) @ u_inv.conj().T) @ a.conj().T
+        # tr(a^H a) = sigma_1^2 + ... >= sigma_max^2 and |U^{-1}|_F >= |U^{-1}|_2 = 1 / sigma_min
+        certificate = math.sqrt(gram.trace().real) * float(np.linalg.norm(u_inv))
+    if info or info_inv or not np.isfinite(product).all():
+        certificate = math.inf
+    return product, certificate
 
 
 # Reciprocal condition estimate of the Gram matrix below which :func:`solve_gram`
@@ -115,7 +101,7 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
     ``a @ x = b``, however the caller formed them; a Cholesky factor solves it.
     When the factorization fails, the Gram's reciprocal condition estimate is
     below ``GRAM_RCOND_FLOOR``, or the solution is not finite, it calls
-    ``problem()`` for the explicit ``(a, b)`` and returns ``pinv(a) @ b``.
+    ``problem()`` for the explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
     """
     potrf, pocon, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "pocon", "potrs"), (gram,))
     factor, info = potrf(gram)
@@ -126,7 +112,7 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
             if info == 0 and np.isfinite(x).all():
                 return x, False
     a, b = problem()
-    return pinv(a) @ b, True
+    return np.linalg.pinv(a) @ b, True
 
 
 def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -138,18 +124,28 @@ def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
 def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Best rank-1 approximation ``sigma * u @ v.conj().T`` in Frobenius norm.
 
-    Returns unit-norm ``u`` and ``v`` and ``sigma > 0``.  The unit-modulus
-    freedom of the singular pair is fixed by rotating the largest-magnitude
-    entry of ``u`` to be real-positive, so results are deterministic.
+    Returns unit-norm ``u`` and ``v`` and ``sigma > 0``.  The top eigenvector
+    of the Gram on the smaller side gives one singular vector, ``v`` say, and
+    the other is ``m v / sigma``.  ``m`` is first scaled by a power of two near
+    its largest entry, which is exact and keeps the Gram from under- or overflowing
+    even for subnormal input; a ``sigma`` beyond the float range is ``inf``.
+    The unit-modulus freedom of the singular pair is fixed by rotating the
+    largest-magnitude entry of ``u`` to be real-positive, so results are deterministic.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("rank1_approx expects a nonempty matrix")
     if not np.any(m):
         raise ValueError("rank-1 approximation of an all-zero matrix is undefined")
-    u_full, s, vh = np.linalg.svd(m, full_matrices=False)
-    u = u_full[:, 0]
-    v = vh[0].conj()
+    exponent = max(int(np.frexp(np.abs(m).max())[1]), -1021)  # 2**1021 is finite; subnormals need no more
+    m = m * math.ldexp(1.0, -exponent)
+    tall = m.shape[0] >= m.shape[1]
+    a = m if tall else m.conj().T                   # the orientation whose Gram is the small one
+    right = np.linalg.eigh(a.conj().T @ a)[1][:, -1]
+    left = a @ right
+    sigma = float(np.linalg.norm(left))
+    left /= sigma
+    u, v = (left, right) if tall else (right, left)
     idx = int(np.argmax(np.abs(u)))
     phase = u[idx] / abs(u[idx])
-    return u * phase.conj(), float(s[0]), v * phase.conj()
+    return u * phase.conj(), float(np.ldexp(sigma, exponent)), v * phase.conj()

@@ -136,12 +136,12 @@ def test_kronf_exact_recovery_tstc():
 
 def test_kronf_composite_is_kronecker_of_truth():
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    from hrislink.tensor_ops import pinv, unfold
+    from hrislink.tensor_ops import unfold
 
     blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix[k]
               for k in range(cfg.k)]
     right = np.column_stack([vec(b) for b in blocks])
-    z = unfold(y, 3).T @ pinv(right)
+    z = unfold(y, 3).T @ np.linalg.pinv(right)
     assert np.max(np.abs(z - np.kron(symbols.T, channels.ris_bs))) < 1e-12
 
 
@@ -182,10 +182,10 @@ def test_channel_only_equals_single_bals_channel_step():
     cfg, channels, coding, symbols, y = make_case(k=8)
     payload = ControlLinkPayload(channels.ut_ris, symbols)
     rep = bs_channel_only(y, payload, coding)
-    from hrislink.tensor_ops import pinv, unfold
+    from hrislink.tensor_ops import unfold
     blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix[k] @ symbols
               for k in range(cfg.k)]
-    direct = unfold(y, 1) @ pinv(np.hstack(blocks))
+    direct = unfold(y, 1) @ np.linalg.pinv(np.hstack(blocks))
     assert np.allclose(rep.channel, direct)
 
 

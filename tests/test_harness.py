@@ -170,16 +170,17 @@ def test_full_reflection_trial_fails():
 @pytest.mark.parametrize("scheme, pair", [("tstc", ("kronf", "kronf")), ("tstc", ("kronf", "h")),
                                           ("krstc", ("krf", "kronf")), ("krstc", ("krf", "h"))])
 def test_closed_form_pairs_certify_full_rank_without_an_svd(monkeypatch, scheme, pair):
-    def no_svd(mat):
+    def no_svd(mat, **_):
         raise AssertionError(f"require_full_rank fell back to the SVD on a {mat.shape} matrix")
 
     hris_rx.composite_pinv.cache_clear()
-    monkeypatch.setattr(rx_common, "pinv_with_spectrum", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "pinv", no_svd)
     out = run_trial(ScenarioConfig(scheme=scheme), pair, seed=3)
     assert not out.failed, out.failure_reason
 
 
-# Rank-deficient solves that the QR certificate rejects keep the SVD rule's
+# Rank-deficient solves that the Gram certificate rejects keep the SVD rule's
 # decision and message.  The two krstc cases sit at feasible_subframes, which
 # is a floor and not a guarantee, and recover at twice as many sub-frames;
 # with rho=0 nothing is reflected, so the BS solves fail at any k.

@@ -24,7 +24,7 @@ from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, 
                                 RankDeficiencyError, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
-from hrislink.tensor_ops import pinv, unfold, vec
+from hrislink.tensor_ops import unfold, vec
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -173,10 +173,10 @@ def test_kronf_exact_recovery_noiseless():
 
 def test_kronf_composite_is_kronecker_of_truth():
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    from hrislink.tensor_ops import pinv, unfold, unvec
+    from hrislink.tensor_ops import unfold, unvec
 
     fxg = composite_code_matrix(coding)
-    q = unvec(vec(unfold(y, 2) @ pinv(fxg).T), cfg.n * cfg.t, cfg.l * cfg.r)
+    q = unvec(vec(unfold(y, 2) @ np.linalg.pinv(fxg).T), cfg.n * cfg.t, cfg.l * cfg.r)
     assert np.max(np.abs(q - np.kron(channels.ut_ris, symbols.T))) < 1e-12
 
 
@@ -208,10 +208,10 @@ def test_krf_exact_recovery_noiseless():
 
 def test_krf_columns_are_rank_one():
     cfg, channels, coding, symbols, y = make_case(scheme="krstc", n=4, k=16)
-    from hrislink.tensor_ops import pinv, unfold, unvec
+    from hrislink.tensor_ops import unfold, unvec
 
     fxg = composite_code_matrix(coding)
-    q = unvec(vec(unfold(y, 2) @ pinv(fxg).T), cfg.n * cfg.t, cfg.l)
+    q = unvec(vec(unfold(y, 2) @ np.linalg.pinv(fxg).T), cfg.n * cfg.t, cfg.l)
     for col in range(cfg.l):
         s = np.linalg.svd(unvec(q[:, col], cfg.t, cfg.n), compute_uv=False)
         assert s[1] / s[0] < 1e-10
@@ -322,7 +322,7 @@ def test_composite_pinv_cached_per_coding(scheme):
     cached = composite_pinv(coding)
     assert composite_pinv(coding) is cached
     assert not cached.flags.writeable
-    expected = pinv(composite_code_matrix(coding))
+    expected = np.linalg.pinv(composite_code_matrix(coding))
     assert np.max(np.abs(cached - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -353,8 +353,7 @@ def test_require_full_rank_returns_the_pinv():
     rng = np.random.default_rng(5)
     for shape in ((12, 5), (5, 12), (16, 16)):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = require_full_rank(a, min(shape), "test matrix")
-        assert np.max(np.abs(got - pinv(a))) < 1e-12 * np.max(np.abs(got))
+        got = require_full_rank(np.eye(shape[1]), a, min(shape), "test matrix")
         assert np.max(np.abs(got - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(got))
 
 
@@ -362,8 +361,8 @@ def test_require_full_rank_returns_the_pinv():
 @given(rows=st.integers(1, 24), cols=st.integers(1, 24), log_ratio=st.floats(-13.0, -5.0),
        seed=st.integers(0, 2**32 - 1))
 def test_require_full_rank_decides_as_the_svd_rule(rows, cols, log_ratio, seed):
-    # singular values from 1 down to 10**log_ratio: the range straddles both the
-    # RANK_TOL cut and the QR certificate bound, so both paths are exercised
+    # singular values from 1 down to 10**log_ratio: the range straddles the RANK_TOL
+    # cut, and past one column it is beyond GRAM_CERTIFICATE_MAX, so the SVD rule decides
     rng = np.random.default_rng(seed)
     size = min(rows, cols)
     middle = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, max(size - 2, 0)))[::-1]
@@ -377,9 +376,9 @@ def test_require_full_rank_decides_as_the_svd_rule(rows, cols, log_ratio, seed):
     rank = spectral_rank(spectrum)
     if rank < size:
         with pytest.raises(RankDeficiencyError, match=rf"^m has numerical rank {rank}, need {size}$"):
-            require_full_rank(a, size, "m")
+            require_full_rank(np.eye(cols), a, size, "m")
     else:
-        got = require_full_rank(a, size, "m")
+        got = require_full_rank(np.eye(cols), a, size, "m")
         expected = np.linalg.pinv(a)
         kappa = spectrum[0] / spectrum[-1]
         assert np.linalg.norm(got - expected) <= 1e-12 * kappa * np.linalg.norm(expected)
@@ -389,9 +388,9 @@ def test_require_full_rank_message_on_rank_deficiency():
     rng = np.random.default_rng(6)
     a = np.outer(rng.standard_normal(6), rng.standard_normal(4))  # rank one
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 1, need 4$"):
-        require_full_rank(a, 4, "test matrix")
+        require_full_rank(np.eye(4), a, 4, "test matrix")
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 0, need 2$"):
-        require_full_rank(np.zeros((3, 2)), 2, "test matrix")
+        require_full_rank(np.eye(2), np.zeros((3, 2)), 2, "test matrix")
 
 
 def test_rank_threshold_sits_between_5e_11_and_2e_10():
@@ -402,4 +401,4 @@ def test_rank_threshold_sits_between_5e_11_and_2e_10():
     a = u @ np.diag([1.0, 2e-10, 5e-11]) @ v.conj().T
     assert numerical_rank(a) == 2
     with pytest.raises(RankDeficiencyError, match=r"numerical rank 2, need 3"):
-        require_full_rank(a, 3, "test matrix")
+        require_full_rank(np.eye(6), a, 3, "test matrix")

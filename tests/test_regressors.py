@@ -87,7 +87,7 @@ def test_bs_kronf_right_factor(case, monkeypatch):
     cfg, coding, g, h, x = case
     seen = []
     original = bs_rx.require_full_rank
-    monkeypatch.setattr(bs_rx, "require_full_rank", lambda mat, *a: seen.append(mat) or original(mat, *a))
+    monkeypatch.setattr(bs_rx, "require_full_rank", lambda lhs, mat, *a: seen.append(mat) or original(lhs, mat, *a))
     y = np.stack([h @ np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(cfg.k)], axis=2)
     bs_kronf(y, ControlLinkPayload(g), coding)
     (right,) = seen

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from hrislink.tensor_ops import (lstsq_normal, pinv, pinv_with_spectrum, qr_pinv, rank1_approx, solve_gram, unfold,
-                                 unvec, vec)
+from hrislink.identifiability import spectral_rank
+from hrislink.rx_common import GRAM_CERTIFICATE_MAX
+from hrislink.tensor_ops import apply_pinv, lstsq_normal, rank1_approx, solve_gram, unfold, unvec, vec
 
 from oracle_models import fold, mode_n_product, modewise_contraction
 
@@ -251,50 +252,71 @@ def test_contraction_shape_errors():
         modewise_contraction(np.zeros((2, 3, 2)), np.zeros((3, 4, 3)))
 
 
-# ----------------------------------------------------------------------- pinv
+# ------------------------------------------------ certified pseudo-inverse product
+
+def certified_pinv(a):
+    """The pseudo-inverse of a full-rank ``a`` from :func:`apply_pinv`, and its certificate."""
+    return apply_pinv(np.eye(a.shape[1]), a)
+
 
 def test_pinv_identity_and_zero():
-    assert np.allclose(pinv(np.eye(4)), np.eye(4))
-    out = pinv(np.zeros((2, 3)))
-    assert out.shape == (3, 2)
-    assert np.all(out == 0)
+    inverse, certificate = certified_pinv(np.eye(4))
+    assert np.allclose(inverse, np.eye(4)) and certificate == 4.0
+    assert certified_pinv(np.zeros((2, 3)))[1] == np.inf
 
 
-def test_pinv_with_spectrum_matches_numpy():
-    rng = np.random.default_rng(53)
-    for shape in ((7, 3), (3, 7), (128, 128)):
-        a = crandn(rng, *shape)
-        inverse, s = pinv_with_spectrum(a)
-        assert np.array_equal(inverse, pinv(a))
-        assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
-        assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0)
-
-
-def test_qr_pinv_matches_numpy_and_bounds_the_condition_number():
+def test_apply_pinv_matches_numpy_and_bounds_the_condition_number():
     rng = np.random.default_rng(71)
     for a in (crandn(rng, 9, 4), crandn(rng, 4, 9), crandn(rng, 6, 6), rng.standard_normal((9, 4))):
-        inverse, certificate = qr_pinv(a)
+        inverse, certificate = certified_pinv(a)
         assert inverse.dtype == a.dtype
         assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
         assert np.linalg.cond(a) <= certificate <= np.sqrt(min(a.shape)) * np.linalg.cond(a) * (1 + 1e-12)
+        lhs = crandn(rng, 3, a.shape[1])
+        product, same = apply_pinv(lhs, a)
+        want = lhs @ np.linalg.pinv(a)
+        assert same == certificate
+        assert np.max(np.abs(product - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("a", [np.zeros((5, 3)), np.zeros((3, 5), dtype=complex),
                                np.outer(np.arange(1.0, 5.0), np.ones(4))])
-def test_qr_pinv_certificate_of_a_singular_matrix_is_at_least_one_over_eps(a):
-    assert qr_pinv(a)[1] >= 1 / np.finfo(float).eps
+def test_apply_pinv_never_certifies_a_singular_matrix(a):
+    assert certified_pinv(a)[1] >= GRAM_CERTIFICATE_MAX
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), lhs_rows=st.integers(1, 4),
+       log_ratio=st.floats(-13.0, 0.0), log_scale=st.floats(-150.0, 150.0), seed=st.integers(0, 2**32 - 1))
+def test_certified_product_is_full_rank_and_within_the_normal_equation_bound(rows, cols, lhs_rows, log_ratio,
+                                                                             log_scale, seed):
+    # sigma_min / sigma_max is 10**log_ratio, log-uniform over [1e-13, 1]; about a third of the draws certify
+    rng = np.random.default_rng(seed)
+    size = min(rows, cols)
+    middle = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, max(size - 2, 0)))[::-1]
+    s = np.r_[1.0, middle, 10.0 ** log_ratio][:size] * 10.0 ** log_scale
+    a = with_singular_values(rng, rows, s) @ np.linalg.qr(crandn(rng, cols, size))[0].conj().T
+    lhs = crandn(rng, lhs_rows, cols)
+    product, certificate = apply_pinv(lhs, a)
+    if certificate < GRAM_CERTIFICATE_MAX:
+        spectrum = np.linalg.svd(a, compute_uv=False)
+        assert spectral_rank(spectrum) == size
+        assert spectrum[0] / spectrum[-1] <= certificate * (1 + 1e-6)
+        # the normal equations' forward error, on the scale |lhs| |pinv(a)| of the product's rounding
+        bound = 10 * np.finfo(float).eps * certificate**2 * np.linalg.norm(lhs) / spectrum[-1]
+        assert np.linalg.norm(product - lhs @ np.linalg.pinv(a)) <= bound
 
 
 def test_pinv_left_inverse_full_column_rank():
     rng = np.random.default_rng(59)
     a = crandn(rng, 6, 3)
-    assert np.linalg.norm(pinv(a) @ a - np.eye(3)) < 1e-10
+    assert np.linalg.norm(certified_pinv(a)[0] @ a - np.eye(3)) < 1e-10
 
 
 def test_pinv_moore_penrose_conditions():
     rng = np.random.default_rng(61)
     a = crandn(rng, 5, 3)
-    ap = pinv(a)
+    ap = certified_pinv(a)[0]
     scale = np.linalg.norm(a)
     assert np.linalg.norm(a @ ap @ a - a) < 1e-12 * scale
     assert np.linalg.norm(ap @ a @ ap - ap) < 1e-12 * np.linalg.norm(ap)
@@ -305,7 +327,7 @@ def test_pinv_moore_penrose_conditions():
 def test_pinv_idempotent():
     rng = np.random.default_rng(67)
     a = crandn(rng, 4, 6)
-    assert np.linalg.norm(pinv(pinv(a)) - a) < 1e-10 * np.linalg.norm(a)
+    assert np.linalg.norm(certified_pinv(certified_pinv(a)[0])[0] - a) < 1e-10 * np.linalg.norm(a)
 
 
 # ------------------------------------------------------ normal-equation solve
@@ -325,7 +347,7 @@ def test_lstsq_normal_matches_pinv_on_full_column_rank(cols, extra_rows, rhs, sp
     a = with_singular_values(rng, cols + extra_rows, np.logspace(0.0, -spread, cols))
     b = crandn(rng, cols + extra_rows, rhs) if rhs else crandn(rng, cols + extra_rows)
     x, fell_back = lstsq_normal(a, b)
-    want = pinv(a) @ b
+    want = np.linalg.pinv(a) @ b
     assert not fell_back
     assert x.shape == want.shape
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
@@ -347,7 +369,7 @@ def test_lstsq_normal_falls_back_to_pinv(case):
     a, b = fallback_input(case)
     x, fell_back = lstsq_normal(a, b)
     assert fell_back
-    assert np.array_equal(x, pinv(a) @ b)
+    assert np.array_equal(x, np.linalg.pinv(a) @ b)
 
 
 def test_solve_gram_calls_problem_only_on_fallback():
@@ -360,13 +382,13 @@ def test_solve_gram_calls_problem_only_on_fallback():
     a, b = with_singular_values(rng, 20, np.array([1.0, 0.5, 0.2, 0.1])), crandn(rng, 20, 2)
     x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
     assert not fell_back and not calls
-    assert np.linalg.norm(x - pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
+    assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
     for case in ("rank deficient", "all zero"):
         a, b = fallback_input(case)
         calls.clear()
         x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
         assert fell_back and calls == [1]
-        assert np.array_equal(x, pinv(a) @ b)
+        assert np.array_equal(x, np.linalg.pinv(a) @ b)
 
 
 # --------------------------------------------------------------- rank-1 split
@@ -431,3 +453,41 @@ def test_rank1_deterministic_phase():
     assert np.array_equal(u1, u2) and s1 == s2 and np.array_equal(v1, v2)
     idx = np.argmax(np.abs(u1))
     assert abs(u1[idx].imag) < 1e-14 and u1[idx].real > 0
+
+
+@pytest.mark.parametrize("m", [np.array([[1e-310]]), np.array([[5e-324]]),
+                               np.array([[3e-310, -1e-310j, 0.0], [1e-311, 2e-310, 1e-310]])],
+                         ids=["subnormal", "smallest", "subnormal 2x3"])
+def test_rank1_of_subnormal_input(m):
+    u, sigma, v = rank1_approx(m)
+    u_svd, s_svd, vh_svd = np.linalg.svd(m * 2.0 ** 500 * 2.0 ** 500)    # exact
+    assert sigma == pytest.approx(s_svd[0] * 2.0 ** -500 * 2.0 ** -500, rel=1e-12)
+    assert abs(abs(np.vdot(u, u_svd[:, 0])) - 1) <= 1e-12
+    assert abs(abs(np.vdot(v, vh_svd[0].conj())) - 1) <= 1e-12
+
+
+def test_rank1_sigma_beyond_the_float_range_is_inf():
+    m = np.array([[1.7e308, -0.85e308], [0.425e308j, 0.0]])
+    with pytest.warns(RuntimeWarning):
+        u, sigma, v = rank1_approx(m)
+    u_svd, s_svd, vh_svd = np.linalg.svd(m / 4)
+    assert sigma == np.inf
+    assert abs(abs(np.vdot(u, u_svd[:, 0])) - 1) <= 1e-12
+    assert abs(abs(np.vdot(v, vh_svd[0].conj())) - 1) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), gap=st.floats(0.05, 1.0),
+       log_scale=st.floats(-300.0, 300.0), seed=st.integers(0, 2**32 - 1))
+def test_rank1_matches_the_top_singular_pair(rows, cols, gap, log_scale, seed):
+    # sigma_2 <= (1 - gap) sigma_1; beyond about 1e+-150 the unscaled Gram would under- or overflow
+    rng = np.random.default_rng(seed)
+    size = min(rows, cols)
+    s = np.r_[1.0, rng.uniform(0.0, 1.0 - gap, size - 1)] * 10.0 ** log_scale
+    m = with_singular_values(rng, rows, s) @ np.linalg.qr(crandn(rng, cols, size))[0].conj().T
+    u, sigma, v = rank1_approx(m)
+    u_svd, s_svd, vh_svd = np.linalg.svd(m)
+    assert abs(sigma - s_svd[0]) <= 1e-12 * s_svd[0]
+    assert abs(np.linalg.norm(u) - 1) <= 1e-12 and abs(np.linalg.norm(v) - 1) <= 1e-12
+    assert abs(abs(np.vdot(u, u_svd[:, 0])) - 1) <= 1e-12
+    assert abs(abs(np.vdot(v, vh_svd[0].conj())) - 1) <= 1e-12
