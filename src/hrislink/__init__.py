@@ -33,7 +33,7 @@ from .rx_common import (
     RankDeficiencyError,
     normalize_anchor,
 )
-from .scenario import ChannelRealization, ScenarioConfig, add_noise, draw_channels, link_gains, path_loss
+from .scenario import ChannelRealization, ScenarioConfig, draw_channels, draw_noise, link_gains, path_loss
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "RankReport",
     "ScenarioConfig",
     "TrialOutcome",
-    "add_noise",
     "bs_bals",
     "bs_channel_only",
     "bs_kronf",
@@ -62,6 +61,7 @@ __all__ = [
     "design_phase_shifts",
     "design_tstc",
     "draw_channels",
+    "draw_noise",
     "feasible_subframes",
     "feedback_bits",
     "flops_estimate",

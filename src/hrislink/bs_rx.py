@@ -17,8 +17,10 @@ that channel and the decoded symbols (scenario 2).  Receivers:
 * :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
   solve for the BS-side channel with symbols known.
 
-Every regressor, for both coding schemes, is built from one stack of the
-blocks ``diag(psi_k) @ G @ mix_k`` (times ``X``, times ``H``, or vectorized).
+Every regressor, for both coding schemes, is built from the blocks
+``diag(psi_k) @ G @ mix_k`` that the synthesis uses
+(:func:`~hrislink.synthesis.reflect_blocks`, one flat product), times ``X``,
+times ``H``, or vectorized.
 
 Both closed-form solves apply the pseudo-inverse straight to the received
 unfolding and run no SVD when a Cholesky factor ``U`` of the small Gram
@@ -49,6 +51,7 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
+from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, solve_gram, unfold
 
 
@@ -83,20 +86,15 @@ def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingS
     return d
 
 
-def _reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
-    """Effective source matrices ``diag(psi_k) @ G @ mix_k``, stacked: ``(k, n, streams)``."""
-    return coding.reflect[:, :, None] * (ut_channel @ coding.mix)
-
-
 def channel_code_matrix(coding: CodingSet, ut_channel: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``."""
-    blocks = _reflect_blocks(coding, ut_channel) @ symbols          # (k, n, t)
-    return blocks.transpose(1, 0, 2).reshape(coding.elements, -1)
+    return (reflect_blocks(coding, ut_channel).reshape(-1, coding.streams) @ symbols).reshape(coding.elements, -1)
 
 
 def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
     """Symbol-step regressor: the blocks ``H @ diag(psi_k) @ G @ mix_k`` stacked, ``(k*m, streams)``."""
-    return (bs_channel @ _reflect_blocks(coding, ut_channel)).reshape(-1, coding.streams)
+    h_blocks = bs_channel @ reflect_blocks(coding, ut_channel).reshape(coding.elements, -1)   # [H B_1 ... H B_K]
+    return h_blocks.reshape(len(bs_channel), coding.subframes, -1).transpose(1, 0, 2).reshape(-1, coding.streams)
 
 
 def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
@@ -104,9 +102,9 @@ def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, in
     d = _check_inputs(y_bs, payload, coding, "bs_bals")
     n, w, t, k, m = d.n, d.w, d.t, d.k, d.m
     g = payload.ut_channel
-    blocks = _reflect_blocks(coding, g)                              # B_k, (k, n, w)
-    b_cat = blocks.transpose(1, 0, 2).reshape(n, -1)                # [B_1 ... B_K], (n, k*w)
-    b_kw = blocks.transpose(1, 2, 0).reshape(-1, k)                 # b_kw[(i, s), k] = B_k[i, s], (n*w, k)
+    blocks = reflect_blocks(coding, g)                               # B_k[i, s] at [i, k, s], (n, k, w)
+    b_cat = blocks.reshape(n, -1)                                   # [B_1 ... B_K], (n, k*w)
+    b_kw = blocks.transpose(0, 2, 1).reshape(-1, k)                 # b_kw[(i, s), k] = B_k[i, s], (n*w, k)
     b_conj = b_kw.conj()
     # The channel step solves h_hat C = y1, C = [B_1 X ... B_K X], as C^T h_hat^T = y1^T.  With
     # P = conj(X X^H) = conj(X) X^T, its Gram conj(C C^H) is P.ravel() @ gram_table and its
@@ -136,8 +134,8 @@ def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -
     """
     d = _check_inputs(y_bs, payload, coding, "bs_kronf")
     m, t, n, streams = d.m, d.t, d.n, d.w
-    blocks = _reflect_blocks(coding, payload.ut_channel)           # (k, n, streams)
-    right = blocks.transpose(0, 2, 1).reshape(d.k, -1).T            # (streams*n, k)
+    blocks = reflect_blocks(coding, payload.ut_channel)            # (n, k, streams)
+    right = blocks.transpose(2, 0, 1).reshape(-1, d.k)              # (streams*n, k)
     composite = require_full_rank(unfold(y_bs, 3).T, right, streams * n, "composite right factor")  # (t*m, streams*n)
     rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)

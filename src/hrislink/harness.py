@@ -5,21 +5,24 @@ synthesizes both received tensors, runs the configured surface/BS receiver
 pair, and scores channel NMSEs, the combined-channel NMSE, and symbol error
 rates.  Trial ``i`` of a sweep point uses the seed ``splitmix64(base ^ i)``,
 so trials are reproducible and independent, and sweeps can be parallelized
-or re-batched without changing the aggregate.  What the configuration fixes
-(coding, constellation, receiver entry facts) is cached where it is derived.
+or re-batched without changing the aggregate.  A sweep runs trial-major: it
+draws each trial once and evaluates it at every point, synthesizing once per
+coding.  What the configuration fixes (coding, constellation, receiver entry
+facts) is cached where it is derived.
 
-Transmit power enters by scaling the unit-energy symbol matrix with
-``sqrt(Pt)``; receivers then estimate the power-bearing effective UT-side
-channel.  NMSE is scale-invariant, so all reported channel errors equal the
-physical-domain ones.
+Transmit power scales the noiseless received signal: a point's signal is
+``sqrt(Pt)`` times the synthesis of the unit-energy symbols, plus the
+trial's noise.  Receivers therefore estimate the power-bearing effective
+UT-side channel.  NMSE is scale-invariant, so all reported channel errors
+equal the physical-domain ones.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .coding import build_coding, gen_symbols, qam_constellation
 from .identifiability import ReceiverSpec, check_identifiability, receiver_spec
 from .rx_common import (AmbiguityError, EstimateReport, IdentifiabilityError, NonFiniteError,
                         RankDeficiencyError)
-from .scenario import ScenarioConfig, draw_channels
+from .scenario import ScenarioConfig, draw_channels, draw_noise
 from .synthesis import synth_ybs, synth_yrc
 
 CSV_HEADER = "sweep_var,value,nmse_g,nmse_h,nmse_theta,ser_hris,ser_bs,iters_hris,iters_bs,trials,failures"
@@ -133,52 +136,68 @@ def _run_receiver(spec: ReceiverSpec, init_seed: int, *args) -> EstimateReport:
 
 
 def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOutcome:
-    """Run one full pipeline trial with a dedicated seeded generator.
+    """Run one full pipeline trial with a dedicated seeded generator: :func:`run_points` at one point."""
+    return run_points([cfg], pair, seed)[0]
+
+
+def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seed: int) -> list[TrialOutcome]:
+    """Trial ``seed`` at each of ``configs``, which may differ only in ``pt_dbm`` and ``rho``.
 
     Draw order is fixed (channels, symbols, receiver init seeds, sensed
     noise, reflected noise) so a (config, seed) pair fully reproduces the
     trial.  A scoring reference channel that is all zero or whose energy
     underflows, and zero-anchor, rank-deficiency and non-finite-input aborts
-    are reported as failed outcomes, not exceptions.
+    are reported as failed outcomes, not exceptions.  When only the BS
+    receiver aborts, the outcome keeps the surface metrics.
     """
+    cfg = configs[0]
     hris_spec = receiver_spec(pair[0], "hris", cfg.scheme)
     bs_spec = receiver_spec(pair[1], "bs", cfg.scheme)
+    # The draws read the link gains, shapes, QAM order and noise power, which no sweep
+    # point changes, so every point sees exactly the draws that run_trial makes at it.
     rng = np.random.default_rng(seed)
     channels = draw_channels(cfg, rng)
-    amplitude = math.sqrt(cfg.pt_watts)
-    effective_ut = amplitude * channels.ut_ris
-    combined = combined_channel(effective_ut, channels.ris_bs)
-    if not all(np.linalg.norm(ref) ** 2 > 0 for ref in (effective_ut, channels.ris_bs, combined)):
-        return TrialOutcome(failed=True,
-                            failure_reason="reference channel is all zero or underflows; its NMSE is undefined")
     symbols = gen_symbols(cfg, rng)
     hris_init = int(rng.integers(0, 2**63))
     bs_init = int(rng.integers(0, 2**63))
+    noise_rc = draw_noise((cfg.nc, cfg.t, cfg.k), cfg.noise_watts, rng)
+    noise_bs = draw_noise((cfg.m, cfg.t, cfg.k), cfg.noise_watts, rng)
 
-    sent = amplitude * symbols
-    coding = build_coding(cfg)
-    y_rc = synth_yrc(cfg, channels, coding, sent, rng)
-    y_bs = synth_ybs(cfg, channels, coding, sent, rng)
+    noiseless = {}   # coding -> both received tensors at unit amplitude, without noise
+    outcomes = []
+    for point in configs:
+        amplitude = math.sqrt(point.pt_watts)
+        effective_ut = amplitude * channels.ut_ris
+        combined = combined_channel(effective_ut, channels.ris_bs)
+        if not all(np.linalg.norm(ref) ** 2 > 0 for ref in (effective_ut, channels.ris_bs, combined)):
+            outcomes.append(TrialOutcome(
+                failed=True, failure_reason="reference channel is all zero or underflows; its NMSE is undefined"))
+            continue
+        coding = build_coding(point)
+        if coding not in noiseless:
+            noiseless[coding] = (synth_yrc(point, channels, coding, symbols),
+                                 synth_ybs(point, channels, coding, symbols))
+        clean_rc, clean_bs = noiseless[coding]
 
-    try:
-        hris_rep = _run_receiver(hris_spec, hris_init, y_rc, coding)
-        payload = bs_rx.ControlLinkPayload(hris_rep.channel, hris_rep.symbols if bs_spec.scenario == 2 else None)
-        bs_rep = _run_receiver(bs_spec, bs_init, y_bs, payload, coding)
-    except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:
-        return TrialOutcome(failed=True, failure_reason=str(exc))
-
-    ser_hris = ser(hris_rep.symbols, symbols, cfg.qam_order)
-    # The channel-only BS receiver reuses the fed-back symbol decisions.
-    ser_bs = ser(bs_rep.symbols, symbols, cfg.qam_order)
-    return TrialOutcome(
-        nmse_g=nmse(hris_rep.channel, effective_ut),
-        nmse_h=nmse(bs_rep.channel, channels.ris_bs),
-        nmse_theta=nmse(combined_channel(hris_rep.channel, bs_rep.channel), combined),
-        ser_hris=ser_hris,
-        ser_bs=ser_bs,
-        iters_hris=hris_rep.iterations,
-        iters_bs=bs_rep.iterations,
-    )
+        surface = {}
+        try:
+            hris_rep = _run_receiver(hris_spec, hris_init, amplitude * clean_rc + noise_rc, coding)
+            surface = dict(nmse_g=nmse(hris_rep.channel, effective_ut),
+                           ser_hris=ser(hris_rep.symbols, symbols, point.qam_order), iters_hris=hris_rep.iterations)
+            payload = bs_rx.ControlLinkPayload(hris_rep.channel, hris_rep.symbols if bs_spec.scenario == 2 else None)
+            bs_rep = _run_receiver(bs_spec, bs_init, amplitude * clean_bs + noise_bs, payload, coding)
+        except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:   # a BS abort keeps `surface`
+            outcomes.append(TrialOutcome(**surface, failed=True, failure_reason=str(exc)))
+            continue
+        outcomes.append(TrialOutcome(
+            **surface,
+            nmse_h=nmse(bs_rep.channel, channels.ris_bs),
+            nmse_theta=nmse(combined_channel(hris_rep.channel, bs_rep.channel), combined),
+            # The channel-only BS receiver reuses the fed-back symbol decisions.
+            ser_bs=ser(bs_rep.symbols, symbols, point.qam_order),
+            iters_bs=bs_rep.iterations,
+        ))
+    return outcomes
 
 
 _METRICS = ("nmse_g", "nmse_h", "nmse_theta", "ser_hris", "ser_bs", "iters_hris", "iters_bs")
@@ -217,31 +236,29 @@ def run_sweep(
     """One aggregated record per sweep point, averaged over ``trials`` runs.
 
     Trial ``i`` reuses the same derived seed at every sweep point, which
-    pairs the random draws across points and sharpens trend comparisons.
+    pairs the random draws across points and sharpens trend comparisons;
+    :func:`run_points` draws each trial once and evaluates it at every point.
     """
     if not points:
         raise ValueError("sweep needs at least one point")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    records = []
+    configs = [_point_config(cfg, sweep_var, value) for value in points]
+    for point_cfg in configs:
+        report = check_identifiability(point_cfg, pair)
+        if not report.satisfied:
+            raise IdentifiabilityError(
+                f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
+            )
     seeds = [trial_seed(base_seed, i) for i in range(trials)]
-    # Worker processes start on the first submitted trial and serve every point;
-    # each takes one contiguous chunk of a point's trials, and map keeps their order.
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for value in points:
-            point_cfg = _point_config(cfg, sweep_var, value)
-            report = check_identifiability(point_cfg, pair)
-            if not report.satisfied:
-                raise IdentifiabilityError(
-                    f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
-                )
-            if pool is not None:
-                outcomes = list(pool.map(run_trial, [point_cfg] * trials, [pair] * trials, seeds,
-                                         chunksize=math.ceil(trials / workers)))
-            else:
-                outcomes = [run_trial(point_cfg, pair, s) for s in seeds]
-            records.append(aggregate(outcomes, sweep_var, value))
-    return records
+    if workers > 1:
+        # One contiguous chunk of seeds per worker; map keeps the trial order.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(run_points, repeat(configs), repeat(pair), seeds,
+                                      chunksize=math.ceil(trials / workers)))
+    else:
+        per_trial = [run_points(configs, pair, s) for s in seeds]
+    return [aggregate(list(outcomes), sweep_var, value) for value, outcomes in zip(points, zip(*per_trial))]
 
 
 def format_float(x: float) -> str:

@@ -187,10 +187,10 @@ def draw_channels(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelReali
     )
 
 
-def add_noise(signal: np.ndarray, noise_power: float, rng: np.random.Generator) -> np.ndarray:
-    """Return ``signal`` plus i.i.d. circular complex Gaussian noise."""
-    if noise_power < 0:
-        raise ValueError(f"noise power must be nonnegative, got {noise_power}")
-    if noise_power == 0:
-        return np.array(signal, copy=True)
-    return signal + complex_gaussian(rng, np.shape(signal), noise_power)
+def draw_noise(shape, power: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. circular complex Gaussian noise of per-entry power ``power``; zero power draws nothing."""
+    if power < 0:
+        raise ValueError(f"noise power must be nonnegative, got {power}")
+    if power == 0:
+        return np.zeros(shape, dtype=complex)
+    return complex_gaussian(rng, shape, power)

@@ -1,4 +1,4 @@
-"""Received-signal generation at the surface RF chains and at the BS.
+"""Noiseless received-signal generation at the surface RF chains and at the BS.
 
 Per sub-frame ``k`` the noiseless slices are
 
@@ -6,13 +6,13 @@ Per sub-frame ``k`` the noiseless slices are
 * reflected: ``H @ diag(psi_k) @ G @ mix_k @ X`` -> shape ``(m, t)``
 
 where ``mix_k`` is the dense tstc mixing matrix or ``diag(lambda_k)`` for
-krstc.  Both are batched matrix products over the sub-frame axis, in a
-fixed order, against the coding set's ``phi`` and ``mix`` stacks.
-Noise of power ``cfg.noise_watts`` is added after the full noiseless
-synthesis, drawn from the caller's generator; a config with
-``noise_dbm=-inf`` draws nothing and gives the noiseless signal, which
-doubles as an oracle.  The caller is responsible for scaling the symbol
-matrix by the transmit amplitude.
+krstc.  The sub-frame products are flat matrix products against the coding
+set's ``phi`` and ``mix`` stacks, laid out as ``(k*nc, n)``, ``(k*l, w)``
+and ``(l, k*w)``.  Both functions return the noiseless tensor of the symbol
+matrix they are given.  The harness gives them the unit-energy symbols, so
+transmit power scales the noiseless received signal: a point's signal is
+``sqrt(Pt) * noiseless + noise``, the noise drawn by
+:func:`~hrislink.scenario.draw_noise`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coding import CodingSet
-from .scenario import ChannelRealization, ScenarioConfig, add_noise
+from .scenario import ChannelRealization, ScenarioConfig
 
 
 def _check_dims(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingSet, symbols: np.ndarray) -> None:
@@ -38,31 +38,25 @@ def _check_dims(cfg: ScenarioConfig, channels: ChannelRealization, coding: Codin
         raise ValueError(f"coding built for {coding.scheme!r} but config says {cfg.scheme!r}")
 
 
-def synth_yrc(
-    cfg: ScenarioConfig,
-    channels: ChannelRealization,
-    coding: CodingSet,
-    symbols: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sensed signal tensor of shape ``(nc, t, k)``, noise included."""
+def synth_yrc(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
+    """Noiseless sensed signal tensor of shape ``(nc, t, k)``."""
     _check_dims(cfg, channels, coding, symbols)
-    return _received(cfg, (coding.phi @ channels.ut_ris) @ (coding.mix @ symbols), rng)
+    (k, nc, n), (_, l, w) = coding.phi.shape, coding.mix.shape
+    phi_g = (coding.phi.reshape(k * nc, n) @ channels.ut_ris).reshape(k, nc, l)
+    mix_x = (coding.mix.reshape(k * l, w) @ symbols).reshape(k, l, -1)
+    return np.ascontiguousarray((phi_g @ mix_x).transpose(1, 2, 0))
 
 
-def synth_ybs(
-    cfg: ScenarioConfig,
-    channels: ChannelRealization,
-    coding: CodingSet,
-    symbols: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Reflected signal tensor of shape ``(m, t, k)``, noise included."""
+def reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
+    """The blocks ``B_k = diag(psi_k) @ G @ mix_k`` side by side, ``B_k[i, s]`` at ``[i, k, s]``, ``(n, k, w)``."""
+    k, l, w = coding.mix.shape
+    g_mix = (ut_channel @ coding.mix.transpose(1, 0, 2).reshape(l, k * w)).reshape(-1, k, w)
+    return coding.reflect.T[:, :, None] * g_mix
+
+
+def synth_ybs(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
+    """Noiseless reflected signal tensor of shape ``(m, t, k)``."""
     _check_dims(cfg, channels, coding, symbols)
-    cascade = channels.ris_bs @ (coding.reflect[:, :, None] * channels.ut_ris)   # (k, m, l)
-    return _received(cfg, cascade @ (coding.mix @ symbols), rng)
-
-
-def _received(cfg: ScenarioConfig, slices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The ``(k, rows, t)`` slices as a ``(rows, t, k)`` tensor, plus noise."""
-    return add_noise(np.ascontiguousarray(slices.transpose(1, 2, 0)), cfg.noise_watts, rng)
+    (k, _, w), (m, n) = coding.mix.shape, channels.ris_bs.shape
+    h_blocks = channels.ris_bs @ reflect_blocks(coding, channels.ut_ris).reshape(n, k * w)   # [H B_1 ... H B_K]
+    return np.ascontiguousarray((h_blocks.reshape(m * k, w) @ symbols).reshape(m, k, -1).transpose(0, 2, 1))

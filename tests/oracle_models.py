@@ -10,6 +10,8 @@ live here, following the unfolding conventions of ``hrislink.tensor_ops``.
 
 import numpy as np
 
+from hrislink.scenario import draw_noise
+
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of ``hrislink.tensor_ops.unfold`` for the given target ``dims``."""
@@ -131,3 +133,8 @@ def reflected_scalar(channels, coding, symbols, im: int, it: int, ik: int) -> co
                 mix = coding.mix[ik][il, ir]
                 total += h[im, n] * coding.reflect[ik, n] * g[n, il] * mix * symbols[ir, it]
     return total
+
+
+def with_noise(y: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """``y`` plus noise of the config's power, drawn from ``rng`` as a trial draws it."""
+    return y + draw_noise(y.shape, cfg.noise_watts, rng)

@@ -25,6 +25,8 @@ from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs
 from hrislink.tensor_ops import unfold, vec
 
+from oracle_models import with_noise
+
 
 def make_case(seed=0, scheme="tstc", **kw):
     base = dict(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, scheme=scheme)
@@ -34,7 +36,7 @@ def make_case(seed=0, scheme="tstc", **kw):
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_ybs(cfg.replace(noise_dbm=-math.inf), channels, coding, symbols, rng)
+    y = synth_ybs(cfg.replace(noise_dbm=-math.inf), channels, coding, symbols)
     return cfg, channels, coding, symbols, y
 
 
@@ -75,7 +77,7 @@ def test_bals_exact_recovery_with_true_feedback(scheme):
 def test_bals_residual_trace_nonincreasing():
     cfg, channels, coding, symbols, _ = make_case(seed=2)
     rng = np.random.default_rng(5)
-    y = synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, rng)
+    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
     payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
     for seed in range(5):
         rep = bs_bals(y, payload, coding, init_seed=seed)
@@ -86,7 +88,7 @@ def test_bals_residual_trace_nonincreasing():
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
-    y = synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols, np.random.default_rng(5))
+    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
     rep = bs_bals(y, payload, coding)
     misfit = unfold(y, 2).T - symbol_code_matrix(coding, payload.ut_channel, rep.channel) @ rep.symbols

@@ -203,6 +203,23 @@ def test_uncertified_solves_keep_the_svd_failure(cfg, pair, reason, recovers_at_
         assert doubled.failed and doubled.failure_reason == reason
 
 
+@pytest.mark.parametrize("pair, reason", [
+    (("kronf", "h"), "channel-step regressor has numerical rank 0, need 32"),
+    (("bals", "kronf"), "composite right factor has numerical rank 0, need 64"),
+])
+def test_bs_failure_keeps_the_surface_metrics(pair, reason):
+    # with rho=0 nothing is reflected: the BS fails, the surface still estimates
+    out = run_trial(ScenarioConfig(rho=0.0), pair, 1)
+    assert out.failed and out.failure_reason == reason
+    assert out.nmse_g < 1e-6 and out.ser_hris == 0.0
+    assert (out.iters_hris > 0) == (pair[0] == "bals")
+    assert math.isnan(out.nmse_h) and math.isnan(out.nmse_theta) and math.isnan(out.ser_bs)
+    assert out.iters_bs == 0
+    # failed trials still leave the aggregate, whichever entity failed
+    rec = aggregate([out], "rho", 0.0)
+    assert rec.failures == 1 and math.isnan(rec.nmse_g) and math.isnan(rec.ser_hris)
+
+
 def test_scenario2_reports_fed_back_ser():
     cfg = small_cfg(noise_dbm=-math.inf)
     out = run_trial(cfg, ("bals", "h"), seed=3)
@@ -242,6 +259,30 @@ def test_single_point_single_trial_equals_run_trial():
     assert math.isclose(rec.nmse_g, direct.nmse_g)
     assert math.isclose(rec.nmse_h, direct.nmse_h)
     assert rec.value == 30.0 and rec.sweep_var == "pt"
+
+
+_ALL_PAIRS = [(scheme, pair) for scheme, pairs in PAIRS.items() for pair in pairs]
+_POINTS = {"pt": [0.0, 10.0, 20.0, 30.0, 40.0], "rho": [0.0, 0.1, 0.5, 0.9, 1.0]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme_pair=st.sampled_from(_ALL_PAIRS), sweep_var=st.sampled_from(sorted(_POINTS)), data=st.data(),
+       base_seed=st.integers(0, 2**32))
+def test_sweep_points_are_independent(scheme_pair, sweep_var, data, base_seed):
+    # A trial is drawn once and evaluated at every point, so each point must read
+    # exactly what a sweep over that point alone, or run_trial there, gives.
+    scheme, pair = scheme_pair
+    points = data.draw(st.lists(st.sampled_from(_POINTS[sweep_var]), min_size=1, max_size=3, unique=True))
+    cfg = small_cfg(scheme=scheme, noise_dbm=-60.0)
+    trials = 2
+    records = run_sweep(cfg, pair, sweep_var, points, trials=trials, base_seed=base_seed)
+    for value, rec in zip(points, records):
+        (alone,) = run_sweep(cfg, pair, sweep_var, [value], trials=trials, base_seed=base_seed)
+        point_cfg = cfg.replace(**{"pt_dbm" if sweep_var == "pt" else "rho": value})
+        direct = aggregate([run_trial(point_cfg, pair, trial_seed(base_seed, i)) for i in range(trials)],
+                           sweep_var, value)
+        np.testing.assert_equal(vars(rec), vars(alone))
+        np.testing.assert_equal(vars(rec), vars(direct))
 
 
 def test_sweep_rejects_unidentifiable_config():
@@ -375,7 +416,7 @@ def test_receivers_reject_non_finite_input(scheme, receiver):
 
 
 def test_non_finite_signal_is_a_failed_trial(monkeypatch):
-    def nan_yrc(cfg, channels, coding, symbols, rng):
+    def nan_yrc(cfg, channels, coding, symbols):
         return np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex)
 
     monkeypatch.setattr(harness, "synth_yrc", nan_yrc)
@@ -437,7 +478,8 @@ def test_power_sweep_nmse_nonincreasing():
 
 
 def test_workers_pool_matches_serial(monkeypatch):
-    # 5 trials on 2 workers: one chunk of 3 and one of 2, in trial order
+    # 5 trials on 2 workers: one map over the seeds for the whole sweep, each task
+    # returning its trial at both points, in chunks of 3 and 2 in trial order
     chunksizes = []
 
     class Pool(harness.ProcessPoolExecutor):
@@ -450,7 +492,7 @@ def test_workers_pool_matches_serial(monkeypatch):
     serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=5, base_seed=5)
     pooled = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=5, base_seed=5, workers=2)
     assert serial == pooled
-    assert chunksizes == [3, 3]
+    assert chunksizes == [3]
 
 
 @pytest.mark.parametrize("scheme, pair", [("tstc", ("bals", "bals")), ("krstc", ("krf", "kronf"))])

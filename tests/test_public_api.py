@@ -15,8 +15,8 @@ def test_all_names_resolve_and_star_import():
 
 
 def test_pipeline_signatures():
-    # The receivers always anchor their estimates and the synthesis always
-    # takes the noise generator: no switch for either may come back.
+    # The receivers always anchor their estimates and the noise is always
+    # drawn from a given generator: no switch for either may come back.
     expected = {
         hrislink.hris_bals: ["y_rc", "coding", "init_seed"],
         hrislink.hris_kronf: ["y_rc", "coding"],
@@ -24,10 +24,10 @@ def test_pipeline_signatures():
         hrislink.bs_bals: ["y_bs", "payload", "coding", "init_seed"],
         hrislink.bs_kronf: ["y_bs", "payload", "coding"],
         hrislink.bs_channel_only: ["y_bs", "payload", "coding"],
-        synth_yrc: ["cfg", "channels", "coding", "symbols", "rng"],
-        synth_ybs: ["cfg", "channels", "coding", "symbols", "rng"],
+        synth_yrc: ["cfg", "channels", "coding", "symbols"],
+        synth_ybs: ["cfg", "channels", "coding", "symbols"],
+        hrislink.draw_noise: ["shape", "power", "rng"],
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
-    for fn in (synth_yrc, synth_ybs):
-        assert inspect.signature(fn).parameters["rng"].default is inspect.Parameter.empty
+    assert inspect.signature(hrislink.draw_noise).parameters["rng"].default is inspect.Parameter.empty

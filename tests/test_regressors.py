@@ -26,6 +26,8 @@ from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
 from hrislink.tensor_ops import unfold, vec
 
+from oracle_models import with_noise
+
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -209,8 +211,8 @@ def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
     channels, coding = draw_channels(cfg, rng), build_coding(cfg)
     sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
     for noise_dbm in (-math.inf, cfg.noise_dbm):
-        y_rc = synth_yrc(cfg.replace(noise_dbm=noise_dbm), channels, coding, sent, rng)
-        y_bs = synth_ybs(cfg.replace(noise_dbm=noise_dbm), channels, coding, sent, rng)
+        y_rc = with_noise(synth_yrc(cfg, channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
+        y_bs = with_noise(synth_ybs(cfg, channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
         surface = hris_rx.hris_bals(y_rc, coding)
         bs = bs_rx.bs_bals(y_bs, ControlLinkPayload(surface.channel), coding)
         assert surface.fallbacks == bs.fallbacks == 0

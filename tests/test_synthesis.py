@@ -1,7 +1,7 @@
 """Slice-wise synthesis against the decoupled tensor and scalar oracles.
 
-The configs are noiseless (``noise_dbm=-inf``), so the generator passed to the
-synthesis draws nothing.
+The synthesis returns the noiseless tensors; noise comes from
+``scenario.draw_noise``.
 """
 
 import math
@@ -18,6 +18,7 @@ from oracle_models import (
     reflected_tensor_form,
     sensed_scalar,
     sensed_tensor_form,
+    with_noise,
 )
 
 
@@ -34,18 +35,18 @@ def make_case(seed=0, **kw):
 
 def test_all_reflect_gives_zero_sensed():
     cfg, channels, coding, symbols = make_case(rho=1.0)
-    assert np.all(synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0)) == 0)
+    assert np.all(synth_yrc(cfg, channels, coding, symbols) == 0)
 
 
 def test_all_sense_gives_zero_reflected():
     cfg, channels, coding, symbols = make_case(rho=0.0)
-    assert np.all(synth_ybs(cfg, channels, coding, symbols, np.random.default_rng(0)) == 0)
+    assert np.all(synth_ybs(cfg, channels, coding, symbols) == 0)
 
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_sensed_matches_tensor_form(scheme):
     cfg, channels, coding, symbols = make_case(scheme=scheme)
-    y = synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0))
+    y = synth_yrc(cfg, channels, coding, symbols)
     oracle = sensed_tensor_form(channels, coding, symbols)
     assert np.max(np.abs(y - oracle)) < 1e-12
 
@@ -53,7 +54,7 @@ def test_sensed_matches_tensor_form(scheme):
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_reflected_matches_tensor_form(scheme):
     cfg, channels, coding, symbols = make_case(scheme=scheme)
-    y = synth_ybs(cfg, channels, coding, symbols, np.random.default_rng(0))
+    y = synth_ybs(cfg, channels, coding, symbols)
     oracle = reflected_tensor_form(channels, coding, symbols)
     assert np.max(np.abs(y - oracle)) < 1e-12
 
@@ -64,7 +65,7 @@ def test_scalar_pipeline_single_entry():
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_yrc(cfg, channels, coding, symbols, rng)
+    y = synth_yrc(cfg, channels, coding, symbols)
     expected = (coding.sensing[0, 0, 0] * channels.ut_ris[0, 0]
                 * coding.mix[0][0, 0] * symbols[0, 0])
     assert abs(y[0, 0, 0] - expected) < 1e-15
@@ -74,8 +75,8 @@ def test_scalar_pipeline_single_entry():
 def test_scalar_sum_consistency(scheme):
     cfg, channels, coding, symbols = make_case(seed=5, scheme=scheme)
     rng = np.random.default_rng(11)
-    y_rc = synth_yrc(cfg, channels, coding, symbols, rng)
-    y_bs = synth_ybs(cfg, channels, coding, symbols, rng)
+    y_rc = synth_yrc(cfg, channels, coding, symbols)
+    y_bs = synth_ybs(cfg, channels, coding, symbols)
     for _ in range(5):
         ic = int(rng.integers(cfg.nc))
         im = int(rng.integers(cfg.m))
@@ -87,8 +88,7 @@ def test_scalar_sum_consistency(scheme):
 
 def test_krstc_is_diagonal_special_case_of_tstc():
     cfg_kr, channels, coding_kr, symbols = make_case(scheme="krstc")
-    rng = np.random.default_rng(0)
-    y_kr = synth_ybs(cfg_kr, channels, coding_kr, symbols, rng)
+    y_kr = synth_ybs(cfg_kr, channels, coding_kr, symbols)
     # same signal through the tstc path with per-sub-frame diagonal mixing
     cfg_w = cfg_kr.replace(scheme="tstc")
     w = np.zeros((cfg_kr.l, cfg_kr.l, cfg_kr.k))
@@ -96,31 +96,30 @@ def test_krstc_is_diagonal_special_case_of_tstc():
         w[:, :, k] = np.diag(coding_kr.code[k])
     coding_w = type(coding_kr)(scheme="tstc", sensing=coding_kr.sensing,
                                reflect=coding_kr.reflect, code=w)
-    y_w = synth_ybs(cfg_w, channels, coding_w, symbols, rng)
+    y_w = synth_ybs(cfg_w, channels, coding_w, symbols)
     assert np.max(np.abs(y_kr - y_w)) < 1e-12
     assert np.max(np.abs(
-        synth_yrc(cfg_kr, channels, coding_kr, symbols, rng)
-        - synth_yrc(cfg_w, channels, coding_w, symbols, rng))) < 1e-12
+        synth_yrc(cfg_kr, channels, coding_kr, symbols)
+        - synth_yrc(cfg_w, channels, coding_w, symbols))) < 1e-12
 
 
 def test_energy_monotne_in_power_split():
-    rng = np.random.default_rng(9)
     base = make_case(seed=9)
     channels, symbols = base[1], base[3]
     sensed, reflected = [], []
     for rho in np.linspace(0.05, 0.95, 7):
         cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, rho=float(rho), noise_dbm=-math.inf)
         coding = build_coding(cfg)
-        sensed.append(np.linalg.norm(synth_yrc(cfg, channels, coding, symbols, rng)) ** 2)
-        reflected.append(np.linalg.norm(synth_ybs(cfg, channels, coding, symbols, rng)) ** 2)
+        sensed.append(np.linalg.norm(synth_yrc(cfg, channels, coding, symbols)) ** 2)
+        reflected.append(np.linalg.norm(synth_ybs(cfg, channels, coding, symbols)) ** 2)
     assert all(a >= b - 1e-15 for a, b in zip(sensed, sensed[1:]))
     assert all(a <= b + 1e-15 for a, b in zip(reflected, reflected[1:]))
 
 
 def test_noise_is_additive_after_synthesis():
     cfg, channels, coding, symbols = make_case(seed=2)
-    clean = synth_yrc(cfg, channels, coding, symbols, np.random.default_rng(0))
-    noisy = synth_yrc(cfg.replace(noise_dbm=-90.0), channels, coding, symbols, np.random.default_rng(0))
+    clean = synth_yrc(cfg, channels, coding, symbols)
+    noisy = with_noise(clean, cfg.replace(noise_dbm=-90.0), np.random.default_rng(0))
     diff = noisy - clean
     assert diff.shape == clean.shape
     assert np.all(diff != 0)
@@ -129,11 +128,10 @@ def test_noise_is_additive_after_synthesis():
 def test_dimension_mismatch_rejected():
     cfg, channels, coding, symbols = make_case()
     bad = ChannelRealization(channels.ut_ris[:, :1], channels.ris_bs)
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        synth_yrc(cfg, bad, coding, symbols, rng)
+        synth_yrc(cfg, bad, coding, symbols)
     with pytest.raises(ValueError):
-        synth_ybs(cfg, channels, coding, symbols[:, :2], rng)
+        synth_ybs(cfg, channels, coding, symbols[:, :2])
 
 
 # Plain einsum references (no contraction-path search) for the batched products.
@@ -162,6 +160,6 @@ def test_batched_synthesis_matches_plain_einsum(scheme, sizes):
     sensed = np.einsum(sensed_spec, coding.sensing, channels.ut_ris, code, symbols)
     reflected = np.einsum(reflected_spec, channels.ris_bs, coding.reflect, channels.ut_ris, code, symbols)
     # Some entries cancel to an exact zero in one summation order only, hence the floor.
-    for got, want in ((synth_yrc(cfg, channels, coding, symbols, rng), sensed),
-                      (synth_ybs(cfg, channels, coding, symbols, rng), reflected)):
+    for got, want in ((synth_yrc(cfg, channels, coding, symbols), sensed),
+                      (synth_ybs(cfg, channels, coding, symbols), reflected)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
