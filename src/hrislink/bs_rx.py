@@ -4,14 +4,13 @@ The BS knows the reflecting phase shifts and the transmit code, and receives
 the estimated UT-side channel over the control link (scenario 1) or both
 that channel and the decoded symbols (scenario 2).  Receivers:
 
-* :func:`bs_bals`: alternating least-squares over the BS-side channel
-  (mode-1 unfolding) and the symbols (transposed mode-2 unfolding), each
-  a normal-equation solve.  Two tables built once per call from the blocks
-  below give the channel step's Gram and right-hand side: a ``(w*w, n*n)``
+* :func:`bs_bals`: the shared ALS loop
+  (:func:`~hrislink.rx_common.run_als`) over the BS-side channel (mode-1
+  unfolding) and the symbols (transposed mode-2 unfolding).  It supplies
+  two tables built once per call from the blocks below, a ``(w*w, n*n)``
   Gram table and a ``(w*t, n*m)`` cross table with the received signal
-  (64 KB and 32 KB at the default sizes), contracted per iteration with
-  ``conj(X) X^T`` and ``conj(X)``.  The explicit regressor is built only for the
-  SVD fallback;
+  (64 KB and 32 KB at the default sizes), the explicit regressor for the
+  SVD fallback and the symbol regressor;
 * :func:`bs_kronf`: one least-squares solve for the Kronecker-structured
   composite of symbols and BS-side channel, then a rank-1 split;
 * :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
@@ -46,13 +45,12 @@ from .rx_common import (
     EstimateReport,
     NonFiniteError,
     check_received,
-    init_symbols,
     normalize_anchor,
     require_full_rank,
     run_als,
 )
 from .synthesis import reflect_blocks
-from .tensor_ops import rank1_approx, solve_gram, unfold
+from .tensor_ops import rank1_approx, unfold
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,6 @@ class ControlLinkPayload:
 
     ut_channel: np.ndarray
     symbols: np.ndarray | None = None
-
-    @property
-    def scenario(self) -> int:
-        return 1 if self.symbols is None else 2
 
 
 def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, fn: str) -> Sizes:
@@ -113,17 +107,10 @@ def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, in
     #   cross[(s, tau), (i, r)]     = sum_k conj(B_k[i, s]) Y_k[r, tau], (w*t, n*m)
     gram_table = (b_conj @ b_kw.T).reshape(n, w, n, w).transpose(1, 3, 0, 2).reshape(w * w, n * n)
     cross = (b_conj @ y_bs.reshape(m * t, k).T).reshape(n, w, m, t).transpose(1, 3, 0, 2).reshape(w * t, n * m)
-
-    def channel_step(x_hat):
-        x_conj = x_hat.conj()
-        gram = ((x_conj @ x_hat.T).reshape(-1) @ gram_table).reshape(n, n)
-        rhs = (x_conj.reshape(-1) @ cross).reshape(n, m)
-        h_t, fell_back = solve_gram(gram, rhs, lambda: (channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T))
-        return h_t.T, fell_back
-
-    # the symbol regressor stacks H B_k over k, from the one product H [B_1 ... B_K]
-    report = run_als(y_bs, init_symbols(w, t, init_seed), channel_step,
-                     lambda h_hat: (h_hat @ b_cat).reshape(m, k, w).transpose(1, 0, 2).reshape(-1, w))
+    # the solution is h_hat^T, (n, m); the symbol regressor stacks H B_k over k, from the one product H [B_1 ... B_K]
+    report = run_als(y_bs, gram_table, cross, (n, m),
+                     lambda x_hat: (channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T),
+                     lambda h_hat: (h_hat @ b_cat).reshape(m, k, w).transpose(1, 0, 2).reshape(-1, w), init_seed)
     return normalize_anchor(report, per_stream=False)
 
 

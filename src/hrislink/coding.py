@@ -76,14 +76,6 @@ class CodingSet:
         return self.sensing.shape[1]
 
     @property
-    def rf_chains(self) -> int:
-        return self.sensing.shape[0]
-
-    @property
-    def ut_antennas(self) -> int:
-        return self.mix.shape[1]
-
-    @property
     def streams(self) -> int:
         return self.mix.shape[2]
 

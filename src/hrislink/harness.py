@@ -243,6 +243,8 @@ def run_sweep(
         raise ValueError("sweep needs at least one point")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     configs = [_point_config(cfg, sweep_var, value) for value in points]
     for point_cfg in configs:
         report = check_identifiability(point_cfg, pair)

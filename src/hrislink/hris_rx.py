@@ -2,14 +2,14 @@
 
 Three receivers operate on the sensed tensor ``(nc, t, k)``:
 
-* :func:`hris_bals` alternates two exact least-squares steps (channel step
-  on the vectorized mode-3 unfolding, symbol step on the transposed mode-2
-  unfolding), each a normal-equation solve, until the reconstruction
-  residual stagnates.  The channel step reads its Gram from a
-  ``(w*w, (l*n)**2)`` table kept per coding set (:func:`channel_gram_table`)
-  and its right-hand side from a ``(w*t, l*n)`` cross table with the
-  received signal, built once per call (256 KB and 8 KB at the default
-  sizes); it builds its explicit regressor only for the SVD fallback;
+* :func:`hris_bals` runs the shared ALS loop
+  (:func:`~hrislink.rx_common.run_als`) on ``vec(G)`` (the vectorized
+  mode-3 unfolding) and the symbols (the transposed mode-2 unfolding).  It
+  supplies the channel step's ``(w*w, (l*n)**2)`` Gram table, kept per
+  coding set (:func:`channel_gram_table`), a ``(w*t, l*n)`` cross table
+  with the received signal, built once per call (256 KB and 8 KB at the
+  default sizes), the explicit regressor for the SVD fallback and the
+  symbol regressor;
 * :func:`hris_kronf` (tstc) recovers the Kronecker-structured composite of
   channel and symbols in one least-squares solve, then splits it with a
   rank-1 factorization after a block rearrangement;
@@ -36,12 +36,11 @@ from .coding import CODINGS_KEPT, CodingSet
 from .rx_common import (
     EstimateReport,
     check_received,
-    init_symbols,
     normalize_anchor,
     require_full_rank,
     run_als,
 )
-from .tensor_ops import rank1_approx, solve_gram, unfold, unvec, vec
+from .tensor_ops import rank1_approx, unfold, vec
 
 
 def _stacked_kron(left: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -114,22 +113,15 @@ def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> Estima
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
     n, l, w, t, k = d.n, d.l, d.w, d.t, d.k
-    gram_table = channel_gram_table(coding)
     # The right-hand side vec(sum_k phi_k^H Y_k M_k^H) is conj(X).ravel() @ cross, from a table
     # fixed within the call: cross[(s, tau), (a, i)] = sum_k conj(mix_k[a, s]) (phi_k^H Y_k)[i, tau], (w*t, l*n)
     phi_h_y = coding.phi.conj().transpose(0, 2, 1) @ y_rc.transpose(2, 0, 1)          # (k, n, t)
     cross = (coding.mix.conj().reshape(k, -1).T @ phi_h_y.reshape(k, -1)).reshape(l, w, n, t)
     cross = cross.transpose(1, 3, 0, 2).reshape(w * t, l * n)
-
-    def channel_step(x_hat):
-        x_conj = x_hat.conj()
-        gram = ((x_conj @ x_hat.T).reshape(-1) @ gram_table).reshape(l * n, l * n)
-        rhs = x_conj.reshape(-1) @ cross
-        g_vec, fell_back = solve_gram(gram, rhs, lambda: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)))
-        return unvec(g_vec, n, l), fell_back
-
-    report = run_als(y_rc, init_symbols(w, t, init_seed), channel_step,
-                     lambda g_hat: symbol_code_matrix(coding, g_hat))
+    # the solution is vec(G), so G = solution.reshape(l, n).T
+    report = run_als(y_rc, channel_gram_table(coding), cross, (l, n),
+                     lambda x_hat: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)),
+                     lambda g_hat: symbol_code_matrix(coding, g_hat), init_seed)
     return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 
 

@@ -1,6 +1,7 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
-shared ALS iteration, the rank-checked product with a pseudo-inverse, and
-the anchor normalization."""
+one ALS loop (:func:`run_als`: start, channel step from the caller's
+tables, symbol step, stop rule), the rank-checked product with a
+pseudo-inverse, and the anchor normalization."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
 from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, spectral_rank
-from .tensor_ops import apply_pinv, lstsq_normal, unfold
+from .tensor_ops import apply_pinv, lstsq_normal, solve_gram, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -105,22 +106,31 @@ def _entry_facts(fn, scheme, sensing_shape, mix_shape, shape) -> tuple[ReceiverS
     return spec, sizes, spec.threshold(sizes)
 
 
-def run_als(y: np.ndarray, x0: np.ndarray, channel_step: Callable,
-            symbol_regressor: Callable) -> EstimateReport:
-    """Alternate least-squares steps until the residual stagnates or hits the floor.
+def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tuple[int, int],
+            channel_problem: Callable, symbol_regressor: Callable, init_seed: int) -> EstimateReport:
+    """Bilinear ALS from the symbols ``init_symbols(w, t, init_seed)`` until the residual stagnates or hits the floor.
 
-    ``channel_step(x)`` returns the channel estimate from the symbols ``x``
-    and whether its solve fell back to the SVD.  The symbol step solves
-    ``symbol_regressor(channel) @ x = unfold(y, 2).T``; its squared
-    Frobenius misfit is the residual of the iteration.
+    The channel step solves normal equations contracted from the caller's two
+    tables: with ``P = conj(X) X^T``, the Gram is ``P.ravel() @ gram_table``
+    (``(w*w, size*size)``) and the right-hand side ``conj(X).ravel() @ cross``
+    (``(w*t, size*cols)``); ``channel_problem(x)`` gives the explicit ``(a, b)``
+    for the SVD fallback.  The channel is ``solution.reshape(shape).T`` of the
+    ``(size, cols)`` solution.  The symbol step solves
+    ``symbol_regressor(channel) @ x = unfold(y, 2).T``; its squared Frobenius
+    misfit is the residual of the iteration.
     """
+    w, size = math.isqrt(gram_table.shape[0]), math.isqrt(gram_table.shape[1])
     y2t = unfold(y, 2).T
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
-    x_hat = x0
+    x_hat = init_symbols(w, y.shape[1], init_seed)
     residuals: list[float] = []
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):
-        channel, channel_fallback = channel_step(x_hat)
+        x_conj = x_hat.conj()
+        gram = ((x_conj @ x_hat.T).reshape(-1) @ gram_table).reshape(size, size)
+        rhs = (x_conj.reshape(-1) @ cross).reshape(size, -1)
+        solution, channel_fallback = solve_gram(gram, rhs, lambda: channel_problem(x_hat))
+        channel = solution.reshape(shape).T
         regressor = symbol_regressor(channel)
         x_hat, symbol_fallback = lstsq_normal(regressor, y2t)
         resid = float(np.linalg.norm(y2t - regressor @ x_hat) ** 2)

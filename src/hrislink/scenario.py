@@ -117,14 +117,9 @@ class ScenarioConfig:
     def replace(self, **changes) -> "ScenarioConfig":
         return dataclasses.replace(self, **changes)
 
-    def to_file(self, path) -> None:
-        """Write the configuration as flat ``key = value`` text."""
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        """Parse a flat ``key = value`` file; ``#`` starts a comment."""
+        """Parse a flat ``key = value`` file; ``#`` starts a comment.  Bad lines raise ``ValueError`` at ``path:line``."""
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -136,7 +131,12 @@ class ScenarioConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            kwargs[key] = _parse_value(value, fields[key])
+            if key in kwargs:
+                raise ValueError(f"{path}:{lineno}: configuration key {key!r} is repeated")
+            try:
+                kwargs[key] = _parse_value(value, fields[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         return cls(**kwargs)
 
 

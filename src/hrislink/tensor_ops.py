@@ -2,8 +2,8 @@
 
 Third-order tensors are plain numpy arrays of shape ``(I1, I2, I3)``.  The
 frontal slice ``k`` is ``t[:, :, k]`` and every vectorisation is column-major
-(``order="F"``), so ``vec``/``unvec`` and the three unfoldings are cheap
-reshapes of the same linear layout.
+(``order="F"``), so ``vec`` and the three unfoldings are cheap reshapes of
+the same linear layout.
 
 Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 
@@ -34,14 +34,6 @@ import scipy.linalg
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a 1-D vector."""
     return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`; ``v`` must hold exactly ``rows*cols`` entries."""
-    v = np.asarray(v).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unvec {v.size} entries into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
+import contextlib
+
 import pytest
 
-from hrislink import bs_rx, hris_rx
+from hrislink import bs_rx, hris_rx, rx_common
 
 
 @pytest.fixture
@@ -14,3 +16,18 @@ def raw_estimates(monkeypatch):
     """
     for module in (hris_rx, bs_rx):
         monkeypatch.setattr(module, "normalize_anchor", lambda report, per_stream: report)
+
+
+@pytest.fixture(scope="session")
+def als_start():
+    """``with als_start(x0):`` starts every ALS run inside from a copy of ``x0`` instead of a seeded draw.
+
+    Session-scoped, so property-based tests can take it too; each ``with``
+    block undoes its own patch.
+    """
+    @contextlib.contextmanager
+    def start_from(x0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rx_common, "init_symbols", lambda rows, cols, seed: x0.copy())
+            yield
+    return start_from

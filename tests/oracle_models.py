@@ -4,7 +4,7 @@ These rebuild the received tensors through the decoupled tensor forms
 (mode-n products of identity-core or phase tensors, contracted slice-wise)
 and through raw scalar sums, without touching the slice-wise synthesis code
 they are checked against.  The tensor operations that only these oracles
-need (:func:`fold`, :func:`mode_n_product`, :func:`modewise_contraction`)
+need (:func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
 live here, following the unfolding conventions of ``hrislink.tensor_ops``.
 """
 
@@ -30,6 +30,14 @@ def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     if mode == 2:
         return m.reshape(i2, i3, i1).transpose(2, 0, 1)
     return m.reshape(i3, i2, i1).transpose(2, 1, 0)
+
+
+def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Inverse of ``hrislink.tensor_ops.vec``; ``v`` must hold exactly ``rows*cols`` entries."""
+    v = np.asarray(v).reshape(-1)
+    if v.size != rows * cols:
+        raise ValueError(f"cannot unvec {v.size} entries into {rows}x{cols}")
+    return v.reshape((rows, cols), order="F")
 
 
 def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
@@ -87,7 +95,7 @@ def coded_symbol_tensor(coding, symbols) -> np.ndarray:
     """Coded symbols as a tensor of shape (l, t, k)."""
     if coding.scheme == "tstc":
         return mode_n_product(coding.code, symbols.T, 2)
-    core = identity_tensor(coding.ut_antennas).astype(complex)
+    core = identity_tensor(coding.mix.shape[1]).astype(complex)
     return mode_n_product(mode_n_product(core, symbols.T, 2), coding.code, 3)
 
 

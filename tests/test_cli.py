@@ -69,6 +69,14 @@ def test_sweep_workers_give_byte_identical_csv(cfg_file, tmp_path):
     assert outs[1].read_bytes() == outs[2].read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_worker(cfg_file, workers):
+    result = run_cli("sweep", "--config", cfg_file, "--pair", "kronf-h", "--sweep", "pt",
+                     "--points", "30", "--trials", "1", "--workers", workers)
+    assert result.returncode == 1
+    assert "workers must be at least 1" in result.stderr and not result.stdout
+
+
 def test_sweep_to_stdout(cfg_file):
     result = run_cli("sweep", "--config", cfg_file, "--pair", "kronf-h",
                      "--sweep", "pt", "--points", "30", "--trials", "1", "--seed", "0")

@@ -244,7 +244,6 @@ def test_trial_feeds_back_symbols_exactly_for_scenario_two(monkeypatch, scheme, 
     assert not out.failed
     [payload] = seen
     assert (payload.symbols is not None) == (spec.scenario == 2)
-    assert payload.scenario == spec.scenario
 
 
 # ---------------------------------------------------------------------- sweeps
@@ -464,6 +463,12 @@ def test_sweep_variable_validation():
         run_sweep(cfg, ("kronf", "bals"), "power", [30.0], trials=1)
     with pytest.raises(ValueError):
         run_sweep(cfg, ("kronf", "bals"), "pt", [], trials=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_sweep(small_cfg(), ("kronf", "bals"), "pt", [30.0], trials=1, workers=workers)
 
 
 def test_power_sweep_nmse_nonincreasing():

@@ -26,7 +26,7 @@ from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
 from hrislink.tensor_ops import unfold, vec
 
-from oracle_models import with_noise
+from oracle_models import unvec, with_noise
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -111,17 +111,12 @@ def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
 
-def test_bals_true_init_converges_immediately():
+def test_bals_true_init_converges_immediately(als_start):
     cfg, channels, coding, symbols, y = make_case(seed=4)
 
-    # run one G-step/X-step pass seeded at the truth by monkeypatching init
-    import hrislink.hris_rx as mod
-    original = mod.init_symbols
-    mod.init_symbols = lambda rows, cols, seed: symbols.copy()
-    try:
+    # run one G-step/X-step pass seeded at the truth
+    with als_start(symbols):
         rep = hris_bals(y, coding)
-    finally:
-        mod.init_symbols = original
     assert rep.iterations <= 2
     assert nmse(rep.channel, channels.ut_ris) < 1e-10
 
@@ -144,12 +139,33 @@ def test_bals_counts_svd_fallbacks(raw_estimates):
         assert np.isfinite(estimate).all() and not estimate.any()
 
 
+@pytest.mark.parametrize("pt_dbm", [10.0, 30.0])
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_bals_reaches_the_closed_form_estimate(scheme, pt_dbm):
+    # With the shipped coding the composite least squares and its rank-1 split give the
+    # maximum-likelihood channel, and the ALS converges to that same point: an estimator
+    # that shares no code with the ALS loop pins where it ends.
+    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, scheme=scheme, pt_dbm=pt_dbm)
+    coding = build_coding(cfg)
+    closed_form = hris_kronf if scheme == "tstc" else hris_krf
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(50):
+        sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
+        y = with_noise(synth_yrc(cfg, draw_channels(cfg, rng), coding, sent), cfg, rng)
+        g_cf = closed_form(y, coding).channel
+        worst = max(worst, np.linalg.norm(hris_bals(y, coding).channel - g_cf) / np.linalg.norm(g_cf))
+    assert worst <= 1e-9
+
+
 def test_run_als_stops_at_the_iteration_cap():
-    # unfold(y, 2).T = [[1], [2]] against regressors alternating [[1], [0]] and [[0], [1]]:
-    # the residuals go 4, 1, 4, ..., never settle, and never reach the floor
+    # unfold(y, 2).T = [[1], [2]] against symbol regressors alternating [[1], [0]] and [[0], [1]]:
+    # the residuals go 4, 1, 4, ..., never settle, and never reach the floor; tables of ones
+    # give the 1x1 channel step a positive Gram, so it never falls back
     y = np.array([1.0, 2.0], dtype=complex).reshape(2, 1, 1)
     regressors = itertools.cycle([np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)])
-    rep = run_als(y, np.ones((1, 1), complex), lambda x: (x, False), lambda channel: next(regressors))
+    ones = np.ones((1, 1), complex)
+    rep = run_als(y, ones, ones, (1, 1), None, lambda channel: next(regressors), 0)
     assert rep.iterations == MAX_ITERATIONS
     assert rep.residuals[:3] == pytest.approx([4.0, 1.0, 4.0])
 
@@ -175,7 +191,6 @@ def test_kronf_exact_recovery_noiseless():
 
 def test_kronf_composite_is_kronecker_of_truth():
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    from hrislink.tensor_ops import unfold, unvec
 
     fxg = composite_code_matrix(coding)
     q = unvec(vec(unfold(y, 2) @ np.linalg.pinv(fxg).T), cfg.n * cfg.t, cfg.l * cfg.r)
@@ -210,7 +225,6 @@ def test_krf_exact_recovery_noiseless():
 
 def test_krf_columns_are_rank_one():
     cfg, channels, coding, symbols, y = make_case(scheme="krstc", n=4, k=16)
-    from hrislink.tensor_ops import unfold, unvec
 
     fxg = composite_code_matrix(coding)
     q = unvec(vec(unfold(y, 2) @ np.linalg.pinv(fxg).T), cfg.n * cfg.t, cfg.l)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from hrislink import bs_rx, hris_rx
+from hrislink import bs_rx, hris_rx, rx_common, tensor_ops
 from hrislink.bs_rx import ControlLinkPayload, bs_kronf
 from hrislink.coding import build_coding, gen_symbols
 from hrislink.hris_rx import channel_code_matrix, composite_code_matrix, symbol_code_matrix
@@ -122,31 +122,31 @@ NON_DIAGONAL = [ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=3, k=4, scheme="tstc"
                 ScenarioConfig(m=2, n=5, nc=2, l=3, r=3, t=2, k=8, scheme="krstc")]
 
 
-def channel_solves(module, receive, x0):
+def channel_solves(receive, x0, als_start):
     """Every ``(gram, rhs, x)`` that ``receive()``, started from ``x0``, passes to ``solve_gram``.
 
-    ``x`` is the symbol estimate the channel step of that solve started from.
+    ``x`` is the symbol estimate the channel step of that solve started from:
+    ``x0`` for the first, then the symbol step before it.  The symbol steps
+    solve through ``lstsq_normal``, whose own ``solve_gram`` is not recorded.
     """
-    solves, starts = [], []
-    solve_gram, run_als = module.solve_gram, module.run_als
+    solves, symbol_steps = [], []
+    solve_gram, lstsq_normal = rx_common.solve_gram, rx_common.lstsq_normal
 
     def recording_solve(gram, rhs, problem):
         solves.append((gram, rhs))
         return solve_gram(gram, rhs, problem)
 
-    def recording_run_als(y, x, channel_step, symbol_regressor):
-        def step(x_hat):
-            starts.append(x_hat)
-            return channel_step(x_hat)
-        return run_als(y, x, step, symbol_regressor)
+    def recording_lstsq(a, b):
+        x, fell_back = lstsq_normal(a, b)
+        symbol_steps.append(x)
+        return x, fell_back
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "solve_gram", recording_solve)
-        patch.setattr(module, "run_als", recording_run_als)
-        patch.setattr(module, "init_symbols", lambda rows, cols, seed: x0)
+    with als_start(x0), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rx_common, "solve_gram", recording_solve)
+        patch.setattr(rx_common, "lstsq_normal", recording_lstsq)
         receive()
-    assert len(solves) == len(starts)
-    return [(gram, rhs, x) for (gram, rhs), x in zip(solves, starts)]
+    assert len(solves) == len(symbol_steps)
+    return [(gram, rhs, x) for (gram, rhs), x in zip(solves, [x0] + symbol_steps)]
 
 
 def assert_normal_equations(got, a, b):
@@ -160,19 +160,19 @@ def assert_normal_equations(got, a, b):
 @given(problem=feasible_problems())
 @example(problem=(NON_DIAGONAL[0], 1))
 @example(problem=(NON_DIAGONAL[1], 2))
-def test_channel_steps_form_the_exact_normal_equations(problem):
-    check_every_channel_step(*problem)
+def test_channel_steps_form_the_exact_normal_equations(problem, als_start):
+    check_every_channel_step(*problem, als_start)
 
 
 @pytest.mark.parametrize("cfg", NON_DIAGONAL, ids=["tstc", "krstc"])
-def test_channel_step_checks_reach_later_iterations(cfg):
+def test_channel_step_checks_reach_later_iterations(cfg, als_start):
     # the tables behind the Grams and right-hand sides are built before the first
     # iteration and reused, so a wrong or stale table shows from the second on
-    hris_steps, bs_steps = check_every_channel_step(cfg, 4)
+    hris_steps, bs_steps = check_every_channel_step(cfg, 4, als_start)
     assert hris_steps >= 2 and bs_steps >= 2
 
 
-def check_every_channel_step(cfg, seed):
+def check_every_channel_step(cfg, seed, als_start):
     """Check each channel solve of both ``bals`` receivers on random data; return how many each made."""
     coding = build_coding(cfg)
     rng = np.random.default_rng(seed)
@@ -181,14 +181,38 @@ def check_every_channel_step(cfg, seed):
     y_rc = crandn(rng, cfg.nc, cfg.t, cfg.k)
     y_bs = crandn(rng, cfg.m, cfg.t, cfg.k)
 
-    hris_steps = channel_solves(hris_rx, lambda: hris_rx.hris_bals(y_rc, coding), x)
-    for gram, rhs, x_hat in hris_steps:
-        assert_normal_equations((gram, rhs), channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T))
+    hris_steps = channel_solves(lambda: hris_rx.hris_bals(y_rc, coding), x, als_start)
+    for gram, rhs, x_hat in hris_steps:  # the right-hand side of vec(G) comes as one column
+        assert_normal_equations((gram, rhs), channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)[:, None])
 
-    bs_steps = channel_solves(bs_rx, lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x)
+    bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x, als_start)
     for gram, rhs, x_hat in bs_steps:
         assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T)
     return len(hris_steps), len(bs_steps)
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
+    # with the reciprocal-condition floor at infinity every solve takes the SVD path on its
+    # explicit problem, so a layout slip there (a C-order vec(G) at the surface, a missing
+    # transpose at the BS) shows against the table-read Cholesky solves on the same input
+    cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, pt_dbm=20.0, scheme=scheme)
+    rng = np.random.default_rng(7)
+    channels, coding = draw_channels(cfg, rng), build_coding(cfg)
+    sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
+    y_rc = with_noise(synth_yrc(cfg, channels, coding, sent), cfg, rng)
+    y_bs = with_noise(synth_ybs(cfg, channels, coding, sent), cfg, rng)
+    surface = hris_rx.hris_bals(y_rc, coding)
+    payload = ControlLinkPayload(surface.channel)
+    cholesky = [surface, bs_rx.bs_bals(y_bs, payload, coding)]
+    monkeypatch.setattr(tensor_ops, "GRAM_RCOND_FLOOR", math.inf)
+    svd = [hris_rx.hris_bals(y_rc, coding), bs_rx.bs_bals(y_bs, payload, coding)]
+    for chol, fell_back in zip(cholesky, svd):
+        assert chol.fallbacks == 0
+        assert fell_back.iterations == chol.iterations
+        assert fell_back.fallbacks == 2 * fell_back.iterations
+        for got, want in ((fell_back.channel, chol.channel), (fell_back.symbols, chol.symbols)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("cfg", NON_DIAGONAL, ids=["tstc", "krstc"])

@@ -1,5 +1,6 @@
 """Configuration validation, path loss, and random realizations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -152,7 +153,7 @@ def test_add_noise_rejects_negative_power():
 def test_config_file_round_trip(tmp_path):
     cfg = ScenarioConfig(m=4, n=8, k=16, rho=0.25, scheme="krstc", pt_dbm=12.5)
     path = tmp_path / "scenario.cfg"
-    cfg.to_file(path)
+    path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in dataclasses.fields(cfg)))
     assert ScenarioConfig.from_file(path) == cfg
 
 
@@ -165,6 +166,21 @@ def test_config_file_comments_and_unknowns(tmp_path):
     bad.write_text("mystery = 1\n")
     with pytest.raises(ValueError):
         ScenarioConfig.from_file(bad)
+
+
+@pytest.mark.parametrize("line, key", [("k = 16.0", "k"), ("rho = half", "rho"), ("m = ", "m")])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# comment\n{line}\n")
+    with pytest.raises(ValueError, match=rf"bad\.cfg:2: bad value for '{key}'"):
+        ScenarioConfig.from_file(path)
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("k = 16\nrho = 0.5\nk = 32\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:3: configuration key 'k' is repeated"):
+        ScenarioConfig.from_file(path)
 
 
 def test_channel_realization_shapes():

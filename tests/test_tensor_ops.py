@@ -12,9 +12,9 @@ from scipy.linalg import khatri_rao
 
 from hrislink.identifiability import spectral_rank
 from hrislink.rx_common import GRAM_CERTIFICATE_MAX
-from hrislink.tensor_ops import apply_pinv, lstsq_normal, rank1_approx, solve_gram, unfold, unvec, vec
+from hrislink.tensor_ops import apply_pinv, lstsq_normal, rank1_approx, solve_gram, unfold, vec
 
-from oracle_models import fold, mode_n_product, modewise_contraction
+from oracle_models import fold, mode_n_product, modewise_contraction, unvec
 
 
 def crandn(rng, *shape):
