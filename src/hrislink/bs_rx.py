@@ -21,11 +21,10 @@ Every regressor, for both coding schemes, is built from the blocks
 (:func:`~hrislink.synthesis.reflect_blocks`, one flat product), times ``X``,
 times ``H``, or vectorized.
 
-Both closed-form solves apply the pseudo-inverse straight to the received
-unfolding and run no SVD when a Cholesky factor ``U`` of the small Gram
-certifies full rank (:func:`~hrislink.rx_common.require_full_rank`):
-``sqrt(tr(a^H a)) |U^{-1}|_F`` bounds ``sigma_max / sigma_min``, so the SVD
-rank rule would agree.
+Both closed-form solves are least-squares solves against the received
+unfolding (:func:`~hrislink.rx_common.require_full_rank`) and, like the ALS
+steps, run no SVD when the Gram certificate of
+:func:`~hrislink.tensor_ops.solve_gram` proves full rank.
 
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
@@ -123,7 +122,7 @@ def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -
     m, t, n, streams = d.m, d.t, d.n, d.w
     blocks = reflect_blocks(coding, payload.ut_channel)            # (n, k, streams)
     right = blocks.transpose(2, 0, 1).reshape(-1, d.k)              # (streams*n, k)
-    composite = require_full_rank(unfold(y_bs, 3).T, right, streams * n, "composite right factor")  # (t*m, streams*n)
+    composite = require_full_rank(right.T, unfold(y_bs, 3), streams * n, "composite right factor").T  # (t*m, streams*n)
     rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)
     h_hat = (math.sqrt(sigma) * u).reshape(n, m).T
@@ -141,5 +140,5 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
     n = _check_inputs(y_bs, payload, coding, "bs_channel_only").n
     channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
-    h_hat = require_full_rank(unfold(y_bs, 1), channel_step, n, "channel-step regressor")
+    h_hat = require_full_rank(channel_step.T, unfold(y_bs, 1).T, n, "channel-step regressor").T
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))

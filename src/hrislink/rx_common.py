@@ -1,7 +1,8 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
 one ALS loop (:func:`run_als`: start, channel step from the caller's
-tables, symbol step, stop rule), the rank-checked product with a
-pseudo-inverse, and the anchor normalization."""
+tables, symbol step, stop rule), the rank-checked least-squares solve, and
+the anchor normalization.  Every solve goes through
+:func:`~hrislink.tensor_ops.solve_gram` and its one Gram certificate."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
-from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, spectral_rank
-from .tensor_ops import apply_pinv, lstsq_normal, solve_gram, unfold
+from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, numerical_rank
+from .tensor_ops import lstsq_normal, solve_gram, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -23,10 +24,6 @@ from .tensor_ops import apply_pinv, lstsq_normal, solve_gram, unfold
 MAX_ITERATIONS = 200
 REL_TOL = 1e-6
 RESIDUAL_FLOOR = 1e-26
-
-# Gram certificates (tensor_ops.apply_pinv) below this prove full rank without an SVD and bound the
-# normal-equation error of the product by about eps * 1e8; the comment at identifiability.RANK_TOL relates the cuts.
-GRAM_CERTIFICATE_MAX = 1e4
 
 
 class IdentifiabilityError(ValueError):
@@ -145,23 +142,21 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
     return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
 
 
-def require_full_rank(lhs: np.ndarray, mat: np.ndarray, need: int, what: str) -> np.ndarray:
-    """``lhs @ pinv(mat)``, where ``mat`` must have numerical rank ``need``.
+def require_full_rank(a: np.ndarray, b: np.ndarray, need: int, what: str) -> np.ndarray:
+    """Least-squares solution of ``a @ x = b``, where ``a`` must have numerical rank ``need``.
 
-    Raises :class:`RankDeficiencyError` otherwise.  A full rank certified by
-    :func:`~hrislink.tensor_ops.apply_pinv` needs no SVD: a certificate below
-    ``GRAM_CERTIFICATE_MAX`` keeps ``sigma_min / sigma_max`` above ``1e-4``,
-    far above the ``RANK_TOL`` cut, so the SVD rule would count full rank too.
-    Every other matrix has its rank read off its singular values.
+    Raises :class:`RankDeficiencyError` otherwise.  A Cholesky solve certified by
+    :func:`~hrislink.tensor_ops.solve_gram` proves full column rank, so it runs no
+    SVD; every other ``a`` has its rank read off its singular values first.
     """
-    if need == min(mat.shape) > 0:
-        product, certificate = apply_pinv(lhs, mat)
-        if certificate < GRAM_CERTIFICATE_MAX:
-            return product
-    rank = spectral_rank(np.linalg.svd(mat, compute_uv=False))
-    if rank < need:
-        raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
-    return lhs @ np.linalg.pinv(mat)
+    def problem():
+        rank = numerical_rank(a)
+        if rank < need:
+            raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
+        return a, b
+
+    ah = a.conj().T
+    return solve_gram(ah @ a, ah @ b, problem)[0]
 
 
 def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:

@@ -119,7 +119,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        """Parse a flat ``key = value`` file; ``#`` starts a comment.  Bad lines raise ``ValueError`` at ``path:line``."""
+        """Parse flat ``key = value`` lines; ``#`` starts a comment.  Errors raise ``ValueError`` at ``path[:line]``."""
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -137,7 +137,10 @@ class ScenarioConfig:
                 kwargs[key] = _parse_value(value, fields[key])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_value(text: str, typ) -> object:

@@ -11,13 +11,13 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 * mode 2: transposed frontal slices side by side, shape ``(I2, I3*I1)``;
 * mode 3: ``vec`` of each frontal slice stacked as rows, shape ``(I3, I2*I1)``.
 
-Least-squares solves go through the normal equations (:func:`solve_gram`),
-which need the explicit regressor only for their SVD fallback.  A product
-``lhs @ pinv(m)`` with a full-rank ``m`` comes from a Cholesky factor ``U`` of
-the small Gram (:func:`apply_pinv`), with the certificate
-``sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max / sigma_min``; a small certificate
-shows that an SVD would count full rank too.  The rank-1 split
-(:func:`rank1_approx`) takes the top eigenpair of the small Gram.
+Every least-squares solve goes through the normal equations
+(:func:`solve_gram`): a Cholesky factor ``U`` of the small Gram ``a^H a``
+solves them once the certificate ``sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max /
+sigma_min`` is below ``GRAM_CERTIFICATE_MAX``, which also shows that an SVD
+would count full column rank.  The explicit regressor is needed only for the
+SVD fallback.  The rank-1 split (:func:`rank1_approx`) takes the top
+eigenpair of the small Gram.
 
 All functions are pure and never mutate their inputs.
 """
@@ -51,55 +51,30 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def apply_pinv(lhs: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float]:
-    """``lhs @ pinv(m)`` for a full-rank ``m``, from a Cholesky factor of its small Gram, and a rank certificate.
-
-    With ``a`` the tall orientation of ``m`` (itself or ``m^H``), ``potrf``
-    factors ``a^H a = U^H U`` and ``trtri`` inverts ``U``; the product is
-    ``((lhs @ U^{-1}) @ U^{-H}) @ a^H`` for a tall ``m`` and
-    ``((lhs @ a) @ U^{-1}) @ U^{-H}`` for a wide one, so no pseudo-inverse is
-    formed.  The certificate ``sqrt(tr(a^H a)) |U^{-1}|_F`` bounds
-    ``sigma_max / sigma_min``; it is infinite when LAPACK reports a failure or
-    the product is not finite, and the product then means nothing.
-    """
-    m = np.asarray(m)
-    wide = m.shape[0] < m.shape[1]
-    a = m.conj().T if wide else m
-    gram = a.conj().T @ a
-    potrf, trtri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri"), (gram,))
-    factor, info = potrf(gram)
-    u_inv, info_inv = trtri(factor)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow voids the certificate
-        if wide:
-            product = ((lhs @ a) @ u_inv) @ u_inv.conj().T
-        else:
-            product = ((lhs @ u_inv) @ u_inv.conj().T) @ a.conj().T
-        # tr(a^H a) = sigma_1^2 + ... >= sigma_max^2 and |U^{-1}|_F >= |U^{-1}|_2 = 1 / sigma_min
-        certificate = math.sqrt(gram.trace().real) * float(np.linalg.norm(u_inv))
-    if info or info_inv or not np.isfinite(product).all():
-        certificate = math.inf
-    return product, certificate
-
-
-# Reciprocal condition estimate of the Gram matrix below which :func:`solve_gram`
-# falls back to the SVD pseudo-inverse; identifiability.RANK_TOL relates it to the rank cut.
-GRAM_RCOND_FLOOR = 1e-10
+# Certificates sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max / sigma_min below this prove full column
+# rank without an SVD (sigma_min / sigma_max > 1e-4) and bound the normal-equation error by about eps * 1e8.
+GRAM_CERTIFICATE_MAX = 1e4
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np.ndarray, bool]:
     """Solve the normal equations ``gram @ x = rhs``, and whether it fell back to the SVD.
 
     ``gram`` and ``rhs`` are ``a^H a`` and ``a^H b`` of the least-squares problem
-    ``a @ x = b``, however the caller formed them; a Cholesky factor solves it.
-    When the factorization fails, the Gram's reciprocal condition estimate is
-    below ``GRAM_RCOND_FLOOR``, or the solution is not finite, it calls
+    ``a @ x = b``, however the caller formed them.  ``potrf`` factors
+    ``gram = U^H U``, ``trtri`` inverts ``U`` for the certificate
+    ``sqrt(tr(gram)) |U^{-1}|_F = |U|_F |U^{-1}|_F``, and ``potrs`` solves
+    from the factor.  When the factorization fails, the certificate is not
+    below ``GRAM_CERTIFICATE_MAX``, or the solution is not finite, it calls
     ``problem()`` for the explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
     """
-    potrf, pocon, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "pocon", "potrs"), (gram,))
+    potrf, trtri, lange, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri", "lange", "potrs"),
+                                                                      (gram, rhs))
     factor, info = potrf(gram)
     if info == 0:
-        rcond, info = pocon(factor, np.abs(gram).sum(axis=0).max())
-        if info == 0 and rcond >= GRAM_RCOND_FLOOR:
+        u_inv, info = trtri(factor)
+        # U has a's singular values, so |U|_F >= sigma_max and |U^{-1}|_F >= 1 / sigma_min; lange
+        # scales its sums, so a huge norm reads as a large or infinite certificate, with no overflow
+        if info == 0 and lange("F", factor) * lange("F", u_inv) < GRAM_CERTIFICATE_MAX:
             x, info = potrs(factor, rhs)
             if info == 0 and np.isfinite(x).all():
                 return x, False

@@ -6,11 +6,30 @@ and through raw scalar sums, without touching the slice-wise synthesis code
 they are checked against.  The tensor operations that only these oracles
 need (:func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
 live here, following the unfolding conventions of ``hrislink.tensor_ops``.
+:func:`gram_certificate` recomputes, from the Gram alone, the certificate
+that ``hrislink.tensor_ops.solve_gram`` checks.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from hrislink.scenario import draw_noise
+
+
+def gram_certificate(gram: np.ndarray) -> float:
+    """``sqrt(tr(gram)) |U^{-1}|_F`` for the Cholesky factor ``gram = U^H U``, ``inf`` if it fails.
+
+    For ``gram = a^H a`` it bounds ``sigma_max / sigma_min`` of ``a`` from above.
+    """
+    potrf, trtri = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri"), (gram,))
+    factor, info = potrf(gram)
+    u_inv, info_inv = trtri(factor)
+    if info or info_inv:
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.sqrt(gram.trace().real) * float(np.linalg.norm(u_inv))
 
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:

@@ -97,6 +97,14 @@ def test_check_exit_codes(cfg_file, tmp_path):
     assert "identifiable: NO" in bad.stdout
 
 
+def test_check_names_the_config_file_it_rejects(tmp_path):
+    odd = tmp_path / "odd.cfg"
+    odd.write_text(CFG_TEXT.replace("k = 16", "k = 24"))
+    result = run_cli("check", "--config", str(odd), "--pair", "kronf-bals")
+    assert result.returncode == 1
+    assert f"{odd}: Sylvester Hadamard construction needs k to be a power of two, got 24" in result.stderr
+
+
 def test_check_scheme_override(cfg_file):
     result = run_cli("check", "--config", cfg_file, "--pair", "krf-bals",
                      "--scheme", "krstc")

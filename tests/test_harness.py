@@ -167,17 +167,29 @@ def test_full_reflection_trial_fails():
     assert math.isnan(out.nmse_g)
 
 
-@pytest.mark.parametrize("scheme, pair", [("tstc", ("kronf", "kronf")), ("tstc", ("kronf", "h")),
-                                          ("krstc", ("krf", "kronf")), ("krstc", ("krf", "h"))])
-def test_closed_form_pairs_certify_full_rank_without_an_svd(monkeypatch, scheme, pair):
+def run_without_an_svd(monkeypatch, scheme, pair):
     def no_svd(mat, **_):
-        raise AssertionError(f"require_full_rank fell back to the SVD on a {mat.shape} matrix")
+        raise AssertionError(f"a least-squares solve fell back to the SVD on a {mat.shape} matrix")
 
     hris_rx.composite_pinv.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     monkeypatch.setattr(np.linalg, "pinv", no_svd)
-    out = run_trial(ScenarioConfig(scheme=scheme), pair, seed=3)
+    return run_trial(ScenarioConfig(scheme=scheme), pair, seed=3)
+
+
+@pytest.mark.parametrize("scheme, pair", [("tstc", ("kronf", "kronf")), ("tstc", ("kronf", "h")),
+                                          ("krstc", ("krf", "kronf")), ("krstc", ("krf", "h"))])
+def test_closed_form_pairs_certify_full_rank_without_an_svd(monkeypatch, scheme, pair):
+    out = run_without_an_svd(monkeypatch, scheme, pair)
     assert not out.failed, out.failure_reason
+
+
+@pytest.mark.parametrize("scheme, pair", [("tstc", ("bals", "bals")), ("tstc", ("kronf", "bals")),
+                                          ("krstc", ("bals", "bals")), ("krstc", ("krf", "bals"))])
+def test_bs_bals_pairs_certify_every_solve_without_an_svd(monkeypatch, scheme, pair):
+    out = run_without_an_svd(monkeypatch, scheme, pair)
+    assert not out.failed, out.failure_reason
+    assert out.iters_bs > 0
 
 
 # Rank-deficient solves that the Gram certificate rejects keep the SVD rule's

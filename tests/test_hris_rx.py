@@ -365,11 +365,18 @@ def test_rank_deficient_coding_raises_on_every_call(scheme, receiver):
             receiver(y, bad)
 
 
+def full_rank_pinv(a, need, what):
+    """``pinv(a)`` from :func:`require_full_rank` on the tall orientation of ``a``, as the receivers pass it."""
+    if a.shape[0] >= a.shape[1]:
+        return require_full_rank(a, np.eye(a.shape[0]), need, what)
+    return require_full_rank(a.T, np.eye(a.shape[1]), need, what).T
+
+
 def test_require_full_rank_returns_the_pinv():
     rng = np.random.default_rng(5)
     for shape in ((12, 5), (5, 12), (16, 16)):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = require_full_rank(np.eye(shape[1]), a, min(shape), "test matrix")
+        got = full_rank_pinv(a, min(shape), "test matrix")
         assert np.max(np.abs(got - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(got))
 
 
@@ -392,9 +399,9 @@ def test_require_full_rank_decides_as_the_svd_rule(rows, cols, log_ratio, seed):
     rank = spectral_rank(spectrum)
     if rank < size:
         with pytest.raises(RankDeficiencyError, match=rf"^m has numerical rank {rank}, need {size}$"):
-            require_full_rank(np.eye(cols), a, size, "m")
+            full_rank_pinv(a, size, "m")
     else:
-        got = require_full_rank(np.eye(cols), a, size, "m")
+        got = full_rank_pinv(a, size, "m")
         expected = np.linalg.pinv(a)
         kappa = spectrum[0] / spectrum[-1]
         assert np.linalg.norm(got - expected) <= 1e-12 * kappa * np.linalg.norm(expected)
@@ -404,9 +411,9 @@ def test_require_full_rank_message_on_rank_deficiency():
     rng = np.random.default_rng(6)
     a = np.outer(rng.standard_normal(6), rng.standard_normal(4))  # rank one
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 1, need 4$"):
-        require_full_rank(np.eye(4), a, 4, "test matrix")
+        full_rank_pinv(a, 4, "test matrix")
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 0, need 2$"):
-        require_full_rank(np.eye(2), np.zeros((3, 2)), 2, "test matrix")
+        full_rank_pinv(np.zeros((3, 2)), 2, "test matrix")
 
 
 def test_rank_threshold_sits_between_5e_11_and_2e_10():
@@ -417,4 +424,4 @@ def test_rank_threshold_sits_between_5e_11_and_2e_10():
     a = u @ np.diag([1.0, 2e-10, 5e-11]) @ v.conj().T
     assert numerical_rank(a) == 2
     with pytest.raises(RankDeficiencyError, match=r"numerical rank 2, need 3"):
-        require_full_rank(np.eye(6), a, 3, "test matrix")
+        full_rank_pinv(a, 3, "test matrix")

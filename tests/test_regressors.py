@@ -89,7 +89,7 @@ def test_bs_kronf_right_factor(case, monkeypatch):
     cfg, coding, g, h, x = case
     seen = []
     original = bs_rx.require_full_rank
-    monkeypatch.setattr(bs_rx, "require_full_rank", lambda lhs, mat, *a: seen.append(mat) or original(lhs, mat, *a))
+    monkeypatch.setattr(bs_rx, "require_full_rank", lambda a, b, *rest: seen.append(a.T) or original(a, b, *rest))
     y = np.stack([h @ np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(cfg.k)], axis=2)
     bs_kronf(y, ControlLinkPayload(g), coding)
     (right,) = seen
@@ -193,7 +193,7 @@ def check_every_channel_step(cfg, seed, als_start):
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
-    # with the reciprocal-condition floor at infinity every solve takes the SVD path on its
+    # with the certificate bound at zero every solve takes the SVD path on its
     # explicit problem, so a layout slip there (a C-order vec(G) at the surface, a missing
     # transpose at the BS) shows against the table-read Cholesky solves on the same input
     cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, pt_dbm=20.0, scheme=scheme)
@@ -205,7 +205,7 @@ def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
     surface = hris_rx.hris_bals(y_rc, coding)
     payload = ControlLinkPayload(surface.channel)
     cholesky = [surface, bs_rx.bs_bals(y_bs, payload, coding)]
-    monkeypatch.setattr(tensor_ops, "GRAM_RCOND_FLOOR", math.inf)
+    monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
     svd = [hris_rx.hris_bals(y_rc, coding), bs_rx.bs_bals(y_bs, payload, coding)]
     for chol, fell_back in zip(cholesky, svd):
         assert chol.fallbacks == 0

@@ -183,6 +183,13 @@ def test_config_file_rejects_a_repeated_key(tmp_path):
         ScenarioConfig.from_file(path)
 
 
+def test_config_file_names_the_file_for_an_invalid_configuration(tmp_path):
+    path = tmp_path / "odd.cfg"
+    path.write_text("k = 24\n")
+    with pytest.raises(ValueError, match=r"odd\.cfg: Sylvester Hadamard construction needs k to be a power of two"):
+        ScenarioConfig.from_file(path)
+
+
 def test_channel_realization_shapes():
     cfg = ScenarioConfig(m=3, n=5, l=2)
     ch = draw_channels(cfg, np.random.default_rng(0))

@@ -4,6 +4,8 @@ Expected values are computed by independent enumeration (explicit index
 loops, power iteration) rather than by the functions under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,10 @@ from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
 from hrislink.identifiability import spectral_rank
-from hrislink.rx_common import GRAM_CERTIFICATE_MAX
-from hrislink.tensor_ops import apply_pinv, lstsq_normal, rank1_approx, solve_gram, unfold, vec
+from hrislink.rx_common import require_full_rank
+from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, lstsq_normal, rank1_approx, solve_gram, unfold, vec
 
-from oracle_models import fold, mode_n_product, modewise_contraction, unvec
+from oracle_models import fold, gram_certificate, mode_n_product, modewise_contraction, unvec
 
 
 def crandn(rng, *shape):
@@ -252,11 +254,28 @@ def test_contraction_shape_errors():
         modewise_contraction(np.zeros((2, 3, 2)), np.zeros((3, 4, 3)))
 
 
-# ------------------------------------------------ certified pseudo-inverse product
+# ---------------------------------------------------- certified least-squares solve
+
+def tall_orientation(a):
+    """``a`` itself, or ``a.T`` when ``a`` is wide: the receivers pass the tall orientation to :func:`solve_gram`."""
+    return a.T if a.shape[0] < a.shape[1] else a
+
+
+def certified_solve(a, b):
+    """``pinv(a) @ b`` from :func:`solve_gram` of a tall ``a``, and the certificate of its Cholesky path.
+
+    The certificate is ``inf`` when the solve fell back to the SVD.
+    """
+    gram = a.conj().T @ a
+    x, fell_back = solve_gram(gram, a.conj().T @ b, lambda: (a, b))
+    return x, math.inf if fell_back else gram_certificate(gram)
+
 
 def certified_pinv(a):
-    """The pseudo-inverse of a full-rank ``a`` from :func:`apply_pinv`, and its certificate."""
-    return apply_pinv(np.eye(a.shape[1]), a)
+    """The pseudo-inverse of a full-rank ``a`` from :func:`solve_gram` on its tall orientation, and the certificate."""
+    tall = tall_orientation(a)
+    inverse, certificate = certified_solve(tall, np.eye(len(tall), dtype=a.dtype))
+    return (inverse if tall is a else inverse.T), certificate
 
 
 def test_pinv_identity_and_zero():
@@ -272,9 +291,10 @@ def test_apply_pinv_matches_numpy_and_bounds_the_condition_number():
         assert inverse.dtype == a.dtype
         assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
         assert np.linalg.cond(a) <= certificate <= np.sqrt(min(a.shape)) * np.linalg.cond(a) * (1 + 1e-12)
-        lhs = crandn(rng, 3, a.shape[1])
-        product, same = apply_pinv(lhs, a)
-        want = lhs @ np.linalg.pinv(a)
+        tall = tall_orientation(a)
+        rhs = crandn(rng, len(tall), 3)
+        product, same = certified_solve(tall, rhs)
+        want = np.linalg.pinv(tall) @ rhs
         assert same == certificate
         assert np.max(np.abs(product - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -295,16 +315,16 @@ def test_certified_product_is_full_rank_and_within_the_normal_equation_bound(row
     size = min(rows, cols)
     middle = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, max(size - 2, 0)))[::-1]
     s = np.r_[1.0, middle, 10.0 ** log_ratio][:size] * 10.0 ** log_scale
-    a = with_singular_values(rng, rows, s) @ np.linalg.qr(crandn(rng, cols, size))[0].conj().T
-    lhs = crandn(rng, lhs_rows, cols)
-    product, certificate = apply_pinv(lhs, a)
+    a = tall_orientation(with_singular_values(rng, rows, s) @ np.linalg.qr(crandn(rng, cols, size))[0].conj().T)
+    rhs = crandn(rng, len(a), lhs_rows)
+    product, certificate = certified_solve(a, rhs)
     if certificate < GRAM_CERTIFICATE_MAX:
         spectrum = np.linalg.svd(a, compute_uv=False)
         assert spectral_rank(spectrum) == size
         assert spectrum[0] / spectrum[-1] <= certificate * (1 + 1e-6)
-        # the normal equations' forward error, on the scale |lhs| |pinv(a)| of the product's rounding
-        bound = 10 * np.finfo(float).eps * certificate**2 * np.linalg.norm(lhs) / spectrum[-1]
-        assert np.linalg.norm(product - lhs @ np.linalg.pinv(a)) <= bound
+        # the normal equations' forward error, on the scale |rhs| |pinv(a)| of the solution's rounding
+        bound = 10 * np.finfo(float).eps * certificate**2 * np.linalg.norm(rhs) / spectrum[-1]
+        assert np.linalg.norm(product - np.linalg.pinv(a) @ rhs) <= bound
 
 
 def test_pinv_left_inverse_full_column_rank():
@@ -360,7 +380,7 @@ def fallback_input(case):
         return np.hstack([full[:, :3], full[:, :1]]), crandn(rng, 20, 2)      # rank 3 of 4
     if case == "all zero":
         return np.zeros((20, 4), dtype=complex), crandn(rng, 20, 2)
-    # cond(a) = 1e6, so the Gram's reciprocal condition is about 1e-12 < GRAM_RCOND_FLOOR
+    # cond(a) = 1e6, so the Gram certificate is at least 1e6 > GRAM_CERTIFICATE_MAX
     return with_singular_values(rng, 20, np.array([1.0, 1e-2, 1e-4, 1e-6])), crandn(rng, 20)
 
 
@@ -389,6 +409,35 @@ def test_solve_gram_calls_problem_only_on_fallback():
         x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
         assert fell_back and calls == [1]
         assert np.array_equal(x, np.linalg.pinv(a) @ b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=st.integers(1, 24), extra_rows=st.integers(0, 24), rhs=st.integers(1, 3),
+       log_ratio=st.floats(-6.0, -2.0), seed=st.integers(0, 2**32 - 1))
+def test_lstsq_normal_and_require_full_rank_make_one_decision(cols, extra_rows, rhs, log_ratio, seed):
+    # sigma_min / sigma_max is 10**log_ratio, log-uniform over [1e-6, 1e-2]: the certificate
+    # falls on both sides of GRAM_CERTIFICATE_MAX, and every draw has full numerical rank
+    rng = np.random.default_rng(seed)
+    middle = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, max(cols - 2, 0)))[::-1]
+    a = with_singular_values(rng, cols + extra_rows, np.r_[1.0, middle, 10.0 ** log_ratio][:cols])
+    b = crandn(rng, cols + extra_rows, rhs)
+    x, fell_back = lstsq_normal(a, b)
+    svd_calls = []
+    svd = np.linalg.svd
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", lambda *args, **kw: svd_calls.append(1) or svd(*args, **kw))
+        checked = require_full_rank(a, b, cols, "a")
+    assert bool(svd_calls) == fell_back
+    if not fell_back:
+        assert np.array_equal(checked, x)
+
+
+def test_solve_gram_keeps_a_complex_rhs_of_a_real_gram():
+    rng = np.random.default_rng(101)
+    a, b = rng.standard_normal((6, 3)), crandn(rng, 6, 2)
+    x, fell_back = lstsq_normal(a, b)
+    assert not fell_back
+    assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-12 * np.linalg.norm(x)
 
 
 # --------------------------------------------------------------- rank-1 split
