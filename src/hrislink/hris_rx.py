@@ -85,7 +85,7 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
     :class:`RankDeficiencyError` on every call.
     """
     fxg = composite_code_matrix(coding)
-    inverse = require_full_rank(fxg, np.eye(fxg.shape[0]), fxg.shape[1], "composite code matrix")
+    inverse = require_full_rank(fxg, None, fxg.shape[1], "composite code matrix")
     inverse.flags.writeable = False
     return inverse
 

@@ -142,10 +142,11 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
     return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
 
 
-def require_full_rank(a: np.ndarray, b: np.ndarray, need: int, what: str) -> np.ndarray:
+def require_full_rank(a: np.ndarray, b: np.ndarray | None, need: int, what: str) -> np.ndarray:
     """Least-squares solution of ``a @ x = b``, where ``a`` must have numerical rank ``need``.
 
-    Raises :class:`RankDeficiencyError` otherwise.  A Cholesky solve certified by
+    ``b=None`` stands for the identity, so the solution is ``pinv(a)``.  Raises
+    :class:`RankDeficiencyError` below rank ``need``.  A Cholesky solve certified by
     :func:`~hrislink.tensor_ops.solve_gram` proves full column rank, so it runs no
     SVD; every other ``a`` has its rank read off its singular values first.
     """
@@ -153,10 +154,10 @@ def require_full_rank(a: np.ndarray, b: np.ndarray, need: int, what: str) -> np.
         rank = numerical_rank(a)
         if rank < need:
             raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
-        return a, b
+        return a, np.eye(len(a), dtype=a.dtype) if b is None else b
 
     ah = a.conj().T
-    return solve_gram(ah @ a, ah @ b, problem)[0]
+    return solve_gram(ah @ a, ah if b is None else ah @ b, problem)[0]
 
 
 def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:

@@ -53,6 +53,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 
 # Certificates sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max / sigma_min below this prove full column
 # rank without an SVD (sigma_min / sigma_max > 1e-4) and bound the normal-equation error by about eps * 1e8.
+# A certificate is at least the Gram's column count, so Grams of 1e4 or more columns always take the SVD.
 GRAM_CERTIFICATE_MAX = 1e4
 
 

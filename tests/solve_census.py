@@ -12,8 +12,10 @@ as an SVD-path solve when ``numpy.linalg.svd`` or ``numpy.linalg.pinv`` runs
 after it.  The same script therefore runs on older checkouts too.
 
 The configurations are the three ``perfbench`` workloads at their sizes and
-points, the golden fixture's sizes and sweeps, and the four ALS pairs at the
-default size over ``pt`` at -30 and -20 dBm.  Run it from the root of a
+points, the golden fixture's sizes and sweeps, the four ALS pairs at the
+default size over ``pt`` at -30 and -20 dBm, and ``bals-bals`` at larger
+sizes, whose ALS Grams have 256 to 512 columns (the certificate is at least
+the column count, so it grows with the size).  Run it from the root of a
 checkout with BLAS on one thread::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python tests/solve_census.py --rounds 10
@@ -43,6 +45,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 ALS_PAIRS = WORKLOADS["als-pt"].pairs
+# (scheme, n, l) with surface channel-step Grams of l*n = 256, 512 and 512 columns and BS ones of n
+LARGE_SIZES = (("krstc", 64, 4), ("tstc", 256, 2), ("krstc", 256, 2))
 
 
 def configurations(rounds: int):
@@ -58,6 +62,9 @@ def configurations(rounds: int):
                     trials, base_seed
     for scheme, hris, bs in ALS_PAIRS:
         yield "als-low-snr", ScenarioConfig(scheme=scheme), (hris, bs), "pt", (-30.0, -20.0), 4 * rounds, 1
+    for scheme, n, l in LARGE_SIZES:
+        yield "als-large", ScenarioConfig(scheme=scheme, n=n, l=l, r=l, k=n), ("bals", "bals"), "pt", (30.0,), \
+            rounds // 5 or 1, 1
 
 
 class Census:
@@ -141,7 +148,8 @@ def patched(census: Census):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=10,
-                        help="workload rounds per sweep; the ALS low-SNR sweep takes 4 trials per round")
+                        help="workload rounds per sweep; the ALS low-SNR sweep takes 4 trials per round, "
+                             "the large-size one one trial per 5 rounds")
     args = parser.parse_args()
     census = Census()
     with patched(census):

@@ -4,8 +4,6 @@ Expected values are computed by independent enumeration (explicit index
 loops, power iteration) rather than by the functions under test.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,47 +260,43 @@ def tall_orientation(a):
 
 
 def certified_solve(a, b):
-    """``pinv(a) @ b`` from :func:`solve_gram` of a tall ``a``, and the certificate of its Cholesky path.
-
-    The certificate is ``inf`` when the solve fell back to the SVD.
-    """
-    gram = a.conj().T @ a
-    x, fell_back = solve_gram(gram, a.conj().T @ b, lambda: (a, b))
-    return x, math.inf if fell_back else gram_certificate(gram)
+    """``pinv(a) @ b`` from :func:`solve_gram` of a tall ``a``, and whether it fell back to the SVD."""
+    return solve_gram(a.conj().T @ a, a.conj().T @ b, lambda: (a, b))
 
 
 def certified_pinv(a):
-    """The pseudo-inverse of a full-rank ``a`` from :func:`solve_gram` on its tall orientation, and the certificate."""
+    """The pseudo-inverse of ``a`` from :func:`solve_gram` on its tall orientation, and whether it fell back."""
     tall = tall_orientation(a)
-    inverse, certificate = certified_solve(tall, np.eye(len(tall), dtype=a.dtype))
-    return (inverse if tall is a else inverse.T), certificate
+    inverse, fell_back = certified_solve(tall, np.eye(len(tall), dtype=a.dtype))
+    return (inverse if tall is a else inverse.T), fell_back
 
 
 def test_pinv_identity_and_zero():
-    inverse, certificate = certified_pinv(np.eye(4))
-    assert np.allclose(inverse, np.eye(4)) and certificate == 4.0
-    assert certified_pinv(np.zeros((2, 3)))[1] == np.inf
+    inverse, fell_back = certified_pinv(np.eye(4))
+    assert not fell_back and np.allclose(inverse, np.eye(4)) and gram_certificate(np.eye(4)) == 4.0
+    assert certified_pinv(np.zeros((2, 3)))[1] and gram_certificate(np.zeros((2, 2))) == np.inf
 
 
 def test_apply_pinv_matches_numpy_and_bounds_the_condition_number():
     rng = np.random.default_rng(71)
     for a in (crandn(rng, 9, 4), crandn(rng, 4, 9), crandn(rng, 6, 6), rng.standard_normal((9, 4))):
-        inverse, certificate = certified_pinv(a)
-        assert inverse.dtype == a.dtype
+        inverse, fell_back = certified_pinv(a)
+        assert not fell_back and inverse.dtype == a.dtype
         assert np.max(np.abs(inverse - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(inverse))
-        assert np.linalg.cond(a) <= certificate <= np.sqrt(min(a.shape)) * np.linalg.cond(a) * (1 + 1e-12)
         tall = tall_orientation(a)
+        certificate = gram_certificate(tall.conj().T @ tall)
+        assert np.linalg.cond(a) <= certificate <= np.sqrt(min(a.shape)) * np.linalg.cond(a) * (1 + 1e-12)
         rhs = crandn(rng, len(tall), 3)
-        product, same = certified_solve(tall, rhs)
+        product, fell_back = certified_solve(tall, rhs)
         want = np.linalg.pinv(tall) @ rhs
-        assert same == certificate
+        assert not fell_back
         assert np.max(np.abs(product - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("a", [np.zeros((5, 3)), np.zeros((3, 5), dtype=complex),
                                np.outer(np.arange(1.0, 5.0), np.ones(4))])
 def test_apply_pinv_never_certifies_a_singular_matrix(a):
-    assert certified_pinv(a)[1] >= GRAM_CERTIFICATE_MAX
+    assert certified_pinv(a)[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,8 +311,11 @@ def test_certified_product_is_full_rank_and_within_the_normal_equation_bound(row
     s = np.r_[1.0, middle, 10.0 ** log_ratio][:size] * 10.0 ** log_scale
     a = tall_orientation(with_singular_values(rng, rows, s) @ np.linalg.qr(crandn(rng, cols, size))[0].conj().T)
     rhs = crandn(rng, len(a), lhs_rows)
-    product, certificate = certified_solve(a, rhs)
-    if certificate < GRAM_CERTIFICATE_MAX:
+    product, fell_back = certified_solve(a, rhs)
+    if not fell_back:
+        # the kernel accepted the solve, so the certificate recomputed from the Gram must be below the cut
+        certificate = gram_certificate(a.conj().T @ a)
+        assert certificate < GRAM_CERTIFICATE_MAX * (1 + 1e-12)
         spectrum = np.linalg.svd(a, compute_uv=False)
         assert spectral_rank(spectrum) == size
         assert spectrum[0] / spectrum[-1] <= certificate * (1 + 1e-6)
