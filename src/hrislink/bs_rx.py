@@ -24,7 +24,8 @@ times ``H``, or vectorized.
 Both closed-form solves are least-squares solves against the received
 unfolding (:func:`~hrislink.rx_common.require_full_rank`) and, like the ALS
 steps, run no SVD when the Gram certificate of
-:func:`~hrislink.tensor_ops.solve_gram` proves full rank.
+:func:`~hrislink.tensor_ops.solve_gram` proves full rank.  Both also take
+stacks ``(s, m, t, k)``, with the payload stacked alike, slice for slice exact.
 
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
@@ -32,7 +33,6 @@ schemes; it is removed against the (0, 0) anchor of the symbol estimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +70,7 @@ def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingS
     A wrong shape raises ``ValueError``, a non-finite entry :class:`NonFiniteError`.
     """
     d = check_received(y_bs, coding, fn)
-    for name, shape in (("ut_channel", (d.n, d.l)), ("symbols", (d.w, d.t))):
+    for name, shape in (("ut_channel", y_bs.shape[:-3] + (d.n, d.l)), ("symbols", y_bs.shape[:-3] + (d.w, d.t))):
         value = getattr(payload, name)
         if value is not None and np.shape(value) != shape:
             raise ValueError(f"fed-back {name} must be {shape}, got {np.shape(value)}")
@@ -80,8 +80,10 @@ def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingS
 
 
 def channel_code_matrix(coding: CodingSet, ut_channel: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``."""
-    return (reflect_blocks(coding, ut_channel).reshape(-1, coding.streams) @ symbols).reshape(coding.elements, -1)
+    """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``, or stacks."""
+    lead = symbols.shape[:-2]
+    blocks = reflect_blocks(coding, ut_channel).reshape(*lead, -1, coding.streams)
+    return (blocks @ symbols).reshape(*lead, coding.elements, -1)
 
 
 def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
@@ -119,14 +121,16 @@ def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -
     Column ``k`` of the composite right factor is ``vec(diag(psi_k) @ G @ mix_k)``.
     """
     d = _check_inputs(y_bs, payload, coding, "bs_kronf")
-    m, t, n, streams = d.m, d.t, d.n, d.w
+    m, t, n, streams, lead = d.m, d.t, d.n, d.w, y_bs.shape[:-3]
     blocks = reflect_blocks(coding, payload.ut_channel)            # (n, k, streams)
-    right = blocks.transpose(2, 0, 1).reshape(-1, d.k)              # (streams*n, k)
-    composite = require_full_rank(right.T, unfold(y_bs, 3), streams * n, "composite right factor").T  # (t*m, streams*n)
-    rearranged = composite.reshape(t, m, streams, n).transpose(3, 1, 2, 0).reshape(n * m, streams * t)
+    right = np.moveaxis(blocks, -1, -3).reshape(*lead, -1, d.k)     # (streams*n, k)
+    composite = require_full_rank(right.swapaxes(-1, -2), unfold(y_bs, 3), streams * n,
+                                  "composite right factor").swapaxes(-1, -2)  # (t*m, streams*n)
+    rearranged = composite.reshape(*lead, t, m, streams, n).swapaxes(-1, -4).reshape(*lead, n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)
-    h_hat = (math.sqrt(sigma) * u).reshape(n, m).T
-    x_hat = (math.sqrt(sigma) * v.conj()).reshape(streams, t)
+    root = np.sqrt(sigma)[..., None]
+    h_hat = (root * u).reshape(*lead, n, m).swapaxes(-1, -2)
+    x_hat = (root * v.conj()).reshape(*lead, streams, t)
     return normalize_anchor(EstimateReport(h_hat, x_hat), per_stream=False)
 
 
@@ -140,5 +144,6 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
     n = _check_inputs(y_bs, payload, coding, "bs_channel_only").n
     channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
-    h_hat = require_full_rank(channel_step.T, unfold(y_bs, 1).T, n, "channel-step regressor").T
+    h_hat = require_full_rank(channel_step.swapaxes(-1, -2), unfold(y_bs, 1).swapaxes(-1, -2), n,
+                              "channel-step regressor").swapaxes(-1, -2)
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))

@@ -33,6 +33,7 @@ from .rx_common import (AmbiguityError, EstimateReport, IdentifiabilityError, No
                         RankDeficiencyError)
 from .scenario import ScenarioConfig, draw_channels, draw_noise
 from .synthesis import synth_ybs, synth_yrc
+from .tensor_ops import frobenius
 
 CSV_HEADER = "sweep_var,value,nmse_g,nmse_h,nmse_theta,ser_hris,ser_bs,iters_hris,iters_bs,trials,failures"
 
@@ -52,41 +53,42 @@ def trial_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed ^ index) & _MASK64)
 
 
-def nmse(est: np.ndarray, truth: np.ndarray) -> float:
-    """Normalized squared error ``|est - truth|_F^2 / |truth|_F^2``."""
+def nmse(est: np.ndarray, truth: np.ndarray) -> float | np.ndarray:
+    """Normalized squared error ``|est - truth|_F^2 / |truth|_F^2``, of each matrix of a stack along leading axes."""
     est = np.asarray(est)
     truth = np.asarray(truth)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    denom = float(np.linalg.norm(truth) ** 2)
-    if denom == 0:
+    # float(norm(x) ** 2) bit for bit: a float squares with pow, as float_power does
+    denom = np.float_power(frobenius(truth), 2)
+    if not np.all(denom):
         raise ValueError("NMSE is undefined for an all-zero reference")
-    return float(np.linalg.norm(est - truth) ** 2) / denom
+    return np.float_power(frobenius(est - truth), 2) / denom
 
 
 def combined_channel(ut_ris: np.ndarray, ris_bs: np.ndarray) -> np.ndarray:
-    """Khatri-Rao cascade of the two links, ``(l*m, n)``, bit for bit ``scipy.linalg.khatri_rao(ut_ris.T, ris_bs)``."""
+    """Khatri-Rao cascade of the links (or stacks), ``(l*m, n)``, bit for bit ``khatri_rao(ut_ris.T, ris_bs)``."""
     g, h = np.asarray(ut_ris), np.asarray(ris_bs)
-    if g.ndim != 2 or h.ndim != 2 or g.shape[0] != h.shape[1]:
+    if min(g.ndim, h.ndim) < 2 or g.shape[:-2] != h.shape[:-2] or g.shape[-2] != h.shape[-1]:
         raise ValueError(f"links of shapes {g.shape} and {h.shape} do not cascade")
-    return (g.T[:, None, :] * h[None]).reshape(g.shape[1] * h.shape[0], h.shape[1])
+    return (g.swapaxes(-1, -2)[..., :, None, :] * h[..., None, :, :]).reshape(*g.shape[:-2], -1, g.shape[-2])
 
 
-def ser(x_hat: np.ndarray, x_true: np.ndarray, order: int) -> float:
+def ser(x_hat: np.ndarray, x_true: np.ndarray, order: int) -> float | np.ndarray:
     """Symbol error rate of hard minimum-distance decisions.
 
     The entire first column is excluded (it carries the anchors for both
     coding schemes).  Distance ties resolve to the lowest constellation
-    index, which makes the rate deterministic.
+    index, which makes the rate deterministic.  Stacks broadcast over leading
+    axes, one rate per matrix, and the sent indices are decided once per ``x_true`` matrix.
     """
     x_hat = np.asarray(x_hat)
     x_true = np.asarray(x_true)
-    if x_hat.shape != x_true.shape:
+    if x_hat.shape[-2:] != x_true.shape[-2:]:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_true.shape}")
     points = qam_constellation(order)
-    decided = np.argmin(np.abs(x_hat[:, 1:, None] - points[None, None, :]), axis=2)
-    sent = np.argmin(np.abs(x_true[:, 1:, None] - points[None, None, :]), axis=2)
-    return float(np.mean(decided != sent))
+    decided, sent = (np.argmin(np.abs(x[..., 1:, None] - points), axis=-1) for x in (x_hat, x_true))
+    return np.mean(decided != sent, axis=(-2, -1))[()]
 
 
 def parse_pair(text: str) -> tuple[str, str]:
@@ -129,74 +131,114 @@ class MetricsRecord:
     stderr: dict = field(default_factory=dict)
 
 
-def _run_receiver(spec: ReceiverSpec, init_seed: int, *args) -> EstimateReport:
-    """Run the receiver ``spec`` names, looked up in its module at call time."""
+# The most (trial, point) slices in one stack: at the default sizes 32 ran fastest, and
+# 64-slice stacks page-faulted on their larger temporaries.
+STACK_SLICES = 32
+
+
+def _receive(spec: ReceiverSpec, inits: list, y: np.ndarray, coding, reasons: list, members, payload=None) -> tuple:
+    """Run the receiver ``spec`` names (looked up at call time) on the slices ``members`` stacked in ``y``, ``payload``.
+
+    A closed-form receiver takes the whole stack; when that aborts, each slice runs again as a stack of one, which
+    gives it exactly its outcome alone.  An ALS one runs slice by slice.  Aborts go into ``reasons``; returns the
+    members that ran, their stacked estimates and their iterations."""
     fn = getattr(hris_rx if spec.entity == "hris" else bs_rx, spec.fn)
-    return fn(*args, init_seed=init_seed) if spec.iterative else fn(*args)
+
+    def attempt(index, init=None):
+        fed = () if payload is None else (bs_rx.ControlLinkPayload(
+            payload.ut_channel[index], None if payload.symbols is None else payload.symbols[index]),)
+        try:
+            return fn(y[index], *fed, coding, init_seed=init) if spec.iterative else fn(y[index], *fed, coding)
+        except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:
+            return exc
+
+    whole = None if spec.iterative or not len(members) else attempt(slice(None))
+    if isinstance(whole, EstimateReport):   # C order, as join gives below: no slice's layout hangs on others
+        return members, np.ascontiguousarray(whole.channel), whole.symbols, [0] * len(members)
+    reports = [attempt(k, init) if spec.iterative else attempt(slice(k, k + 1)) for k, init in enumerate(inits)]
+    for i, rep in zip(members, reports):
+        if isinstance(rep, Exception):
+            reasons[i] = str(rep)
+    ran = [k for k, rep in enumerate(reports) if not isinstance(rep, Exception)]
+    if not ran:
+        return members[:0], None, None, []
+    join = np.stack if spec.iterative else np.concatenate      # an ALS report holds one slice
+    return (members[ran], join([reports[k].channel for k in ran]), join([reports[k].symbols for k in ran]),
+            [reports[k].iterations for k in ran])
 
 
 def run_trial(cfg: ScenarioConfig, pair: tuple[str, str], seed: int) -> TrialOutcome:
     """Run one full pipeline trial with a dedicated seeded generator: :func:`run_points` at one point."""
-    return run_points([cfg], pair, seed)[0]
+    return run_points([cfg], pair, [seed])[0][0]
 
 
-def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seed: int) -> list[TrialOutcome]:
-    """Trial ``seed`` at each of ``configs``, which may differ only in ``pt_dbm`` and ``rho``.
+def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list[int]) -> list[list[TrialOutcome]]:
+    """The trials ``seeds`` at each of ``configs``, which may differ only in ``pt_dbm`` and ``rho``, seed-major.
 
-    Draw order is fixed (channels, symbols, receiver init seeds, sensed
-    noise, reflected noise) so a (config, seed) pair fully reproduces the
-    trial.  A scoring reference channel that is all zero or whose energy
-    underflows, and zero-anchor, rank-deficiency and non-finite-input aborts
-    are reported as failed outcomes, not exceptions.  When only the BS
-    receiver aborts, the outcome keeps the surface metrics.
+    Draw order is fixed (channels, symbols, receiver init seeds, sensed noise, reflected noise) so a
+    (config, seed) pair fully reproduces the trial, drawn once and synthesized once per coding.  The
+    (trial, point) slices that share a coding go through the receivers and scoring as one stack, each
+    with exactly the outcome it gets alone.  A scoring reference channel that is all zero or whose energy
+    underflows, and zero-anchor, rank-deficiency and non-finite-input aborts are reported as failed
+    outcomes, not exceptions.  When only the BS receiver aborts, the outcome keeps the surface metrics.
     """
     cfg = configs[0]
     hris_spec = receiver_spec(pair[0], "hris", cfg.scheme)
     bs_spec = receiver_spec(pair[1], "bs", cfg.scheme)
     # The draws read the link gains, shapes, QAM order and noise power, which no sweep
     # point changes, so every point sees exactly the draws that run_trial makes at it.
-    rng = np.random.default_rng(seed)
-    channels = draw_channels(cfg, rng)
-    symbols = gen_symbols(cfg, rng)
-    hris_init = int(rng.integers(0, 2**63))
-    bs_init = int(rng.integers(0, 2**63))
-    noise_rc = draw_noise((cfg.nc, cfg.t, cfg.k), cfg.noise_watts, rng)
-    noise_bs = draw_noise((cfg.m, cfg.t, cfg.k), cfg.noise_watts, rng)
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append((draw_channels(cfg, rng), gen_symbols(cfg, rng), int(rng.integers(0, 2**63)),
+                      int(rng.integers(0, 2**63)), draw_noise((cfg.nc, cfg.t, cfg.k), cfg.noise_watts, rng),
+                      draw_noise((cfg.m, cfg.t, cfg.k), cfg.noise_watts, rng)))
+    channels, symbols, hris_inits, bs_inits, noise_rc, noise_bs = zip(*draws)
+    ut, ris, truth = (np.stack(arrays) for arrays in ([ch.ut_ris for ch in channels], [ch.ris_bs for ch in channels],
+                                                      [x[None] for x in symbols]))
+    by_coding = {}
+    for p, point_cfg in enumerate(configs):
+        by_coding.setdefault(build_coding(point_cfg), []).append(p)
+    outcomes = [[None] * len(configs) for _ in seeds]
+    for coding, points in by_coding.items():
+        # slice i is trial i // len(points) at configs[points[i % len(points)]]
+        trial, col = np.divmod(np.arange(len(seeds) * len(points)), len(points))
+        amplitude = np.sqrt([configs[points[q]].pt_watts for q in col])
+        effective_ut = amplitude[:, None, None] * ut[trial]
+        combined = combined_channel(effective_ut, ris[trial])
+        defined = np.logical_and.reduce([np.float_power(frobenius(ref), 2) > 0
+                                         for ref in (effective_ut, ris[trial], combined)])
+        scores = {name: np.full(len(trial), 0 if name.startswith("iters") else math.nan) for name in _METRICS}
+        reasons = [None if ok else "reference channel is all zero or underflows; its NMSE is undefined"
+                   for ok in defined]
+        clean = [np.stack([synth(configs[points[0]], ch, coding, x) for ch, x in zip(channels, symbols)])
+                 for synth in (synth_yrc, synth_ybs)]
+        y_rc, y_bs = (amplitude[:, None, None, None] * signal[trial] + np.stack(noise)[trial]
+                      for signal, noise in zip(clean, (noise_rc, noise_bs)))
 
-    noiseless = {}   # coding -> both received tensors at unit amplitude, without noise
-    outcomes = []
-    for point in configs:
-        amplitude = math.sqrt(point.pt_watts)
-        effective_ut = amplitude * channels.ut_ris
-        combined = combined_channel(effective_ut, channels.ris_bs)
-        if not all(np.linalg.norm(ref) ** 2 > 0 for ref in (effective_ut, channels.ris_bs, combined)):
-            outcomes.append(TrialOutcome(
-                failed=True, failure_reason="reference channel is all zero or underflows; its NMSE is undefined"))
-            continue
-        coding = build_coding(point)
-        if coding not in noiseless:
-            noiseless[coding] = (synth_yrc(point, channels, coding, symbols),
-                                 synth_ybs(point, channels, coding, symbols))
-        clean_rc, clean_bs = noiseless[coding]
+        def rates(estimates, members):      # the members' symbol error rates; sent symbols decided once per trial
+            grid = np.zeros((len(trial),) + estimates.shape[1:], complex)
+            grid[members] = estimates
+            return ser(grid.reshape(len(seeds), len(points), *estimates.shape[1:]), truth,
+                       cfg.qam_order).reshape(-1)[members]
 
-        surface = {}
-        try:
-            hris_rep = _run_receiver(hris_spec, hris_init, amplitude * clean_rc + noise_rc, coding)
-            surface = dict(nmse_g=nmse(hris_rep.channel, effective_ut),
-                           ser_hris=ser(hris_rep.symbols, symbols, point.qam_order), iters_hris=hris_rep.iterations)
-            payload = bs_rx.ControlLinkPayload(hris_rep.channel, hris_rep.symbols if bs_spec.scenario == 2 else None)
-            bs_rep = _run_receiver(bs_spec, bs_init, amplitude * clean_bs + noise_bs, payload, coding)
-        except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:   # a BS abort keeps `surface`
-            outcomes.append(TrialOutcome(**surface, failed=True, failure_reason=str(exc)))
-            continue
-        outcomes.append(TrialOutcome(
-            **surface,
-            nmse_h=nmse(bs_rep.channel, channels.ris_bs),
-            nmse_theta=nmse(combined_channel(hris_rep.channel, bs_rep.channel), combined),
-            # The channel-only BS receiver reuses the fed-back symbol decisions.
-            ser_bs=ser(bs_rep.symbols, symbols, point.qam_order),
-            iters_bs=bs_rep.iterations,
-        ))
+        live, g_hat, x_hris, iters = _receive(hris_spec, [hris_inits[j] for j in trial[defined]], y_rc[defined],
+                                              coding, reasons, np.flatnonzero(defined))
+        if len(live):
+            scores["nmse_g"][live], scores["ser_hris"][live] = nmse(g_hat, effective_ut[live]), rates(x_hris, live)
+            scores["iters_hris"][live] = iters
+            payload = bs_rx.ControlLinkPayload(g_hat, x_hris if bs_spec.scenario == 2 else None)
+            done, h_hat, x_bs, iters = _receive(bs_spec, [bs_inits[j] for j in trial[live]], y_bs[live], coding,
+                                                reasons, live, payload)
+            if len(done):
+                scores["nmse_h"][done], scores["iters_bs"][done] = nmse(h_hat, ris[trial[done]]), iters
+                scores["nmse_theta"][done] = nmse(combined_channel(g_hat[np.searchsorted(live, done)], h_hat),
+                                                  combined[done])
+                scores["ser_bs"][done] = rates(x_bs, done)   # the channel-only receiver reuses the fed-back ones
+        for i, (j, q) in enumerate(zip(trial, col)):      # a metric not scored keeps its default, math.nan or 0
+            scored = {name: column[i].item() for name, column in scores.items() if not math.isnan(column[i])}
+            outcomes[j][points[q]] = TrialOutcome(**scored, failed=reasons[i] is not None,
+                                                  failure_reason=reasons[i] or "")
     return outcomes
 
 
@@ -253,13 +295,17 @@ def run_sweep(
                 f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
             )
     seeds = [trial_seed(base_seed, i) for i in range(trials)]
+    # One contiguous chunk of seeds per worker, in stacks of at most STACK_SLICES (trial, point) slices.
+    size = min(math.ceil(trials / workers), max(1, STACK_SLICES // len(configs)))
+    batches = [seeds[i:i + size] for i in range(0, trials, size)]
     if workers > 1:
-        # One contiguous chunk of seeds per worker; map keeps the trial order.
+        # map keeps the trial order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_points, repeat(configs), repeat(pair), seeds,
-                                      chunksize=math.ceil(trials / workers)))
+            per_batch = list(pool.map(run_points, repeat(configs), repeat(pair), batches,
+                                      chunksize=math.ceil(len(batches) / workers)))
     else:
-        per_trial = [run_points(configs, pair, s) for s in seeds]
+        per_batch = [run_points(configs, pair, batch) for batch in batches]
+    per_trial = [outcomes for batch in per_batch for outcomes in batch]
     return [aggregate(list(outcomes), sweep_var, value) for value, outcomes in zip(points, zip(*per_trial))]
 
 

@@ -16,6 +16,8 @@ Three receivers operate on the sensed tensor ``(nc, t, k)``:
 * :func:`hris_krf` (krstc) does the same for the column-wise Khatri-Rao
   structured composite, with one rank-1 problem per stream.
 
+Both closed-form receivers also take stacks ``(s, nc, t, k)``, slice for slice exact.
+
 Each regressor is one batched product over the coding set's sub-frame
 stacks.  The closed-form receivers share one rank-checked pseudo-inverse of
 the composite regressor per coding set (:func:`composite_pinv`).
@@ -26,7 +28,6 @@ symbols (one scalar for tstc, one per stream for krstc).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -126,26 +127,23 @@ def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> Estima
 
 
 def hris_kronf(y_rc: np.ndarray, coding: CodingSet) -> EstimateReport:
-    """Closed-form tstc receiver via Kronecker factorization of the composite."""
+    """Closed-form tstc receiver via Kronecker factorization of the composite; ``y_rc`` may be a stack."""
     d = check_received(y_rc, coding, "hris_kronf")
-    n, l, r, t = d.n, d.l, d.w, d.t
+    n, l, r, t, lead = d.n, d.l, d.w, d.t, y_rc.shape[:-3]
     composite = unfold(y_rc, 2) @ composite_pinv(coding).T
-    rearranged = composite.reshape(t, l, r, n).transpose(2, 0, 1, 3).reshape(r * t, l * n)
+    rearranged = np.moveaxis(composite.reshape(*lead, t, l, r, n), -2, -4).reshape(*lead, r * t, l * n)
     u, sigma, v = rank1_approx(rearranged)
-    g_hat = (math.sqrt(sigma) * v.conj()).reshape(l, n).T
-    x_hat = (math.sqrt(sigma) * u).reshape(r, t)
+    root = np.sqrt(sigma)[..., None]
+    g_hat = (root * v.conj()).reshape(*lead, l, n).swapaxes(-1, -2)
+    x_hat = (root * u).reshape(*lead, r, t)
     return normalize_anchor(EstimateReport(g_hat, x_hat), per_stream=False)
 
 
 def hris_krf(y_rc: np.ndarray, coding: CodingSet) -> EstimateReport:
-    """Closed-form krstc receiver via per-stream Khatri-Rao factorization."""
+    """Closed-form krstc receiver via per-stream Khatri-Rao factorization; ``y_rc`` may be a stack."""
     d = check_received(y_rc, coding, "hris_krf")
-    n, l, t = d.n, d.l, d.t
-    composite = (unfold(y_rc, 2) @ composite_pinv(coding).T).reshape(t, l, n)
-    g_hat = np.empty((n, l), dtype=complex)
-    x_hat = np.empty((l, t), dtype=complex)
-    for col in range(l):
-        u, sigma, v = rank1_approx(composite[:, col])
-        g_hat[:, col] = math.sqrt(sigma) * v.conj()
-        x_hat[col] = math.sqrt(sigma) * u
-    return normalize_anchor(EstimateReport(g_hat, x_hat), per_stream=True)
+    n, l, t, lead = d.n, d.l, d.t, y_rc.shape[:-3]
+    composite = (unfold(y_rc, 2) @ composite_pinv(coding).T).reshape(*lead, t, l, n)
+    u, sigma, v = rank1_approx(np.moveaxis(composite, -2, -3))      # one (t, n) split per stream
+    root = np.sqrt(sigma)[..., None]
+    return normalize_anchor(EstimateReport((root * v.conj()).swapaxes(-1, -2), root * u), per_stream=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
 from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, numerical_rank
-from .tensor_ops import lstsq_normal, solve_gram, unfold
+from .tensor_ops import frobenius, lstsq_normal, solve_gram, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -77,12 +77,12 @@ def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
 def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
     """Validate the tensor received by the receiver function ``fn``; return the problem sizes.
 
-    ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS.  Raises
+    ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS, or a stack of them.  Raises
     ``ValueError`` for a scheme the receiver does not serve or shapes that
     disagree with the coding, :class:`NonFiniteError` on NaN/inf entries,
     and :class:`IdentifiabilityError` below the sub-frame threshold.  Its entry, sizes and threshold are cached per shape.
     """
-    spec, sizes, need = _entry_facts(fn, coding.scheme, coding.sensing.shape, coding.mix.shape, y.shape)
+    spec, sizes, need = _entry_facts(fn, coding.scheme, coding.sensing.shape, coding.mix.shape, y.shape[-3:])
     if not np.isfinite(y).all():
         raise NonFiniteError(f"received tensor at the {ENTITY_NAMES[spec.entity]} has non-finite entries")
     if sizes.k < need:
@@ -150,6 +150,9 @@ def require_full_rank(a: np.ndarray, b: np.ndarray | None, need: int, what: str)
     :func:`~hrislink.tensor_ops.solve_gram` proves full column rank, so it runs no
     SVD; every other ``a`` has its rank read off its singular values first.
     """
+    if a.ndim == 3:     # a stack (with b), solved slice by slice: each Gram is formed and factored in cache
+        return np.stack([require_full_rank(a_i, b_i, need, what) for a_i, b_i in zip(a, b)])
+
     def problem():
         rank = numerical_rank(a)
         if rank < need:
@@ -165,17 +168,19 @@ def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport
 
     The anchor is the (0, 0) symbol, or with ``per_stream`` the first symbol
     of every stream.  A vanishing anchor raises :class:`AmbiguityError` so the
-    trial counts as a decoding failure instead of corrupting the metrics.
+    trial counts as a decoding failure instead of corrupting the metrics.  Stacked estimates go in one pass.
     """
     x = report.symbols
-    scale = float(np.linalg.norm(x)) / math.sqrt(x.size)
-    rows = x.shape[0] if per_stream else 1
-    anchors = x[:rows, 0]
-    for i, value in enumerate(anchors):
-        if not np.isfinite(value) or abs(value) <= 1e-12 * scale:
-            where = f"stream {i} " if per_stream else ""
-            raise AmbiguityError(f"{where}symbol anchor is numerically zero ({complex(value)!r})")
-    fixed = x / anchors[:, None]
-    fixed[:rows, 0] = 1.0  # anchors are known a priori; avoid the division ulp
-    return replace(report, channel=report.channel * anchors, symbols=fixed,
-                   ambiguity=anchors if per_stream else complex(anchors[0]))
+    scale = frobenius(x) / math.sqrt(x.shape[-2] * x.shape[-1])
+    rows = x.shape[-2] if per_stream else 1
+    anchors = x[..., :rows, 0]
+    # hypot rounds as abs() of one complex entry does, which numpy's array abs does not always match
+    vanishing = np.argwhere(~np.isfinite(anchors) | (np.hypot(anchors.real, anchors.imag) <= 1e-12 * scale[..., None]))
+    if len(vanishing):
+        value, stream = anchors[tuple(vanishing[0])], vanishing[0][-1]
+        where = f"stream {stream} " if per_stream else ""
+        raise AmbiguityError(f"{where}symbol anchor is numerically zero ({complex(value)!r})")
+    fixed = x / anchors[..., None]
+    fixed[..., :rows, 0] = 1.0  # anchors are known a priori; avoid the division ulp
+    return replace(report, channel=report.channel * anchors[..., None, :], symbols=fixed,
+                   ambiguity=anchors if per_stream else anchors[..., 0][()])

@@ -48,9 +48,9 @@ def synth_yrc(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingS
 
 
 def reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
-    """The blocks ``B_k = diag(psi_k) @ G @ mix_k`` side by side, ``B_k[i, s]`` at ``[i, k, s]``, ``(n, k, w)``."""
+    """Blocks ``B_k = diag(psi_k) @ G @ mix_k``, ``B_k[i, s]`` at ``[i, k, s]``, ``(n, k, w)``; stacked like ``G``."""
     k, l, w = coding.mix.shape
-    g_mix = (ut_channel @ coding.mix.transpose(1, 0, 2).reshape(l, k * w)).reshape(-1, k, w)
+    g_mix = (ut_channel @ coding.mix.transpose(1, 0, 2).reshape(l, k * w)).reshape(*ut_channel.shape[:-1], k, w)
     return coding.reflect.T[:, :, None] * g_mix
 
 

@@ -24,7 +24,6 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 import numpy as np
@@ -37,18 +36,28 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    """Matricize a third-order tensor along ``mode`` (1, 2 or 3)."""
+    """Matricize a third-order tensor along ``mode`` (1, 2 or 3); leading axes index a stack of tensors."""
     t = np.asarray(t)
-    if t.ndim != 3:
+    if t.ndim < 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    i1, i2, i3 = t.shape
+    *lead, i1, i2, i3 = t.shape
     if mode == 1:
-        return t.transpose(0, 2, 1).reshape(i1, i3 * i2)
+        return t.swapaxes(-1, -2).reshape(*lead, i1, i3 * i2)
     if mode == 2:
-        return t.transpose(1, 2, 0).reshape(i2, i3 * i1)
+        return np.moveaxis(t, -3, -1).reshape(*lead, i2, i3 * i1)
     if mode == 3:
-        return t.transpose(2, 1, 0).reshape(i3, i2 * i1)
+        return t.swapaxes(-1, -3).reshape(*lead, i3, i2 * i1)
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+
+
+def frobenius(x: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.norm`` of each matrix along the last two axes, bit for bit: one ``dot`` each over the
+    real and imaginary parts in memory order, which a stacked ``(1, N) @ (N, 1)`` matmul runs slice by slice."""
+    x = np.asarray(x)
+    if abs(x.strides[-1]) > abs(x.strides[-2]):     # column-major slices are summed down their columns
+        x = x.swapaxes(-1, -2)
+    flat = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
+    return np.sqrt((flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2))[..., 0, 0])
 
 
 # Certificates sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max / sigma_min below this prove full column
@@ -89,7 +98,7 @@ def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
     return solve_gram(ah @ a, ah @ b, lambda: (a, b))
 
 
-def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
     """Best rank-1 approximation ``sigma * u @ v.conj().T`` in Frobenius norm.
 
     Returns unit-norm ``u`` and ``v`` and ``sigma > 0``.  The top eigenvector
@@ -99,21 +108,23 @@ def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     even for subnormal input; a ``sigma`` beyond the float range is ``inf``.
     The unit-modulus freedom of the singular pair is fixed by rotating the
     largest-magnitude entry of ``u`` to be real-positive, so results are deterministic.
+    A stack of matrices along leading axes is split by one stacked ``eigh``, each slice exactly as alone.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.size == 0:
+    if m.ndim < 2 or m.size == 0:
         raise ValueError("rank1_approx expects a nonempty matrix")
-    if not np.any(m):
+    peak = np.abs(m).max(axis=(-2, -1))
+    if not peak.all():
         raise ValueError("rank-1 approximation of an all-zero matrix is undefined")
-    exponent = max(int(np.frexp(np.abs(m).max())[1]), -1021)  # 2**1021 is finite; subnormals need no more
-    m = m * math.ldexp(1.0, -exponent)
-    tall = m.shape[0] >= m.shape[1]
-    a = m if tall else m.conj().T                   # the orientation whose Gram is the small one
-    right = np.linalg.eigh(a.conj().T @ a)[1][:, -1]
-    left = a @ right
-    sigma = float(np.linalg.norm(left))
-    left /= sigma
+    exponent = np.maximum(np.frexp(peak)[1], -1021)  # 2**1021 is finite; subnormals need no more
+    m = m * np.ldexp(1.0, -exponent)[..., None, None]
+    tall = m.shape[-2] >= m.shape[-1]
+    a = m if tall else m.conj().swapaxes(-1, -2)    # the orientation whose Gram is the small one
+    right = np.linalg.eigh(a.conj().swapaxes(-1, -2) @ a)[1][..., -1]
+    left = (a @ right[..., None])[..., 0]
+    sigma = frobenius(left[..., None])
+    left /= sigma[..., None]
     u, v = (left, right) if tall else (right, left)
-    idx = int(np.argmax(np.abs(u)))
-    phase = u[idx] / abs(u[idx])
-    return u * phase.conj(), float(np.ldexp(sigma, exponent)), v * phase.conj()
+    peak_u = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
+    phase = (peak_u / np.hypot(peak_u.real, peak_u.imag)).conj()   # hypot rounds as abs() of one entry does
+    return u * phase, np.ldexp(sigma, exponent), v * phase

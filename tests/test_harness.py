@@ -260,32 +260,33 @@ def test_trial_feeds_back_symbols_exactly_for_scenario_two(monkeypatch, scheme, 
 
 # ---------------------------------------------------------------------- sweeps
 
-def test_single_point_single_trial_equals_run_trial():
-    cfg = small_cfg()
-    records = run_sweep(cfg, ("kronf", "bals"), "pt", [30.0], trials=1, base_seed=9)
-    direct = run_trial(cfg.replace(pt_dbm=30.0), ("kronf", "bals"), trial_seed(9, 0))
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.trials == 1 and rec.failures == 0
-    assert math.isclose(rec.nmse_g, direct.nmse_g)
-    assert math.isclose(rec.nmse_h, direct.nmse_h)
-    assert rec.value == 30.0 and rec.sweep_var == "pt"
-
-
 _ALL_PAIRS = [(scheme, pair) for scheme, pairs in PAIRS.items() for pair in pairs]
 _POINTS = {"pt": [0.0, 10.0, 20.0, 30.0, 40.0], "rho": [0.0, 0.1, 0.5, 0.9, 1.0]}
+
+
+def test_single_point_single_trial_equals_run_trial():
+    for scheme, pair in _ALL_PAIRS:
+        cfg = small_cfg(scheme=scheme)
+        records = run_sweep(cfg, pair, "pt", [30.0], trials=1, base_seed=9)
+        direct = run_trial(cfg.replace(pt_dbm=30.0), pair, trial_seed(9, 0))
+        assert len(records) == 1
+        rec = records[0]
+        assert rec.trials == 1 and rec.failures == 0 and not direct.failed, pair
+        for name in harness._METRICS:
+            assert getattr(rec, name) == getattr(direct, name), (pair, name)
+        assert rec.value == 30.0 and rec.sweep_var == "pt"
 
 
 @settings(max_examples=30, deadline=None)
 @given(scheme_pair=st.sampled_from(_ALL_PAIRS), sweep_var=st.sampled_from(sorted(_POINTS)), data=st.data(),
        base_seed=st.integers(0, 2**32))
 def test_sweep_points_are_independent(scheme_pair, sweep_var, data, base_seed):
-    # A trial is drawn once and evaluated at every point, so each point must read
-    # exactly what a sweep over that point alone, or run_trial there, gives.
+    # A trial is drawn once and evaluated at every point, in one stack with the other trials,
+    # so each point must read exactly what a sweep over that point alone, or run_trial there, gives.
     scheme, pair = scheme_pair
     points = data.draw(st.lists(st.sampled_from(_POINTS[sweep_var]), min_size=1, max_size=3, unique=True))
+    trials = data.draw(st.integers(1, 5))
     cfg = small_cfg(scheme=scheme, noise_dbm=-60.0)
-    trials = 2
     records = run_sweep(cfg, pair, sweep_var, points, trials=trials, base_seed=base_seed)
     for value, rec in zip(points, records):
         (alone,) = run_sweep(cfg, pair, sweep_var, [value], trials=trials, base_seed=base_seed)
@@ -294,6 +295,53 @@ def test_sweep_points_are_independent(scheme_pair, sweep_var, data, base_seed):
                            sweep_var, value)
         np.testing.assert_equal(vars(rec), vars(alone))
         np.testing.assert_equal(vars(rec), vars(direct))
+
+
+def test_workers_give_the_serial_records_for_every_pair():
+    # 2 workers take a stack of 2 trials and one of 1, the serial sweep one stack of 3
+    for scheme, pair in _ALL_PAIRS:
+        cfg = small_cfg(scheme=scheme, noise_dbm=-60.0)
+        serial = run_sweep(cfg, pair, "pt", [10.0, 30.0], trials=3, base_seed=13)
+        pooled = run_sweep(cfg, pair, "pt", [10.0, 30.0], trials=3, base_seed=13, workers=2)
+        np.testing.assert_equal([vars(r) for r in pooled], [vars(r) for r in serial])
+
+
+def test_stacked_bs_solves_on_the_svd_path_keep_their_values():
+    # at this seed all three BS kronf solves fail the Gram certificate and take the SVD path
+    configs = [ScenarioConfig(pt_dbm=pt) for pt in (20.0, 30.0, 40.0)]
+    pinv_calls = []
+    pinv = np.linalg.pinv
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "pinv", lambda a, *args, **kw: pinv_calls.append(a.shape) or pinv(a, *args, **kw))
+        (outcomes,) = harness.run_points(configs, ("kronf", "kronf"), [1510408641008080909])
+    assert pinv_calls == [(64, 64)] * 3
+    assert [o.nmse_h for o in outcomes] == [8.12444864846008, 1.2289391730352464, 0.1183192677249479]
+
+
+def test_an_aborting_slice_leaves_the_rest_of_its_stack_unchanged(monkeypatch):
+    # the surface feeds back an all-zero channel for slice 1 of the stack (trial 0 at 30 dBm),
+    # so the stacked BS solve aborts and every slice is solved again alone
+    configs = [ScenarioConfig(pt_dbm=pt) for pt in (20.0, 30.0, 40.0)]
+    seeds = [trial_seed(3, i) for i in range(2)]
+    pair = ("kronf", "kronf")
+    clean = harness.run_points(configs, pair, seeds)
+    real = hris_kronf
+
+    def zero_slice(index):
+        def surface(y_rc, coding):
+            report = real(y_rc, coding)
+            report.channel[index] = 0.0
+            return report
+        return surface
+
+    monkeypatch.setattr(hris_rx, "hris_kronf", zero_slice(1))
+    stacked = harness.run_points(configs, pair, seeds)
+    monkeypatch.setattr(hris_rx, "hris_kronf", zero_slice(0))
+    (alone,) = harness.run_points(configs[1:2], pair, seeds[:1])
+    assert alone[0].failed and alone[0].failure_reason == "composite right factor has numerical rank 0, need 64"
+    assert alone[0].nmse_g == 1.0
+    assert stacked[0][1] == alone[0]
+    assert stacked[0][0] == clean[0][0] and stacked[0][2] == clean[0][2] and stacked[1] == clean[1]
 
 
 def test_sweep_rejects_unidentifiable_config():
@@ -495,13 +543,13 @@ def test_power_sweep_nmse_nonincreasing():
 
 
 def test_workers_pool_matches_serial(monkeypatch):
-    # 5 trials on 2 workers: one map over the seeds for the whole sweep, each task
-    # returning its trial at both points, in chunks of 3 and 2 in trial order
+    # 5 trials on 2 workers: one map for the whole sweep over stacks of 3 and 2 seeds in
+    # trial order, one stack per worker, each task returning its trials at both points
     chunksizes = []
 
     class Pool(harness.ProcessPoolExecutor):
         def map(self, fn, *iterables, chunksize=1, **kwargs):
-            chunksizes.append(chunksize)
+            chunksizes.append((chunksize, [len(seeds) for seeds in iterables[-1]]))
             return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
@@ -509,7 +557,7 @@ def test_workers_pool_matches_serial(monkeypatch):
     serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=5, base_seed=5)
     pooled = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=5, base_seed=5, workers=2)
     assert serial == pooled
-    assert chunksizes == [3]
+    assert chunksizes == [(1, [3, 2])]
 
 
 @pytest.mark.parametrize("scheme, pair", [("tstc", ("bals", "bals")), ("krstc", ("krf", "kronf"))])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
 from hrislink.identifiability import spectral_rank
-from hrislink.rx_common import require_full_rank
+from hrislink.rx_common import RankDeficiencyError, require_full_rank
 from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, lstsq_normal, rank1_approx, solve_gram, unfold, vec
 
 from oracle_models import fold, gram_certificate, mode_n_product, modewise_contraction, unvec
@@ -277,7 +277,7 @@ def test_pinv_identity_and_zero():
     assert certified_pinv(np.zeros((2, 3)))[1] and gram_certificate(np.zeros((2, 2))) == np.inf
 
 
-def test_apply_pinv_matches_numpy_and_bounds_the_condition_number():
+def test_solve_gram_matches_numpy_and_bounds_the_condition_number():
     rng = np.random.default_rng(71)
     for a in (crandn(rng, 9, 4), crandn(rng, 4, 9), crandn(rng, 6, 6), rng.standard_normal((9, 4))):
         inverse, fell_back = certified_pinv(a)
@@ -291,11 +291,24 @@ def test_apply_pinv_matches_numpy_and_bounds_the_condition_number():
         want = np.linalg.pinv(tall) @ rhs
         assert not fell_back
         assert np.max(np.abs(product - want)) < 1e-12 * np.max(np.abs(want))
+    # a stack whose middle slice has cond 1e6, so only it takes the SVD path:
+    # every slice decides and solves exactly as it does alone
+    a = np.stack([crandn(rng, 9, 4), with_singular_values(rng, 9, np.array([1.0, 1e-2, 1e-4, 1e-6])),
+                  crandn(rng, 9, 4)])
+    b = crandn(rng, 3, 9, 2)
+    stacked = require_full_rank(a, b, 4, "a")
+    for i in range(3):
+        alone, fell_back = certified_solve(a[i], b[i])
+        assert fell_back == (i == 1)
+        assert np.array_equal(stacked[i], alone)
+    a[1, :, 3] = a[1, :, 0]
+    with pytest.raises(RankDeficiencyError, match="a has numerical rank 3, need 4"):
+        require_full_rank(a, b, 4, "a")
 
 
 @pytest.mark.parametrize("a", [np.zeros((5, 3)), np.zeros((3, 5), dtype=complex),
                                np.outer(np.arange(1.0, 5.0), np.ones(4))])
-def test_apply_pinv_never_certifies_a_singular_matrix(a):
+def test_solve_gram_never_certifies_a_singular_matrix(a):
     assert certified_pinv(a)[1]
 
 
