@@ -13,10 +13,12 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 
 Every least-squares solve goes through the normal equations
 (:func:`solve_gram`): a Cholesky factor ``U`` of the small Gram ``a^H a``
-solves them once the certificate ``sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max /
-sigma_min`` is below ``GRAM_CERTIFICATE_MAX``, which also shows that an SVD
-would count full column rank.  The explicit regressor is needed only for the
-SVD fallback.  The rank-1 split (:func:`rank1_approx`) takes the top
+solves them once the certificate ``|U|_F |U^{-1}|_F >= sigma_max / sigma_min``
+is below ``GRAM_CERTIFICATE_MAX``, which also shows that an SVD would count
+full column rank.  An O(n^2) upper bound on it from one triangular solve
+decides almost every Gram; only when the bound is not below the cap is
+``U^{-1}`` formed.  The explicit regressor is needed only for the SVD
+fallback.  The rank-1 split (:func:`rank1_approx`) takes the top
 eigenpair of the small Gram.
 
 All functions are pure and never mutate their inputs.
@@ -25,6 +27,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -60,10 +63,23 @@ def frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2))[..., 0, 0])
 
 
-# Certificates sqrt(tr(a^H a)) |U^{-1}|_F >= sigma_max / sigma_min below this prove full column
-# rank without an SVD (sigma_min / sigma_max > 1e-4) and bound the normal-equation error by about eps * 1e8.
-# A certificate is at least the Gram's column count, so Grams of 1e4 or more columns always take the SVD.
+# Certificates |U|_F |U^{-1}|_F >= sigma_max / sigma_min below this prove full column rank without an SVD
+# (sigma_min / sigma_max > 1e-4) and bound the normal-equation error by about eps * 1e8.  A certificate
+# is at least the Gram's column count, so Grams of 1e4 or more columns always take the SVD.
 GRAM_CERTIFICATE_MAX = 1e4
+
+
+@lru_cache(maxsize=64)
+def gram_kit(gram_dtype: np.dtype, rhs_dtype: np.dtype, size: int) -> tuple:
+    """What :func:`solve_gram` needs besides the Gram, made once per kind of solve since it costs as much as a
+    small solve: LAPACK ``potrf``, ``trtri``, ``lange`` and ``potrs`` for these dtypes, the real BLAS ``trsv``
+    and ``nrm2``, the signs that turn ``|U|`` into the comparison matrix (``+1`` on the diagonal, ``-1``
+    elsewhere) and the all-ones vector ``e``, both read-only."""
+    gram, rhs = np.empty(0, gram_dtype), np.empty(0, rhs_dtype)
+    signs, ones = np.asfortranarray(2.0 * np.eye(size) - 1.0), np.ones(size)
+    signs.flags.writeable = ones.flags.writeable = False
+    return (*scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri", "lange", "potrs"), (gram, rhs)),
+            *scipy.linalg.blas.get_blas_funcs(("trsv", "nrm2"), (gram.real,)), signs, ones)
 
 
 def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np.ndarray, bool]:
@@ -71,20 +87,31 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
 
     ``gram`` and ``rhs`` are ``a^H a`` and ``a^H b`` of the least-squares problem
     ``a @ x = b``, however the caller formed them.  ``potrf`` factors
-    ``gram = U^H U``, ``trtri`` inverts ``U`` for the certificate
-    ``sqrt(tr(gram)) |U^{-1}|_F = |U|_F |U^{-1}|_F``, and ``potrs`` solves
-    from the factor.  When the factorization fails, the certificate is not
-    below ``GRAM_CERTIFICATE_MAX``, or the solution is not finite, it calls
-    ``problem()`` for the explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
+    ``gram = U^H U`` and ``potrs`` solves from the factor once the certificate
+    ``|U|_F |U^{-1}|_F`` is below ``GRAM_CERTIFICATE_MAX``.  One ``trsv`` bounds
+    it first: the comparison matrix ``M(U)`` (``|u_ii|`` on the diagonal,
+    ``-|u_ij|`` above it) has ``M(U)^{-1} >= |U^{-1}|`` entrywise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 8.12), so
+    ``|U|_F |M(U)^{-1} e|_2 >= |U|_F |U^{-1}|_F`` for ``e`` all ones.  Only a
+    bound not below the cap has ``trtri`` invert ``U`` for the exact
+    certificate, which then decides, so every decision is the exact one's up to
+    rounding at the cap.  When the factorization fails, the certificate is not
+    below the cap, or the solution is not finite, it calls ``problem()`` for
+    the explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
     """
-    potrf, trtri, lange, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri", "lange", "potrs"),
-                                                                      (gram, rhs))
+    potrf, trtri, lange, potrs, trsv, nrm2, signs, ones = gram_kit(gram.dtype, rhs.dtype, len(gram))
     factor, info = potrf(gram)
     if info == 0:
-        u_inv, info = trtri(factor)
-        # U has a's singular values, so |U|_F >= sigma_max and |U^{-1}|_F >= 1 / sigma_min; lange
-        # scales its sums, so a huge norm reads as a large or infinite certificate, with no overflow
-        if info == 0 and lange("F", factor) * lange("F", u_inv) < GRAM_CERTIFICATE_MAX:
+        comparison = np.abs(factor)
+        comparison *= signs
+        # U has a's singular values, so |U|_F >= sigma_max and |U^{-1}|_F >= 1 / sigma_min.  M(U)^{-1} >= 0 has
+        # row sums M(U)^{-1} e of nonnegative terms, at least its rows' 2-norms.  A NaN or infinite bound goes
+        # to the exact certificate, whose lange scales its sums, so a huge norm reads as large, with no overflow
+        certificate = nrm2(comparison.ravel(order="K")) * nrm2(trsv(comparison, ones))
+        if not certificate < GRAM_CERTIFICATE_MAX:
+            u_inv, info = trtri(factor)
+            certificate = lange("F", factor) * lange("F", u_inv) if info == 0 else np.inf
+        if certificate < GRAM_CERTIFICATE_MAX:
             x, info = potrs(factor, rhs)
             if info == 0 and np.isfinite(x).all():
                 return x, False

@@ -7,7 +7,9 @@ they are checked against.  The tensor operations that only these oracles
 need (:func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
 live here, following the unfolding conventions of ``hrislink.tensor_ops``.
 :func:`gram_certificate` recomputes, from the Gram alone, the certificate
-that ``hrislink.tensor_ops.solve_gram`` checks.
+that ``hrislink.tensor_ops.solve_gram`` decides on, and
+:func:`comparison_certificate` the inverse-free bound on it that the kernel
+checks first.
 """
 
 import math
@@ -30,6 +32,24 @@ def gram_certificate(gram: np.ndarray) -> float:
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         return math.sqrt(gram.trace().real) * float(np.linalg.norm(u_inv))
+
+
+def comparison_certificate(gram: np.ndarray) -> float:
+    """``|U|_F |M(U)^{-1} e|_2`` for the Cholesky factor ``gram = U^H U``, ``inf`` if it fails.
+
+    ``M(U)`` is the comparison matrix, ``|u_ii|`` on the diagonal and ``-|u_ij|``
+    above it, and ``e`` is all ones.  Since ``|U^{-1}| <= M(U)^{-1}`` entrywise,
+    it is at least :func:`gram_certificate`, and equal to it for a diagonal Gram.
+    """
+    potrf, = scipy.linalg.lapack.get_lapack_funcs(("potrf",), (gram,))
+    factor, info = potrf(gram)
+    if info:
+        return math.inf
+    magnitude = np.abs(factor)
+    comparison = np.diag(np.diag(magnitude)) - np.triu(magnitude, 1)
+    row_sums = scipy.linalg.solve_triangular(comparison, np.ones(len(gram)), check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(factor)) * float(np.linalg.norm(row_sums))
 
 
 def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:

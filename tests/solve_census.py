@@ -1,10 +1,14 @@
 """Count the receivers' least-squares solves and how well-conditioned their Grams were.
 
 For every receiver and Gram size the census prints the number of solves,
-how many of them took the SVD path, and the largest Gram certificate
+how many of them took the SVD path, the largest Gram certificate
 ``sqrt(tr(a^H a)) |U^{-1}|_F`` (``U`` the Cholesky factor, ``inf`` when it
-fails), an upper bound on ``sigma_max / sigma_min`` of the regressor.  The
-certificate is recomputed here from each Gram (``oracle_models.gram_certificate``),
+fails), an upper bound on ``sigma_max / sigma_min`` of the regressor, the
+largest comparison bound ``|U|_F |M(U)^{-1} e|_2`` on that certificate, and
+how many solves needed the exact tier: those whose bound is not below
+``GRAM_CERTIFICATE_MAX``, for which ``solve_gram`` inverts ``U`` (a checkout
+without the bound inverts it on every solve).  Both are recomputed here from
+each Gram (``oracle_models.gram_certificate`` and ``comparison_certificate``),
 so the census reads the package only through the solve functions it wraps
 (``tensor_ops.solve_gram`` under both names it is looked up by, and
 ``rx_common.apply_pinv`` where a checkout still has it) and counts a solve
@@ -36,8 +40,9 @@ from hrislink import bs_rx, hris_rx, rx_common, tensor_ops
 from hrislink.harness import run_sweep
 from hrislink.identifiability import RECEIVERS
 from hrislink.scenario import ScenarioConfig
+from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX
 
-from oracle_models import gram_certificate
+from oracle_models import comparison_certificate, gram_certificate
 from test_acceptance import PAIRS
 from test_golden import GOLDEN_SIZES, SWEEPS
 
@@ -68,10 +73,11 @@ def configurations(rounds: int):
 
 
 class Census:
-    """Per ``(configuration, receiver, Gram size)``: ``[solves, SVD-path solves, largest certificate]``."""
+    """Per ``(configuration, receiver, Gram size)``: ``[solves, SVD-path solves, largest certificate, largest
+    comparison bound, exact-tier solves]``."""
 
     def __init__(self):
-        self.table = defaultdict(lambda: [0, 0, 0.0])
+        self.table = defaultdict(lambda: [0, 0, 0.0, 0.0, 0])
         self.config = None
         self.receiver = None
         self.last = None        # the key of the latest solve, or None outside a receiver
@@ -84,6 +90,9 @@ class Census:
         row = self.table[self.last]
         row[0] += 1
         row[2] = max(row[2], gram_certificate(gram))
+        bound = comparison_certificate(gram)
+        row[3] = max(row[3], bound)
+        row[4] += not bound < GRAM_CERTIFICATE_MAX
         self.svd_marked = False
 
     def svd_path(self):
@@ -157,13 +166,16 @@ def main() -> None:
             census.config = name
             hris_rx.composite_pinv.cache_clear()
             run_sweep(cfg, pair, sweep_var, list(points), trials=trials, base_seed=base_seed)
-    print(f"{'configuration':<15} {'receiver':<16} {'gram':>5} {'solves':>8} {'svd_path':>8} {'max_certificate':>15}")
-    for (config, receiver, size), (solves, svd, worst) in sorted(census.table.items()):
-        print(f"{config:<15} {receiver:<16} {size:>5} {solves:>8} {svd:>8} {worst:>15.4g}")
-    svd_total = sum(row[1] for row in census.table.values())
-    worst = max((row[2] for row in census.table.values()), default=math.nan)
-    print(f"total solves {sum(row[0] for row in census.table.values())}, SVD path {svd_total}, "
-          f"largest certificate {worst:.4g}")
+    print(f"{'configuration':<15} {'receiver':<16} {'gram':>5} {'solves':>8} {'svd_path':>8} {'max_certificate':>15} "
+          f"{'max_bound':>10} {'exact_tier':>10}")
+    for (config, receiver, size), (solves, svd, worst, worst_bound, exact) in sorted(census.table.items()):
+        print(f"{config:<15} {receiver:<16} {size:>5} {solves:>8} {svd:>8} {worst:>15.4g} {worst_bound:>10.4g} "
+              f"{exact:>10}")
+    rows = census.table.values()
+    worst, worst_bound = (max((row[i] for row in rows), default=math.nan) for i in (2, 3))
+    print(f"total solves {sum(row[0] for row in rows)}, SVD path {sum(row[1] for row in rows)}, "
+          f"exact tier {sum(row[4] for row in rows)}, largest certificate {worst:.4g}, "
+          f"largest bound {worst_bound:.4g}")
 
 
 if __name__ == "__main__":

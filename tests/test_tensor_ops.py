@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
+from hrislink import tensor_ops
+from hrislink.coding import build_coding
+from hrislink.hris_rx import channel_code_matrix
 from hrislink.identifiability import spectral_rank
 from hrislink.rx_common import RankDeficiencyError, require_full_rank
+from hrislink.scenario import ScenarioConfig
 from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, lstsq_normal, rank1_approx, solve_gram, unfold, vec
 
-from oracle_models import fold, gram_certificate, mode_n_product, modewise_contraction, unvec
+from oracle_models import comparison_certificate, fold, gram_certificate, mode_n_product, modewise_contraction, unvec
 
 
 def crandn(rng, *shape):
@@ -325,9 +329,13 @@ def test_certified_product_is_full_rank_and_within_the_normal_equation_bound(row
     a = tall_orientation(with_singular_values(rng, rows, s) @ np.linalg.qr(crandn(rng, cols, size))[0].conj().T)
     rhs = crandn(rng, len(a), lhs_rows)
     product, fell_back = certified_solve(a, rhs)
+    gram = a.conj().T @ a
+    certificate = gram_certificate(gram)
+    if certificate < np.inf:
+        # the inverse-free bound the kernel checks first is never below the certificate it stands for
+        assert comparison_certificate(gram) >= certificate * (1 - 1e-12)
     if not fell_back:
         # the kernel accepted the solve, so the certificate recomputed from the Gram must be below the cut
-        certificate = gram_certificate(a.conj().T @ a)
         assert certificate < GRAM_CERTIFICATE_MAX * (1 + 1e-12)
         spectrum = np.linalg.svd(a, compute_uv=False)
         assert spectral_rank(spectrum) == size
@@ -335,6 +343,50 @@ def test_certified_product_is_full_rank_and_within_the_normal_equation_bound(row
         # the normal equations' forward error, on the scale |rhs| |pinv(a)| of the solution's rounding
         bound = 10 * np.finfo(float).eps * certificate**2 * np.linalg.norm(rhs) / spectrum[-1]
         assert np.linalg.norm(product - np.linalg.pinv(a) @ rhs) <= bound
+
+
+def diagonal_gram(case):
+    """A diagonal Gram: drawn with a spread of 1e4, or a surface ALS channel-step Gram, diagonal to 1e-15."""
+    rng = np.random.default_rng(103)
+    if case == "real":
+        return np.diag(10.0 ** rng.uniform(-4.0, 0.0, 12))
+    if case == "complex":
+        return np.diag(10.0 ** rng.uniform(-4.0, 0.0, 12)).astype(complex)
+    sizes, scheme = case.split()
+    small = {"m": 4, "n": 8, "nc": 2, "l": 2, "r": 2, "t": 4, "k": 16} if sizes == "small" else {}
+    cfg = ScenarioConfig(**small, scheme=scheme)
+    a = channel_code_matrix(build_coding(cfg), crandn(rng, cfg.streams, cfg.t))
+    gram = a.conj().T @ a
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-14 * np.max(np.abs(gram))
+    return gram
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "default tstc", "default krstc", "small tstc", "small krstc"])
+def test_comparison_bound_is_the_certificate_of_a_diagonal_gram(case):
+    gram = diagonal_gram(case)
+    assert comparison_certificate(gram) == pytest.approx(gram_certificate(gram), rel=1e-12)
+
+
+def test_solve_gram_inverts_the_factor_only_where_the_bound_does_not_decide(monkeypatch):
+    inversions = []
+    kit = tensor_ops.gram_kit
+
+    def counting_kit(*key):
+        potrf, trtri, *rest = kit(*key)
+        return (potrf, lambda factor: inversions.append(len(factor)) or trtri(factor), *rest)
+
+    monkeypatch.setattr(tensor_ops, "gram_kit", counting_kit)
+    rng = np.random.default_rng(107)
+    for a in (with_singular_values(rng, 30, np.logspace(0.0, -1.0, 20)), np.triu(np.ones((20, 20)))):
+        b = crandn(rng, len(a), 2)
+        x, fell_back = lstsq_normal(a, b)
+        assert not fell_back
+        assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
+    # the all-ones upper triangle is its own Cholesky factor: its inverse is bidiagonal (certificate
+    # sqrt(210 * 39) = 90.5), but M(U)^{-1} has entries 2^(j-i-1), so only the exact certificate accepts it
+    gram = np.triu(np.ones((20, 20))).T @ np.triu(np.ones((20, 20)))
+    assert comparison_certificate(gram) >= GRAM_CERTIFICATE_MAX > 100 > gram_certificate(gram)
+    assert inversions == [20]
 
 
 def test_pinv_left_inverse_full_column_rank():
@@ -390,14 +442,17 @@ def fallback_input(case):
         return np.hstack([full[:, :3], full[:, :1]]), crandn(rng, 20, 2)      # rank 3 of 4
     if case == "all zero":
         return np.zeros((20, 4), dtype=complex), crandn(rng, 20, 2)
+    if case == "overflowing gram":      # a^H a is beyond the float range, though a and pinv(a) are not
+        return 1e160 * full, crandn(rng, 20, 2)
     # cond(a) = 1e6, so the Gram certificate is at least 1e6 > GRAM_CERTIFICATE_MAX
     return with_singular_values(rng, 20, np.array([1.0, 1e-2, 1e-4, 1e-6])), crandn(rng, 20)
 
 
-@pytest.mark.parametrize("case", ["rank deficient", "all zero", "ill conditioned"])
+@pytest.mark.parametrize("case", ["rank deficient", "all zero", "ill conditioned", "overflowing gram"])
 def test_lstsq_normal_falls_back_to_pinv(case):
     a, b = fallback_input(case)
-    x, fell_back = lstsq_normal(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, fell_back = lstsq_normal(a, b)
     assert fell_back
     assert np.array_equal(x, np.linalg.pinv(a) @ b)
 
@@ -432,6 +487,8 @@ def test_lstsq_normal_and_require_full_rank_make_one_decision(cols, extra_rows, 
     a = with_singular_values(rng, cols + extra_rows, np.r_[1.0, middle, 10.0 ** log_ratio][:cols])
     b = crandn(rng, cols + extra_rows, rhs)
     x, fell_back = lstsq_normal(a, b)
+    # whether the inverse-free bound or the exact certificate decided, the decision is the exact certificate's
+    assert fell_back == (gram_certificate(a.conj().T @ a) >= GRAM_CERTIFICATE_MAX)
     svd_calls = []
     svd = np.linalg.svd
     with pytest.MonkeyPatch.context() as patch:
