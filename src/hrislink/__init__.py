@@ -17,13 +17,11 @@ from .harness import (
 from .hris_rx import hris_bals, hris_kronf, hris_krf
 from .identifiability import (
     IdentReport,
-    RankReport,
     check_identifiability,
     feasible_subframes,
     feedback_bits,
     flops_estimate,
     min_subframes,
-    rank_bounds,
 )
 from .rx_common import (
     AmbiguityError,
@@ -48,7 +46,6 @@ __all__ = [
     "MetricsRecord",
     "NonFiniteError",
     "RankDeficiencyError",
-    "RankReport",
     "ScenarioConfig",
     "TrialOutcome",
     "bs_bals",
@@ -76,7 +73,6 @@ __all__ = [
     "parse_pair",
     "path_loss",
     "qam_constellation",
-    "rank_bounds",
     "records_to_csv",
     "run_sweep",
     "run_trial",

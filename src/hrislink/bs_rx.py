@@ -2,30 +2,23 @@
 
 The BS knows the reflecting phase shifts and the transmit code, and receives
 the estimated UT-side channel over the control link (scenario 1) or both
-that channel and the decoded symbols (scenario 2).  Receivers:
+that channel and the decoded symbols (scenario 2).  With the blocks
+``B_k = diag(psi_k) @ G @ mix_k`` of the synthesis (:func:`~hrislink.synthesis.reflect_blocks`),
+the model ``Y_k = H B_k X`` is one least-squares problem per slice,
+``right.T @ Z.T = unfold(y, 3)`` for ``Z = kron(X^T, H)`` and ``right[:, k] = vec(B_k)``.
+All three receivers read its normal equations (:func:`kronecker_problem`), a
+``(w*n, w*n)`` Gram and a ``(w*n, t*m)`` cross, 64 KB and 32 KB at the default sizes:
 
-* :func:`bs_bals`: the shared ALS loop
-  (:func:`~hrislink.rx_common.run_als`) over the BS-side channel (mode-1
-  unfolding) and the symbols (transposed mode-2 unfolding).  It supplies
-  two tables built once per call from the blocks below, a ``(w*w, n*n)``
-  Gram table and a ``(w*t, n*m)`` cross table with the received signal
-  (64 KB and 32 KB at the default sizes), the explicit regressor for the
-  SVD fallback and the symbol regressor;
-* :func:`bs_kronf`: one least-squares solve for the Kronecker-structured
-  composite of symbols and BS-side channel, then a rank-1 split;
-* :func:`bs_channel_only`: the scenario-2 shortcut, a single least-squares
-  solve for the BS-side channel with symbols known.
+* :func:`bs_kronf` solves them for ``Z``, then splits it with a rank-1 factorization;
+* :func:`bs_bals` runs the shared ALS loop (:func:`~hrislink.rx_common.run_als`)
+  over the BS-side channel and the symbols, on the two rearranged into its
+  Gram and cross tables (:func:`als_tables`);
+* :func:`bs_channel_only`, the scenario-2 shortcut, takes one channel step of that
+  loop (:func:`~hrislink.rx_common.channel_step`) at the fed-back symbols.
 
-Every regressor, for both coding schemes, is built from the blocks
-``diag(psi_k) @ G @ mix_k`` that the synthesis uses
-(:func:`~hrislink.synthesis.reflect_blocks`, one flat product), times ``X``,
-times ``H``, or vectorized.
-
-Both closed-form solves are least-squares solves against the received
-unfolding (:func:`~hrislink.rx_common.require_full_rank`) and, like the ALS
-steps, run no SVD when the Gram certificate of
-:func:`~hrislink.tensor_ops.solve_gram` proves full rank.  Both also take
-stacks ``(s, m, t, k)``, with the payload stacked alike, slice for slice exact.
+The explicit regressors are built for the ALS symbol step and the SVD fallbacks only.
+The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_rank` and also
+take stacks ``(s, m, t, k)``, the payload stacked alike, one slice's normal equations at a time.
 
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
@@ -33,6 +26,7 @@ schemes; it is removed against the (0, 0) anchor of the symbol estimate.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +38,7 @@ from .rx_common import (
     EstimateReport,
     NonFiniteError,
     check_received,
+    channel_step,
     normalize_anchor,
     require_full_rank,
     run_als,
@@ -80,10 +75,8 @@ def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingS
 
 
 def channel_code_matrix(coding: CodingSet, ut_channel: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``, or stacks."""
-    lead = symbols.shape[:-2]
-    blocks = reflect_blocks(coding, ut_channel).reshape(*lead, -1, coding.streams)
-    return (blocks @ symbols).reshape(*lead, coding.elements, -1)
+    """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``."""
+    return (reflect_blocks(coding, ut_channel).reshape(-1, coding.streams) @ symbols).reshape(coding.elements, -1)
 
 
 def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
@@ -92,40 +85,52 @@ def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np
     return h_blocks.reshape(len(bs_channel), coding.subframes, -1).transpose(1, 0, 2).reshape(-1, coding.streams)
 
 
+def kronecker_problem(y: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """The normal equations of ``right.T @ Z.T = unfold(y, 3)`` and its ``(a, b)``, from a slice's ``(n, k, w)`` blocks.
+
+    With rows ``(s, i)`` of ``right``, the Gram ``conj(right) @ right.T`` is ``sum_k conj(B_k[i, s]) B_k[j, s']``
+    at ``[(s, i), (s', j)]`` and the cross ``conj(right) @ unfold(y, 3)`` is ``sum_k conj(B_k[i, s]) Y_k[r, tau]``
+    at ``[(s, i), (tau, r)]``."""
+    right, y3 = blocks.transpose(2, 0, 1).reshape(-1, blocks.shape[1]), unfold(y, 3)     # (w*n, k), (k, t*m)
+    right_conj = right.conj()
+    return right_conj @ right.T, right_conj @ y3, lambda: (right.T, y3)
+
+
+def als_tables(y: np.ndarray, blocks: np.ndarray, d: Sizes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kronecker_problem`'s Gram and cross rearranged into the ALS channel step's ``(w*w, n*n)`` Gram
+    table, ``[(s, s'), (i, j)]``, and ``(w*t, n*m)`` cross table, ``[(s, tau), (i, r)]``."""
+    (gram, cross, _), (w, n, t, m) = kronecker_problem(y, blocks), (d.w, d.n, d.t, d.m)
+    return (gram.reshape(w, n, w, n).swapaxes(1, 2).reshape(w * w, n * n),
+            cross.reshape(w, n, t, m).swapaxes(1, 2).reshape(w * t, n * m))
+
+
+def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> np.ndarray:
+    """``solve(y, *parts)`` per ``(m, t, k)`` slice of ``y_bs``, with the matching slices of ``stacked``; restacked."""
+    lead = y_bs.shape[:-3]
+    out = np.stack([solve(*s) for s in zip(*(a.reshape(-1, *a.shape[len(lead):]) for a in (y_bs, *stacked)))])
+    return out.reshape(*lead, *out.shape[1:])
+
+
 def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols."""
     d = _check_inputs(y_bs, payload, coding, "bs_bals")
-    n, w, t, k, m = d.n, d.w, d.t, d.k, d.m
-    g = payload.ut_channel
+    n, w, k, m, g = d.n, d.w, d.k, d.m, payload.ut_channel
     blocks = reflect_blocks(coding, g)                               # B_k[i, s] at [i, k, s], (n, k, w)
     b_cat = blocks.reshape(n, -1)                                   # [B_1 ... B_K], (n, k*w)
-    b_kw = blocks.transpose(0, 2, 1).reshape(-1, k)                 # b_kw[(i, s), k] = B_k[i, s], (n*w, k)
-    b_conj = b_kw.conj()
-    # The channel step solves h_hat C = y1, C = [B_1 X ... B_K X], as C^T h_hat^T = y1^T.  With
-    # P = conj(X X^H) = conj(X) X^T, its Gram conj(C C^H) is P.ravel() @ gram_table and its
-    # right-hand side conj(C) y1^T is conj(X).ravel() @ cross, from two tables fixed within the call:
-    #   gram_table[(s, s'), (i, j)] = sum_k conj(B_k[i, s]) B_k[j, s'],  (w*w, n*n)
-    #   cross[(s, tau), (i, r)]     = sum_k conj(B_k[i, s]) Y_k[r, tau], (w*t, n*m)
-    gram_table = (b_conj @ b_kw.T).reshape(n, w, n, w).transpose(1, 3, 0, 2).reshape(w * w, n * n)
-    cross = (b_conj @ y_bs.reshape(m * t, k).T).reshape(n, w, m, t).transpose(1, 3, 0, 2).reshape(w * t, n * m)
     # the solution is h_hat^T, (n, m); the symbol regressor stacks H B_k over k, from the one product H [B_1 ... B_K]
-    report = run_als(y_bs, gram_table, cross, (n, m),
+    report = run_als(y_bs, *als_tables(y_bs, blocks, d), (n, m),
                      lambda x_hat: (channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T),
                      lambda h_hat: (h_hat @ b_cat).reshape(m, k, w).transpose(1, 0, 2).reshape(-1, w), init_seed)
     return normalize_anchor(report, per_stream=False)
 
 
 def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
-    """Closed-form estimation via Kronecker factorization of the composite.
-
-    Column ``k`` of the composite right factor is ``vec(diag(psi_k) @ G @ mix_k)``.
-    """
+    """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
     d = _check_inputs(y_bs, payload, coding, "bs_kronf")
     m, t, n, streams, lead = d.m, d.t, d.n, d.w, y_bs.shape[:-3]
-    blocks = reflect_blocks(coding, payload.ut_channel)            # (n, k, streams)
-    right = np.moveaxis(blocks, -1, -3).reshape(*lead, -1, d.k)     # (streams*n, k)
-    composite = require_full_rank(right.swapaxes(-1, -2), unfold(y_bs, 3), streams * n,
-                                  "composite right factor").swapaxes(-1, -2)  # (t*m, streams*n)
+    composite = _slice_by_slice(
+        lambda y, blocks: require_full_rank(*kronecker_problem(y, blocks), streams * n, "composite right factor"),
+        y_bs, reflect_blocks(coding, payload.ut_channel)).swapaxes(-1, -2)                 # (t*m, streams*n)
     rearranged = composite.reshape(*lead, t, m, streams, n).swapaxes(-1, -4).reshape(*lead, n * m, streams * t)
     u, sigma, v = rank1_approx(rearranged)
     root = np.sqrt(sigma)[..., None]
@@ -135,15 +140,15 @@ def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -
 
 
 def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
-    """Single least-squares solve for the BS-side channel (scenario 2).
-
-    Uses the fed-back channel and symbol estimates as-is; any residual
-    scaling they carry is inherited, so no anchor normalization is applied.
-    """
+    """One ALS channel step at the fed-back symbols (scenario 2), kept as they are: the channel inherits
+    any scaling the fed-back estimates carry, so no anchor normalization is applied."""
     if payload.symbols is None:
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
-    n = _check_inputs(y_bs, payload, coding, "bs_channel_only").n
-    channel_step = channel_code_matrix(coding, payload.ut_channel, payload.symbols)
-    h_hat = require_full_rank(channel_step.swapaxes(-1, -2), unfold(y_bs, 1).swapaxes(-1, -2), n,
-                              "channel-step regressor").swapaxes(-1, -2)
+    d = _check_inputs(y_bs, payload, coding, "bs_channel_only")
+
+    def step(y, g, blocks, x):
+        return require_full_rank(*channel_step(*als_tables(y, blocks, d), x), lambda: (
+            channel_code_matrix(coding, g, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
+
+    h_hat = _slice_by_slice(step, y_bs, payload.ut_channel, reflect_blocks(coding, payload.ut_channel), payload.symbols)
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))

@@ -86,7 +86,9 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
     :class:`RankDeficiencyError` on every call.
     """
     fxg = composite_code_matrix(coding)
-    inverse = require_full_rank(fxg, None, fxg.shape[1], "composite code matrix")
+    fxg_h = fxg.conj().T
+    inverse = require_full_rank(fxg_h @ fxg, fxg_h, lambda: (fxg, np.eye(len(fxg), dtype=fxg.dtype)),
+                                fxg.shape[1], "composite code matrix")
     inverse.flags.writeable = False
     return inverse
 

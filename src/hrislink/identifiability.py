@@ -1,13 +1,12 @@
-"""The receiver table, identifiability thresholds, rank bounds, and cost accounting.
+"""The receiver table, identifiability thresholds, the rank threshold, and cost accounting.
 
 ``RECEIVERS`` holds one entry per surface or BS receiver; the trial
 dispatch, the receivers' own threshold checks and the CLI all read it.
 ``min_subframes`` evaluates, per receiver/entity/scheme, the minimum number
 of sub-frames that makes the receiver's least-squares steps uniquely
-solvable (under the full-rank coding design).  ``rank_bounds`` checks the
-block-rank upper bounds those thresholds rest on against a concrete
-realization.  ``flops_estimate`` and ``feedback_bits`` evaluate the
-per-receiver cost and control-link load formulas.
+solvable (under the full-rank coding design).  ``numerical_rank`` is the
+one rank rule of every rank check.  ``flops_estimate`` and ``feedback_bits``
+evaluate the per-receiver cost and control-link load formulas.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coding import CodingSet
-from .scenario import SCHEMES, ChannelRealization, ScenarioConfig
+from .scenario import SCHEMES, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,8 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
     return 1 << max(0, (floor - 1).bit_length())
 
 
-# Singular values at or below this fraction of the largest one count as zero
-# in every rank check: the rank bounds and the receivers' full-rank solves, whose
-# certified Cholesky path (tensor_ops.GRAM_CERTIFICATE_MAX) stays 1e6 times above this cut.
+# Singular values at or below this fraction of the largest one count as zero in every rank check; the
+# receivers' certified Cholesky path (tensor_ops.GRAM_CERTIFICATE_MAX) stays 1e6 times above this cut.
 RANK_TOL = 1e-10
 
 
@@ -164,56 +161,6 @@ def spectral_rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > RANK_TOL * s[0]))
-
-
-@dataclass
-class RankReport:
-    """Observed block ranks of one realization against their upper bounds."""
-
-    kappa_g: int
-    kappa_h: int
-    kappa_x: int
-    zeta_x: int          # largest rank of a sensed symbol-step block
-    zeta_x_bound: int
-    xi_x: int            # largest rank of a reflected symbol-step block
-    xi_x_bound: int
-    xi_h: int            # largest rank of a BS channel-step block
-    xi_h_bound: int
-    fg_bar_rank: int     # rank of the assembled surface channel-step matrix
-    fg_bar_bound: int
-    ok: bool
-
-
-def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
-                coding: CodingSet, symbols: np.ndarray) -> RankReport:
-    """Evaluate the per-block rank bounds on a concrete realization."""
-    g, h = realization.ut_ris, realization.ris_bs
-    kappa_g = numerical_rank(g)
-    kappa_h = numerical_rank(h)
-    kappa_x = numerical_rank(symbols)
-    width = coding.streams
-
-    from . import bs_rx, hris_rx  # the receiver modules import this one
-
-    def max_block_rank(stack):
-        return max(spectral_rank(s) for s in np.linalg.svd(stack, compute_uv=False))
-
-    zeta_x = max_block_rank(hris_rx.symbol_code_matrix(coding, g).reshape(cfg.k, cfg.nc, -1))
-    xi_x = max_block_rank(bs_rx.symbol_code_matrix(coding, g, h).reshape(cfg.k, cfg.m, -1))
-    xi_h_stack = bs_rx.channel_code_matrix(coding, g, symbols).reshape(cfg.n, cfg.k, -1).transpose(1, 0, 2)
-    xi_h = max_block_rank(xi_h_stack)
-    fg_bar_rank = numerical_rank(hris_rx.channel_code_matrix(coding, symbols))
-
-    # kappa_g <= l, so the width bound only binds for tstc.
-    zeta_bound = min(cfg.nc, kappa_g, width)
-    xi_x_bound = min(kappa_h, kappa_g, width)
-    xi_h_bound = min(kappa_g, kappa_x)
-    fg_bar_bound = min(cfg.k * cfg.nc * kappa_x, cfg.l * cfg.n)
-
-    ok = zeta_x <= zeta_bound and xi_x <= xi_x_bound and xi_h <= xi_h_bound and fg_bar_rank <= fg_bar_bound
-    return RankReport(kappa_g, kappa_h, kappa_x,
-                      zeta_x, zeta_bound, xi_x, xi_x_bound, xi_h, xi_h_bound,
-                      fg_bar_rank, fg_bar_bound, ok)
 
 
 def flops_estimate(cfg: ScenarioConfig, receiver: str, entity: str,

@@ -1,8 +1,8 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
-one ALS loop (:func:`run_als`: start, channel step from the caller's
-tables, symbol step, stop rule), the rank-checked least-squares solve, and
-the anchor normalization.  Every solve goes through
-:func:`~hrislink.tensor_ops.solve_gram` and its one Gram certificate."""
+one ALS loop (:func:`run_als`: start, channel step contracted from the caller's
+tables by :func:`channel_step`, symbol step, stop rule), the rank-checked
+solve of a caller's normal equations, and the anchor normalization.  Every
+solve goes through :func:`~hrislink.tensor_ops.solve_gram` and its one Gram certificate."""
 
 from __future__ import annotations
 
@@ -107,26 +107,19 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
             channel_problem: Callable, symbol_regressor: Callable, init_seed: int) -> EstimateReport:
     """Bilinear ALS from the symbols ``init_symbols(w, t, init_seed)`` until the residual stagnates or hits the floor.
 
-    The channel step solves normal equations contracted from the caller's two
-    tables: with ``P = conj(X) X^T``, the Gram is ``P.ravel() @ gram_table``
-    (``(w*w, size*size)``) and the right-hand side ``conj(X).ravel() @ cross``
-    (``(w*t, size*cols)``); ``channel_problem(x)`` gives the explicit ``(a, b)``
-    for the SVD fallback.  The channel is ``solution.reshape(shape).T`` of the
-    ``(size, cols)`` solution.  The symbol step solves
-    ``symbol_regressor(channel) @ x = unfold(y, 2).T``; its squared Frobenius
-    misfit is the residual of the iteration.
+    The channel step solves the normal equations that :func:`channel_step` contracts from the caller's two
+    tables, with the explicit ``(a, b) = channel_problem(x)`` for the SVD fallback; the channel is
+    ``solution.reshape(shape).T``.  The symbol step solves ``symbol_regressor(channel) @ x = unfold(y, 2).T``;
+    its squared Frobenius misfit is the residual of the iteration.
     """
-    w, size = math.isqrt(gram_table.shape[0]), math.isqrt(gram_table.shape[1])
     y2t = unfold(y, 2).T
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
-    x_hat = init_symbols(w, y.shape[1], init_seed)
+    x_hat = init_symbols(math.isqrt(gram_table.shape[0]), y.shape[1], init_seed)
     residuals: list[float] = []
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):
-        x_conj = x_hat.conj()
-        gram = ((x_conj @ x_hat.T).reshape(-1) @ gram_table).reshape(size, size)
-        rhs = (x_conj.reshape(-1) @ cross).reshape(size, -1)
-        solution, channel_fallback = solve_gram(gram, rhs, lambda: channel_problem(x_hat))
+        solution, channel_fallback = solve_gram(*channel_step(gram_table, cross, x_hat),
+                                                lambda: channel_problem(x_hat))
         channel = solution.reshape(shape).T
         regressor = symbol_regressor(channel)
         x_hat, symbol_fallback = lstsq_normal(regressor, y2t)
@@ -142,25 +135,26 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
     return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
 
 
-def require_full_rank(a: np.ndarray, b: np.ndarray | None, need: int, what: str) -> np.ndarray:
-    """Least-squares solution of ``a @ x = b``, where ``a`` must have numerical rank ``need``.
+def channel_step(gram_table: np.ndarray, cross: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The channel step's normal equations at the symbols ``x``: with ``P = conj(x) x^T``, the Gram
+    ``P.ravel() @ gram_table`` and the right-hand side ``conj(x).ravel() @ cross``."""
+    size, x_conj = math.isqrt(gram_table.shape[1]), x.conj()
+    return ((x_conj @ x.T).reshape(-1) @ gram_table).reshape(size, size), (x_conj.reshape(-1) @ cross).reshape(size, -1)
 
-    ``b=None`` stands for the identity, so the solution is ``pinv(a)``.  Raises
-    :class:`RankDeficiencyError` below rank ``need``.  A Cholesky solve certified by
-    :func:`~hrislink.tensor_ops.solve_gram` proves full column rank, so it runs no
-    SVD; every other ``a`` has its rank read off its singular values first.
+
+def require_full_rank(gram: np.ndarray, rhs: np.ndarray, problem: Callable, need: int, what: str) -> np.ndarray:
+    """:func:`~hrislink.tensor_ops.solve_gram` of ``gram @ x = rhs``, the normal equations of ``problem() = (a, b)``.
+
+    A certified Cholesky solve proves that ``a`` has full column rank; the SVD fallback first reads
+    ``a``'s rank off its singular values and raises :class:`RankDeficiencyError` below ``need``.
     """
-    if a.ndim == 3:     # a stack (with b), solved slice by slice: each Gram is formed and factored in cache
-        return np.stack([require_full_rank(a_i, b_i, need, what) for a_i, b_i in zip(a, b)])
-
-    def problem():
-        rank = numerical_rank(a)
-        if rank < need:
+    def checked():
+        a, b = problem()
+        if (rank := numerical_rank(a)) < need:
             raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
-        return a, np.eye(len(a), dtype=a.dtype) if b is None else b
+        return a, b
 
-    ah = a.conj().T
-    return solve_gram(ah @ a, ah if b is None else ah @ b, problem)[0]
+    return solve_gram(gram, rhs, checked)[0]
 
 
 def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:

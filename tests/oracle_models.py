@@ -9,15 +9,20 @@ live here, following the unfolding conventions of ``hrislink.tensor_ops``.
 :func:`gram_certificate` recomputes, from the Gram alone, the certificate
 that ``hrislink.tensor_ops.solve_gram`` decides on, and
 :func:`comparison_certificate` the inverse-free bound on it that the kernel
-checks first.
+checks first.  :func:`rank_bounds` checks the block-rank upper bounds that
+the sub-frame thresholds rest on against a concrete realization.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from hrislink.scenario import draw_noise
+from hrislink import bs_rx, hris_rx
+from hrislink.coding import CodingSet
+from hrislink.identifiability import numerical_rank, spectral_rank
+from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_noise
 
 
 def gram_certificate(gram: np.ndarray) -> float:
@@ -185,3 +190,51 @@ def reflected_scalar(channels, coding, symbols, im: int, it: int, ik: int) -> co
 def with_noise(y: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
     """``y`` plus noise of the config's power, drawn from ``rng`` as a trial draws it."""
     return y + draw_noise(y.shape, cfg.noise_watts, rng)
+
+
+@dataclass
+class RankReport:
+    """Observed block ranks of one realization against their upper bounds."""
+
+    kappa_g: int
+    kappa_h: int
+    kappa_x: int
+    zeta_x: int          # largest rank of a sensed symbol-step block
+    zeta_x_bound: int
+    xi_x: int            # largest rank of a reflected symbol-step block
+    xi_x_bound: int
+    xi_h: int            # largest rank of a BS channel-step block
+    xi_h_bound: int
+    fg_bar_rank: int     # rank of the assembled surface channel-step matrix
+    fg_bar_bound: int
+    ok: bool
+
+
+def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
+                coding: CodingSet, symbols: np.ndarray) -> RankReport:
+    """Evaluate the per-block rank bounds on a concrete realization."""
+    g, h = realization.ut_ris, realization.ris_bs
+    kappa_g = numerical_rank(g)
+    kappa_h = numerical_rank(h)
+    kappa_x = numerical_rank(symbols)
+    width = coding.streams
+
+    def max_block_rank(stack):
+        return max(spectral_rank(s) for s in np.linalg.svd(stack, compute_uv=False))
+
+    zeta_x = max_block_rank(hris_rx.symbol_code_matrix(coding, g).reshape(cfg.k, cfg.nc, -1))
+    xi_x = max_block_rank(bs_rx.symbol_code_matrix(coding, g, h).reshape(cfg.k, cfg.m, -1))
+    xi_h_stack = bs_rx.channel_code_matrix(coding, g, symbols).reshape(cfg.n, cfg.k, -1).transpose(1, 0, 2)
+    xi_h = max_block_rank(xi_h_stack)
+    fg_bar_rank = numerical_rank(hris_rx.channel_code_matrix(coding, symbols))
+
+    # kappa_g <= l, so the width bound only binds for tstc.
+    zeta_bound = min(cfg.nc, kappa_g, width)
+    xi_x_bound = min(kappa_h, kappa_g, width)
+    xi_h_bound = min(kappa_g, kappa_x)
+    fg_bar_bound = min(cfg.k * cfg.nc * kappa_x, cfg.l * cfg.n)
+
+    ok = zeta_x <= zeta_bound and xi_x <= xi_x_bound and xi_h <= xi_h_bound and fg_bar_rank <= fg_bar_bound
+    return RankReport(kappa_g, kappa_h, kappa_x,
+                      zeta_x, zeta_bound, xi_x, xi_x_bound, xi_h, xi_h_bound,
+                      fg_bar_rank, fg_bar_bound, ok)

@@ -23,7 +23,7 @@ from hrislink.harness import (
     trial_seed,
 )
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
-from hrislink.identifiability import check_identifiability, feedback_bits, flops_estimate, min_subframes, rank_bounds
+from hrislink.identifiability import check_identifiability, feedback_bits, flops_estimate, min_subframes
 from hrislink.rx_common import IdentifiabilityError
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
@@ -31,6 +31,7 @@ from hrislink.tensor_ops import unfold, vec
 
 from oracle_models import (
     fold,
+    rank_bounds,
     reflected_scalar,
     reflected_tensor_form,
     sensed_scalar,

@@ -13,6 +13,7 @@ from hrislink.bs_rx import (
     channel_code_matrix,
     symbol_code_matrix,
 )
+from hrislink import rx_common
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.rx_common import (
     EstimateReport,
@@ -184,6 +185,20 @@ def test_channel_only_equals_single_bals_channel_step():
               for k in range(cfg.k)]
     direct = unfold(y, 1) @ np.linalg.pinv(np.hstack(blocks))
     assert np.allclose(rep.channel, direct)
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_channel_only_is_the_first_bals_channel_step_bit_for_bit(scheme, als_start, raw_estimates, monkeypatch):
+    cfg, channels, coding, symbols, _ = make_case(seed=4, scheme=scheme)
+    rng = np.random.default_rng(9)
+    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
+    g = channels.ut_ris * np.sqrt(cfg.pt_watts) * (1 + 0.1 * rng.standard_normal(channels.ut_ris.shape))
+    x = symbols + 0.1 * rng.standard_normal(symbols.shape)
+    monkeypatch.setattr(rx_common, "MAX_ITERATIONS", 1)
+    with als_start(x):
+        first = bs_bals(y, ControlLinkPayload(g), coding)
+    assert first.iterations == 1
+    assert np.array_equal(bs_channel_only(y, ControlLinkPayload(g, x), coding).channel, first.channel)
 
 
 def test_channel_only_requires_scenario_two():

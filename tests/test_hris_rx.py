@@ -365,11 +365,17 @@ def test_rank_deficient_coding_raises_on_every_call(scheme, receiver):
             receiver(y, bad)
 
 
+def full_rank_solve(a, b, need, what):
+    """:func:`require_full_rank` of ``a @ x = b``, with the normal equations ``a^H a``, ``a^H b`` formed here."""
+    ah = a.conj().T
+    return require_full_rank(ah @ a, ah @ b, lambda: (a, b), need, what)
+
+
 def full_rank_pinv(a, need, what):
-    """``pinv(a)`` from :func:`require_full_rank` on the tall orientation of ``a``, as the receivers pass it."""
-    if a.shape[0] >= a.shape[1]:
-        return require_full_rank(a, None, need, what)
-    return require_full_rank(a.T, None, need, what).T
+    """``pinv(a)`` from :func:`full_rank_solve` on the tall orientation of ``a``, as the receivers pass it."""
+    tall = a if a.shape[0] >= a.shape[1] else a.T
+    inverse = full_rank_solve(tall, np.eye(len(tall), dtype=tall.dtype), need, what)
+    return inverse if tall is a else inverse.T
 
 
 def test_require_full_rank_returns_the_pinv():

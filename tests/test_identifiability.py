@@ -17,10 +17,11 @@ from hrislink.identifiability import (
     feedback_bits,
     flops_estimate,
     min_subframes,
-    rank_bounds,
 )
 from hrislink.rx_common import check_received
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
+
+from oracle_models import rank_bounds
 
 DEFAULTS = ScenarioConfig()
 

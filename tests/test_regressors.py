@@ -9,6 +9,7 @@ equations they read from their tables are checked, at every iteration,
 against the explicit regressor over random feasible configurations.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -22,8 +23,9 @@ from hrislink.bs_rx import ControlLinkPayload, bs_kronf
 from hrislink.coding import build_coding, gen_symbols
 from hrislink.hris_rx import channel_code_matrix, composite_code_matrix, symbol_code_matrix
 from hrislink.identifiability import feasible_subframes
+from hrislink.rx_common import RankDeficiencyError
 from hrislink.scenario import ScenarioConfig, draw_channels
-from hrislink.synthesis import synth_ybs, synth_yrc
+from hrislink.synthesis import reflect_blocks, synth_ybs, synth_yrc
 from hrislink.tensor_ops import unfold, vec
 
 from oracle_models import with_noise
@@ -85,14 +87,13 @@ def test_bs_symbol_code_matrix(case):
     assert_same(bs_rx.symbol_code_matrix(coding, g, h), want)
 
 
-def test_bs_kronf_right_factor(case, monkeypatch):
+def test_bs_kronf_right_factor(case):
     cfg, coding, g, h, x = case
-    seen = []
-    original = bs_rx.require_full_rank
-    monkeypatch.setattr(bs_rx, "require_full_rank", lambda a, b, *rest: seen.append(a.T) or original(a, b, *rest))
     y = np.stack([h @ np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(cfg.k)], axis=2)
-    bs_kronf(y, ControlLinkPayload(g), coding)
-    (right,) = seen
+    # the explicit problem behind the normal equations bs_kronf solves is right.T @ Z.T = unfold(y, 3)
+    a, b = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))[2]()
+    assert np.array_equal(b, unfold(y, 3))
+    right = a.T
     want = np.column_stack([vec(np.diag(coding.reflect[k]) @ g @ mix(coding, k)) for k in range(cfg.k)])
     assert_same(right, want)
     if cfg.scheme == "krstc":
@@ -100,6 +101,66 @@ def test_bs_kronf_right_factor(case, monkeypatch):
         # same products, taken in the other operand order, so it agrees to rounding.
         khatri_rao_form = vec(g)[:, None] * khatri_rao(coding.code.T, coding.reflect.T)
         assert np.max(np.abs(right - khatri_rao_form)) <= 4 * np.finfo(float).eps * np.max(np.abs(right))
+
+
+@st.composite
+def bs_problems(draw):
+    """A small config at the ``kronf`` BS threshold (the largest of the three BS ones), and a seed."""
+    scheme = draw(st.sampled_from(["tstc", "krstc"]))
+    l = draw(st.integers(1, 3))
+    r = l if scheme == "krstc" else draw(st.integers(1, 3))
+    cfg = ScenarioConfig(m=draw(st.integers(1, 3)), n=draw(st.integers(1, 6)), nc=draw(st.integers(1, 3)),
+                         l=l, r=r, t=draw(st.integers(1, 4)), k=1, scheme=scheme)
+    surface = "kronf" if scheme == "tstc" else "krf"
+    return cfg.replace(k=feasible_subframes(cfg, (surface, "kronf"))), draw(st.integers(0, 2**32 - 1))
+
+
+class Seen(Exception):
+    """Raised by a recording stand-in once it has what the test needs."""
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=bs_problems())
+def test_bs_receivers_read_one_kronecker_problem(problem):
+    cfg, seed = problem
+    coding = build_coding(cfg)
+    rng = np.random.default_rng(seed)
+    g, x, y = crandn(rng, cfg.n, cfg.l), crandn(rng, cfg.streams, cfg.t), crandn(rng, cfg.m, cfg.t, cfg.k)
+    w, n, t, m = cfg.streams, cfg.n, cfg.t, cfg.m
+    gram, cross, problem_of = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))
+    a, b = problem_of()
+    # the Kronecker Gram and cross are the explicit normal equations of the right factor, bit for bit
+    assert np.array_equal(gram, a.conj().T @ a) and np.array_equal(cross, a.conj().T @ b)
+
+    seen = []
+    solve = bs_rx.require_full_rank
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bs_rx, "require_full_rank", lambda *args: seen.append(args) or solve(*args))
+        # the solves are recorded before they run; a rank-deficient one (some krstc sizes at this k) is beside the point
+        with contextlib.suppress(RankDeficiencyError):
+            bs_kronf(y, ControlLinkPayload(g), coding)
+        with contextlib.suppress(RankDeficiencyError):
+            bs_rx.bs_channel_only(y, ControlLinkPayload(g, x), coding)
+
+        def stop(y_bs, gram_table, cross_table, *rest):
+            seen.append((gram_table, cross_table))
+            raise Seen
+        patch.setattr(bs_rx, "run_als", stop)
+        with pytest.raises(Seen):
+            bs_rx.bs_bals(y, ControlLinkPayload(g), coding)
+    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (gram_table, cross_table) = seen
+    # bs_kronf solves exactly these normal equations
+    assert np.array_equal(kronf_gram, gram) and np.array_equal(kronf_cross, cross)
+    # bs_bals' tables are their rearrangement: [(s, s'), (i, j)] from [(s, i), (s', j)], [(s, tau), (i, r)] from
+    # [(s, i), (tau, r)]
+    s1, s2, i, j = np.meshgrid(range(w), range(w), range(n), range(n), indexing="ij")
+    assert np.array_equal(gram_table, gram[s1 * n + i, s2 * n + j].reshape(w * w, n * n))
+    s1, tau, i, r = np.meshgrid(range(w), range(t), range(n), range(m), indexing="ij")
+    assert np.array_equal(cross_table, cross[s1 * n + i, tau * m + r].reshape(w * t, n * m))
+    # bs_channel_only's normal equations, contracted from those tables, are the explicit ones of its regressor C
+    c = bs_rx.channel_code_matrix(coding, g, x).T
+    assert_same(h_gram, c.conj().T @ c)
+    assert_same(h_rhs, c.conj().T @ unfold(y, 1).T)
 
 
 # ------------------------------------------- structured ALS normal equations

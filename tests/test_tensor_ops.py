@@ -268,6 +268,12 @@ def certified_solve(a, b):
     return solve_gram(a.conj().T @ a, a.conj().T @ b, lambda: (a, b))
 
 
+def full_rank_solve(a, b, need, what):
+    """:func:`require_full_rank` of ``a @ x = b``, with the normal equations ``a^H a``, ``a^H b`` formed here."""
+    ah = a.conj().T
+    return require_full_rank(ah @ a, ah @ b, lambda: (a, b), need, what)
+
+
 def certified_pinv(a):
     """The pseudo-inverse of ``a`` from :func:`solve_gram` on its tall orientation, and whether it fell back."""
     tall = tall_orientation(a)
@@ -295,19 +301,18 @@ def test_solve_gram_matches_numpy_and_bounds_the_condition_number():
         want = np.linalg.pinv(tall) @ rhs
         assert not fell_back
         assert np.max(np.abs(product - want)) < 1e-12 * np.max(np.abs(want))
-    # a stack whose middle slice has cond 1e6, so only it takes the SVD path:
-    # every slice decides and solves exactly as it does alone
+    # three problems, the middle one with cond 1e6, so only it takes the SVD path:
+    # require_full_rank decides and solves each exactly as solve_gram does
     a = np.stack([crandn(rng, 9, 4), with_singular_values(rng, 9, np.array([1.0, 1e-2, 1e-4, 1e-6])),
                   crandn(rng, 9, 4)])
     b = crandn(rng, 3, 9, 2)
-    stacked = require_full_rank(a, b, 4, "a")
     for i in range(3):
         alone, fell_back = certified_solve(a[i], b[i])
         assert fell_back == (i == 1)
-        assert np.array_equal(stacked[i], alone)
+        assert np.array_equal(full_rank_solve(a[i], b[i], 4, "a"), alone)
     a[1, :, 3] = a[1, :, 0]
     with pytest.raises(RankDeficiencyError, match="a has numerical rank 3, need 4"):
-        require_full_rank(a, b, 4, "a")
+        full_rank_solve(a[1], b[1], 4, "a")
 
 
 @pytest.mark.parametrize("a", [np.zeros((5, 3)), np.zeros((3, 5), dtype=complex),
@@ -493,7 +498,7 @@ def test_lstsq_normal_and_require_full_rank_make_one_decision(cols, extra_rows, 
     svd = np.linalg.svd
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "svd", lambda *args, **kw: svd_calls.append(1) or svd(*args, **kw))
-        checked = require_full_rank(a, b, cols, "a")
+        checked = full_rank_solve(a, b, cols, "a")
     assert bool(svd_calls) == fell_back
     if not fell_back:
         assert np.array_equal(checked, x)
