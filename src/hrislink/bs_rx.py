@@ -16,7 +16,8 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 * :func:`bs_channel_only`, the scenario-2 shortcut, takes one channel step of that
   loop (:func:`~hrislink.rx_common.channel_step`) at the fed-back symbols.
 
-The explicit regressors are built for the ALS symbol step and the SVD fallbacks only.
+The explicit regressors (:func:`channel_code_matrix`, :func:`symbol_code_matrix`) read the same blocks,
+for the ALS symbol step and the SVD fallbacks only.
 The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_rank` and also
 take stacks ``(s, m, t, k)``, the payload stacked alike, one slice's normal equations at a time.
 
@@ -74,15 +75,16 @@ def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingS
     return d
 
 
-def channel_code_matrix(coding: CodingSet, ut_channel: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Channel-step regressor: the blocks ``diag(psi_k) @ G @ mix_k @ X`` side by side, ``(n, k*t)``."""
-    return (reflect_blocks(coding, ut_channel).reshape(-1, coding.streams) @ symbols).reshape(coding.elements, -1)
+def channel_code_matrix(blocks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Channel-step regressor from a slice's ``(n, k, w)`` blocks: ``B_k @ X`` side by side, ``(n, k*t)``."""
+    return (blocks.reshape(-1, blocks.shape[2]) @ symbols).reshape(len(blocks), -1)
 
 
-def symbol_code_matrix(coding: CodingSet, ut_channel: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
-    """Symbol-step regressor: the blocks ``H @ diag(psi_k) @ G @ mix_k`` stacked, ``(k*m, streams)``."""
-    h_blocks = bs_channel @ reflect_blocks(coding, ut_channel).reshape(coding.elements, -1)   # [H B_1 ... H B_K]
-    return h_blocks.reshape(len(bs_channel), coding.subframes, -1).transpose(1, 0, 2).reshape(-1, coding.streams)
+def symbol_code_matrix(blocks: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
+    """Symbol-step regressor from a slice's ``(n, k, w)`` blocks: ``H @ B_k`` stacked, ``(k*m, w)``, from the one
+    product ``H [B_1 ... B_K]``."""
+    n, k, w = blocks.shape
+    return (bs_channel @ blocks.reshape(n, -1)).reshape(-1, k, w).transpose(1, 0, 2).reshape(-1, w)
 
 
 def kronecker_problem(y: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
@@ -114,13 +116,11 @@ def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> 
 def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols."""
     d = _check_inputs(y_bs, payload, coding, "bs_bals")
-    n, w, k, m, g = d.n, d.w, d.k, d.m, payload.ut_channel
-    blocks = reflect_blocks(coding, g)                               # B_k[i, s] at [i, k, s], (n, k, w)
-    b_cat = blocks.reshape(n, -1)                                   # [B_1 ... B_K], (n, k*w)
-    # the solution is h_hat^T, (n, m); the symbol regressor stacks H B_k over k, from the one product H [B_1 ... B_K]
-    report = run_als(y_bs, *als_tables(y_bs, blocks, d), (n, m),
-                     lambda x_hat: (channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T),
-                     lambda h_hat: (h_hat @ b_cat).reshape(m, k, w).transpose(1, 0, 2).reshape(-1, w), init_seed)
+    blocks = reflect_blocks(coding, payload.ut_channel)              # B_k[i, s] at [i, k, s], (n, k, w)
+    # the solution is h_hat^T, (n, m)
+    report = run_als(y_bs, *als_tables(y_bs, blocks, d), (d.n, d.m),
+                     lambda x_hat: (channel_code_matrix(blocks, x_hat).T, unfold(y_bs, 1).T),
+                     lambda h_hat: symbol_code_matrix(blocks, h_hat), init_seed)
     return normalize_anchor(report, per_stream=False)
 
 
@@ -146,9 +146,9 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
         raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
     d = _check_inputs(y_bs, payload, coding, "bs_channel_only")
 
-    def step(y, g, blocks, x):
+    def step(y, blocks, x):
         return require_full_rank(*channel_step(*als_tables(y, blocks, d), x), lambda: (
-            channel_code_matrix(coding, g, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
+            channel_code_matrix(blocks, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
 
-    h_hat = _slice_by_slice(step, y_bs, payload.ut_channel, reflect_blocks(coding, payload.ut_channel), payload.symbols)
+    h_hat = _slice_by_slice(step, y_bs, reflect_blocks(coding, payload.ut_channel), payload.symbols)
     return EstimateReport(h_hat, np.array(payload.symbols, copy=True))

@@ -139,9 +139,9 @@ STACK_SLICES = 32
 def _receive(spec: ReceiverSpec, inits: list, y: np.ndarray, coding, reasons: list, members, payload=None) -> tuple:
     """Run the receiver ``spec`` names (looked up at call time) on the slices ``members`` stacked in ``y``, ``payload``.
 
-    A closed-form receiver takes the whole stack; when that aborts, each slice runs again as a stack of one, which
-    gives it exactly its outcome alone.  An ALS one runs slice by slice.  Aborts go into ``reasons``; returns the
-    members that ran, their stacked estimates and their iterations."""
+    A closed-form receiver takes the whole stack; an ALS one, or any when the stack aborts, runs slice by slice,
+    which gives each slice exactly its outcome alone.  Aborts go into ``reasons``; returns the members that ran,
+    their stacked estimates and their iterations."""
     fn = getattr(hris_rx if spec.entity == "hris" else bs_rx, spec.fn)
 
     def attempt(index, init=None):
@@ -153,17 +153,16 @@ def _receive(spec: ReceiverSpec, inits: list, y: np.ndarray, coding, reasons: li
             return exc
 
     whole = None if spec.iterative or not len(members) else attempt(slice(None))
-    if isinstance(whole, EstimateReport):   # C order, as join gives below: no slice's layout hangs on others
+    if isinstance(whole, EstimateReport):   # C order, as np.stack gives below: no slice's layout hangs on others
         return members, np.ascontiguousarray(whole.channel), whole.symbols, [0] * len(members)
-    reports = [attempt(k, init) if spec.iterative else attempt(slice(k, k + 1)) for k, init in enumerate(inits)]
+    reports = [attempt(k, init) for k, init in enumerate(inits)]
     for i, rep in zip(members, reports):
         if isinstance(rep, Exception):
             reasons[i] = str(rep)
     ran = [k for k, rep in enumerate(reports) if not isinstance(rep, Exception)]
     if not ran:
         return members[:0], None, None, []
-    join = np.stack if spec.iterative else np.concatenate      # an ALS report holds one slice
-    return (members[ran], join([reports[k].channel for k in ran]), join([reports[k].symbols for k in ran]),
+    return (members[ran], np.stack([reports[k].channel for k in ran]), np.stack([reports[k].symbols for k in ran]),
             [reports[k].iterations for k in ran])
 
 
@@ -195,7 +194,7 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
                       draw_noise((cfg.m, cfg.t, cfg.k), cfg.noise_watts, rng)))
     channels, symbols, hris_inits, bs_inits, noise_rc, noise_bs = zip(*draws)
     ut, ris, truth = (np.stack(arrays) for arrays in ([ch.ut_ris for ch in channels], [ch.ris_bs for ch in channels],
-                                                      [x[None] for x in symbols]))
+                                                      symbols))
     by_coding = {}
     for p, point_cfg in enumerate(configs):
         by_coding.setdefault(build_coding(point_cfg), []).append(p)
@@ -216,17 +215,11 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
         y_rc, y_bs = (amplitude[:, None, None, None] * signal[trial] + np.stack(noise)[trial]
                       for signal, noise in zip(clean, (noise_rc, noise_bs)))
 
-        def rates(estimates, members):      # the members' symbol error rates; sent symbols decided once per trial
-            grid = np.zeros((len(trial),) + estimates.shape[1:], complex)
-            grid[members] = estimates
-            return ser(grid.reshape(len(seeds), len(points), *estimates.shape[1:]), truth,
-                       cfg.qam_order).reshape(-1)[members]
-
         live, g_hat, x_hris, iters = _receive(hris_spec, [hris_inits[j] for j in trial[defined]], y_rc[defined],
                                               coding, reasons, np.flatnonzero(defined))
         if len(live):
-            scores["nmse_g"][live], scores["ser_hris"][live] = nmse(g_hat, effective_ut[live]), rates(x_hris, live)
-            scores["iters_hris"][live] = iters
+            scores["nmse_g"][live] = nmse(g_hat, effective_ut[live])
+            scores["ser_hris"][live], scores["iters_hris"][live] = ser(x_hris, truth[trial[live]], cfg.qam_order), iters
             payload = bs_rx.ControlLinkPayload(g_hat, x_hris if bs_spec.scenario == 2 else None)
             done, h_hat, x_bs, iters = _receive(bs_spec, [bs_inits[j] for j in trial[live]], y_bs[live], coding,
                                                 reasons, live, payload)
@@ -234,7 +227,7 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
                 scores["nmse_h"][done], scores["iters_bs"][done] = nmse(h_hat, ris[trial[done]]), iters
                 scores["nmse_theta"][done] = nmse(combined_channel(g_hat[np.searchsorted(live, done)], h_hat),
                                                   combined[done])
-                scores["ser_bs"][done] = rates(x_bs, done)   # the channel-only receiver reuses the fed-back ones
+                scores["ser_bs"][done] = ser(x_bs, truth[trial[done]], cfg.qam_order)   # h reuses the fed-back ones
         for i, (j, q) in enumerate(zip(trial, col)):      # a metric not scored keeps its default, math.nan or 0
             scored = {name: column[i].item() for name, column in scores.items() if not math.isnan(column[i])}
             outcomes[j][points[q]] = TrialOutcome(**scored, failed=reasons[i] is not None,
@@ -288,12 +281,9 @@ def run_sweep(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     configs = [_point_config(cfg, sweep_var, value) for value in points]
-    for point_cfg in configs:
-        report = check_identifiability(point_cfg, pair)
-        if not report.satisfied:
-            raise IdentifiabilityError(
-                f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={point_cfg.k}"
-            )
+    report = check_identifiability(cfg, pair)       # a sweep point changes neither the sizes nor the scheme
+    if not report.satisfied:
+        raise IdentifiabilityError(f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={cfg.k}")
     seeds = [trial_seed(base_seed, i) for i in range(trials)]
     # One contiguous chunk of seeds per worker, in stacks of at most STACK_SLICES (trial, point) slices.
     size = min(math.ceil(trials / workers), max(1, STACK_SLICES // len(configs)))

@@ -1,6 +1,6 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
 one ALS loop (:func:`run_als`: start, channel step contracted from the caller's
-tables by :func:`channel_step`, symbol step, stop rule), the rank-checked
+tables by :func:`channel_step`, symbol step on the caller's regressor, stop rule), the rank-checked
 solve of a caller's normal equations, and the anchor normalization.  Every
 solve goes through :func:`~hrislink.tensor_ops.solve_gram` and its one Gram certificate."""
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
 from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, numerical_rank
-from .tensor_ops import frobenius, lstsq_normal, solve_gram, unfold
+from .tensor_ops import frobenius, solve_gram, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -49,9 +49,7 @@ class EstimateReport:
     ``channel`` is the matrix estimated at the running entity (UT-side at the
     surface, BS-side at the BS); ``symbols`` the estimated symbol matrix.
     ``residuals`` traces the squared Frobenius reconstruction error per ALS
-    iteration (empty for closed-form receivers).  ``ambiguity``
-    records the scaling removed: a complex scalar, or one scalar per stream
-    for the krstc surface receivers.  ``fallbacks`` counts the ALS
+    iteration (empty for closed-form receivers).  ``fallbacks`` counts the ALS
     least-squares solves that took the SVD path instead of the Cholesky one
     (always 0 for closed-form receivers).
     """
@@ -59,7 +57,6 @@ class EstimateReport:
     channel: np.ndarray
     symbols: np.ndarray
     residuals: list = field(default_factory=list)
-    ambiguity: object = None
     fallbacks: int = 0
 
     @property
@@ -109,8 +106,8 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
 
     The channel step solves the normal equations that :func:`channel_step` contracts from the caller's two
     tables, with the explicit ``(a, b) = channel_problem(x)`` for the SVD fallback; the channel is
-    ``solution.reshape(shape).T``.  The symbol step solves ``symbol_regressor(channel) @ x = unfold(y, 2).T``;
-    its squared Frobenius misfit is the residual of the iteration.
+    ``solution.reshape(shape).T``.  The symbol step solves the normal equations of ``symbol_regressor(channel) @ x
+    = unfold(y, 2).T``, formed here; its squared Frobenius misfit is the residual of the iteration.
     """
     y2t = unfold(y, 2).T
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
@@ -122,7 +119,8 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
                                                 lambda: channel_problem(x_hat))
         channel = solution.reshape(shape).T
         regressor = symbol_regressor(channel)
-        x_hat, symbol_fallback = lstsq_normal(regressor, y2t)
+        regressor_h = regressor.conj().T
+        x_hat, symbol_fallback = solve_gram(regressor_h @ regressor, regressor_h @ y2t, lambda: (regressor, y2t))
         resid = float(np.linalg.norm(y2t - regressor @ x_hat) ** 2)
         residuals.append(resid)
         fallbacks += channel_fallback + symbol_fallback
@@ -176,5 +174,4 @@ def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport
         raise AmbiguityError(f"{where}symbol anchor is numerically zero ({complex(value)!r})")
     fixed = x / anchors[..., None]
     fixed[..., :rows, 0] = 1.0  # anchors are known a priori; avoid the division ulp
-    return replace(report, channel=report.channel * anchors[..., None, :], symbols=fixed,
-                   ambiguity=anchors if per_stream else anchors[..., 0][()])
+    return replace(report, channel=report.channel * anchors[..., None, :], symbols=fixed)

@@ -120,7 +120,7 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         """Parse flat ``key = value`` lines; ``#`` starts a comment.  Errors raise ``ValueError`` at ``path[:line]``."""
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}    # type names: annotations are postponed
         kwargs = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -143,8 +143,7 @@ class ScenarioConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _parse_value(text: str, typ) -> object:
-    name = typ if isinstance(typ, str) else typ.__name__
+def _parse_value(text: str, name: str) -> object:
     if name == "int":
         return int(text)
     if name == "float":

@@ -11,8 +11,8 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 * mode 2: transposed frontal slices side by side, shape ``(I2, I3*I1)``;
 * mode 3: ``vec`` of each frontal slice stacked as rows, shape ``(I3, I2*I1)``.
 
-Every least-squares solve goes through the normal equations
-(:func:`solve_gram`): a Cholesky factor ``U`` of the small Gram ``a^H a``
+Every least-squares solve goes through the normal equations its caller
+forms (:func:`solve_gram`): a Cholesky factor ``U`` of the small Gram ``a^H a``
 solves them once the certificate ``|U|_F |U^{-1}|_F >= sigma_max / sigma_min``
 is below ``GRAM_CERTIFICATE_MAX``, which also shows that an SVD would count
 full column rank.  An O(n^2) upper bound on it from one triangular solve
@@ -117,12 +117,6 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
                 return x, False
     a, b = problem()
     return np.linalg.pinv(a) @ b, True
-
-
-def lstsq_normal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Least-squares solution of ``a @ x = b`` through :func:`solve_gram` of ``a^H a``."""
-    ah = a.conj().T
-    return solve_gram(ah @ a, ah @ b, lambda: (a, b))
 
 
 def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from hrislink import bs_rx, hris_rx
 from hrislink.coding import CodingSet
 from hrislink.identifiability import numerical_rank, spectral_rank
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_noise
+from hrislink.synthesis import reflect_blocks
 
 
 def gram_certificate(gram: np.ndarray) -> float:
@@ -223,8 +224,9 @@ def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
         return max(spectral_rank(s) for s in np.linalg.svd(stack, compute_uv=False))
 
     zeta_x = max_block_rank(hris_rx.symbol_code_matrix(coding, g).reshape(cfg.k, cfg.nc, -1))
-    xi_x = max_block_rank(bs_rx.symbol_code_matrix(coding, g, h).reshape(cfg.k, cfg.m, -1))
-    xi_h_stack = bs_rx.channel_code_matrix(coding, g, symbols).reshape(cfg.n, cfg.k, -1).transpose(1, 0, 2)
+    blocks = reflect_blocks(coding, g)
+    xi_x = max_block_rank(bs_rx.symbol_code_matrix(blocks, h).reshape(cfg.k, cfg.m, -1))
+    xi_h_stack = bs_rx.channel_code_matrix(blocks, symbols).reshape(cfg.n, cfg.k, -1).transpose(1, 0, 2)
     xi_h = max_block_rank(xi_h_stack)
     fg_bar_rank = numerical_rank(hris_rx.channel_code_matrix(coding, symbols))
 

@@ -13,7 +13,7 @@ from hrislink.bs_rx import (
     channel_code_matrix,
     symbol_code_matrix,
 )
-from hrislink import rx_common
+from hrislink import bs_rx, rx_common, synthesis, tensor_ops
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.rx_common import (
     EstimateReport,
@@ -23,7 +23,7 @@ from hrislink.rx_common import (
     normalize_anchor,
 )
 from hrislink.scenario import ScenarioConfig, draw_channels
-from hrislink.synthesis import synth_ybs
+from hrislink.synthesis import reflect_blocks, synth_ybs
 from hrislink.tensor_ops import unfold, vec
 
 from oracle_models import with_noise
@@ -51,17 +51,17 @@ def test_channel_code_matrix_single_subframe():
     cfg, channels, coding, _, _ = make_case()
     single = CodingSet("tstc", coding.sensing[:, :, :1], coding.reflect[:1],
                        coding.code[:, :, :1])
-    out = channel_code_matrix(single, channels.ut_ris, np.eye(cfg.r))
+    out = channel_code_matrix(reflect_blocks(single, channels.ut_ris), np.eye(cfg.r))
     expected = np.diag(single.reflect[0]) @ channels.ut_ris @ single.code[:, :, 0]
     assert np.allclose(out, expected)
 
 
 def test_design_matrices_zero_channel():
     cfg, _, coding, _, _ = make_case()
-    zero = np.zeros((cfg.n, cfg.l), dtype=complex)
-    assert np.all(channel_code_matrix(coding, zero, np.eye(cfg.r)) == 0)
-    assert np.all(symbol_code_matrix(coding, zero, np.eye(cfg.n)) == 0)
-    assert symbol_code_matrix(coding, zero, np.eye(cfg.n)).shape == (cfg.k * cfg.n, cfg.r)
+    zero = reflect_blocks(coding, np.zeros((cfg.n, cfg.l), dtype=complex))
+    assert np.all(channel_code_matrix(zero, np.eye(cfg.r)) == 0)
+    assert np.all(symbol_code_matrix(zero, np.eye(cfg.n)) == 0)
+    assert symbol_code_matrix(zero, np.eye(cfg.n)).shape == (cfg.k * cfg.n, cfg.r)
 
 
 # ------------------------------------------------------------------- als path
@@ -92,7 +92,7 @@ def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
     rep = bs_bals(y, payload, coding)
-    misfit = unfold(y, 2).T - symbol_code_matrix(coding, payload.ut_channel, rep.channel) @ rep.symbols
+    misfit = unfold(y, 2).T - symbol_code_matrix(reflect_blocks(coding, payload.ut_channel), rep.channel) @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
 
@@ -112,6 +112,46 @@ def test_bals_counts_svd_fallbacks(raw_estimates):
     assert rep.fallbacks >= 1
     for estimate in (rep.channel, rep.symbols):
         assert np.isfinite(estimate).all() and not estimate.any()
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
+    # with the certificate cap at zero every solve takes the SVD path on its explicit problem, and each
+    # receiver call still builds its slice's blocks once and reads every regressor off them
+    cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
+    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
+    g = channels.ut_ris * np.sqrt(cfg.pt_watts)
+    builds, regressors = [], []
+    reflect_blocks, run_als = synthesis.reflect_blocks, bs_rx.run_als
+
+    def counting(*args):
+        builds.append(1)
+        return reflect_blocks(*args)
+
+    def recording_als(*args):
+        *head, symbol_regressor, init_seed = args
+
+        def recorded(h_hat):
+            regressors.append((h_hat, symbol_regressor(h_hat)))
+            return regressors[-1][1]
+        return run_als(*head, recorded, init_seed)
+
+    monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
+    monkeypatch.setattr(synthesis, "reflect_blocks", counting)
+    monkeypatch.setattr(bs_rx, "reflect_blocks", counting)
+    monkeypatch.setattr(bs_rx, "run_als", recording_als)
+    rep = bs_bals(y, ControlLinkPayload(g), coding)
+    assert builds == [1] and rep.iterations >= 2 and rep.fallbacks == 2 * rep.iterations
+    blocks = reflect_blocks(coding, g)
+    assert len(regressors) == rep.iterations
+    assert all(np.array_equal(regressor, symbol_code_matrix(blocks, h_hat)) for h_hat, regressor in regressors)
+    builds.clear()
+    fallback_regressors = []
+    channel_regressor = bs_rx.channel_code_matrix
+    monkeypatch.setattr(bs_rx, "channel_code_matrix", lambda *args: fallback_regressors.append(1) or
+                        channel_regressor(*args))
+    bs_channel_only(y, ControlLinkPayload(g, symbols), coding)
+    assert builds == [1] and fallback_regressors == [1]
 
 
 def test_bals_identifiability_precheck():

@@ -27,7 +27,7 @@ from hrislink.coding import build_coding
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
 from hrislink.identifiability import receiver_spec
 from hrislink.rx_common import IdentifiabilityError, NonFiniteError, check_received
-from hrislink.scenario import ScenarioConfig
+from hrislink.scenario import ScenarioConfig, draw_channels
 
 from test_acceptance import PAIRS
 
@@ -342,6 +342,32 @@ def test_an_aborting_slice_leaves_the_rest_of_its_stack_unchanged(monkeypatch):
     assert alone[0].nmse_g == 1.0
     assert stacked[0][1] == alone[0]
     assert stacked[0][0] == clean[0][0] and stacked[0][2] == clean[0][2] and stacked[1] == clean[1]
+
+
+@pytest.mark.parametrize("scheme, pair", [("tstc", ("kronf", "kronf")), ("krstc", ("krf", "h"))])
+def test_a_raising_surface_slice_leaves_the_rest_of_its_stack_unchanged(monkeypatch, scheme, pair):
+    # trial 1 of a three-trial stack senses a non-finite signal, so the stacked surface receiver
+    # raises and every slice runs again alone
+    cfg = small_cfg(scheme=scheme, noise_dbm=-60.0)
+    seeds = [trial_seed(17, i) for i in range(3)]
+    clean = harness.run_points([cfg], pair, seeds)
+    target = draw_channels(cfg, np.random.default_rng(seeds[1])).ut_ris
+    synth_yrc, receiver = harness.synth_yrc, getattr(hris_rx, f"hris_{pair[0]}")
+    calls = []
+
+    def nan_for_target(cfg, channels, coding, symbols):
+        y = synth_yrc(cfg, channels, coding, symbols)
+        return np.full_like(y, np.nan) if np.array_equal(channels.ut_ris, target) else y
+
+    monkeypatch.setattr(harness, "synth_yrc", nan_for_target)
+    monkeypatch.setattr(hris_rx, f"hris_{pair[0]}",
+                        lambda y_rc, coding: calls.append(y_rc.ndim) or receiver(y_rc, coding))
+    stacked = harness.run_points([cfg], pair, seeds)
+    assert calls == [4, 3, 3, 3]
+    alone = run_trial(cfg, pair, seeds[1])
+    assert alone.failed and "non-finite" in alone.failure_reason
+    assert stacked[1][0] == alone
+    assert stacked[0] == clean[0] and stacked[2] == clean[2] and not clean[0][0].failed
 
 
 def test_sweep_rejects_unidentifiable_config():

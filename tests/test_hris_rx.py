@@ -268,7 +268,6 @@ def test_remove_ambiguity_constructed_scalar():
     assert np.allclose(rep.channel, g)
     assert np.allclose(rep.symbols, x)
     assert rep.symbols[0, 0] == 1.0
-    assert np.isclose(rep.ambiguity, c)
     assert (rep.iterations, rep.residuals, rep.fallbacks) == (4, [4.0, 3.0, 2.0, 1.0], 3)
 
 

@@ -78,13 +78,13 @@ def test_hris_composite_code_matrix(case):
 def test_bs_channel_code_matrix(case):
     cfg, coding, g, _, x = case
     want = np.hstack([np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(cfg.k)])
-    assert_same(bs_rx.channel_code_matrix(coding, g, x), want)
+    assert_same(bs_rx.channel_code_matrix(reflect_blocks(coding, g), x), want)
 
 
 def test_bs_symbol_code_matrix(case):
     cfg, coding, g, h, _ = case
     want = np.vstack([h @ np.diag(coding.reflect[k]) @ g @ mix(coding, k) for k in range(cfg.k)])
-    assert_same(bs_rx.symbol_code_matrix(coding, g, h), want)
+    assert_same(bs_rx.symbol_code_matrix(reflect_blocks(coding, g), h), want)
 
 
 def test_bs_kronf_right_factor(case):
@@ -158,7 +158,7 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
     s1, tau, i, r = np.meshgrid(range(w), range(t), range(n), range(m), indexing="ij")
     assert np.array_equal(cross_table, cross[s1 * n + i, tau * m + r].reshape(w * t, n * m))
     # bs_channel_only's normal equations, contracted from those tables, are the explicit ones of its regressor C
-    c = bs_rx.channel_code_matrix(coding, g, x).T
+    c = bs_rx.channel_code_matrix(reflect_blocks(coding, g), x).T
     assert_same(h_gram, c.conj().T @ c)
     assert_same(h_rhs, c.conj().T @ unfold(y, 1).T)
 
@@ -184,30 +184,27 @@ NON_DIAGONAL = [ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=3, k=4, scheme="tstc"
 
 
 def channel_solves(receive, x0, als_start):
-    """Every ``(gram, rhs, x)`` that ``receive()``, started from ``x0``, passes to ``solve_gram``.
+    """Every channel step's ``(gram, rhs, x)`` that ``receive()``, started from ``x0``, passes to ``solve_gram``.
 
-    ``x`` is the symbol estimate the channel step of that solve started from:
-    ``x0`` for the first, then the symbol step before it.  The symbol steps
-    solve through ``lstsq_normal``, whose own ``solve_gram`` is not recorded.
+    Each ALS iteration calls ``solve_gram`` twice, the channel step then the
+    symbol step, so the even solves are channel steps and the odd ones symbol
+    steps.  ``x`` is the symbol estimate the channel step started from: ``x0``
+    for the first, then the solution of the symbol step before it.
     """
-    solves, symbol_steps = [], []
-    solve_gram, lstsq_normal = rx_common.solve_gram, rx_common.lstsq_normal
+    solves = []
+    solve_gram = rx_common.solve_gram
 
     def recording_solve(gram, rhs, problem):
-        solves.append((gram, rhs))
-        return solve_gram(gram, rhs, problem)
-
-    def recording_lstsq(a, b):
-        x, fell_back = lstsq_normal(a, b)
-        symbol_steps.append(x)
+        x, fell_back = solve_gram(gram, rhs, problem)
+        solves.append((gram, rhs, x))
         return x, fell_back
 
     with als_start(x0), pytest.MonkeyPatch.context() as patch:
         patch.setattr(rx_common, "solve_gram", recording_solve)
-        patch.setattr(rx_common, "lstsq_normal", recording_lstsq)
         receive()
-    assert len(solves) == len(symbol_steps)
-    return [(gram, rhs, x) for (gram, rhs), x in zip(solves, [x0] + symbol_steps)]
+    channel, symbol = solves[0::2], solves[1::2]
+    assert len(channel) == len(symbol)
+    return [(gram, rhs, x) for (gram, rhs, _), x in zip(channel, [x0] + [x for _, _, x in symbol])]
 
 
 def assert_normal_equations(got, a, b):
@@ -248,7 +245,8 @@ def check_every_channel_step(cfg, seed, als_start):
 
     bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x, als_start)
     for gram, rhs, x_hat in bs_steps:
-        assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(coding, g, x_hat).T, unfold(y_bs, 1).T)
+        assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(reflect_blocks(coding, g), x_hat).T,
+                                unfold(y_bs, 1).T)
     return len(hris_steps), len(bs_steps)
 
 

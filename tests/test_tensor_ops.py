@@ -16,7 +16,7 @@ from hrislink.hris_rx import channel_code_matrix
 from hrislink.identifiability import spectral_rank
 from hrislink.rx_common import RankDeficiencyError, require_full_rank
 from hrislink.scenario import ScenarioConfig
-from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, lstsq_normal, rank1_approx, solve_gram, unfold, vec
+from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, rank1_approx, solve_gram, unfold, vec
 
 from oracle_models import comparison_certificate, fold, gram_certificate, mode_n_product, modewise_contraction, unvec
 
@@ -264,7 +264,8 @@ def tall_orientation(a):
 
 
 def certified_solve(a, b):
-    """``pinv(a) @ b`` from :func:`solve_gram` of a tall ``a``, and whether it fell back to the SVD."""
+    """``pinv(a) @ b`` from :func:`solve_gram` of a tall ``a``, and whether it fell back to the SVD: the
+    least-squares solve of ``a @ x = b`` through its normal equations, as the ALS symbol step forms them."""
     return solve_gram(a.conj().T @ a, a.conj().T @ b, lambda: (a, b))
 
 
@@ -384,7 +385,7 @@ def test_solve_gram_inverts_the_factor_only_where_the_bound_does_not_decide(monk
     rng = np.random.default_rng(107)
     for a in (with_singular_values(rng, 30, np.logspace(0.0, -1.0, 20)), np.triu(np.ones((20, 20)))):
         b = crandn(rng, len(a), 2)
-        x, fell_back = lstsq_normal(a, b)
+        x, fell_back = certified_solve(a, b)
         assert not fell_back
         assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
     # the all-ones upper triangle is its own Cholesky factor: its inverse is bidiagonal (certificate
@@ -433,7 +434,7 @@ def test_lstsq_normal_matches_pinv_on_full_column_rank(cols, extra_rows, rhs, sp
     rng = np.random.default_rng(seed)
     a = with_singular_values(rng, cols + extra_rows, np.logspace(0.0, -spread, cols))
     b = crandn(rng, cols + extra_rows, rhs) if rhs else crandn(rng, cols + extra_rows)
-    x, fell_back = lstsq_normal(a, b)
+    x, fell_back = certified_solve(a, b)
     want = np.linalg.pinv(a) @ b
     assert not fell_back
     assert x.shape == want.shape
@@ -457,7 +458,7 @@ def fallback_input(case):
 def test_lstsq_normal_falls_back_to_pinv(case):
     a, b = fallback_input(case)
     with np.errstate(over="ignore", invalid="ignore"):
-        x, fell_back = lstsq_normal(a, b)
+        x, fell_back = certified_solve(a, b)
     assert fell_back
     assert np.array_equal(x, np.linalg.pinv(a) @ b)
 
@@ -491,7 +492,7 @@ def test_lstsq_normal_and_require_full_rank_make_one_decision(cols, extra_rows, 
     middle = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, max(cols - 2, 0)))[::-1]
     a = with_singular_values(rng, cols + extra_rows, np.r_[1.0, middle, 10.0 ** log_ratio][:cols])
     b = crandn(rng, cols + extra_rows, rhs)
-    x, fell_back = lstsq_normal(a, b)
+    x, fell_back = certified_solve(a, b)
     # whether the inverse-free bound or the exact certificate decided, the decision is the exact certificate's
     assert fell_back == (gram_certificate(a.conj().T @ a) >= GRAM_CERTIFICATE_MAX)
     svd_calls = []
@@ -507,7 +508,7 @@ def test_lstsq_normal_and_require_full_rank_make_one_decision(cols, extra_rows, 
 def test_solve_gram_keeps_a_complex_rhs_of_a_real_gram():
     rng = np.random.default_rng(101)
     a, b = rng.standard_normal((6, 3)), crandn(rng, 6, 2)
-    x, fell_back = lstsq_normal(a, b)
+    x, fell_back = certified_solve(a, b)
     assert not fell_back
     assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-12 * np.linalg.norm(x)
 
