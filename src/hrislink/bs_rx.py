@@ -10,9 +10,9 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 ``(w*n, w*n)`` Gram and a ``(w*n, t*m)`` cross, 64 KB and 32 KB at the default sizes:
 
 * :func:`bs_kronf` solves them for ``Z``, then splits it with a rank-1 factorization;
-* :func:`bs_bals` runs the shared ALS loop (:func:`~hrislink.rx_common.run_als`)
-  over the BS-side channel and the symbols, on the two rearranged into its
-  Gram and cross tables (:func:`als_tables`);
+* :func:`bs_bals` runs the shared ALS loop (:func:`~hrislink.rx_common.run_als`) over the BS-side
+  channel and the symbols on the two rearranged (:func:`als_tables`), from the symbols of
+  :func:`bs_kronf`'s solve of them where ``k`` reaches its threshold, not a random draw;
 * :func:`bs_channel_only`, the scenario-2 shortcut, takes one channel step of that
   loop (:func:`~hrislink.rx_common.channel_step`) at the fed-back symbols.
 
@@ -27,6 +27,7 @@ schemes; it is removed against the (0, 0) anchor of the symbol estimate.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,16 +35,9 @@ import numpy as np
 from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
 
 from .coding import CodingSet
-from .identifiability import Sizes
-from .rx_common import (
-    EstimateReport,
-    NonFiniteError,
-    check_received,
-    channel_step,
-    normalize_anchor,
-    require_full_rank,
-    run_als,
-)
+from .identifiability import Sizes, receiver_spec
+from .rx_common import (AmbiguityError, EstimateReport, NonFiniteError, RankDeficiencyError, channel_step,
+                        check_received, init_symbols, normalize_anchor, require_full_rank, run_als)
 from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, unfold
 
@@ -98,10 +92,10 @@ def kronecker_problem(y: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np
     return right_conj @ right.T, right_conj @ y3, lambda: (right.T, y3)
 
 
-def als_tables(y: np.ndarray, blocks: np.ndarray, d: Sizes) -> tuple[np.ndarray, np.ndarray]:
+def als_tables(gram: np.ndarray, cross: np.ndarray, d: Sizes) -> tuple[np.ndarray, np.ndarray]:
     """:func:`kronecker_problem`'s Gram and cross rearranged into the ALS channel step's ``(w*w, n*n)`` Gram
     table, ``[(s, s'), (i, j)]``, and ``(w*t, n*m)`` cross table, ``[(s, tau), (i, r)]``."""
-    (gram, cross, _), (w, n, t, m) = kronecker_problem(y, blocks), (d.w, d.n, d.t, d.m)
+    w, n, t, m = d.w, d.n, d.t, d.m
     return (gram.reshape(w, n, w, n).swapaxes(1, 2).reshape(w * w, n * n),
             cross.reshape(w, n, t, m).swapaxes(1, 2).reshape(w * t, n * m))
 
@@ -113,30 +107,45 @@ def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> 
     return out.reshape(*lead, *out.shape[1:])
 
 
+def _composite(gram: np.ndarray, cross: np.ndarray, problem: Callable, d: Sizes) -> np.ndarray:
+    """The solution ``Z^T`` of :func:`kronecker_problem`, ``(w*n, t*m)``; :class:`RankDeficiencyError` if it has none."""
+    return require_full_rank(gram, cross, problem, d.w * d.n, "composite right factor")
+
+
+def _kronecker_split(composite: np.ndarray, d: Sizes) -> EstimateReport:
+    """The anchored rank-1 split of ``Z = kron(X^T, H)`` from :func:`_composite`'s solutions ``(..., w*n, t*m)``."""
+    m, t, n, w, lead = d.m, d.t, d.n, d.w, composite.shape[:-2]
+    rearranged = composite.swapaxes(-1, -2).reshape(*lead, t, m, w, n).swapaxes(-1, -4).reshape(*lead, n * m, w * t)
+    u, sigma, v = rank1_approx(rearranged)
+    root = np.sqrt(sigma)[..., None]
+    h_hat = (root * u).reshape(*lead, n, m).swapaxes(-1, -2)
+    return normalize_anchor(EstimateReport(h_hat, (root * v.conj()).reshape(*lead, w, t)), per_stream=False)
+
+
 def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
-    """Alternating least-squares estimation of the BS-side channel and symbols."""
+    """Alternating least-squares estimation of the BS-side channel and symbols, from :func:`bs_kronf`'s anchored
+    symbols on the call's own Kronecker problem where ``k`` reaches its threshold and it solves, else from
+    ``init_symbols(w, t, init_seed)``."""
     d = _check_inputs(y_bs, payload, coding, "bs_bals")
     blocks = reflect_blocks(coding, payload.ut_channel)              # B_k[i, s] at [i, k, s], (n, k, w)
+    gram, cross, problem = kronecker_problem(y_bs, blocks)
+    start = None
+    if d.k >= receiver_spec("kronf", "bs", d.scheme).threshold(d):
+        with contextlib.suppress(RankDeficiencyError, AmbiguityError):
+            start = _kronecker_split(_composite(gram, cross, problem, d), d).symbols
     # the solution is h_hat^T, (n, m)
-    report = run_als(y_bs, *als_tables(y_bs, blocks, d), (d.n, d.m),
+    report = run_als(y_bs, *als_tables(gram, cross, d), (d.n, d.m),
                      lambda x_hat: (channel_code_matrix(blocks, x_hat).T, unfold(y_bs, 1).T),
-                     lambda h_hat: symbol_code_matrix(blocks, h_hat), init_seed)
+                     lambda h_hat: symbol_code_matrix(blocks, h_hat),
+                     init_symbols(d.w, d.t, init_seed) if start is None else start)
     return normalize_anchor(report, per_stream=False)
 
 
 def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
     """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
     d = _check_inputs(y_bs, payload, coding, "bs_kronf")
-    m, t, n, streams, lead = d.m, d.t, d.n, d.w, y_bs.shape[:-3]
-    composite = _slice_by_slice(
-        lambda y, blocks: require_full_rank(*kronecker_problem(y, blocks), streams * n, "composite right factor"),
-        y_bs, reflect_blocks(coding, payload.ut_channel)).swapaxes(-1, -2)                 # (t*m, streams*n)
-    rearranged = composite.reshape(*lead, t, m, streams, n).swapaxes(-1, -4).reshape(*lead, n * m, streams * t)
-    u, sigma, v = rank1_approx(rearranged)
-    root = np.sqrt(sigma)[..., None]
-    h_hat = (root * u).reshape(*lead, n, m).swapaxes(-1, -2)
-    x_hat = (root * v.conj()).reshape(*lead, streams, t)
-    return normalize_anchor(EstimateReport(h_hat, x_hat), per_stream=False)
+    return _kronecker_split(_slice_by_slice(lambda y, blocks: _composite(*kronecker_problem(y, blocks), d),
+                                            y_bs, reflect_blocks(coding, payload.ut_channel)), d)
 
 
 def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
@@ -147,7 +156,7 @@ def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: Codin
     d = _check_inputs(y_bs, payload, coding, "bs_channel_only")
 
     def step(y, blocks, x):
-        return require_full_rank(*channel_step(*als_tables(y, blocks, d), x), lambda: (
+        return require_full_rank(*channel_step(*als_tables(*kronecker_problem(y, blocks)[:2], d), x), lambda: (
             channel_code_matrix(blocks, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
 
     h_hat = _slice_by_slice(step, y_bs, reflect_blocks(coding, payload.ut_channel), payload.symbols)

@@ -37,6 +37,7 @@ from .coding import CODINGS_KEPT, CodingSet
 from .rx_common import (
     EstimateReport,
     check_received,
+    init_symbols,
     normalize_anchor,
     require_full_rank,
     run_als,
@@ -124,7 +125,7 @@ def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> Estima
     # the solution is vec(G), so G = solution.reshape(l, n).T
     report = run_als(y_rc, channel_gram_table(coding), cross, (l, n),
                      lambda x_hat: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)),
-                     lambda g_hat: symbol_code_matrix(coding, g_hat), init_seed)
+                     lambda g_hat: symbol_code_matrix(coding, g_hat), init_symbols(w, t, init_seed))
     return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 
 

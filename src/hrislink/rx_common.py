@@ -1,5 +1,5 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
-one ALS loop (:func:`run_als`: start, channel step contracted from the caller's
+one ALS loop (:func:`run_als`: from the caller's start, channel step contracted from the caller's
 tables by :func:`channel_step`, symbol step on the caller's regressor, stop rule), the rank-checked
 solve of a caller's normal equations, and the anchor normalization.  Every
 solve goes through :func:`~hrislink.tensor_ops.solve_gram` and its one Gram certificate."""
@@ -101,8 +101,8 @@ def _entry_facts(fn, scheme, sensing_shape, mix_shape, shape) -> tuple[ReceiverS
 
 
 def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tuple[int, int],
-            channel_problem: Callable, symbol_regressor: Callable, init_seed: int) -> EstimateReport:
-    """Bilinear ALS from the symbols ``init_symbols(w, t, init_seed)`` until the residual stagnates or hits the floor.
+            channel_problem: Callable, symbol_regressor: Callable, start: np.ndarray) -> EstimateReport:
+    """Bilinear ALS from the caller's ``(w, t)`` symbols ``start`` until the residual stagnates or hits the floor.
 
     The channel step solves the normal equations that :func:`channel_step` contracts from the caller's two
     tables, with the explicit ``(a, b) = channel_problem(x)`` for the SVD fallback; the channel is
@@ -111,7 +111,7 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
     """
     y2t = unfold(y, 2).T
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
-    x_hat = init_symbols(math.isqrt(gram_table.shape[0]), y.shape[1], init_seed)
+    x_hat = start
     residuals: list[float] = []
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):

@@ -20,14 +20,15 @@ def raw_estimates(monkeypatch):
 
 @pytest.fixture(scope="session")
 def als_start():
-    """``with als_start(x0):`` starts every ALS run inside from a copy of ``x0`` instead of a seeded draw.
+    """``with als_start(x0):`` starts every ALS run inside from a copy of ``x0`` instead of the receiver's own start.
 
-    Session-scoped, so property-based tests can take it too; each ``with``
-    block undoes its own patch.
+    The receivers still compute their start (``bs_bals`` its closed-form solve); the loop gets ``x0`` in its place.
+    Session-scoped, so property-based tests can take it too; each ``with`` block undoes its own patch.
     """
     @contextlib.contextmanager
     def start_from(x0):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rx_common, "init_symbols", lambda rows, cols, seed: x0.copy())
+            for module in (hris_rx, bs_rx):
+                patch.setattr(module, "run_als", lambda *args: rx_common.run_als(*args[:-1], x0.copy()))
             yield
     return start_from

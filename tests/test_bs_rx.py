@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrislink.bs_rx import (
     ControlLinkPayload,
@@ -15,11 +17,15 @@ from hrislink.bs_rx import (
 )
 from hrislink import bs_rx, rx_common, synthesis, tensor_ops
 from hrislink.coding import CodingSet, build_coding, gen_symbols
+from hrislink.harness import run_trial
+from hrislink.identifiability import min_subframes
 from hrislink.rx_common import (
+    AmbiguityError,
     EstimateReport,
     IdentifiabilityError,
     NonFiniteError,
     RankDeficiencyError,
+    init_symbols,
     normalize_anchor,
 )
 from hrislink.scenario import ScenarioConfig, draw_channels
@@ -104,6 +110,73 @@ def test_bals_true_init_converges_immediately(als_start):
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
 
 
+# ALS from random symbols fell into these swamps (nmse_h 1.23, 2.12 and 1.09); the closed-form start escapes them
+SWAMP = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, pt_dbm=20.0, rho=0.9)
+
+
+@pytest.mark.parametrize("cfg,pair,seed", [
+    (SWAMP, ("kronf", "bals"), 6046953085552370257),
+    (SWAMP, ("bals", "bals"), 16667854724556337530),
+    (SWAMP.replace(scheme="krstc"), ("krf", "bals"), 13500701248261853990),
+], ids=["A", "B", "C"])
+def test_bals_escapes_the_pinned_swamps(cfg, pair, seed):
+    outcome = run_trial(cfg, pair, seed)
+    assert outcome.nmse_h < 0.01 and outcome.ser_bs == 0
+
+
+@st.composite
+def start_problems(draw):
+    """Small BS sizes with ``k`` the power of two at or just below the BS ``kronf`` threshold (never below the
+    ``bals`` one or the coding's floors), a seed, and whether the fed-back channel has a zero row."""
+    scheme = draw(st.sampled_from(["tstc", "krstc"]))
+    l = draw(st.integers(1, 3))
+    r = l if scheme == "krstc" else draw(st.integers(1, 2))
+    cfg = ScenarioConfig(m=draw(st.integers(1, 3)), n=draw(st.integers(1, 4)), nc=1, l=l, r=r,
+                         t=draw(st.integers(1, 3)), k=1, scheme=scheme)
+    def power_of_two(floor):
+        return 1 << (floor - 1).bit_length()
+
+    # the coding itself needs k >= n and k >= the composite width
+    floor = max(min_subframes(cfg, "bals", "bs"), cfg.n, cfg.l * (cfg.r if scheme == "tstc" else 1))
+    k = max(power_of_two(min_subframes(cfg, "kronf", "bs")) // (1 + draw(st.booleans())), power_of_two(floor))
+    return cfg.replace(k=k), draw(st.integers(0, 2**32 - 2)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=start_problems())
+def test_bals_starts_from_the_closed_form_where_it_is_identifiable(problem):
+    cfg, seed, zero_row = problem
+    coding, rng = build_coding(cfg), np.random.default_rng(seed)
+    g = rng.standard_normal((cfg.n, cfg.l)) + 1j * rng.standard_normal((cfg.n, cfg.l))
+    g[0] *= not zero_row                      # a zero row of g zeroes a row of every block: no closed form
+    y = rng.standard_normal((cfg.m, cfg.t, cfg.k)) + 1j * rng.standard_normal((cfg.m, cfg.t, cfg.k))
+    payload, starts, run_als = ControlLinkPayload(g), [], bs_rx.run_als
+
+    def run(init_seed):
+        try:
+            rep = bs_bals(y, payload, coding, init_seed=init_seed)
+            return rep.channel, rep.symbols, np.array(rep.residuals)
+        except AmbiguityError as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bs_rx, "run_als", lambda *args: starts.append(args[-1]) or run_als(*args))
+        outcomes = [run(seed), run(seed + 1)]
+    try:
+        closed = bs_kronf(y, payload, coding).symbols
+    except (IdentifiabilityError, RankDeficiencyError, AmbiguityError):
+        closed = None
+    assert closed is None or (cfg.k >= cfg.streams * cfg.n and not zero_row)
+    if closed is not None:
+        assert all(np.array_equal(start, closed) for start in starts)
+        # the random start is not drawn, so the seed changes nothing
+        assert type(outcomes[0]) is type(outcomes[1])
+        assert outcomes[0] == outcomes[1] if isinstance(outcomes[0], str) else all(
+            np.array_equal(a, b) for a, b in zip(*outcomes))
+    else:
+        assert all(np.array_equal(start, init_symbols(cfg.streams, cfg.t, s)) for start, s in zip(starts, (seed, seed + 1)))
+
+
 def test_bals_counts_svd_fallbacks(raw_estimates):
     # an all-zero fed-back channel zeroes both regressors, so neither Gram has a Cholesky factor
     cfg, channels, coding, symbols, y = make_case()
@@ -117,41 +190,50 @@ def test_bals_counts_svd_fallbacks(raw_estimates):
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
     # with the certificate cap at zero every solve takes the SVD path on its explicit problem, and each
-    # receiver call still builds its slice's blocks once and reads every regressor off them
+    # receiver call still builds its slice's blocks and Kronecker problem once and reads every regressor off them
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
     y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     g = channels.ut_ris * np.sqrt(cfg.pt_watts)
-    builds, regressors = [], []
-    reflect_blocks, run_als = synthesis.reflect_blocks, bs_rx.run_als
+    builds, problems, regressors, starts = [], [], [], []
+    reflect_blocks, kronecker_problem, run_als = synthesis.reflect_blocks, bs_rx.kronecker_problem, bs_rx.run_als
 
     def counting(*args):
         builds.append(1)
         return reflect_blocks(*args)
 
+    def counting_problems(*args):
+        problems.append(1)
+        return kronecker_problem(*args)
+
     def recording_als(*args):
-        *head, symbol_regressor, init_seed = args
+        *head, symbol_regressor, start = args
+        starts.append(start)
 
         def recorded(h_hat):
             regressors.append((h_hat, symbol_regressor(h_hat)))
             return regressors[-1][1]
-        return run_als(*head, recorded, init_seed)
+        return run_als(*head, recorded, start)
 
     monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
     monkeypatch.setattr(synthesis, "reflect_blocks", counting)
     monkeypatch.setattr(bs_rx, "reflect_blocks", counting)
+    monkeypatch.setattr(bs_rx, "kronecker_problem", counting_problems)
     monkeypatch.setattr(bs_rx, "run_als", recording_als)
     rep = bs_bals(y, ControlLinkPayload(g), coding)
-    assert builds == [1] and rep.iterations >= 2 and rep.fallbacks == 2 * rep.iterations
+    assert builds == [1] and problems == [1] and rep.iterations >= 2 and rep.fallbacks == 2 * rep.iterations
     blocks = reflect_blocks(coding, g)
     assert len(regressors) == rep.iterations
     assert all(np.array_equal(regressor, symbol_code_matrix(blocks, h_hat)) for h_hat, regressor in regressors)
+    # the closed-form start, on the SVD path too, is bs_kronf's
+    assert np.array_equal(starts[0], bs_kronf(y, ControlLinkPayload(g), coding).symbols)
     builds.clear()
+    problems.clear()
     fallback_regressors = []
     channel_regressor = bs_rx.channel_code_matrix
     monkeypatch.setattr(bs_rx, "channel_code_matrix", lambda *args: fallback_regressors.append(1) or
                         channel_regressor(*args))
     bs_channel_only(y, ControlLinkPayload(g, symbols), coding)
-    assert builds == [1] and fallback_regressors == [1]
+    assert builds == [1] and problems == [1] and fallback_regressors == [1]
 
 
 def test_bals_identifiability_precheck():

@@ -165,7 +165,7 @@ def test_run_als_stops_at_the_iteration_cap():
     y = np.array([1.0, 2.0], dtype=complex).reshape(2, 1, 1)
     regressors = itertools.cycle([np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)])
     ones = np.ones((1, 1), complex)
-    rep = run_als(y, ones, ones, (1, 1), None, lambda channel: next(regressors), 0)
+    rep = run_als(y, ones, ones, (1, 1), None, lambda channel: next(regressors), ones)
     assert rep.iterations == MAX_ITERATIONS
     assert rep.residuals[:3] == pytest.approx([4.0, 1.0, 4.0])
 

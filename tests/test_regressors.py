@@ -148,9 +148,11 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
         patch.setattr(bs_rx, "run_als", stop)
         with pytest.raises(Seen):
             bs_rx.bs_bals(y, ControlLinkPayload(g), coding)
-    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (gram_table, cross_table) = seen
-    # bs_kronf solves exactly these normal equations
+    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (start_gram, start_cross, *_), (gram_table, cross_table) = seen
+    # bs_kronf, and bs_bals for its closed-form start (k is at bs_kronf's threshold), solve exactly these normal
+    # equations
     assert np.array_equal(kronf_gram, gram) and np.array_equal(kronf_cross, cross)
+    assert np.array_equal(start_gram, gram) and np.array_equal(start_cross, cross)
     # bs_bals' tables are their rearrangement: [(s, s'), (i, j)] from [(s, i), (s', j)], [(s, tau), (i, r)] from
     # [(s, i), (tau, r)]
     s1, s2, i, j = np.meshgrid(range(w), range(w), range(n), range(n), indexing="ij")
@@ -183,10 +185,11 @@ NON_DIAGONAL = [ScenarioConfig(m=2, n=4, nc=2, l=2, r=2, t=3, k=4, scheme="tstc"
                 ScenarioConfig(m=2, n=5, nc=2, l=3, r=3, t=2, k=8, scheme="krstc")]
 
 
-def channel_solves(receive, x0, als_start):
+def channel_solves(receive, x0, als_start, start_solves=0):
     """Every channel step's ``(gram, rhs, x)`` that ``receive()``, started from ``x0``, passes to ``solve_gram``.
 
-    Each ALS iteration calls ``solve_gram`` twice, the channel step then the
+    The first ``start_solves`` solves compute the receiver's own start (``bs_bals``' closed form), which ``x0``
+    replaces.  After them each ALS iteration calls ``solve_gram`` twice, the channel step then the
     symbol step, so the even solves are channel steps and the odd ones symbol
     steps.  ``x`` is the symbol estimate the channel step started from: ``x0``
     for the first, then the solution of the symbol step before it.
@@ -195,14 +198,15 @@ def channel_solves(receive, x0, als_start):
     solve_gram = rx_common.solve_gram
 
     def recording_solve(gram, rhs, problem):
+        solves.append((gram, rhs, None))     # recorded before it runs: a rank-deficient start solve raises
         x, fell_back = solve_gram(gram, rhs, problem)
-        solves.append((gram, rhs, x))
+        solves[-1] = (gram, rhs, x)
         return x, fell_back
 
     with als_start(x0), pytest.MonkeyPatch.context() as patch:
         patch.setattr(rx_common, "solve_gram", recording_solve)
         receive()
-    channel, symbol = solves[0::2], solves[1::2]
+    channel, symbol = solves[start_solves::2], solves[start_solves + 1::2]
     assert len(channel) == len(symbol)
     return [(gram, rhs, x) for (gram, rhs, _), x in zip(channel, [x0] + [x for _, _, x in symbol])]
 
@@ -243,7 +247,9 @@ def check_every_channel_step(cfg, seed, als_start):
     for gram, rhs, x_hat in hris_steps:  # the right-hand side of vec(G) comes as one column
         assert_normal_equations((gram, rhs), channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)[:, None])
 
-    bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x, als_start)
+    # bs_bals first solves bs_kronf's (w*n)-column problem for its start where k reaches that receiver's threshold
+    bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x, als_start,
+                              start_solves=int(cfg.k >= cfg.streams * cfg.n))
     for gram, rhs, x_hat in bs_steps:
         assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(reflect_blocks(coding, g), x_hat).T,
                                 unfold(y_bs, 1).T)
