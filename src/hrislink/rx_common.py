@@ -66,7 +66,7 @@ class EstimateReport:
 
 
 def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Unit-variance circular complex Gaussian start for the ALS iterations."""
+    """Unit-variance circular complex Gaussian ALS start, for ``bs_bals`` only where it has no closed-form one."""
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
