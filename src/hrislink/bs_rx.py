@@ -108,7 +108,7 @@ def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> 
 
 
 def _composite(gram: np.ndarray, cross: np.ndarray, problem: Callable, d: Sizes) -> np.ndarray:
-    """The solution ``Z^T`` of :func:`kronecker_problem`, ``(w*n, t*m)``; :class:`RankDeficiencyError` if it has none."""
+    """The solution ``Z^T`` of :func:`kronecker_problem`, ``(w*n, t*m)``; :class:`RankDeficiencyError` without one."""
     return require_full_rank(gram, cross, problem, d.w * d.n, "composite right factor")
 
 

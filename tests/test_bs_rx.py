@@ -133,6 +133,7 @@ def start_problems(draw):
     r = l if scheme == "krstc" else draw(st.integers(1, 2))
     cfg = ScenarioConfig(m=draw(st.integers(1, 3)), n=draw(st.integers(1, 4)), nc=1, l=l, r=r,
                          t=draw(st.integers(1, 3)), k=1, scheme=scheme)
+
     def power_of_two(floor):
         return 1 << (floor - 1).bit_length()
 
@@ -148,7 +149,8 @@ def test_bals_starts_from_the_closed_form_where_it_is_identifiable(problem):
     cfg, seed, zero_row = problem
     coding, rng = build_coding(cfg), np.random.default_rng(seed)
     g = rng.standard_normal((cfg.n, cfg.l)) + 1j * rng.standard_normal((cfg.n, cfg.l))
-    g[0] *= not zero_row                      # a zero row of g zeroes a row of every block: no closed form
+    if zero_row:                              # a zero row of g zeroes a row of every block: no closed form
+        g[0] = 0
     y = rng.standard_normal((cfg.m, cfg.t, cfg.k)) + 1j * rng.standard_normal((cfg.m, cfg.t, cfg.k))
     payload, starts, run_als = ControlLinkPayload(g), [], bs_rx.run_als
 
@@ -174,7 +176,8 @@ def test_bals_starts_from_the_closed_form_where_it_is_identifiable(problem):
         assert outcomes[0] == outcomes[1] if isinstance(outcomes[0], str) else all(
             np.array_equal(a, b) for a, b in zip(*outcomes))
     else:
-        assert all(np.array_equal(start, init_symbols(cfg.streams, cfg.t, s)) for start, s in zip(starts, (seed, seed + 1)))
+        assert all(np.array_equal(start, init_symbols(cfg.streams, cfg.t, s))
+                   for start, s in zip(starts, (seed, seed + 1)))
 
 
 def test_bals_counts_svd_fallbacks(raw_estimates):
