@@ -1,7 +1,7 @@
 """Link-level simulator for semi-blind joint channel and symbol estimation
 with a hybrid reflecting/sensing reconfigurable surface."""
 
-from .bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
+from .bs_rx import bs_bals, bs_channel_only, bs_kronf
 from .coding import CodingSet, build_coding, design_krstc, design_phase_shifts, design_tstc, gen_symbols, qam_constellation
 from .harness import (
     MetricsRecord,
@@ -39,7 +39,6 @@ __all__ = [
     "AmbiguityError",
     "ChannelRealization",
     "CodingSet",
-    "ControlLinkPayload",
     "EstimateReport",
     "IdentReport",
     "IdentifiabilityError",

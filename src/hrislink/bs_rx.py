@@ -1,9 +1,9 @@
 """Semi-blind estimation at the BS, given the fed-back surface estimates.
 
-The BS knows the reflecting phase shifts and the transmit code, and receives
-the estimated UT-side channel over the control link (scenario 1) or both
-that channel and the decoded symbols (scenario 2).  With the blocks
-``B_k = diag(psi_k) @ G @ mix_k`` of the synthesis (:func:`~hrislink.synthesis.reflect_blocks`),
+The BS knows the reflecting phase shifts and the transmit code, and receives the estimated UT-side
+channel over the control link (scenario 1) or both that channel and the decoded symbols (scenario 2).
+Each receiver takes the fed-back arrays it reads: ``bals`` and ``kronf`` the channel, ``h`` both.
+With the blocks ``B_k = diag(psi_k) @ G @ mix_k`` of the synthesis (:func:`~hrislink.synthesis.reflect_blocks`),
 the model ``Y_k = H B_k X`` is one least-squares problem per slice,
 ``right.T @ Z.T = unfold(y, 3)`` for ``Z = kron(X^T, H)`` and ``right[:, k] = vec(B_k)``.
 All three receivers read its normal equations (:func:`kronecker_problem`), a
@@ -19,7 +19,7 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 The explicit regressors (:func:`channel_code_matrix`, :func:`symbol_code_matrix`) read the same blocks,
 for the ALS symbol step and the SVD fallbacks only.
 The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_rank` and also
-take stacks ``(s, m, t, k)``, the payload stacked alike, one slice's normal equations at a time.
+take stacks ``(s, m, t, k)``, the fed-back arrays stacked alike, one slice's normal equations at a time.
 
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.pinv by name
@@ -42,29 +41,17 @@ from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, unfold
 
 
-@dataclass(frozen=True)
-class ControlLinkPayload:
-    """What the surface controller feeds back to the BS.
-
-    Scenario 1 carries only the UT-side channel estimate; scenario 2
-    additionally carries the symbol estimate, already anchored.
-    """
-
-    ut_channel: np.ndarray
-    symbols: np.ndarray | None = None
-
-
-def _check_inputs(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, fn: str) -> Sizes:
-    """:func:`check_received`, then the fed-back ``(n, l)`` channel and, if sent, ``(streams, t)`` symbols.
+def _check_inputs(y_bs: np.ndarray, coding: CodingSet, fn: str, *fed: np.ndarray) -> Sizes:
+    """:func:`check_received`, then the fed-back ``(n, l)`` channel and, if passed, ``(streams, t)`` symbols.
 
     A wrong shape raises ``ValueError``, a non-finite entry :class:`NonFiniteError`.
     """
     d = check_received(y_bs, coding, fn)
-    for name, shape in (("ut_channel", y_bs.shape[:-3] + (d.n, d.l)), ("symbols", y_bs.shape[:-3] + (d.w, d.t))):
-        value = getattr(payload, name)
-        if value is not None and np.shape(value) != shape:
+    lead = y_bs.shape[:-3]
+    for name, shape, value in zip(("ut_channel", "symbols"), (lead + (d.n, d.l), lead + (d.w, d.t)), fed):
+        if np.shape(value) != shape:
             raise ValueError(f"fed-back {name} must be {shape}, got {np.shape(value)}")
-        if value is not None and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise NonFiniteError(f"fed-back {name} has non-finite entries")
     return d
 
@@ -122,12 +109,12 @@ def _kronecker_split(composite: np.ndarray, d: Sizes) -> EstimateReport:
     return normalize_anchor(EstimateReport(h_hat, (root * v.conj()).reshape(*lead, w, t)), per_stream=False)
 
 
-def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
+def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the BS-side channel and symbols, from :func:`bs_kronf`'s anchored
     symbols on the call's own Kronecker problem where ``k`` reaches its threshold and it solves, else from
     ``init_symbols(w, t, init_seed)``."""
-    d = _check_inputs(y_bs, payload, coding, "bs_bals")
-    blocks = reflect_blocks(coding, payload.ut_channel)              # B_k[i, s] at [i, k, s], (n, k, w)
+    d = _check_inputs(y_bs, coding, "bs_bals", ut_channel)
+    blocks = reflect_blocks(coding, ut_channel)                      # B_k[i, s] at [i, k, s], (n, k, w)
     gram, cross, problem = kronecker_problem(y_bs, blocks)
     start = None
     if d.k >= receiver_spec("kronf", "bs", d.scheme).threshold(d):
@@ -141,23 +128,21 @@ def bs_bals(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet, in
     return normalize_anchor(report, per_stream=False)
 
 
-def bs_kronf(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
+def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> EstimateReport:
     """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
-    d = _check_inputs(y_bs, payload, coding, "bs_kronf")
+    d = _check_inputs(y_bs, coding, "bs_kronf", ut_channel)
     return _kronecker_split(_slice_by_slice(lambda y, blocks: _composite(*kronecker_problem(y, blocks), d),
-                                            y_bs, reflect_blocks(coding, payload.ut_channel)), d)
+                                            y_bs, reflect_blocks(coding, ut_channel)), d)
 
 
-def bs_channel_only(y_bs: np.ndarray, payload: ControlLinkPayload, coding: CodingSet) -> EstimateReport:
+def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarray, coding: CodingSet) -> EstimateReport:
     """One ALS channel step at the fed-back symbols (scenario 2), kept as they are: the channel inherits
     any scaling the fed-back estimates carry, so no anchor normalization is applied."""
-    if payload.symbols is None:
-        raise ValueError("the channel-only receiver needs a scenario-2 payload with symbols")
-    d = _check_inputs(y_bs, payload, coding, "bs_channel_only")
+    d = _check_inputs(y_bs, coding, "bs_channel_only", ut_channel, symbols)
 
     def step(y, blocks, x):
         return require_full_rank(*channel_step(*als_tables(*kronecker_problem(y, blocks)[:2], d), x), lambda: (
             channel_code_matrix(blocks, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
 
-    h_hat = _slice_by_slice(step, y_bs, reflect_blocks(coding, payload.ut_channel), payload.symbols)
-    return EstimateReport(h_hat, np.array(payload.symbols, copy=True))
+    h_hat = _slice_by_slice(step, y_bs, reflect_blocks(coding, ut_channel), symbols)
+    return EstimateReport(h_hat, np.array(symbols, copy=True))

@@ -3,12 +3,14 @@
 A trial draws channels, symbols, and noise from one seeded generator,
 synthesizes both received tensors, runs the configured surface/BS receiver
 pair, and scores channel NMSEs, the combined-channel NMSE, and symbol error
-rates.  Trial ``i`` of a sweep point uses the seed ``splitmix64(base ^ i)``,
-so trials are reproducible and independent, and sweeps can be parallelized
-or re-batched without changing the aggregate.  A sweep runs trial-major: it
-draws each trial once and evaluates it at every point, synthesizing once per
-coding.  What the configuration fixes (coding, constellation, receiver entry
-facts) is cached where it is derived.
+rates.  The BS receiver gets the surface's channel estimate, and in scenario 2
+(``ReceiverSpec.scenario``) its symbol estimate too, as fed-back arrays.
+Trial ``i`` of a sweep point uses the seed ``splitmix64(base ^ i)``, so trials
+are reproducible and independent, and sweeps can be parallelized or re-batched
+without changing the aggregate.  A sweep runs trial-major: it draws each trial
+once and evaluates it at every point, synthesizing once per coding.  What the
+configuration fixes (coding, constellation, receiver entry facts) is cached
+where it is derived.
 
 Transmit power scales the noiseless received signal: a point's signal is
 ``sqrt(Pt)`` times the synthesis of the unit-energy symbols, plus the
@@ -35,7 +37,8 @@ from .scenario import ScenarioConfig, draw_channels, draw_noise
 from .synthesis import synth_ybs, synth_yrc
 from .tensor_ops import frobenius
 
-CSV_HEADER = "sweep_var,value,nmse_g,nmse_h,nmse_theta,ser_hris,ser_bs,iters_hris,iters_bs,trials,failures"
+_METRICS = ("nmse_g", "nmse_h", "nmse_theta", "ser_hris", "ser_bs", "iters_hris", "iters_bs")
+CSV_HEADER = ",".join(("sweep_var", "value", *_METRICS, "trials", "failures"))
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,8 +139,8 @@ class MetricsRecord:
 STACK_SLICES = 32
 
 
-def _receive(spec: ReceiverSpec, inits: list, y: np.ndarray, coding, reasons: list, members, payload=None) -> tuple:
-    """Run the receiver ``spec`` names (looked up at call time) on the slices ``members`` stacked in ``y``, ``payload``.
+def _receive(spec: ReceiverSpec, inits: list, y: np.ndarray, coding, reasons: list, members, *fed) -> tuple:
+    """Run the receiver ``spec`` names (looked up at call time) on the slices ``members`` stacked in ``y`` and ``fed``.
 
     A closed-form receiver takes the whole stack; an ALS one, or any when the stack aborts, runs slice by slice,
     which gives each slice exactly its outcome alone.  Aborts go into ``reasons``; returns the members that ran,
@@ -145,10 +148,9 @@ def _receive(spec: ReceiverSpec, inits: list, y: np.ndarray, coding, reasons: li
     fn = getattr(hris_rx if spec.entity == "hris" else bs_rx, spec.fn)
 
     def attempt(index, init=None):
-        fed = () if payload is None else (bs_rx.ControlLinkPayload(
-            payload.ut_channel[index], None if payload.symbols is None else payload.symbols[index]),)
+        args = (y[index], *(a[index] for a in fed), coding)
         try:
-            return fn(y[index], *fed, coding, init_seed=init) if spec.iterative else fn(y[index], *fed, coding)
+            return fn(*args, init_seed=init) if spec.iterative else fn(*args)
         except (AmbiguityError, NonFiniteError, RankDeficiencyError) as exc:
             return exc
 
@@ -220,9 +222,9 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
         if len(live):
             scores["nmse_g"][live] = nmse(g_hat, effective_ut[live])
             scores["ser_hris"][live], scores["iters_hris"][live] = ser(x_hris, truth[trial[live]], cfg.qam_order), iters
-            payload = bs_rx.ControlLinkPayload(g_hat, x_hris if bs_spec.scenario == 2 else None)
+            fed = (g_hat, x_hris) if bs_spec.scenario == 2 else (g_hat,)
             done, h_hat, x_bs, iters = _receive(bs_spec, [bs_inits[j] for j in trial[live]], y_bs[live], coding,
-                                                reasons, live, payload)
+                                                reasons, live, *fed)
             if len(done):
                 scores["nmse_h"][done], scores["iters_bs"][done] = nmse(h_hat, ris[trial[done]]), iters
                 scores["nmse_theta"][done] = nmse(combined_channel(g_hat[np.searchsorted(live, done)], h_hat),
@@ -233,9 +235,6 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
             outcomes[j][points[q]] = TrialOutcome(**scored, failed=reasons[i] is not None,
                                                   failure_reason=reasons[i] or "")
     return outcomes
-
-
-_METRICS = ("nmse_g", "nmse_h", "nmse_theta", "ser_hris", "ser_bs", "iters_hris", "iters_bs")
 
 
 def aggregate(outcomes: list[TrialOutcome], sweep_var: str, value: float) -> MetricsRecord:

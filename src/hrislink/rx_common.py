@@ -75,10 +75,12 @@ def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
     """Validate the tensor received by the receiver function ``fn``; return the problem sizes.
 
     ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS, or a stack of them.  Raises
-    ``ValueError`` for a scheme the receiver does not serve or shapes that
+    ``ValueError`` for a scheme the receiver does not serve, fewer than three axes or shapes that
     disagree with the coding, :class:`NonFiniteError` on NaN/inf entries,
     and :class:`IdentifiabilityError` below the sub-frame threshold.  Its entry, sizes and threshold are cached per shape.
     """
+    if np.ndim(y) < 3:
+        raise ValueError(f"{fn} takes a received (rows, t, k) tensor or a stack of them, got shape {np.shape(y)}")
     spec, sizes, need = _entry_facts(fn, coding.scheme, coding.sensing.shape, coding.mix.shape, y.shape[-3:])
     if not np.isfinite(y).all():
         raise NonFiniteError(f"received tensor at the {ENTITY_NAMES[spec.entity]} has non-finite entries")

@@ -161,7 +161,7 @@ class ChannelRealization:
 
 def path_loss(d: float, alpha: float, cfg: ScenarioConfig) -> float:
     """Linear power gain ``PL0 * (d / d0) ** (-alpha)``."""
-    if d <= 0:
+    if not d > 0:
         raise ValueError(f"distance must be positive, got {d}")
     return db_to_linear(cfg.pl0_db) * (d / cfg.d0) ** (-alpha)
 
@@ -191,8 +191,8 @@ def draw_channels(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelReali
 
 def draw_noise(shape, power: float, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. circular complex Gaussian noise of per-entry power ``power``; zero power draws nothing."""
-    if power < 0:
-        raise ValueError(f"noise power must be nonnegative, got {power}")
+    if not 0 <= power < math.inf:
+        raise ValueError(f"noise power must be nonnegative and finite, got {power}")
     if power == 0:
         return np.zeros(shape, dtype=complex)
     return complex_gaussian(rng, shape, power)

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import khatri_rao
 
 import hrislink as hl
-from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_kronf
+from hrislink.bs_rx import bs_bals, bs_kronf
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.harness import (
     CSV_HEADER,
@@ -231,10 +231,10 @@ def test_criterion_4_identifiability_table():
 
     # bs closed-form, tstc: threshold r*n = 16
     y = synth_ybs(cfg, ch, cod, x)
-    rep = bs_kronf(y, ControlLinkPayload(ch.ut_ris), cod)
+    rep = bs_kronf(y, ch.ut_ris, cod)
     assert hl.nmse(rep.channel, ch.ris_bs) < 1e-10
     with pytest.raises(IdentifiabilityError):
-        bs_kronf(y[:, :, :15], ControlLinkPayload(ch.ut_ris), _truncated(cod, 15))
+        bs_kronf(y[:, :, :15], ch.ut_ris, _truncated(cod, 15))
 
     # surface closed-form, krstc: threshold l*n/nc = 8
     cfg, ch, cod, x, rng = fresh("krstc", 8)
@@ -248,10 +248,10 @@ def test_criterion_4_identifiability_table():
     # bs closed-form, krstc: threshold l*n = 16
     cfg, ch, cod, x, rng = fresh("krstc", 16)
     y = synth_ybs(cfg, ch, cod, x)
-    rep = bs_kronf(y, ControlLinkPayload(ch.ut_ris), cod)
+    rep = bs_kronf(y, ch.ut_ris, cod)
     assert hl.nmse(rep.channel, ch.ris_bs) < 1e-10
     with pytest.raises(IdentifiabilityError):
-        bs_kronf(y[:, :, :15], ControlLinkPayload(ch.ut_ris), _truncated(cod, 15))
+        bs_kronf(y[:, :, :15], ch.ut_ris, _truncated(cod, 15))
 
     _passline(4, t0, 30, "table values + 4 threshold rows")
 
@@ -328,8 +328,7 @@ def test_criterion_6_bals_monotonicity_and_iteration_trend():
             sent = math.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
             with_noise(synth_yrc(cfg, channels, coding, sent), cfg, rng)  # keep the draw order of a full trial
             y = with_noise(synth_ybs(cfg, channels, coding, sent), cfg, rng)
-            payload = ControlLinkPayload(math.sqrt(cfg.pt_watts) * channels.ut_ris)
-            rep = bs_bals(y, payload, coding, init_seed=i)
+            rep = bs_bals(y, math.sqrt(cfg.pt_watts) * channels.ut_ris, coding, init_seed=i)
             trace = rep.residuals
             assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
             iters.append(rep.iterations)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrislink.bs_rx import (
-    ControlLinkPayload,
     bs_bals,
     bs_channel_only,
     bs_kronf,
@@ -75,8 +74,7 @@ def test_design_matrices_zero_channel():
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_bals_exact_recovery_with_true_feedback(scheme):
     cfg, channels, coding, symbols, y = make_case(scheme=scheme)
-    payload = ControlLinkPayload(channels.ut_ris)
-    rep = bs_bals(y, payload, coding)
+    rep = bs_bals(y, channels.ut_ris, coding)
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
     assert nmse(rep.symbols, symbols) < 1e-10
 
@@ -85,9 +83,9 @@ def test_bals_residual_trace_nonincreasing():
     cfg, channels, coding, symbols, _ = make_case(seed=2)
     rng = np.random.default_rng(5)
     y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
-    payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
+    g = channels.ut_ris * np.sqrt(cfg.pt_watts)
     for seed in range(5):
-        rep = bs_bals(y, payload, coding, init_seed=seed)
+        rep = bs_bals(y, g, coding, init_seed=seed)
         trace = rep.residuals
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -96,16 +94,16 @@ def test_bals_residual_trace_nonincreasing():
 def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
     y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
-    payload = ControlLinkPayload(channels.ut_ris * np.sqrt(cfg.pt_watts))
-    rep = bs_bals(y, payload, coding)
-    misfit = unfold(y, 2).T - symbol_code_matrix(reflect_blocks(coding, payload.ut_channel), rep.channel) @ rep.symbols
+    g = channels.ut_ris * np.sqrt(cfg.pt_watts)
+    rep = bs_bals(y, g, coding)
+    misfit = unfold(y, 2).T - symbol_code_matrix(reflect_blocks(coding, g), rep.channel) @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
 
 def test_bals_true_init_converges_immediately(als_start):
     cfg, channels, coding, symbols, y = make_case(seed=3)
     with als_start(symbols):
-        rep = bs_bals(y, ControlLinkPayload(channels.ut_ris), coding)
+        rep = bs_bals(y, channels.ut_ris, coding)
     assert rep.iterations <= 2
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
 
@@ -152,11 +150,11 @@ def test_bals_starts_from_the_closed_form_where_it_is_identifiable(problem):
     if zero_row:                              # a zero row of g zeroes a row of every block: no closed form
         g[0] = 0
     y = rng.standard_normal((cfg.m, cfg.t, cfg.k)) + 1j * rng.standard_normal((cfg.m, cfg.t, cfg.k))
-    payload, starts, run_als = ControlLinkPayload(g), [], bs_rx.run_als
+    starts, run_als = [], bs_rx.run_als
 
     def run(init_seed):
         try:
-            rep = bs_bals(y, payload, coding, init_seed=init_seed)
+            rep = bs_bals(y, g, coding, init_seed=init_seed)
             return rep.channel, rep.symbols, np.array(rep.residuals)
         except AmbiguityError as exc:
             return str(exc)
@@ -165,7 +163,7 @@ def test_bals_starts_from_the_closed_form_where_it_is_identifiable(problem):
         patch.setattr(bs_rx, "run_als", lambda *args: starts.append(args[-1]) or run_als(*args))
         outcomes = [run(seed), run(seed + 1)]
     try:
-        closed = bs_kronf(y, payload, coding).symbols
+        closed = bs_kronf(y, g, coding).symbols
     except (IdentifiabilityError, RankDeficiencyError, AmbiguityError):
         closed = None
     assert closed is None or (cfg.k >= cfg.streams * cfg.n and not zero_row)
@@ -183,7 +181,7 @@ def test_bals_starts_from_the_closed_form_where_it_is_identifiable(problem):
 def test_bals_counts_svd_fallbacks(raw_estimates):
     # an all-zero fed-back channel zeroes both regressors, so neither Gram has a Cholesky factor
     cfg, channels, coding, symbols, y = make_case()
-    zero = ControlLinkPayload(np.zeros_like(channels.ut_ris))
+    zero = np.zeros_like(channels.ut_ris)
     rep = bs_bals(y, zero, coding)
     assert rep.fallbacks >= 1
     for estimate in (rep.channel, rep.symbols):
@@ -222,20 +220,20 @@ def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
     monkeypatch.setattr(bs_rx, "reflect_blocks", counting)
     monkeypatch.setattr(bs_rx, "kronecker_problem", counting_problems)
     monkeypatch.setattr(bs_rx, "run_als", recording_als)
-    rep = bs_bals(y, ControlLinkPayload(g), coding)
+    rep = bs_bals(y, g, coding)
     assert builds == [1] and problems == [1] and rep.iterations >= 2 and rep.fallbacks == 2 * rep.iterations
     blocks = reflect_blocks(coding, g)
     assert len(regressors) == rep.iterations
     assert all(np.array_equal(regressor, symbol_code_matrix(blocks, h_hat)) for h_hat, regressor in regressors)
     # the closed-form start, on the SVD path too, is bs_kronf's
-    assert np.array_equal(starts[0], bs_kronf(y, ControlLinkPayload(g), coding).symbols)
+    assert np.array_equal(starts[0], bs_kronf(y, g, coding).symbols)
     builds.clear()
     problems.clear()
     fallback_regressors = []
     channel_regressor = bs_rx.channel_code_matrix
     monkeypatch.setattr(bs_rx, "channel_code_matrix", lambda *args: fallback_regressors.append(1) or
                         channel_regressor(*args))
-    bs_channel_only(y, ControlLinkPayload(g, symbols), coding)
+    bs_channel_only(y, g, symbols, coding)
     assert builds == [1] and problems == [1] and fallback_regressors == [1]
 
 
@@ -245,14 +243,14 @@ def test_bals_identifiability_precheck():
     short = CodingSet("tstc", coding.sensing[:, :, :3], coding.reflect[:3],
                       coding.code[:, :, :3])
     with pytest.raises(IdentifiabilityError):
-        bs_bals(y[:, :, :3], ControlLinkPayload(channels.ut_ris), short)
+        bs_bals(y[:, :, :3], channels.ut_ris, short)
 
 
 # ------------------------------------------------------------------ kronf path
 
 def test_kronf_exact_recovery_tstc():
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)  # k >= r*n = 8
-    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
+    rep = bs_kronf(y, channels.ut_ris, coding)
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
     assert nmse(rep.symbols, symbols) < 1e-10
 
@@ -280,7 +278,7 @@ def test_kronf_rearrangement_is_rank_one():
 
 def test_kronf_exact_recovery_krstc():
     cfg, channels, coding, symbols, y = make_case(scheme="krstc", n=4, k=16)  # k >= l*n = 8
-    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
+    rep = bs_kronf(y, channels.ut_ris, coding)
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
 
 
@@ -288,23 +286,20 @@ def test_kronf_exact_recovery_krstc():
 
 def test_channel_only_exact_recovery():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, symbols)
-    rep = bs_channel_only(y, payload, coding)
+    rep = bs_channel_only(y, channels.ut_ris, symbols, coding)
     assert nmse(rep.channel, channels.ris_bs) < 1e-10
     assert rep.iterations == 0
 
 
 def test_channel_only_zero_symbols_rank_deficient():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, np.zeros_like(symbols))
     with pytest.raises(RankDeficiencyError):
-        bs_channel_only(y, payload, coding)
+        bs_channel_only(y, channels.ut_ris, np.zeros_like(symbols), coding)
 
 
 def test_channel_only_equals_single_bals_channel_step():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, symbols)
-    rep = bs_channel_only(y, payload, coding)
+    rep = bs_channel_only(y, channels.ut_ris, symbols, coding)
     from hrislink.tensor_ops import unfold
     blocks = [np.diag(coding.reflect[k]) @ channels.ut_ris @ coding.mix[k] @ symbols
               for k in range(cfg.k)]
@@ -321,47 +316,51 @@ def test_channel_only_is_the_first_bals_channel_step_bit_for_bit(scheme, als_sta
     x = symbols + 0.1 * rng.standard_normal(symbols.shape)
     monkeypatch.setattr(rx_common, "MAX_ITERATIONS", 1)
     with als_start(x):
-        first = bs_bals(y, ControlLinkPayload(g), coding)
+        first = bs_bals(y, g, coding)
     assert first.iterations == 1
-    assert np.array_equal(bs_channel_only(y, ControlLinkPayload(g, x), coding).channel, first.channel)
+    assert np.array_equal(bs_channel_only(y, g, x, coding).channel, first.channel)
 
 
 def test_channel_only_requires_scenario_two():
+    # the fed-back symbols are a required argument: a scenario-1 call cannot reach the receiver
     cfg, channels, coding, symbols, y = make_case(k=8)
-    with pytest.raises(ValueError):
-        bs_channel_only(y, ControlLinkPayload(channels.ut_ris), coding)
+    with pytest.raises(TypeError):
+        bs_channel_only(y, channels.ut_ris, coding)
 
 
-# --------------------------------------------------------------- payload checks
+# ------------------------------------------------------------- fed-back checks
 
 BS_RECEIVERS = [bs_bals, bs_kronf, bs_channel_only]
+
+
+def fed_back(receiver, ut_channel, symbols):
+    """The fed-back arrays ``receiver`` reads: the channel, and for ``bs_channel_only`` the symbols too."""
+    return (ut_channel, symbols) if receiver is bs_channel_only else (ut_channel,)
 
 
 @pytest.mark.parametrize("receiver", BS_RECEIVERS)
 def test_wrong_ut_channel_shape_rejected(receiver):
     # a (1, l) channel would broadcast against the (n, l) one the BS expects
     cfg, channels, coding, symbols, y = make_case()
-    payload = ControlLinkPayload(np.ones((1, cfg.l)), symbols)
     with pytest.raises(ValueError, match=r"^fed-back ut_channel must be \(8, 2\), got \(1, 2\)$"):
-        receiver(y, payload, coding)
+        receiver(y, *fed_back(receiver, np.ones((1, cfg.l)), symbols), coding)
 
 
-@pytest.mark.parametrize("receiver", BS_RECEIVERS)
+@pytest.mark.parametrize("receiver", [bs_channel_only])
 def test_wrong_symbol_shape_rejected(receiver):
     cfg, channels, coding, symbols, y = make_case()
-    payload = ControlLinkPayload(channels.ut_ris, symbols[:, :2])
     with pytest.raises(ValueError, match=r"^fed-back symbols must be \(2, 4\), got \(2, 2\)$"):
-        receiver(y, payload, coding)
+        receiver(y, channels.ut_ris, symbols[:, :2], coding)
 
 
-@pytest.mark.parametrize("receiver", BS_RECEIVERS)
-@pytest.mark.parametrize("name", ["ut_channel", "symbols"])
-def test_non_finite_payload_raises(receiver, name):
+@pytest.mark.parametrize("name,receiver", [("ut_channel", receiver) for receiver in BS_RECEIVERS]
+                         + [("symbols", bs_channel_only)])
+def test_non_finite_payload_raises(name, receiver):
     cfg, channels, coding, symbols, y = make_case()
-    fed_back = {"ut_channel": channels.ut_ris.copy(), "symbols": symbols.copy()}
-    fed_back[name][0, 1] = np.nan
+    fed = {"ut_channel": channels.ut_ris.copy(), "symbols": symbols.copy()}
+    fed[name][0, 1] = np.nan
     with pytest.raises(NonFiniteError, match=f"fed-back {name} has non-finite entries"):
-        receiver(y, ControlLinkPayload(**fed_back), coding)
+        receiver(y, *fed_back(receiver, **fed), coding)
 
 
 # ------------------------------------------------------------------ ambiguity
@@ -387,7 +386,7 @@ def test_remove_ambiguity_constructed_scalar():
 
 def test_remove_ambiguity_after_kronf_pipeline(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    raw = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
+    raw = bs_kronf(y, channels.ut_ris, coding)
     # the raw estimates carry a mutual scalar; removal must cancel it
     fixed = normalize_anchor(raw, per_stream=False)
     assert nmse(fixed.channel, channels.ris_bs) < 1e-10
@@ -398,7 +397,7 @@ def test_remove_ambiguity_after_kronf_pipeline(raw_estimates):
 
 def test_reconstruction_compensation_before_removal(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
+    rep = bs_kronf(y, channels.ut_ris, coding)
     for k in (0, cfg.k - 1):
         recon = (rep.channel @ np.diag(coding.reflect[k]) @ channels.ut_ris
                  @ coding.mix[k] @ rep.symbols)
@@ -407,7 +406,7 @@ def test_reconstruction_compensation_before_removal(raw_estimates):
 
 def test_scalar_ambiguity_law(raw_estimates):
     cfg, channels, coding, symbols, y = make_case(n=4, k=32)
-    rep = bs_kronf(y, ControlLinkPayload(channels.ut_ris), coding)
+    rep = bs_kronf(y, channels.ut_ris, coding)
     x_ratio = rep.symbols / symbols
     h_ratio = channels.ris_bs / rep.channel
     assert np.max(np.abs(x_ratio - x_ratio[0, 0])) < 1e-8 * abs(x_ratio[0, 0])
@@ -417,7 +416,6 @@ def test_scalar_ambiguity_law(raw_estimates):
 
 def test_channel_only_repeats_exactly():
     cfg, channels, coding, symbols, y = make_case(k=8)
-    payload = ControlLinkPayload(channels.ut_ris, symbols)
-    a = bs_channel_only(y, payload, coding)
-    b = bs_channel_only(y, payload, coding)
+    a = bs_channel_only(y, channels.ut_ris, symbols, coding)
+    b = bs_channel_only(y, channels.ut_ris, symbols, coding)
     assert np.array_equal(a.channel, b.channel)

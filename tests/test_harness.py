@@ -22,7 +22,7 @@ from hrislink.harness import (
     trial_seed,
 )
 from hrislink import bs_rx, harness, hris_rx, identifiability, rx_common
-from hrislink.bs_rx import ControlLinkPayload, bs_bals, bs_channel_only, bs_kronf
+from hrislink.bs_rx import bs_bals, bs_channel_only, bs_kronf
 from hrislink.coding import build_coding
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
 from hrislink.identifiability import receiver_spec
@@ -246,16 +246,16 @@ def test_trial_feeds_back_symbols_exactly_for_scenario_two(monkeypatch, scheme, 
     real = getattr(bs_rx, spec.fn)
     seen = []
 
-    def record(y_bs, payload, coding, **kw):
-        seen.append(payload)
-        return real(y_bs, payload, coding, **kw)
+    def record(y_bs, *fed, **kw):
+        seen.append(fed[:-1])                   # the last positional argument is the coding
+        return real(y_bs, *fed, **kw)
 
     monkeypatch.setattr(bs_rx, spec.fn, record)
     surface = "kronf" if scheme == "tstc" else "krf"
     out = run_trial(small_cfg(scheme=scheme, noise_dbm=-math.inf), (surface, bs_receiver), seed=5)
     assert not out.failed
-    [payload] = seen
-    assert (payload.symbols is not None) == (spec.scenario == 2)
+    [fed] = seen
+    assert len(fed) == spec.scenario
 
 
 # ---------------------------------------------------------------------- sweeps
@@ -484,21 +484,32 @@ def test_thresholds_are_evaluated_once_per_receiver_and_sizes(monkeypatch):
     assert max(calls.values()) == 1, calls
 
 
-@pytest.mark.parametrize("scheme,receiver", [
+RECEIVERS_BY_SCHEME = [
     ("tstc", hris_bals), ("tstc", hris_kronf), ("krstc", hris_krf),
     ("tstc", bs_bals), ("krstc", bs_kronf), ("tstc", bs_channel_only),
-])
+]
+
+
+def fed_back(cfg, receiver):
+    """All-ones fed-back arrays, as many as ``receiver`` reads: none at the surface."""
+    fed = (np.ones((cfg.n, cfg.l), dtype=complex), np.ones((cfg.streams, cfg.t), dtype=complex))
+    return () if receiver.__module__.endswith("hris_rx") else fed[:2 if receiver is bs_channel_only else 1]
+
+
+@pytest.mark.parametrize("scheme,receiver", RECEIVERS_BY_SCHEME)
 def test_receivers_reject_non_finite_input(scheme, receiver):
     cfg = small_cfg(scheme=scheme)
-    coding = build_coding(cfg)
-    if receiver.__module__.endswith("hris_rx"):
-        args = (np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex),)
-    else:
-        g = np.ones((cfg.n, cfg.l), dtype=complex)
-        payload = ControlLinkPayload(g, np.ones((cfg.streams, cfg.t), dtype=complex))
-        args = (np.full((cfg.m, cfg.t, cfg.k), np.nan, dtype=complex), payload)
+    rows = cfg.nc if receiver.__module__.endswith("hris_rx") else cfg.m
     with pytest.raises(NonFiniteError):
-        receiver(*args, coding)
+        receiver(np.full((rows, cfg.t, cfg.k), np.nan, dtype=complex), *fed_back(cfg, receiver), build_coding(cfg))
+
+
+@pytest.mark.parametrize("scheme,receiver", RECEIVERS_BY_SCHEME)
+def test_receivers_name_the_shape_they_take(scheme, receiver):
+    cfg = small_cfg(scheme=scheme)
+    want = rf"^{receiver.__name__} takes a received \(rows, t, k\) tensor or a stack of them, got shape \(2, 4\)$"
+    with pytest.raises(ValueError, match=want):
+        receiver(np.ones((2, cfg.t), dtype=complex), *fed_back(cfg, receiver), build_coding(cfg))
 
 
 def test_non_finite_signal_is_a_failed_trial(monkeypatch):

@@ -21,9 +21,9 @@ def test_pipeline_signatures():
         hrislink.hris_bals: ["y_rc", "coding", "init_seed"],
         hrislink.hris_kronf: ["y_rc", "coding"],
         hrislink.hris_krf: ["y_rc", "coding"],
-        hrislink.bs_bals: ["y_bs", "payload", "coding", "init_seed"],
-        hrislink.bs_kronf: ["y_bs", "payload", "coding"],
-        hrislink.bs_channel_only: ["y_bs", "payload", "coding"],
+        hrislink.bs_bals: ["y_bs", "ut_channel", "coding", "init_seed"],
+        hrislink.bs_kronf: ["y_bs", "ut_channel", "coding"],
+        hrislink.bs_channel_only: ["y_bs", "ut_channel", "symbols", "coding"],
         synth_yrc: ["cfg", "channels", "coding", "symbols"],
         synth_ybs: ["cfg", "channels", "coding", "symbols"],
         hrislink.draw_noise: ["shape", "power", "rng"],

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
 from hrislink import bs_rx, hris_rx, rx_common, tensor_ops
-from hrislink.bs_rx import ControlLinkPayload, bs_kronf
+from hrislink.bs_rx import bs_kronf
 from hrislink.coding import build_coding, gen_symbols
 from hrislink.hris_rx import channel_code_matrix, composite_code_matrix, symbol_code_matrix
 from hrislink.identifiability import feasible_subframes
@@ -138,16 +138,16 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
         patch.setattr(bs_rx, "require_full_rank", lambda *args: seen.append(args) or solve(*args))
         # the solves are recorded before they run; a rank-deficient one (some krstc sizes at this k) is beside the point
         with contextlib.suppress(RankDeficiencyError):
-            bs_kronf(y, ControlLinkPayload(g), coding)
+            bs_kronf(y, g, coding)
         with contextlib.suppress(RankDeficiencyError):
-            bs_rx.bs_channel_only(y, ControlLinkPayload(g, x), coding)
+            bs_rx.bs_channel_only(y, g, x, coding)
 
         def stop(y_bs, gram_table, cross_table, *rest):
             seen.append((gram_table, cross_table))
             raise Seen
         patch.setattr(bs_rx, "run_als", stop)
         with pytest.raises(Seen):
-            bs_rx.bs_bals(y, ControlLinkPayload(g), coding)
+            bs_rx.bs_bals(y, g, coding)
     (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (start_gram, start_cross, *_), (gram_table, cross_table) = seen
     # bs_kronf, and bs_bals for its closed-form start (k is at bs_kronf's threshold), solve exactly these normal
     # equations
@@ -248,7 +248,7 @@ def check_every_channel_step(cfg, seed, als_start):
         assert_normal_equations((gram, rhs), channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)[:, None])
 
     # bs_bals first solves bs_kronf's (w*n)-column problem for its start where k reaches that receiver's threshold
-    bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, ControlLinkPayload(g), coding), x, als_start,
+    bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, g, coding), x, als_start,
                               start_solves=int(cfg.k >= cfg.streams * cfg.n))
     for gram, rhs, x_hat in bs_steps:
         assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(reflect_blocks(coding, g), x_hat).T,
@@ -268,10 +268,9 @@ def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
     y_rc = with_noise(synth_yrc(cfg, channels, coding, sent), cfg, rng)
     y_bs = with_noise(synth_ybs(cfg, channels, coding, sent), cfg, rng)
     surface = hris_rx.hris_bals(y_rc, coding)
-    payload = ControlLinkPayload(surface.channel)
-    cholesky = [surface, bs_rx.bs_bals(y_bs, payload, coding)]
+    cholesky = [surface, bs_rx.bs_bals(y_bs, surface.channel, coding)]
     monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
-    svd = [hris_rx.hris_bals(y_rc, coding), bs_rx.bs_bals(y_bs, payload, coding)]
+    svd = [hris_rx.hris_bals(y_rc, coding), bs_rx.bs_bals(y_bs, surface.channel, coding)]
     for chol, fell_back in zip(cholesky, svd):
         assert chol.fallbacks == 0
         assert fell_back.iterations == chol.iterations
@@ -303,5 +302,5 @@ def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
         y_rc = with_noise(synth_yrc(cfg, channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
         y_bs = with_noise(synth_ybs(cfg, channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
         surface = hris_rx.hris_bals(y_rc, coding)
-        bs = bs_rx.bs_bals(y_bs, ControlLinkPayload(surface.channel), coding)
+        bs = bs_rx.bs_bals(y_bs, surface.channel, coding)
         assert surface.fallbacks == bs.fallbacks == 0

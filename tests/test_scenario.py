@@ -93,8 +93,9 @@ def test_path_loss_zero_exponent():
 
 
 def test_path_loss_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        path_loss(0.0, 2.0, ScenarioConfig())
+    for distance in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            path_loss(distance, 2.0, ScenarioConfig())
 
 
 def test_link_gains_follow_path_loss():
@@ -146,8 +147,10 @@ def test_add_noise_power_calibration():
 
 
 def test_add_noise_rejects_negative_power():
-    with pytest.raises(ValueError):
-        draw_noise((3,), -1.0, np.random.default_rng(0))
+    # NaN and infinite powers would draw all-NaN or infinite noise
+    for power in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            draw_noise((3,), power, np.random.default_rng(0))
 
 
 def test_config_file_round_trip(tmp_path):

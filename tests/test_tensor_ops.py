@@ -430,7 +430,7 @@ def with_singular_values(rng, rows, s):
 @settings(max_examples=100, deadline=None)
 @given(cols=st.integers(1, 12), extra_rows=st.integers(0, 40), rhs=st.integers(0, 3),
        spread=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_lstsq_normal_matches_pinv_on_full_column_rank(cols, extra_rows, rhs, spread, seed):
+def test_solve_gram_matches_pinv_on_full_column_rank(cols, extra_rows, rhs, spread, seed):
     rng = np.random.default_rng(seed)
     a = with_singular_values(rng, cols + extra_rows, np.logspace(0.0, -spread, cols))
     b = crandn(rng, cols + extra_rows, rhs) if rhs else crandn(rng, cols + extra_rows)
@@ -455,7 +455,7 @@ def fallback_input(case):
 
 
 @pytest.mark.parametrize("case", ["rank deficient", "all zero", "ill conditioned", "overflowing gram"])
-def test_lstsq_normal_falls_back_to_pinv(case):
+def test_solve_gram_falls_back_to_pinv(case):
     a, b = fallback_input(case)
     with np.errstate(over="ignore", invalid="ignore"):
         x, fell_back = certified_solve(a, b)
@@ -485,7 +485,7 @@ def test_solve_gram_calls_problem_only_on_fallback():
 @settings(max_examples=200, deadline=None)
 @given(cols=st.integers(1, 24), extra_rows=st.integers(0, 24), rhs=st.integers(1, 3),
        log_ratio=st.floats(-6.0, -2.0), seed=st.integers(0, 2**32 - 1))
-def test_lstsq_normal_and_require_full_rank_make_one_decision(cols, extra_rows, rhs, log_ratio, seed):
+def test_solve_gram_and_require_full_rank_make_one_decision(cols, extra_rows, rhs, log_ratio, seed):
     # sigma_min / sigma_max is 10**log_ratio, log-uniform over [1e-6, 1e-2]: the certificate
     # falls on both sides of GRAM_CERTIFICATE_MAX, and every draw has full numerical rank
     rng = np.random.default_rng(seed)
