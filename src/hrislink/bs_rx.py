@@ -19,7 +19,8 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 The explicit regressors (:func:`channel_code_matrix`, :func:`symbol_code_matrix`) read the same blocks,
 for the ALS symbol step and the SVD fallbacks only.
 The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_rank` and also
-take stacks ``(s, m, t, k)``, the fed-back arrays stacked alike, one slice's normal equations at a time.
+take stacks ``(s, m, t, k)``, the fed-back arrays stacked alike, one slice's blocks and normal equations
+at a time, so no stack-sized block array is built.
 
 The scaling ambiguity at the BS is a single complex scalar for both coding
 schemes; it is removed against the (0, 0) anchor of the symbol estimate.
@@ -131,8 +132,8 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
 def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> EstimateReport:
     """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
     d = _check_inputs(y_bs, coding, "bs_kronf", ut_channel)
-    return _kronecker_split(_slice_by_slice(lambda y, blocks: _composite(*kronecker_problem(y, blocks), d),
-                                            y_bs, reflect_blocks(coding, ut_channel)), d)
+    return _kronecker_split(_slice_by_slice(
+        lambda y, g: _composite(*kronecker_problem(y, reflect_blocks(coding, g)), d), y_bs, ut_channel), d)
 
 
 def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarray, coding: CodingSet) -> EstimateReport:
@@ -140,9 +141,10 @@ def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarra
     any scaling the fed-back estimates carry, so no anchor normalization is applied."""
     d = _check_inputs(y_bs, coding, "bs_channel_only", ut_channel, symbols)
 
-    def step(y, blocks, x):
+    def step(y, g, x):
+        blocks = reflect_blocks(coding, g)
         return require_full_rank(*channel_step(*als_tables(*kronecker_problem(y, blocks)[:2], d), x), lambda: (
             channel_code_matrix(blocks, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
 
-    h_hat = _slice_by_slice(step, y_bs, reflect_blocks(coding, ut_channel), symbols)
+    h_hat = _slice_by_slice(step, y_bs, ut_channel, symbols)
     return EstimateReport(h_hat, np.array(symbols, copy=True))

@@ -8,9 +8,9 @@ rates.  The BS receiver gets the surface's channel estimate, and in scenario 2
 Trial ``i`` of a sweep point uses the seed ``splitmix64(base ^ i)``, so trials
 are reproducible and independent, and sweeps can be parallelized or re-batched
 without changing the aggregate.  A sweep runs trial-major: it draws each trial
-once and evaluates it at every point, synthesizing once per coding.  What the
-configuration fixes (coding, constellation, receiver entry facts) is cached
-where it is derived.
+once and evaluates it at every point, synthesizing the stack of its trials in
+one call per coding.  What the configuration fixes (coding, constellation,
+receiver entry facts) is cached where it is derived.
 
 Transmit power scales the noiseless received signal: a point's signal is
 ``sqrt(Pt)`` times the synthesis of the unit-energy symbols, plus the
@@ -33,7 +33,7 @@ from .coding import build_coding, gen_symbols, qam_constellation
 from .identifiability import ReceiverSpec, check_identifiability, receiver_spec
 from .rx_common import (AmbiguityError, EstimateReport, IdentifiabilityError, NonFiniteError,
                         RankDeficiencyError)
-from .scenario import ScenarioConfig, draw_channels, draw_noise
+from .scenario import ChannelRealization, ScenarioConfig, draw_channels, draw_noise
 from .synthesis import synth_ybs, synth_yrc
 from .tensor_ops import frobenius
 
@@ -177,7 +177,8 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
     """The trials ``seeds`` at each of ``configs``, which may differ only in ``pt_dbm`` and ``rho``, seed-major.
 
     Draw order is fixed (channels, symbols, receiver init seeds, sensed noise, reflected noise) so a
-    (config, seed) pair fully reproduces the trial, drawn once and synthesized once per coding.  The
+    (config, seed) pair fully reproduces the trial, drawn once; the trials are stacked once and synthesized
+    in one ``synth_yrc`` and one ``synth_ybs`` call per coding.  The
     (trial, point) slices that share a coding go through the receivers and scoring as one stack, each
     with exactly the outcome it gets alone.  A scoring reference channel that is all zero or whose energy
     underflows, and zero-anchor, rank-deficiency and non-finite-input aborts are reported as failed
@@ -195,8 +196,9 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
                       int(rng.integers(0, 2**63)), draw_noise((cfg.nc, cfg.t, cfg.k), cfg.noise_watts, rng),
                       draw_noise((cfg.m, cfg.t, cfg.k), cfg.noise_watts, rng)))
     channels, symbols, hris_inits, bs_inits, noise_rc, noise_bs = zip(*draws)
-    ut, ris, truth = (np.stack(arrays) for arrays in ([ch.ut_ris for ch in channels], [ch.ris_bs for ch in channels],
-                                                      symbols))
+    ut, ris, truth, noise_rc, noise_bs = (np.stack(arrays) for arrays in (
+        [ch.ut_ris for ch in channels], [ch.ris_bs for ch in channels], symbols, noise_rc, noise_bs))
+    drawn = ChannelRealization(ut, ris)
     by_coding = {}
     for p, point_cfg in enumerate(configs):
         by_coding.setdefault(build_coding(point_cfg), []).append(p)
@@ -205,17 +207,15 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
         # slice i is trial i // len(points) at configs[points[i % len(points)]]
         trial, col = np.divmod(np.arange(len(seeds) * len(points)), len(points))
         amplitude = np.sqrt([configs[points[q]].pt_watts for q in col])
-        effective_ut = amplitude[:, None, None] * ut[trial]
-        combined = combined_channel(effective_ut, ris[trial])
+        effective_ut, bs_side = amplitude[:, None, None] * ut[trial], ris[trial]
+        combined = combined_channel(effective_ut, bs_side)
         defined = np.logical_and.reduce([np.float_power(frobenius(ref), 2) > 0
-                                         for ref in (effective_ut, ris[trial], combined)])
+                                         for ref in (effective_ut, bs_side, combined)])
         scores = {name: np.full(len(trial), 0 if name.startswith("iters") else math.nan) for name in _METRICS}
         reasons = [None if ok else "reference channel is all zero or underflows; its NMSE is undefined"
                    for ok in defined]
-        clean = [np.stack([synth(configs[points[0]], ch, coding, x) for ch, x in zip(channels, symbols)])
-                 for synth in (synth_yrc, synth_ybs)]
-        y_rc, y_bs = (amplitude[:, None, None, None] * signal[trial] + np.stack(noise)[trial]
-                      for signal, noise in zip(clean, (noise_rc, noise_bs)))
+        y_rc, y_bs = (amplitude[:, None, None, None] * synth(configs[points[0]], drawn, coding, truth)[trial]
+                      + noise[trial] for synth, noise in ((synth_yrc, noise_rc), (synth_ybs, noise_bs)))
 
         live, g_hat, x_hris, iters = _receive(hris_spec, [hris_inits[j] for j in trial[defined]], y_rc[defined],
                                               coding, reasons, np.flatnonzero(defined))
@@ -226,12 +226,13 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
             done, h_hat, x_bs, iters = _receive(bs_spec, [bs_inits[j] for j in trial[live]], y_bs[live], coding,
                                                 reasons, live, *fed)
             if len(done):
-                scores["nmse_h"][done], scores["iters_bs"][done] = nmse(h_hat, ris[trial[done]]), iters
+                scores["nmse_h"][done], scores["iters_bs"][done] = nmse(h_hat, bs_side[done]), iters
                 scores["nmse_theta"][done] = nmse(combined_channel(g_hat[np.searchsorted(live, done)], h_hat),
                                                   combined[done])
                 scores["ser_bs"][done] = ser(x_bs, truth[trial[done]], cfg.qam_order)   # h reuses the fed-back ones
-        for i, (j, q) in enumerate(zip(trial, col)):      # a metric not scored keeps its default, math.nan or 0
-            scored = {name: column[i].item() for name, column in scores.items() if not math.isnan(column[i])}
+        columns = {name: column.tolist() for name, column in scores.items()}
+        for i, (j, q) in enumerate(zip(trial.tolist(), col.tolist())):   # an unscored metric keeps math.nan or 0
+            scored = {name: column[i] for name, column in columns.items() if not math.isnan(column[i])}
             outcomes[j][points[q]] = TrialOutcome(**scored, failed=reasons[i] is not None,
                                                   failure_reason=reasons[i] or "")
     return outcomes

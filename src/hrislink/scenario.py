@@ -153,10 +153,11 @@ def _parse_value(text: str, name: str) -> object:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One coherence block: UT-to-surface and surface-to-BS channel matrices."""
+    """One coherence block: UT-to-surface and surface-to-BS channel matrices, or a stack of blocks along
+    the same leading axes of both, which the synthesis takes in one call."""
 
-    ut_ris: np.ndarray   # (n, l)
-    ris_bs: np.ndarray   # (m, n)
+    ut_ris: np.ndarray   # (n, l), or (..., n, l)
+    ris_bs: np.ndarray   # (m, n), or (..., m, n)
 
 
 def path_loss(d: float, alpha: float, cfg: ScenarioConfig) -> float:

@@ -9,8 +9,11 @@ where ``mix_k`` is the dense tstc mixing matrix or ``diag(lambda_k)`` for
 krstc.  The sub-frame products are flat matrix products against the coding
 set's ``phi`` and ``mix`` stacks, laid out as ``(k*nc, n)``, ``(k*l, w)``
 and ``(l, k*w)``.  Both functions return the noiseless tensor of the symbol
-matrix they are given.  The harness gives them the unit-energy symbols, so
-transmit power scales the noiseless received signal: a point's signal is
+matrix they are given, or a stack of them: leading axes on the channels and
+symbols, which must agree, run every slice through the same products, so a
+slice comes out bit for bit as it does alone.  The harness gives them the
+unit-energy symbols of all a call's trials at once, so transmit power scales
+the noiseless received signal: a point's signal is
 ``sqrt(Pt) * noiseless + noise``, the noise drawn by
 :func:`~hrislink.scenario.draw_noise`.
 """
@@ -24,27 +27,27 @@ from .scenario import ChannelRealization, ScenarioConfig
 
 
 def _check_dims(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingSet, symbols: np.ndarray) -> None:
-    if channels.ut_ris.shape != (cfg.n, cfg.l):
-        raise ValueError(f"UT-side channel must be {(cfg.n, cfg.l)}, got {channels.ut_ris.shape}")
-    if channels.ris_bs.shape != (cfg.m, cfg.n):
-        raise ValueError(f"BS-side channel must be {(cfg.m, cfg.n)}, got {channels.ris_bs.shape}")
+    lead = np.shape(symbols)[:-2]
+    for name, value, shape in (("UT-side channel", channels.ut_ris, (cfg.n, cfg.l)),
+                               ("BS-side channel", channels.ris_bs, (cfg.m, cfg.n)),
+                               ("symbol matrix", symbols, (cfg.streams, cfg.t))):
+        if np.shape(value) != lead + shape:
+            raise ValueError(f"{name} must be {lead + shape}, got {np.shape(value)}")
     if coding.sensing.shape != (cfg.nc, cfg.n, cfg.k):
         raise ValueError(f"sensing tensor must be {(cfg.nc, cfg.n, cfg.k)}, got {coding.sensing.shape}")
     if coding.reflect.shape != (cfg.k, cfg.n):
         raise ValueError(f"reflect matrix must be {(cfg.k, cfg.n)}, got {coding.reflect.shape}")
-    if symbols.shape != (cfg.streams, cfg.t):
-        raise ValueError(f"symbol matrix must be {(cfg.streams, cfg.t)}, got {symbols.shape}")
     if coding.scheme != cfg.scheme:
         raise ValueError(f"coding built for {coding.scheme!r} but config says {cfg.scheme!r}")
 
 
 def synth_yrc(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
-    """Noiseless sensed signal tensor of shape ``(nc, t, k)``."""
+    """Noiseless sensed signal tensor of shape ``(nc, t, k)``, stacked like the channels and symbols."""
     _check_dims(cfg, channels, coding, symbols)
-    (k, nc, n), (_, l, w) = coding.phi.shape, coding.mix.shape
-    phi_g = (coding.phi.reshape(k * nc, n) @ channels.ut_ris).reshape(k, nc, l)
-    mix_x = (coding.mix.reshape(k * l, w) @ symbols).reshape(k, l, -1)
-    return np.ascontiguousarray((phi_g @ mix_x).transpose(1, 2, 0))
+    (k, nc, n), (_, l, w), lead = coding.phi.shape, coding.mix.shape, symbols.shape[:-2]
+    phi_g = (coding.phi.reshape(k * nc, n) @ channels.ut_ris).reshape(*lead, k, nc, l)
+    mix_x = (coding.mix.reshape(k * l, w) @ symbols).reshape(*lead, k, l, -1)
+    return np.ascontiguousarray(np.moveaxis(phi_g @ mix_x, -3, -1))
 
 
 def reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
@@ -55,8 +58,8 @@ def reflect_blocks(coding: CodingSet, ut_channel: np.ndarray) -> np.ndarray:
 
 
 def synth_ybs(cfg: ScenarioConfig, channels: ChannelRealization, coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
-    """Noiseless reflected signal tensor of shape ``(m, t, k)``."""
+    """Noiseless reflected signal tensor of shape ``(m, t, k)``, stacked like the channels and symbols."""
     _check_dims(cfg, channels, coding, symbols)
-    (k, _, w), (m, n) = coding.mix.shape, channels.ris_bs.shape
-    h_blocks = channels.ris_bs @ reflect_blocks(coding, channels.ut_ris).reshape(n, k * w)   # [H B_1 ... H B_K]
-    return np.ascontiguousarray((h_blocks.reshape(m * k, w) @ symbols).reshape(m, k, -1).transpose(0, 2, 1))
+    (k, _, w), (m, n), lead = coding.mix.shape, channels.ris_bs.shape[-2:], symbols.shape[:-2]
+    h_blocks = channels.ris_bs @ reflect_blocks(coding, channels.ut_ris).reshape(*lead, n, k * w)  # [H B_1 ... H B_K]
+    return np.ascontiguousarray((h_blocks.reshape(*lead, m * k, w) @ symbols).reshape(*lead, m, k, -1).swapaxes(-1, -2))

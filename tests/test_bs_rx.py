@@ -237,6 +237,22 @@ def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
     assert builds == [1] and problems == [1] and fallback_regressors == [1]
 
 
+@pytest.mark.parametrize("receiver", [bs_kronf, bs_channel_only])
+def test_stacked_closed_forms_build_blocks_one_slice_at_a_time(receiver, monkeypatch):
+    # a stack's blocks are never built as one stacked array: each slice's channel goes in alone
+    cases = [make_case(seed=seed) for seed in range(3)]
+    coding = cases[0][2]
+    y, g, x = (np.stack(arrays) for arrays in zip(*((y, ch.ut_ris, x) for _, ch, _, x, y in cases)))
+    fed = (g, x) if receiver is bs_channel_only else (g,)
+    alone = [receiver(y[i], *(a[i] for a in fed), coding) for i in range(len(cases))]
+    ranks, reflect_blocks = [], bs_rx.reflect_blocks
+    monkeypatch.setattr(bs_rx, "reflect_blocks", lambda coding, g: ranks.append(g.ndim) or reflect_blocks(coding, g))
+    rep = receiver(y, *fed, coding)
+    assert ranks == [2] * len(cases)
+    for name in ("channel", "symbols"):
+        assert np.array_equal(getattr(rep, name), np.stack([getattr(r, name) for r in alone]))
+
+
 def test_bals_identifiability_precheck():
     cfg, channels, coding, symbols, y = make_case(t=2, n=8)
     # bs bals needs k >= ceil(n/t) = 4; truncate below that

@@ -357,7 +357,8 @@ def test_a_raising_surface_slice_leaves_the_rest_of_its_stack_unchanged(monkeypa
 
     def nan_for_target(cfg, channels, coding, symbols):
         y = synth_yrc(cfg, channels, coding, symbols)
-        return np.full_like(y, np.nan) if np.array_equal(channels.ut_ris, target) else y
+        y[np.all(channels.ut_ris == target, axis=(-2, -1))] = np.nan    # the matching slice of the trial stack
+        return y
 
     monkeypatch.setattr(harness, "synth_yrc", nan_for_target)
     monkeypatch.setattr(hris_rx, f"hris_{pair[0]}",
@@ -368,6 +369,26 @@ def test_a_raising_surface_slice_leaves_the_rest_of_its_stack_unchanged(monkeypa
     assert alone.failed and "non-finite" in alone.failure_reason
     assert stacked[1][0] == alone
     assert stacked[0] == clean[0] and stacked[2] == clean[2] and not clean[0][0].failed
+
+
+def test_run_points_synthesizes_each_coding_once_for_all_its_trials(monkeypatch):
+    # two rho points, two codings; the pt points share theirs
+    configs = [small_cfg(rho=rho, pt_dbm=pt) for rho in (0.4, 0.7) for pt in (10.0, 30.0)]
+    seeds = [trial_seed(3, i) for i in range(3)]
+    clean = harness.run_points(configs, ("kronf", "kronf"), seeds)
+    calls = Counter()
+
+    def counting(synth):
+        def counted(cfg, channels, coding, symbols):
+            calls[synth.__name__] += 1
+            assert symbols.shape[0] == channels.ut_ris.shape[0] == channels.ris_bs.shape[0] == len(seeds)
+            return synth(cfg, channels, coding, symbols)
+        return counted
+
+    for name in ("synth_yrc", "synth_ybs"):
+        monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+    assert harness.run_points(configs, ("kronf", "kronf"), seeds) == clean
+    assert calls == {"synth_yrc": 2, "synth_ybs": 2}
 
 
 def test_sweep_rejects_unidentifiable_config():

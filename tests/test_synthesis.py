@@ -20,6 +20,7 @@ from oracle_models import (
     sensed_tensor_form,
     with_noise,
 )
+from test_golden import GOLDEN_SIZES
 
 
 def make_case(seed=0, **kw):
@@ -163,3 +164,35 @@ def test_batched_synthesis_matches_plain_einsum(scheme, sizes):
     for got, want in ((synth_yrc(cfg, channels, coding, symbols), sensed),
                       (synth_ybs(cfg, channels, coding, symbols), reflected)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("scheme", ["tstc", "krstc"])
+@pytest.mark.parametrize("sizes", [{}, GOLDEN_SIZES], ids=["default", "golden"])
+def test_stacked_synthesis_equals_the_per_trial_tensors(scheme, sizes):
+    cfg = ScenarioConfig(**{**sizes, "scheme": scheme})
+    coding = build_coding(cfg)
+    draws = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        draws.append((draw_channels(cfg, rng), gen_symbols(cfg, rng)))
+    stack = ChannelRealization(*(np.stack([getattr(ch, name) for ch, _ in draws]) for name in ("ut_ris", "ris_bs")))
+    symbols = np.stack([x for _, x in draws])
+    for synth in (synth_yrc, synth_ybs):
+        alone = np.stack([synth(cfg, ch, coding, x) for ch, x in draws])
+        assert np.array_equal(synth(cfg, stack, coding, symbols), alone)
+        assert np.array_equal(synth(cfg, ChannelRealization(stack.ut_ris[None], stack.ris_bs[None]), coding,
+                                    symbols[None]), alone[None])
+
+
+def test_stack_with_disagreeing_leading_axes_rejected():
+    # the symbols' leading axes are the stack's; each channel must carry the same ones
+    cfg, channels, coding, symbols = make_case()
+    two = ChannelRealization(np.stack([channels.ut_ris] * 2), np.stack([channels.ris_bs] * 2))
+    cases = ((two, np.stack([symbols] * 3), r"UT-side channel must be \(3, 8, 2\), got \(2, 8, 2\)"),
+             (two, symbols, r"UT-side channel must be \(8, 2\), got \(2, 8, 2\)"),
+             (ChannelRealization(two.ut_ris, channels.ris_bs), np.stack([symbols] * 2),
+              r"BS-side channel must be \(2, 4, 8\), got \(4, 8\)"))
+    for chans, x, message in cases:
+        for synth in (synth_yrc, synth_ybs):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                synth(cfg, chans, coding, x)
