@@ -95,13 +95,9 @@ def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> 
     return out.reshape(*lead, *out.shape[1:])
 
 
-def _composite(gram: np.ndarray, cross: np.ndarray, problem: Callable, d: Sizes) -> np.ndarray:
-    """The solution ``Z^T`` of :func:`kronecker_problem`, ``(w*n, t*m)``; :class:`RankDeficiencyError` without one."""
-    return require_full_rank(gram, cross, problem, d.w * d.n, "composite right factor")
-
-
 def _kronecker_split(composite: np.ndarray, d: Sizes) -> EstimateReport:
-    """The anchored rank-1 split of ``Z = kron(X^T, H)`` from :func:`_composite`'s solutions ``(..., w*n, t*m)``."""
+    """The anchored rank-1 split of ``Z = kron(X^T, H)`` from the solutions ``Z^T`` of :func:`kronecker_problem`,
+    ``(..., w*n, t*m)``."""
     m, t, n, w, lead = d.m, d.t, d.n, d.w, composite.shape[:-2]
     rearranged = composite.swapaxes(-1, -2).reshape(*lead, t, m, w, n).swapaxes(-1, -4).reshape(*lead, n * m, w * t)
     u, sigma, v = rank1_approx(rearranged)
@@ -120,7 +116,7 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
     start = None
     if d.k >= receiver_spec("kronf", "bs", d.scheme).threshold(d):
         with contextlib.suppress(RankDeficiencyError, AmbiguityError):
-            start = _kronecker_split(_composite(gram, cross, problem, d), d).symbols
+            start = _kronecker_split(require_full_rank(gram, cross, problem, "composite right factor"), d).symbols
     # the solution is h_hat^T, (n, m)
     report = run_als(y_bs, *als_tables(gram, cross, d), (d.n, d.m),
                      lambda x_hat: (channel_code_matrix(blocks, x_hat).T, unfold(y_bs, 1).T),
@@ -133,7 +129,8 @@ def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> Est
     """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
     d = _check_inputs(y_bs, coding, "bs_kronf", ut_channel)
     return _kronecker_split(_slice_by_slice(
-        lambda y, g: _composite(*kronecker_problem(y, reflect_blocks(coding, g)), d), y_bs, ut_channel), d)
+        lambda y, g: require_full_rank(*kronecker_problem(y, reflect_blocks(coding, g)), "composite right factor"),
+        y_bs, ut_channel), d)
 
 
 def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarray, coding: CodingSet) -> EstimateReport:
@@ -144,7 +141,7 @@ def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarra
     def step(y, g, x):
         blocks = reflect_blocks(coding, g)
         return require_full_rank(*channel_step(*als_tables(*kronecker_problem(y, blocks)[:2], d), x), lambda: (
-            channel_code_matrix(blocks, x).T, unfold(y, 1).T), d.n, "channel-step regressor").T
+            channel_code_matrix(blocks, x).T, unfold(y, 1).T), "channel-step regressor").T
 
     h_hat = _slice_by_slice(step, y_bs, ut_channel, symbols)
     return EstimateReport(h_hat, np.array(symbols, copy=True))

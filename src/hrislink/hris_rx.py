@@ -89,7 +89,7 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
     fxg = composite_code_matrix(coding)
     fxg_h = fxg.conj().T
     inverse = require_full_rank(fxg_h @ fxg, fxg_h, lambda: (fxg, np.eye(len(fxg), dtype=fxg.dtype)),
-                                fxg.shape[1], "composite code matrix")
+                                "composite code matrix")
     inverse.flags.writeable = False
     return inverse
 

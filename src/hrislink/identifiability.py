@@ -1,11 +1,11 @@
-"""The receiver table, identifiability thresholds, the rank threshold, and cost accounting.
+"""The receiver table, identifiability thresholds, and cost accounting.
 
 ``RECEIVERS`` holds one entry per surface or BS receiver; the trial
 dispatch, the receivers' own threshold checks and the CLI all read it.
 ``min_subframes`` evaluates, per receiver/entity/scheme, the minimum number
 of sub-frames that makes the receiver's least-squares steps uniquely
-solvable (under the full-rank coding design).  ``numerical_rank`` is the
-one rank rule of every rank check.  ``flops_estimate`` and ``feedback_bits``
+solvable (under the full-rank coding design); ``tensor_ops`` holds the rank
+rule those steps are checked by.  ``flops_estimate`` and ``feedback_bits``
 evaluate the per-receiver cost and control-link load formulas.
 """
 
@@ -16,8 +16,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .scenario import SCHEMES, ScenarioConfig
 
@@ -144,23 +142,6 @@ def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
     report = check_identifiability(cfg, pair)
     floor = max(report.min_k, cfg.n, Sizes.of(cfg).c)
     return 1 << max(0, (floor - 1).bit_length())
-
-
-# Singular values at or below this fraction of the largest one count as zero in every rank check; the
-# receivers' certified Cholesky path (tensor_ops.GRAM_CERTIFICATE_MAX) stays 1e6 times above this cut.
-RANK_TOL = 1e-10
-
-
-def numerical_rank(mat: np.ndarray) -> int:
-    """Count singular values above ``RANK_TOL * sigma_max``."""
-    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False))
-
-
-def spectral_rank(s: np.ndarray) -> int:
-    """:func:`numerical_rank` read off descending singular values ``s``."""
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def flops_estimate(cfg: ScenarioConfig, receiver: str, entity: str,

@@ -1,8 +1,9 @@
 """Shared receiver plumbing: failure modes, reports, the entry check, the
 one ALS loop (:func:`run_als`: from the caller's start, channel step contracted from the caller's
-tables by :func:`channel_step`, symbol step on the caller's regressor, stop rule), the rank-checked
-solve of a caller's normal equations, and the anchor normalization.  Every
-solve goes through :func:`~hrislink.tensor_ops.solve_gram` and its one Gram certificate."""
+tables by :func:`channel_step`, symbol step on the caller's regressor, stop rule), the full-rank
+solve of a caller's normal equations, and the anchor normalization.  Every solve goes through
+:func:`~hrislink.tensor_ops.solve_gram`, which with :func:`~hrislink.tensor_ops.numerical_rank` holds the
+one full-column-rank rule."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
-from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes, numerical_rank
-from .tensor_ops import frobenius, solve_gram, unfold
+from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes
+from .tensor_ops import frobenius, numerical_rank, solve_gram, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -66,7 +67,8 @@ class EstimateReport:
 
 
 def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Unit-variance circular complex Gaussian ALS start, for ``bs_bals`` only where it has no closed-form one."""
+    """Unit-variance circular complex Gaussian ALS start: always ``hris_bals``', and ``bs_bals``' where it has
+    no closed-form one."""
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
@@ -142,16 +144,16 @@ def channel_step(gram_table: np.ndarray, cross: np.ndarray, x: np.ndarray) -> tu
     return ((x_conj @ x.T).reshape(-1) @ gram_table).reshape(size, size), (x_conj.reshape(-1) @ cross).reshape(size, -1)
 
 
-def require_full_rank(gram: np.ndarray, rhs: np.ndarray, problem: Callable, need: int, what: str) -> np.ndarray:
+def require_full_rank(gram: np.ndarray, rhs: np.ndarray, problem: Callable, what: str) -> np.ndarray:
     """:func:`~hrislink.tensor_ops.solve_gram` of ``gram @ x = rhs``, the normal equations of ``problem() = (a, b)``.
 
-    A certified Cholesky solve proves that ``a`` has full column rank; the SVD fallback first reads
-    ``a``'s rank off its singular values and raises :class:`RankDeficiencyError` below ``need``.
+    A certified Cholesky solve proves that ``a`` has full column rank, the Gram's order; the SVD fallback
+    first reads ``a``'s rank off its singular values and raises :class:`RankDeficiencyError` below it.
     """
     def checked():
         a, b = problem()
-        if (rank := numerical_rank(a)) < need:
-            raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {need}")
+        if (rank := numerical_rank(a)) < len(gram):
+            raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {len(gram)}")
         return a, b
 
     return solve_gram(gram, rhs, checked)[0]

@@ -13,13 +13,12 @@ Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 
 Every least-squares solve goes through the normal equations its caller
 forms (:func:`solve_gram`): a Cholesky factor ``U`` of the small Gram ``a^H a``
-solves them once the certificate ``|U|_F |U^{-1}|_F >= sigma_max / sigma_min``
-is below ``GRAM_CERTIFICATE_MAX``, which also shows that an SVD would count
-full column rank.  An O(n^2) upper bound on it from one triangular solve
-decides almost every Gram; only when the bound is not below the cap is
-``U^{-1}`` formed.  The explicit regressor is needed only for the SVD
-fallback.  The rank-1 split (:func:`rank1_approx`) takes the top
-eigenpair of the small Gram.
+solves them once an O(n^2) bound, from one triangular solve, on the
+certificate ``|U|_F |U^{-1}|_F >= sigma_max / sigma_min`` is below
+``GRAM_CERTIFICATE_MAX``, which proves full column rank under the rank rule
+(``RANK_TOL``, :func:`numerical_rank`).  Any other Gram takes the SVD
+fallback, the only place that needs the explicit regressor.  The rank-1
+split (:func:`rank1_approx`) takes the top eigenpair of the small Gram.
 
 All functions are pure and never mutate their inputs.
 """
@@ -63,22 +62,37 @@ def frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2))[..., 0, 0])
 
 
-# Certificates |U|_F |U^{-1}|_F >= sigma_max / sigma_min below this prove full column rank without an SVD
-# (sigma_min / sigma_max > 1e-4) and bound the normal-equation error by about eps * 1e8.  A certificate
-# is at least the Gram's column count, so Grams of 1e4 or more columns always take the SVD.
+# The one full-column-rank rule: singular values at or below RANK_TOL times the largest count as zero.  A solve
+# whose bound |U|_F |M(U)^{-1} e|_2 >= |U|_F |U^{-1}|_F >= sigma_max / sigma_min is below GRAM_CERTIFICATE_MAX
+# has sigma_min / sigma_max > 1e-4, 1e6 times above that cut, so it has full rank without an SVD, and its
+# normal-equation error is about eps * 1e8 at most.  The bound is at least the Gram's column count, so Grams of
+# 1e4 or more columns always take the SVD, where the rule counts the singular values.
+RANK_TOL = 1e-10
 GRAM_CERTIFICATE_MAX = 1e4
+
+
+def numerical_rank(mat: np.ndarray) -> int:
+    """Count singular values above ``RANK_TOL * sigma_max``."""
+    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False))
+
+
+def spectral_rank(s: np.ndarray) -> int:
+    """:func:`numerical_rank` read off descending singular values ``s``."""
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 @lru_cache(maxsize=64)
 def gram_kit(gram_dtype: np.dtype, rhs_dtype: np.dtype, size: int) -> tuple:
     """What :func:`solve_gram` needs besides the Gram, made once per kind of solve since it costs as much as a
-    small solve: LAPACK ``potrf``, ``trtri``, ``lange`` and ``potrs`` for these dtypes, the real BLAS ``trsv``
-    and ``nrm2``, the signs that turn ``|U|`` into the comparison matrix (``+1`` on the diagonal, ``-1``
-    elsewhere) and the all-ones vector ``e``, both read-only."""
+    small solve: LAPACK ``potrf`` and ``potrs`` for these dtypes, the real BLAS ``trsv`` and ``nrm2``, the signs
+    that turn ``|U|`` into the comparison matrix (``+1`` on the diagonal, ``-1`` elsewhere) and the all-ones
+    vector ``e``, both read-only."""
     gram, rhs = np.empty(0, gram_dtype), np.empty(0, rhs_dtype)
     signs, ones = np.asfortranarray(2.0 * np.eye(size) - 1.0), np.ones(size)
     signs.flags.writeable = ones.flags.writeable = False
-    return (*scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtri", "lange", "potrs"), (gram, rhs)),
+    return (*scipy.linalg.lapack.get_lapack_funcs(("potrf", "potrs"), (gram, rhs)),
             *scipy.linalg.blas.get_blas_funcs(("trsv", "nrm2"), (gram.real,)), signs, ones)
 
 
@@ -87,31 +101,24 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
 
     ``gram`` and ``rhs`` are ``a^H a`` and ``a^H b`` of the least-squares problem
     ``a @ x = b``, however the caller formed them.  ``potrf`` factors
-    ``gram = U^H U`` and ``potrs`` solves from the factor once the certificate
-    ``|U|_F |U^{-1}|_F`` is below ``GRAM_CERTIFICATE_MAX``.  One ``trsv`` bounds
-    it first: the comparison matrix ``M(U)`` (``|u_ii|`` on the diagonal,
-    ``-|u_ij|`` above it) has ``M(U)^{-1} >= |U^{-1}|`` entrywise (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 8.12), so
-    ``|U|_F |M(U)^{-1} e|_2 >= |U|_F |U^{-1}|_F`` for ``e`` all ones.  Only a
-    bound not below the cap has ``trtri`` invert ``U`` for the exact
-    certificate, which then decides, so every decision is the exact one's up to
-    rounding at the cap.  When the factorization fails, the certificate is not
-    below the cap, or the solution is not finite, it calls ``problem()`` for
-    the explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
+    ``gram = U^H U`` and ``potrs`` solves from the factor once the bound
+    ``|U|_F |M(U)^{-1} e|_2`` is below ``GRAM_CERTIFICATE_MAX``: the comparison
+    matrix ``M(U)`` (``|u_ii|`` on the diagonal, ``-|u_ij|`` above it) has
+    ``M(U)^{-1} >= |U^{-1}|`` entrywise (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 8.12), so with ``e`` all ones the bound
+    is at least the certificate ``|U|_F |U^{-1}|_F``, and one ``trsv`` gives it.
+    When the factorization fails, the bound is not below the cap (NaN and inf
+    included), or the solution is not finite, it calls ``problem()`` for the
+    explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
     """
-    potrf, trtri, lange, potrs, trsv, nrm2, signs, ones = gram_kit(gram.dtype, rhs.dtype, len(gram))
+    potrf, potrs, trsv, nrm2, signs, ones = gram_kit(gram.dtype, rhs.dtype, len(gram))
     factor, info = potrf(gram)
     if info == 0:
         comparison = np.abs(factor)
         comparison *= signs
         # U has a's singular values, so |U|_F >= sigma_max and |U^{-1}|_F >= 1 / sigma_min.  M(U)^{-1} >= 0 has
-        # row sums M(U)^{-1} e of nonnegative terms, at least its rows' 2-norms.  A NaN or infinite bound goes
-        # to the exact certificate, whose lange scales its sums, so a huge norm reads as large, with no overflow
-        certificate = nrm2(comparison.ravel(order="K")) * nrm2(trsv(comparison, ones))
-        if not certificate < GRAM_CERTIFICATE_MAX:
-            u_inv, info = trtri(factor)
-            certificate = lange("F", factor) * lange("F", u_inv) if info == 0 else np.inf
-        if certificate < GRAM_CERTIFICATE_MAX:
+        # row sums M(U)^{-1} e of nonnegative terms, at least its rows' 2-norms
+        if nrm2(comparison.ravel(order="K")) * nrm2(trsv(comparison, ones)) < GRAM_CERTIFICATE_MAX:
             x, info = potrs(factor, rhs)
             if info == 0 and np.isfinite(x).all():
                 return x, False

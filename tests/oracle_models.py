@@ -6,11 +6,11 @@ and through raw scalar sums, without touching the slice-wise synthesis code
 they are checked against.  The tensor operations that only these oracles
 need (:func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
 live here, following the unfolding conventions of ``hrislink.tensor_ops``.
-:func:`gram_certificate` recomputes, from the Gram alone, the certificate
-that ``hrislink.tensor_ops.solve_gram`` decides on, and
-:func:`comparison_certificate` the inverse-free bound on it that the kernel
-checks first.  :func:`rank_bounds` checks the block-rank upper bounds that
-the sub-frame thresholds rest on against a concrete realization.
+:func:`comparison_certificate` recomputes, from the Gram alone, the
+inverse-free bound that ``hrislink.tensor_ops.solve_gram`` decides on, and
+:func:`gram_certificate` the exact certificate it bounds.  :func:`rank_bounds`
+checks the block-rank upper bounds that the sub-frame thresholds rest on
+against a concrete realization.
 """
 
 import math
@@ -21,9 +21,9 @@ import scipy.linalg
 
 from hrislink import bs_rx, hris_rx
 from hrislink.coding import CodingSet
-from hrislink.identifiability import numerical_rank, spectral_rank
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_noise
 from hrislink.synthesis import reflect_blocks
+from hrislink.tensor_ops import numerical_rank, spectral_rank
 
 
 def gram_certificate(gram: np.ndarray) -> float:

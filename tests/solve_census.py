@@ -5,10 +5,11 @@ how many of them took the SVD path, the largest Gram certificate
 ``sqrt(tr(a^H a)) |U^{-1}|_F`` (``U`` the Cholesky factor, ``inf`` when it
 fails), an upper bound on ``sigma_max / sigma_min`` of the regressor, the
 largest comparison bound ``|U|_F |M(U)^{-1} e|_2`` on that certificate, and
-how many solves needed the exact tier: those whose bound is not below
-``GRAM_CERTIFICATE_MAX``, for which ``solve_gram`` inverts ``U`` (a checkout
-without the bound inverts it on every solve).  Both are recomputed here from
-each Gram (``oracle_models.gram_certificate`` and ``comparison_certificate``),
+the ``exact_tier`` count: solves whose bound is not below ``GRAM_CERTIFICATE_MAX``
+although their certificate is.  ``solve_gram`` decides on the bound alone and
+sends those to the SVD path; a checkout that still has the exact tier inverts
+``U`` for them and accepts them.  The certificate and the bound are recomputed
+here from each Gram (``oracle_models.gram_certificate`` and ``comparison_certificate``),
 so the census reads the package only through the solve functions it wraps
 (``tensor_ops.solve_gram`` under both names it is looked up by, and
 ``rx_common.apply_pinv`` where a checkout still has it) and counts a solve
@@ -74,7 +75,7 @@ def configurations(rounds: int):
 
 class Census:
     """Per ``(configuration, receiver, Gram size)``: ``[solves, SVD-path solves, largest certificate, largest
-    comparison bound, exact-tier solves]``."""
+    comparison bound, solves in the gap between the bound and the certificate]``."""
 
     def __init__(self):
         self.table = defaultdict(lambda: [0, 0, 0.0, 0.0, 0])
@@ -89,10 +90,9 @@ class Census:
         self.last = (self.config, self.receiver, gram.shape[0])
         row = self.table[self.last]
         row[0] += 1
-        row[2] = max(row[2], gram_certificate(gram))
-        bound = comparison_certificate(gram)
-        row[3] = max(row[3], bound)
-        row[4] += not bound < GRAM_CERTIFICATE_MAX
+        certificate, bound = gram_certificate(gram), comparison_certificate(gram)
+        row[2], row[3] = max(row[2], certificate), max(row[3], bound)
+        row[4] += not bound < GRAM_CERTIFICATE_MAX and certificate < GRAM_CERTIFICATE_MAX
         self.svd_marked = False
 
     def svd_path(self):

@@ -142,6 +142,11 @@ def test_krstc_full_hadamard():
     assert np.array_equal(design_krstc(cfg), hadamard(4).astype(float))
 
 
+def test_krstc_preconditions():
+    with pytest.raises(ValueError, match=r"^krstc code truncation needs k >= l, got 2 < 4$"):
+        design_krstc(ScenarioConfig(l=4, r=4, k=2, n=2, nc=1, scheme="krstc"))
+
+
 # -------------------------------------------------------------------- symbols
 
 def test_qam_constellation_unit_energy():

@@ -8,15 +8,19 @@ rewrite the fixture with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hrislink import hris_rx, rx_common, tensor_ops
 from hrislink.harness import CSV_HEADER, records_to_csv, run_sweep
 from hrislink.scenario import ScenarioConfig
+from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX
 
+from oracle_models import comparison_certificate, gram_certificate
 from test_acceptance import PAIRS
 
 FIXTURE = Path(__file__).with_name("golden_sweeps.json")
@@ -65,6 +69,29 @@ def test_sweep_matches_golden(golden, scheme, pair, sweep):
         np.testing.assert_allclose([float(v) for v in got_row[1:-2]], [float(v) for v in want_row[1:-2]],
                                    rtol=1e-9, atol=0.0, equal_nan=True)
         assert got_row[-2:] == want_row[-2:], "trial and failure counts must match exactly"
+
+
+def test_bound_and_certificate_agree_on_every_golden_pt_gram(monkeypatch):
+    # solve_gram decides on the comparison bound, which is at least the exact certificate; on every Gram of the
+    # golden pt sweeps that Cholesky factors both fall on the same side of the cap, so the golden outcomes are
+    # the ones the exact certificate would give
+    grams = []
+    solve = tensor_ops.solve_gram
+
+    def recording(gram, rhs, problem):
+        grams.append(gram)
+        return solve(gram, rhs, problem)
+
+    for module in (tensor_ops, rx_common):      # the two names solve_gram is looked up by
+        monkeypatch.setattr(module, "solve_gram", recording)
+    hris_rx.composite_pinv.cache_clear()        # so each coding's composite solve runs here
+    for scheme, pairs in PAIRS.items():
+        for pair in pairs:
+            sweep_csv(scheme, pair, SWEEPS[0])
+    certificates = [(comparison_certificate(gram), gram_certificate(gram)) for gram in grams]
+    factored = [(bound, exact) for bound, exact in certificates if exact < math.inf]
+    assert factored
+    assert all((bound < GRAM_CERTIFICATE_MAX) == (exact < GRAM_CERTIFICATE_MAX) for bound, exact in factored)
 
 
 if __name__ == "__main__":

@@ -113,6 +113,12 @@ def test_ser_zero_and_counting():
     assert math.isclose(ser(x_hat, x_true, 64), 1.0 / 6.0)
 
 
+def test_ser_rejects_mismatched_shapes():
+    x = qam_constellation(64)[:6].reshape(2, 3)
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 2\) vs \(2, 3\)$"):
+        ser(x.T, x, 64)
+
+
 def test_ser_excludes_first_column():
     points = qam_constellation(64)
     rng = np.random.default_rng(3)
@@ -582,6 +588,12 @@ def test_sweep_variable_validation():
         run_sweep(cfg, ("kronf", "bals"), "power", [30.0], trials=1)
     with pytest.raises(ValueError):
         run_sweep(cfg, ("kronf", "bals"), "pt", [], trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sweep_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        run_sweep(small_cfg(), ("kronf", "bals"), "pt", [30.0], trials=trials)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

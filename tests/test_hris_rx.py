@@ -19,12 +19,11 @@ from hrislink.hris_rx import (
     hris_krf,
     symbol_code_matrix,
 )
-from hrislink.identifiability import RANK_TOL, numerical_rank, spectral_rank
 from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, IdentifiabilityError,
                                 RankDeficiencyError, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
-from hrislink.tensor_ops import unfold, vec
+from hrislink.tensor_ops import RANK_TOL, numerical_rank, spectral_rank, unfold, vec
 
 from oracle_models import unvec, with_noise
 
@@ -364,16 +363,16 @@ def test_rank_deficient_coding_raises_on_every_call(scheme, receiver):
             receiver(y, bad)
 
 
-def full_rank_solve(a, b, need, what):
+def full_rank_solve(a, b, what):
     """:func:`require_full_rank` of ``a @ x = b``, with the normal equations ``a^H a``, ``a^H b`` formed here."""
     ah = a.conj().T
-    return require_full_rank(ah @ a, ah @ b, lambda: (a, b), need, what)
+    return require_full_rank(ah @ a, ah @ b, lambda: (a, b), what)
 
 
-def full_rank_pinv(a, need, what):
+def full_rank_pinv(a, what):
     """``pinv(a)`` from :func:`full_rank_solve` on the tall orientation of ``a``, as the receivers pass it."""
     tall = a if a.shape[0] >= a.shape[1] else a.T
-    inverse = full_rank_solve(tall, np.eye(len(tall), dtype=tall.dtype), need, what)
+    inverse = full_rank_solve(tall, np.eye(len(tall), dtype=tall.dtype), what)
     return inverse if tall is a else inverse.T
 
 
@@ -381,7 +380,7 @@ def test_require_full_rank_returns_the_pinv():
     rng = np.random.default_rng(5)
     for shape in ((12, 5), (5, 12), (16, 16)):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = full_rank_pinv(a, min(shape), "test matrix")
+        got = full_rank_pinv(a, "test matrix")
         assert np.max(np.abs(got - np.linalg.pinv(a))) < 1e-12 * np.max(np.abs(got))
 
 
@@ -404,9 +403,9 @@ def test_require_full_rank_decides_as_the_svd_rule(rows, cols, log_ratio, seed):
     rank = spectral_rank(spectrum)
     if rank < size:
         with pytest.raises(RankDeficiencyError, match=rf"^m has numerical rank {rank}, need {size}$"):
-            full_rank_pinv(a, size, "m")
+            full_rank_pinv(a, "m")
     else:
-        got = full_rank_pinv(a, size, "m")
+        got = full_rank_pinv(a, "m")
         expected = np.linalg.pinv(a)
         kappa = spectrum[0] / spectrum[-1]
         assert np.linalg.norm(got - expected) <= 1e-12 * kappa * np.linalg.norm(expected)
@@ -416,17 +415,17 @@ def test_require_full_rank_message_on_rank_deficiency():
     rng = np.random.default_rng(6)
     a = np.outer(rng.standard_normal(6), rng.standard_normal(4))  # rank one
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 1, need 4$"):
-        full_rank_pinv(a, 4, "test matrix")
+        full_rank_pinv(a, "test matrix")
     with pytest.raises(RankDeficiencyError, match=r"^test matrix has numerical rank 0, need 2$"):
-        full_rank_pinv(np.zeros((3, 2)), 2, "test matrix")
+        full_rank_pinv(np.zeros((3, 2)), "test matrix")
 
 
 def test_rank_threshold_sits_between_5e_11_and_2e_10():
     # singular values relative to the largest: 2e-10 counts, 5e-11 does not
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-    v, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-    a = u @ np.diag([1.0, 2e-10, 5e-11]) @ v.conj().T
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = u @ np.diag([1.0, 2e-10, 5e-11]) @ v.conj().T      # (6, 3), so its Gram has order 3
     assert numerical_rank(a) == 2
     with pytest.raises(RankDeficiencyError, match=r"numerical rank 2, need 3"):
-        full_rank_pinv(a, 3, "test matrix")
+        full_rank_pinv(a, "test matrix")

@@ -179,6 +179,13 @@ def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, key):
         ScenarioConfig.from_file(path)
 
 
+def test_config_file_rejects_a_line_without_an_equals_sign(tmp_path):
+    path = tmp_path / "bare.cfg"
+    path.write_text("k = 16\nrho 0.5\n")
+    with pytest.raises(ValueError, match=r"bare\.cfg:2: expected 'key = value', got 'rho 0\.5'$"):
+        ScenarioConfig.from_file(path)
+
+
 def test_config_file_rejects_a_repeated_key(tmp_path):
     path = tmp_path / "twice.cfg"
     path.write_text("k = 16\nrho = 0.5\nk = 32\n")

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hrislink.coding import build_coding, gen_symbols
+from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
 
@@ -133,6 +133,21 @@ def test_dimension_mismatch_rejected():
         synth_yrc(cfg, bad, coding, symbols)
     with pytest.raises(ValueError):
         synth_ybs(cfg, channels, coding, symbols[:, :2])
+
+
+@pytest.mark.parametrize("other, message", [
+    (dict(nc=1), r"sensing tensor must be \(2, 8, 16\), got \(1, 8, 16\)"),
+    (dict(n=4), r"reflect matrix must be \(16, 8\), got \(16, 4\)"),
+    (dict(scheme="krstc"), r"coding built for 'krstc' but config says 'tstc'"),
+], ids=["sensing", "reflect", "scheme"])
+def test_coding_of_another_config_rejected(other, message):
+    cfg, channels, coding, symbols = make_case()
+    foreign = build_coding(cfg.replace(**other))
+    if "n" in other:    # the sensing tensor has to match for the reflect matrix to be checked
+        foreign = CodingSet(coding.scheme, coding.sensing, foreign.reflect, coding.code)
+    for synth in (synth_yrc, synth_ybs):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth(cfg, channels, foreign, symbols)
 
 
 # Plain einsum references (no contraction-path search) for the batched products.
