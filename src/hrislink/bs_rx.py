@@ -2,7 +2,8 @@
 
 The BS knows the reflecting phase shifts and the transmit code, and receives the estimated UT-side
 channel over the control link (scenario 1) or both that channel and the decoded symbols (scenario 2).
-Each receiver takes the fed-back arrays it reads: ``bals`` and ``kronf`` the channel, ``h`` both.
+Each receiver takes the fed-back arrays it reads, ``bals`` and ``kronf`` the channel and ``h`` both, and checks
+them with the received tensor in one :func:`~hrislink.rx_common.check_received` call.
 With the blocks ``B_k = diag(psi_k) @ G @ mix_k`` of the synthesis (:func:`~hrislink.synthesis.reflect_blocks`),
 the model ``Y_k = H B_k X`` is one least-squares problem per slice,
 ``right.T @ Z.T = unfold(y, 3)`` for ``Z = kron(X^T, H)`` and ``right[:, k] = vec(B_k)``.
@@ -22,8 +23,7 @@ The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_
 take stacks ``(s, m, t, k)``, the fed-back arrays stacked alike, one slice's blocks and normal equations
 at a time, so no stack-sized block array is built.
 
-The scaling ambiguity at the BS is a single complex scalar for both coding
-schemes; it is removed against the (0, 0) anchor of the symbol estimate.
+The BS's scaling ambiguity, one complex scalar for both schemes, is removed against the symbols' (0, 0) anchor.
 """
 
 from __future__ import annotations
@@ -36,25 +36,10 @@ from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.
 
 from .coding import CodingSet
 from .identifiability import Sizes, receiver_spec
-from .rx_common import (AmbiguityError, EstimateReport, NonFiniteError, RankDeficiencyError, channel_step,
-                        check_received, init_symbols, normalize_anchor, require_full_rank, run_als)
+from .rx_common import (AmbiguityError, EstimateReport, RankDeficiencyError, channel_step, check_received,
+                        init_symbols, normalize_anchor, require_full_rank, run_als)
 from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, unfold
-
-
-def _check_inputs(y_bs: np.ndarray, coding: CodingSet, fn: str, *fed: np.ndarray) -> Sizes:
-    """:func:`check_received`, then the fed-back ``(n, l)`` channel and, if passed, ``(streams, t)`` symbols.
-
-    A wrong shape raises ``ValueError``, a non-finite entry :class:`NonFiniteError`.
-    """
-    d = check_received(y_bs, coding, fn)
-    lead = y_bs.shape[:-3]
-    for name, shape, value in zip(("ut_channel", "symbols"), (lead + (d.n, d.l), lead + (d.w, d.t)), fed):
-        if np.shape(value) != shape:
-            raise ValueError(f"fed-back {name} must be {shape}, got {np.shape(value)}")
-        if not np.isfinite(value).all():
-            raise NonFiniteError(f"fed-back {name} has non-finite entries")
-    return d
 
 
 def channel_code_matrix(blocks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -110,7 +95,7 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
     """Alternating least-squares estimation of the BS-side channel and symbols, from :func:`bs_kronf`'s anchored
     symbols on the call's own Kronecker problem where ``k`` reaches its threshold and it solves, else from
     ``init_symbols(w, t, init_seed)``."""
-    d = _check_inputs(y_bs, coding, "bs_bals", ut_channel)
+    d = check_received(y_bs, coding, "bs_bals", ut_channel)
     blocks = reflect_blocks(coding, ut_channel)                      # B_k[i, s] at [i, k, s], (n, k, w)
     gram, cross, problem = kronecker_problem(y_bs, blocks)
     start = None
@@ -127,7 +112,7 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
 
 def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> EstimateReport:
     """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
-    d = _check_inputs(y_bs, coding, "bs_kronf", ut_channel)
+    d = check_received(y_bs, coding, "bs_kronf", ut_channel)
     return _kronecker_split(_slice_by_slice(
         lambda y, g: require_full_rank(*kronecker_problem(y, reflect_blocks(coding, g)), "composite right factor"),
         y_bs, ut_channel), d)
@@ -136,7 +121,7 @@ def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> Est
 def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarray, coding: CodingSet) -> EstimateReport:
     """One ALS channel step at the fed-back symbols (scenario 2), kept as they are: the channel inherits
     any scaling the fed-back estimates carry, so no anchor normalization is applied."""
-    d = _check_inputs(y_bs, coding, "bs_channel_only", ut_channel, symbols)
+    d = check_received(y_bs, coding, "bs_channel_only", ut_channel, symbols)
 
     def step(y, g, x):
         blocks = reflect_blocks(coding, g)

@@ -85,12 +85,10 @@ def design_phase_shifts(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Fiber ``(ic, j, :)`` of the sensing tensor is the ``ic``-th length-``k``
     block of DFT column ``j``; reflecting column ``j`` is the first ``k``
-    entries of DFT column ``j*nc``.  Needs ``k*nc >= n`` for the sensing
-    fibers and ``k >= n`` for the reflecting columns to exist.
+    entries of DFT column ``j*nc``.  Needs ``k >= n`` for the reflecting
+    columns to exist, which also gives the sensing fibers their ``k*nc >= n``.
     """
     nc, n, k, rho = cfg.nc, cfg.n, cfg.k, cfg.rho
-    if k * nc < n:
-        raise ValueError(f"phase-shift design needs k*nc >= n, got {k}*{nc} < {n}")
     if k < n:
         raise ValueError(f"reflecting design samples DFT column (n-1)*nc, which needs k >= n; got k={k}, n={n}")
     d = dft(k * nc)

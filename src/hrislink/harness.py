@@ -214,7 +214,7 @@ def run_points(configs: list[ScenarioConfig], pair: tuple[str, str], seeds: list
         scores = {name: np.full(len(trial), 0 if name.startswith("iters") else math.nan) for name in _METRICS}
         reasons = [None if ok else "reference channel is all zero or underflows; its NMSE is undefined"
                    for ok in defined]
-        y_rc, y_bs = (amplitude[:, None, None, None] * synth(configs[points[0]], drawn, coding, truth)[trial]
+        y_rc, y_bs = (amplitude[:, None, None, None] * synth(drawn, coding, truth)[trial]
                       + noise[trial] for synth, noise in ((synth_yrc, noise_rc), (synth_ybs, noise_bs)))
 
         live, g_hat, x_hris, iters = _receive(hris_spec, [hris_inits[j] for j in trial[defined]], y_rc[defined],

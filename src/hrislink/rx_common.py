@@ -1,4 +1,4 @@
-"""Shared receiver plumbing: failure modes, reports, the entry check, the
+"""Shared receiver plumbing: failure modes, reports, the one entry check of every receiver input, the
 one ALS loop (:func:`run_als`: from the caller's start, channel step contracted from the caller's
 tables by :func:`channel_step`, symbol step on the caller's regressor, stop rule), the full-rank
 solve of a caller's normal equations, and the anchor normalization.  Every solve goes through
@@ -73,13 +73,13 @@ def init_symbols(rows: int, cols: int, seed: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
-    """Validate the tensor received by the receiver function ``fn``; return the problem sizes.
+def check_received(y: np.ndarray, coding: CodingSet, fn: str, *fed: np.ndarray) -> Sizes:
+    """Validate the tensor received by the receiver function ``fn`` and the arrays ``fed`` back to it; return the sizes.
 
-    ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS, or a stack of them.  Raises
-    ``ValueError`` for a scheme the receiver does not serve, fewer than three axes or shapes that
-    disagree with the coding, :class:`NonFiniteError` on NaN/inf entries,
-    and :class:`IdentifiabilityError` below the sub-frame threshold.  Its entry, sizes and threshold are cached per shape.
+    ``y`` is ``(nc, t, k)`` at the surface or ``(m, t, k)`` at the BS, ``fed`` the BS's ``(n, l)`` channel and, if
+    passed, ``(streams, t)`` symbols, stacked alike.  Raises ``ValueError`` for a scheme the receiver does not serve,
+    fewer than three axes or shapes that disagree with the coding, :class:`NonFiniteError` on NaN/inf entries, and,
+    before ``fed``, :class:`IdentifiabilityError` below the sub-frame threshold.  Its entry facts are cached per shape.
     """
     if np.ndim(y) < 3:
         raise ValueError(f"{fn} takes a received (rows, t, k) tensor or a stack of them, got shape {np.shape(y)}")
@@ -89,6 +89,11 @@ def check_received(y: np.ndarray, coding: CodingSet, fn: str) -> Sizes:
     if sizes.k < need:
         raise IdentifiabilityError(f"{spec.name} at the {ENTITY_NAMES[spec.entity]} ({sizes.scheme}) "
                                    f"needs at least {need} sub-frames, got {sizes.k}")
+    for name, value, rows, cols in zip(("ut_channel", "symbols"), fed, (sizes.n, sizes.w), (sizes.l, sizes.t)):
+        if np.shape(value) != (shape := y.shape[:-3] + (rows, cols)):
+            raise ValueError(f"fed-back {name} must be {shape}, got {np.shape(value)}")
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"fed-back {name} has non-finite entries")
     return sizes
 
 

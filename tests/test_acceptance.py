@@ -139,8 +139,8 @@ def test_criterion_2_model_equivalence():
         channels = draw_channels(cfg, rng)
         coding = build_coding(cfg)
         symbols = gen_symbols(cfg, rng)
-        y_rc = synth_yrc(cfg, channels, coding, symbols)
-        y_bs = synth_ybs(cfg, channels, coding, symbols)
+        y_rc = synth_yrc(channels, coding, symbols)
+        y_bs = synth_ybs(channels, coding, symbols)
         assert np.max(np.abs(y_rc - sensed_tensor_form(channels, coding, symbols))) < 1e-12
         assert np.max(np.abs(y_bs - reflected_tensor_form(channels, coding, symbols))) < 1e-12
         for _ in range(10):
@@ -176,7 +176,7 @@ def test_criterion_3_exact_recovery_all_pairs():
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y_bs = synth_ybs(cfg, channels, coding, symbols)
+    y_bs = synth_ybs(channels, coding, symbols)
     exh = khatri_rao(coding.code.T, coding.reflect.T)
     right = vec(channels.ut_ris)[:, None] * exh
     z = unfold(y_bs, 3).T @ np.linalg.pinv(right)
@@ -222,7 +222,7 @@ def test_criterion_4_identifiability_table():
 
     # surface closed-form, tstc: threshold l*r*n/nc = 16
     cfg, ch, cod, x, rng = fresh("tstc", 16)
-    y = synth_yrc(cfg, ch, cod, x)
+    y = synth_yrc(ch, cod, x)
     rep = hris_kronf(y, cod)
     assert hl.nmse(rep.channel, ch.ut_ris) < 1e-10
     assert hl.nmse(rep.symbols, x) < 1e-10
@@ -230,7 +230,7 @@ def test_criterion_4_identifiability_table():
         hris_kronf(y[:, :, :15], _truncated(cod, 15))
 
     # bs closed-form, tstc: threshold r*n = 16
-    y = synth_ybs(cfg, ch, cod, x)
+    y = synth_ybs(ch, cod, x)
     rep = bs_kronf(y, ch.ut_ris, cod)
     assert hl.nmse(rep.channel, ch.ris_bs) < 1e-10
     with pytest.raises(IdentifiabilityError):
@@ -238,7 +238,7 @@ def test_criterion_4_identifiability_table():
 
     # surface closed-form, krstc: threshold l*n/nc = 8
     cfg, ch, cod, x, rng = fresh("krstc", 8)
-    y = synth_yrc(cfg, ch, cod, x)
+    y = synth_yrc(ch, cod, x)
     rep = hris_krf(y, cod)
     assert hl.nmse(rep.channel, ch.ut_ris) < 1e-10
     assert hl.nmse(rep.symbols, x) < 1e-10
@@ -247,7 +247,7 @@ def test_criterion_4_identifiability_table():
 
     # bs closed-form, krstc: threshold l*n = 16
     cfg, ch, cod, x, rng = fresh("krstc", 16)
-    y = synth_ybs(cfg, ch, cod, x)
+    y = synth_ybs(ch, cod, x)
     rep = bs_kronf(y, ch.ut_ris, cod)
     assert hl.nmse(rep.channel, ch.ris_bs) < 1e-10
     with pytest.raises(IdentifiabilityError):
@@ -311,7 +311,7 @@ def test_criterion_6_bals_monotonicity_and_iteration_trend():
             channels = draw_channels(cfg, rng)
             coding = build_coding(cfg)
             sent = math.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
-            y = with_noise(synth_yrc(cfg, channels, coding, sent), cfg, rng)
+            y = with_noise(synth_yrc(channels, coding, sent), cfg, rng)
             rep = hris_bals(y, coding, init_seed=i)
             trace = rep.residuals
             assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
@@ -326,8 +326,8 @@ def test_criterion_6_bals_monotonicity_and_iteration_trend():
             channels = draw_channels(cfg, rng)
             coding = build_coding(cfg)
             sent = math.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
-            with_noise(synth_yrc(cfg, channels, coding, sent), cfg, rng)  # keep the draw order of a full trial
-            y = with_noise(synth_ybs(cfg, channels, coding, sent), cfg, rng)
+            with_noise(synth_yrc(channels, coding, sent), cfg, rng)  # keep the draw order of a full trial
+            y = with_noise(synth_ybs(channels, coding, sent), cfg, rng)
             rep = bs_bals(y, math.sqrt(cfg.pt_watts) * channels.ut_ris, coding, init_seed=i)
             trace = rep.residuals
             assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))

@@ -1,7 +1,5 @@
 """BS-side receivers: design matrices, recovery oracles, ambiguity removal."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +40,7 @@ def make_case(seed=0, scheme="tstc", **kw):
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_ybs(cfg.replace(noise_dbm=-math.inf), channels, coding, symbols)
+    y = synth_ybs(channels, coding, symbols)
     return cfg, channels, coding, symbols, y
 
 
@@ -82,7 +80,7 @@ def test_bals_exact_recovery_with_true_feedback(scheme):
 def test_bals_residual_trace_nonincreasing():
     cfg, channels, coding, symbols, _ = make_case(seed=2)
     rng = np.random.default_rng(5)
-    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
+    y = with_noise(synth_ybs(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
     g = channels.ut_ris * np.sqrt(cfg.pt_watts)
     for seed in range(5):
         rep = bs_bals(y, g, coding, init_seed=seed)
@@ -93,7 +91,7 @@ def test_bals_residual_trace_nonincreasing():
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
-    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
+    y = with_noise(synth_ybs(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     g = channels.ut_ris * np.sqrt(cfg.pt_watts)
     rep = bs_bals(y, g, coding)
     misfit = unfold(y, 2).T - symbol_code_matrix(reflect_blocks(coding, g), rep.channel) @ rep.symbols
@@ -193,7 +191,7 @@ def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
     # with the certificate cap at zero every solve takes the SVD path on its explicit problem, and each
     # receiver call still builds its slice's blocks and Kronecker problem once and reads every regressor off them
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
-    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
+    y = with_noise(synth_ybs(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     g = channels.ut_ris * np.sqrt(cfg.pt_watts)
     builds, problems, regressors, starts = [], [], [], []
     reflect_blocks, kronecker_problem, run_als = synthesis.reflect_blocks, bs_rx.kronecker_problem, bs_rx.run_als
@@ -327,7 +325,7 @@ def test_channel_only_equals_single_bals_channel_step():
 def test_channel_only_is_the_first_bals_channel_step_bit_for_bit(scheme, als_start, raw_estimates, monkeypatch):
     cfg, channels, coding, symbols, _ = make_case(seed=4, scheme=scheme)
     rng = np.random.default_rng(9)
-    y = with_noise(synth_ybs(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
+    y = with_noise(synth_ybs(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
     g = channels.ut_ris * np.sqrt(cfg.pt_watts) * (1 + 0.1 * rng.standard_normal(channels.ut_ris.shape))
     x = symbols + 0.1 * rng.standard_normal(symbols.shape)
     monkeypatch.setattr(rx_common, "MAX_ITERATIONS", 1)

@@ -63,10 +63,11 @@ def test_per_element_power_split_sums_to_one():
 
 
 def test_phase_design_preconditions():
-    with pytest.raises(ValueError):
-        design_phase_shifts(ScenarioConfig(n=16, nc=2, k=4))  # k*nc < n
-    with pytest.raises(ValueError):
-        design_phase_shifts(ScenarioConfig(n=8, nc=4, k=4))   # k < n
+    # k >= n also gives the sensing fibers their k*nc >= n, so both inputs fail on it
+    for n, nc in ((16, 2), (8, 4)):    # k*nc < n, and k*nc >= n > k
+        with pytest.raises(ValueError, match=rf"^reflecting design samples DFT column \(n-1\)\*nc, which needs "
+                                             rf"k >= n; got k=4, n={n}$"):
+            design_phase_shifts(ScenarioConfig(n=n, nc=nc, k=4))
 
 
 def test_full_rank_slices():

@@ -361,8 +361,8 @@ def test_a_raising_surface_slice_leaves_the_rest_of_its_stack_unchanged(monkeypa
     synth_yrc, receiver = harness.synth_yrc, getattr(hris_rx, f"hris_{pair[0]}")
     calls = []
 
-    def nan_for_target(cfg, channels, coding, symbols):
-        y = synth_yrc(cfg, channels, coding, symbols)
+    def nan_for_target(channels, coding, symbols):
+        y = synth_yrc(channels, coding, symbols)
         y[np.all(channels.ut_ris == target, axis=(-2, -1))] = np.nan    # the matching slice of the trial stack
         return y
 
@@ -385,10 +385,10 @@ def test_run_points_synthesizes_each_coding_once_for_all_its_trials(monkeypatch)
     calls = Counter()
 
     def counting(synth):
-        def counted(cfg, channels, coding, symbols):
+        def counted(channels, coding, symbols):
             calls[synth.__name__] += 1
             assert symbols.shape[0] == channels.ut_ris.shape[0] == channels.ris_bs.shape[0] == len(seeds)
-            return synth(cfg, channels, coding, symbols)
+            return synth(channels, coding, symbols)
         return counted
 
     for name in ("synth_yrc", "synth_ybs"):
@@ -474,12 +474,18 @@ def test_aggregate_equals_the_per_metric_reduction_bit_for_bit(n_good, n_failed,
 def test_check_received_repeats_its_failures_exactly():
     cfg = small_cfg()
     coding = build_coding(cfg)
-    y = np.zeros((cfg.nc, cfg.t, cfg.k), dtype=complex)
+    y, y_bs = np.zeros((cfg.nc, cfg.t, cfg.k), dtype=complex), np.zeros((cfg.m, cfg.t, cfg.k), dtype=complex)
+    g = np.zeros((cfg.n, cfg.l), dtype=complex)
     cases = [
         (ValueError, lambda: check_received(y, build_coding(cfg.replace(scheme="krstc")), "hris_kronf")),
         (ValueError, lambda: check_received(y[:, :, :8], coding, "hris_kronf")),
         (NonFiniteError, lambda: check_received(np.full_like(y, np.nan), coding, "hris_kronf")),
         (IdentifiabilityError, lambda: check_received(y[:, :, :8], build_coding(cfg.replace(k=8)), "hris_kronf")),
+        # the BS's fed-back channel, read after the threshold test
+        (ValueError, lambda: check_received(y_bs, coding, "bs_kronf", g[:, :1])),
+        (NonFiniteError, lambda: check_received(y_bs, coding, "bs_kronf", np.full_like(g, np.nan))),
+        (IdentifiabilityError, lambda: check_received(y_bs[:, :, :8], build_coding(cfg.replace(k=8)), "bs_kronf",
+                                                      g[:, :1])),
     ]
     for expected, call in cases:
         seen = set()
@@ -540,11 +546,13 @@ def test_receivers_name_the_shape_they_take(scheme, receiver):
 
 
 def test_non_finite_signal_is_a_failed_trial(monkeypatch):
-    def nan_yrc(cfg, channels, coding, symbols):
+    cfg = small_cfg()
+
+    def nan_yrc(channels, coding, symbols):
         return np.full((cfg.nc, cfg.t, cfg.k), np.nan, dtype=complex)
 
     monkeypatch.setattr(harness, "synth_yrc", nan_yrc)
-    out = run_trial(small_cfg(), ("kronf", "bals"), trial_seed(0, 0))
+    out = run_trial(cfg, ("kronf", "bals"), trial_seed(0, 0))
     assert out.failed and "non-finite" in out.failure_reason
 
 

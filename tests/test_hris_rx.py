@@ -36,7 +36,7 @@ def make_case(seed=0, scheme="tstc", **kw):
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_yrc(cfg.replace(noise_dbm=-math.inf), channels, coding, symbols)
+    y = synth_yrc(channels, coding, symbols)
     return cfg, channels, coding, symbols, y
 
 
@@ -94,7 +94,7 @@ def test_bals_exact_recovery_noiseless(scheme):
 def test_bals_residual_trace_nonincreasing():
     cfg, channels, coding, symbols, _ = make_case(seed=3)
     rng = np.random.default_rng(10)
-    y = with_noise(synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
+    y = with_noise(synth_yrc(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, rng)
     for seed in range(5):
         rep = hris_bals(y, coding, init_seed=seed)
         trace = rep.residuals
@@ -104,7 +104,7 @@ def test_bals_residual_trace_nonincreasing():
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=3, scheme=scheme)
-    y = with_noise(synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(10))
+    y = with_noise(synth_yrc(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(10))
     rep = hris_bals(y, coding)
     misfit = unfold(y, 2).T - symbol_code_matrix(coding, rep.channel) @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
@@ -123,7 +123,7 @@ def test_bals_true_init_converges_immediately(als_start):
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_bals_solves_take_no_fallback_on_ordinary_input(scheme):
     cfg, channels, coding, symbols, y = make_case(scheme=scheme)
-    noisy = with_noise(synth_yrc(cfg, channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
+    noisy = with_noise(synth_yrc(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     for received in (y, noisy):
         assert hris_bals(received, coding).fallbacks == 0
     closed_form = hris_kronf if scheme == "tstc" else hris_krf
@@ -151,7 +151,7 @@ def test_bals_reaches_the_closed_form_estimate(scheme, pt_dbm):
     worst = 0.0
     for _ in range(50):
         sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
-        y = with_noise(synth_yrc(cfg, draw_channels(cfg, rng), coding, sent), cfg, rng)
+        y = with_noise(synth_yrc(draw_channels(cfg, rng), coding, sent), cfg, rng)
         g_cf = closed_form(y, coding).channel
         worst = max(worst, np.linalg.norm(hris_bals(y, coding).channel - g_cf) / np.linalg.norm(g_cf))
     assert worst <= 1e-9
@@ -239,7 +239,7 @@ def test_krf_single_antenna_matches_kronf():
     cfg_k = ScenarioConfig(scheme="krstc", **kw)
     coding_k = build_coding(cfg_k)
     assert np.allclose(coding_t.code[:, 0, :].T, coding_k.code)
-    y_k = synth_yrc(cfg_k.replace(noise_dbm=-math.inf), channels, coding_k, symbols)
+    y_k = synth_yrc(channels, coding_k, symbols)
     rep_t = hris_kronf(y_t, coding_t)
     rep_k = hris_krf(y_k, coding_k)
     assert np.allclose(rep_t.channel, rep_k.channel, atol=1e-10)

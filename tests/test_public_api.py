@@ -24,8 +24,8 @@ def test_pipeline_signatures():
         hrislink.bs_bals: ["y_bs", "ut_channel", "coding", "init_seed"],
         hrislink.bs_kronf: ["y_bs", "ut_channel", "coding"],
         hrislink.bs_channel_only: ["y_bs", "ut_channel", "symbols", "coding"],
-        synth_yrc: ["cfg", "channels", "coding", "symbols"],
-        synth_ybs: ["cfg", "channels", "coding", "symbols"],
+        synth_yrc: ["channels", "coding", "symbols"],
+        synth_ybs: ["channels", "coding", "symbols"],
         hrislink.draw_noise: ["shape", "power", "rng"],
     }
     for fn, names in expected.items():

@@ -265,8 +265,8 @@ def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
     rng = np.random.default_rng(7)
     channels, coding = draw_channels(cfg, rng), build_coding(cfg)
     sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
-    y_rc = with_noise(synth_yrc(cfg, channels, coding, sent), cfg, rng)
-    y_bs = with_noise(synth_ybs(cfg, channels, coding, sent), cfg, rng)
+    y_rc = with_noise(synth_yrc(channels, coding, sent), cfg, rng)
+    y_bs = with_noise(synth_ybs(channels, coding, sent), cfg, rng)
     surface = hris_rx.hris_bals(y_rc, coding)
     cholesky = [surface, bs_rx.bs_bals(y_bs, surface.channel, coding)]
     monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
@@ -299,8 +299,8 @@ def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
     channels, coding = draw_channels(cfg, rng), build_coding(cfg)
     sent = np.sqrt(cfg.pt_watts) * gen_symbols(cfg, rng)
     for noise_dbm in (-math.inf, cfg.noise_dbm):
-        y_rc = with_noise(synth_yrc(cfg, channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
-        y_bs = with_noise(synth_ybs(cfg, channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
+        y_rc = with_noise(synth_yrc(channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
+        y_bs = with_noise(synth_ybs(channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
         surface = hris_rx.hris_bals(y_rc, coding)
         bs = bs_rx.bs_bals(y_bs, surface.channel, coding)
         assert surface.fallbacks == bs.fallbacks == 0

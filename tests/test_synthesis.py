@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hrislink.coding import CodingSet, build_coding, gen_symbols
+from hrislink.coding import build_coding, gen_symbols
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
 
@@ -36,18 +36,18 @@ def make_case(seed=0, **kw):
 
 def test_all_reflect_gives_zero_sensed():
     cfg, channels, coding, symbols = make_case(rho=1.0)
-    assert np.all(synth_yrc(cfg, channels, coding, symbols) == 0)
+    assert np.all(synth_yrc(channels, coding, symbols) == 0)
 
 
 def test_all_sense_gives_zero_reflected():
     cfg, channels, coding, symbols = make_case(rho=0.0)
-    assert np.all(synth_ybs(cfg, channels, coding, symbols) == 0)
+    assert np.all(synth_ybs(channels, coding, symbols) == 0)
 
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_sensed_matches_tensor_form(scheme):
     cfg, channels, coding, symbols = make_case(scheme=scheme)
-    y = synth_yrc(cfg, channels, coding, symbols)
+    y = synth_yrc(channels, coding, symbols)
     oracle = sensed_tensor_form(channels, coding, symbols)
     assert np.max(np.abs(y - oracle)) < 1e-12
 
@@ -55,7 +55,7 @@ def test_sensed_matches_tensor_form(scheme):
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
 def test_reflected_matches_tensor_form(scheme):
     cfg, channels, coding, symbols = make_case(scheme=scheme)
-    y = synth_ybs(cfg, channels, coding, symbols)
+    y = synth_ybs(channels, coding, symbols)
     oracle = reflected_tensor_form(channels, coding, symbols)
     assert np.max(np.abs(y - oracle)) < 1e-12
 
@@ -66,7 +66,7 @@ def test_scalar_pipeline_single_entry():
     channels = draw_channels(cfg, rng)
     coding = build_coding(cfg)
     symbols = gen_symbols(cfg, rng)
-    y = synth_yrc(cfg, channels, coding, symbols)
+    y = synth_yrc(channels, coding, symbols)
     expected = (coding.sensing[0, 0, 0] * channels.ut_ris[0, 0]
                 * coding.mix[0][0, 0] * symbols[0, 0])
     assert abs(y[0, 0, 0] - expected) < 1e-15
@@ -76,8 +76,8 @@ def test_scalar_pipeline_single_entry():
 def test_scalar_sum_consistency(scheme):
     cfg, channels, coding, symbols = make_case(seed=5, scheme=scheme)
     rng = np.random.default_rng(11)
-    y_rc = synth_yrc(cfg, channels, coding, symbols)
-    y_bs = synth_ybs(cfg, channels, coding, symbols)
+    y_rc = synth_yrc(channels, coding, symbols)
+    y_bs = synth_ybs(channels, coding, symbols)
     for _ in range(5):
         ic = int(rng.integers(cfg.nc))
         im = int(rng.integers(cfg.m))
@@ -89,19 +89,18 @@ def test_scalar_sum_consistency(scheme):
 
 def test_krstc_is_diagonal_special_case_of_tstc():
     cfg_kr, channels, coding_kr, symbols = make_case(scheme="krstc")
-    y_kr = synth_ybs(cfg_kr, channels, coding_kr, symbols)
+    y_kr = synth_ybs(channels, coding_kr, symbols)
     # same signal through the tstc path with per-sub-frame diagonal mixing
-    cfg_w = cfg_kr.replace(scheme="tstc")
     w = np.zeros((cfg_kr.l, cfg_kr.l, cfg_kr.k))
     for k in range(cfg_kr.k):
         w[:, :, k] = np.diag(coding_kr.code[k])
     coding_w = type(coding_kr)(scheme="tstc", sensing=coding_kr.sensing,
                                reflect=coding_kr.reflect, code=w)
-    y_w = synth_ybs(cfg_w, channels, coding_w, symbols)
+    y_w = synth_ybs(channels, coding_w, symbols)
     assert np.max(np.abs(y_kr - y_w)) < 1e-12
     assert np.max(np.abs(
-        synth_yrc(cfg_kr, channels, coding_kr, symbols)
-        - synth_yrc(cfg_w, channels, coding_w, symbols))) < 1e-12
+        synth_yrc(channels, coding_kr, symbols)
+        - synth_yrc(channels, coding_w, symbols))) < 1e-12
 
 
 def test_energy_monotne_in_power_split():
@@ -111,15 +110,15 @@ def test_energy_monotne_in_power_split():
     for rho in np.linspace(0.05, 0.95, 7):
         cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, rho=float(rho), noise_dbm=-math.inf)
         coding = build_coding(cfg)
-        sensed.append(np.linalg.norm(synth_yrc(cfg, channels, coding, symbols)) ** 2)
-        reflected.append(np.linalg.norm(synth_ybs(cfg, channels, coding, symbols)) ** 2)
+        sensed.append(np.linalg.norm(synth_yrc(channels, coding, symbols)) ** 2)
+        reflected.append(np.linalg.norm(synth_ybs(channels, coding, symbols)) ** 2)
     assert all(a >= b - 1e-15 for a, b in zip(sensed, sensed[1:]))
     assert all(a <= b + 1e-15 for a, b in zip(reflected, reflected[1:]))
 
 
 def test_noise_is_additive_after_synthesis():
     cfg, channels, coding, symbols = make_case(seed=2)
-    clean = synth_yrc(cfg, channels, coding, symbols)
+    clean = synth_yrc(channels, coding, symbols)
     noisy = with_noise(clean, cfg.replace(noise_dbm=-90.0), np.random.default_rng(0))
     diff = noisy - clean
     assert diff.shape == clean.shape
@@ -127,27 +126,47 @@ def test_noise_is_additive_after_synthesis():
 
 
 def test_dimension_mismatch_rejected():
+    # a wrong UT-side channel or stream count, and a BS-side channel or symbol vector without its m or t axis
     cfg, channels, coding, symbols = make_case()
-    bad = ChannelRealization(channels.ut_ris[:, :1], channels.ris_bs)
-    with pytest.raises(ValueError):
-        synth_yrc(cfg, bad, coding, symbols)
-    with pytest.raises(ValueError):
-        synth_ybs(cfg, channels, coding, symbols[:, :2])
+    cases = ((ChannelRealization(channels.ut_ris[:, :1], channels.ris_bs), symbols,
+              r"UT-side channel must be \(8, 2\), got \(8, 1\)"),
+             (channels, symbols[:1], r"symbol matrix must be \(2, 4\), got \(1, 4\)"),
+             (ChannelRealization(channels.ut_ris, channels.ris_bs[0]), symbols,
+              r"BS-side channel must be \('m', 8\), got \(8,\)"),
+             (channels, symbols[0], r"symbol matrix must be \(2, 4\), got \(4,\)"))
+    for chans, x, message in cases:
+        for synth in (synth_yrc, synth_ybs):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                synth(chans, coding, x)
 
 
-@pytest.mark.parametrize("other, message", [
-    (dict(nc=1), r"sensing tensor must be \(2, 8, 16\), got \(1, 8, 16\)"),
-    (dict(n=4), r"reflect matrix must be \(16, 8\), got \(16, 4\)"),
-    (dict(scheme="krstc"), r"coding built for 'krstc' but config says 'tstc'"),
-], ids=["sensing", "reflect", "scheme"])
-def test_coding_of_another_config_rejected(other, message):
+@pytest.mark.parametrize("other", [dict(nc=1), dict(n=4), dict(scheme="krstc")], ids=["sensing", "reflect", "scheme"])
+def test_coding_of_another_config_rejected(other):
+    # the coding is the one source of n, nc, k, l and the stream count: synthesis follows the coding it is given
     cfg, channels, coding, symbols = make_case()
     foreign = build_coding(cfg.replace(**other))
-    if "n" in other:    # the sensing tensor has to match for the reflect matrix to be checked
-        foreign = CodingSet(coding.scheme, coding.sensing, foreign.reflect, coding.code)
-    for synth in (synth_yrc, synth_ybs):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            synth(cfg, channels, foreign, symbols)
+    if "n" in other:    # the UT-side channel has the config's n, not the coding's
+        for synth in (synth_yrc, synth_ybs):
+            with pytest.raises(ValueError, match=r"^UT-side channel must be \(4, 2\), got \(8, 2\)$"):
+                synth(channels, foreign, symbols)
+    else:
+        assert_matches_the_oracles(channels, foreign, symbols)
+
+
+def test_the_arrays_fix_m_and_t():
+    cfg, channels, coding, symbols = make_case()
+    rng = np.random.default_rng(4)
+    other = ChannelRealization(channels.ut_ris, draw_channels(cfg.replace(m=3), rng).ris_bs)
+    longer = gen_symbols(cfg.replace(t=7), rng)
+    for chans, x in ((other, symbols), (channels, longer), (other, longer)):
+        assert_matches_the_oracles(chans, coding, x)
+    assert synth_ybs(other, coding, longer).shape == (3, 7, cfg.k)
+
+
+def assert_matches_the_oracles(channels, coding, symbols):
+    for got, want in ((synth_yrc(channels, coding, symbols), sensed_tensor_form(channels, coding, symbols)),
+                      (synth_ybs(channels, coding, symbols), reflected_tensor_form(channels, coding, symbols))):
+        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
 
 
 # Plain einsum references (no contraction-path search) for the batched products.
@@ -176,8 +195,8 @@ def test_batched_synthesis_matches_plain_einsum(scheme, sizes):
     sensed = np.einsum(sensed_spec, coding.sensing, channels.ut_ris, code, symbols)
     reflected = np.einsum(reflected_spec, channels.ris_bs, coding.reflect, channels.ut_ris, code, symbols)
     # Some entries cancel to an exact zero in one summation order only, hence the floor.
-    for got, want in ((synth_yrc(cfg, channels, coding, symbols), sensed),
-                      (synth_ybs(cfg, channels, coding, symbols), reflected)):
+    for got, want in ((synth_yrc(channels, coding, symbols), sensed),
+                      (synth_ybs(channels, coding, symbols), reflected)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -193,9 +212,9 @@ def test_stacked_synthesis_equals_the_per_trial_tensors(scheme, sizes):
     stack = ChannelRealization(*(np.stack([getattr(ch, name) for ch, _ in draws]) for name in ("ut_ris", "ris_bs")))
     symbols = np.stack([x for _, x in draws])
     for synth in (synth_yrc, synth_ybs):
-        alone = np.stack([synth(cfg, ch, coding, x) for ch, x in draws])
-        assert np.array_equal(synth(cfg, stack, coding, symbols), alone)
-        assert np.array_equal(synth(cfg, ChannelRealization(stack.ut_ris[None], stack.ris_bs[None]), coding,
+        alone = np.stack([synth(ch, coding, x) for ch, x in draws])
+        assert np.array_equal(synth(stack, coding, symbols), alone)
+        assert np.array_equal(synth(ChannelRealization(stack.ut_ris[None], stack.ris_bs[None]), coding,
                                     symbols[None]), alone[None])
 
 
@@ -210,4 +229,4 @@ def test_stack_with_disagreeing_leading_axes_rejected():
     for chans, x, message in cases:
         for synth in (synth_yrc, synth_ybs):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                synth(cfg, chans, coding, x)
+                synth(chans, coding, x)
