@@ -16,12 +16,11 @@ from .harness import (
 )
 from .hris_rx import hris_bals, hris_kronf, hris_krf
 from .identifiability import (
-    IdentReport,
-    check_identifiability,
     feasible_subframes,
     feedback_bits,
     flops_estimate,
     min_subframes,
+    pair_subframes,
 )
 from .rx_common import (
     AmbiguityError,
@@ -40,7 +39,6 @@ __all__ = [
     "ChannelRealization",
     "CodingSet",
     "EstimateReport",
-    "IdentReport",
     "IdentifiabilityError",
     "MetricsRecord",
     "NonFiniteError",
@@ -51,7 +49,6 @@ __all__ = [
     "bs_channel_only",
     "bs_kronf",
     "build_coding",
-    "check_identifiability",
     "combined_channel",
     "design_krstc",
     "design_phase_shifts",
@@ -69,6 +66,7 @@ __all__ = [
     "min_subframes",
     "nmse",
     "normalize_anchor",
+    "pair_subframes",
     "parse_pair",
     "path_loss",
     "qam_constellation",

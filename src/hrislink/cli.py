@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .harness import format_float, parse_pair, records_to_csv, run_sweep
-from .identifiability import check_identifiability, feedback_bits, flops_estimate, receiver_spec
+from .identifiability import Sizes, feedback_bits, pair_subframes, receiver_spec
 from .rx_common import IdentifiabilityError
 from .scenario import ScenarioConfig
 
@@ -52,19 +52,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     cfg = _load_config(args)
     pair = parse_pair(args.pair)
-    report = check_identifiability(cfg, pair)
-    scenario = receiver_spec(pair[1], "bs", cfg.scheme).scenario
-    bits = feedback_bits(cfg, scenario)
+    sizes = Sizes.of(cfg)
+    specs = [receiver_spec(receiver, entity, cfg.scheme) for receiver, entity in zip(pair, ("hris", "bs"))]
+    need = pair_subframes(cfg, pair)
     print(f"pair {pair[0]}-{pair[1]}  scheme {cfg.scheme}  k={cfg.k}")
     print(f"{'receiver':<10}{'entity':<8}{'min_k':>6}  {'ok':<4}{'flops':>14}")
-    for row in report.rows:
-        flops = flops_estimate(cfg, row.receiver, row.entity, iterations=1)
-        suffix = "/iter" if receiver_spec(row.receiver, row.entity, cfg.scheme).iterative else ""
-        print(f"{row.receiver:<10}{row.entity:<8}{row.min_k:>6}  "
-              f"{'yes' if row.satisfied else 'NO':<4}{format_float(flops) + suffix:>14}")
-    print(f"feedback bits (scenario {scenario}): {bits}")
-    print(f"identifiable: {'yes' if report.satisfied else 'NO'} (needs k >= {report.min_k})")
-    return 0 if report.satisfied else 1
+    for spec in specs:
+        threshold = spec.threshold(sizes)
+        flops = format_float(float(spec.flops(sizes))) + ("/iter" if spec.iterative else "")
+        print(f"{spec.name:<10}{spec.entity:<8}{threshold:>6}  {'yes' if cfg.k >= threshold else 'NO':<4}{flops:>14}")
+    scenario = specs[1].scenario
+    print(f"feedback bits (scenario {scenario}): {feedback_bits(cfg, scenario)}")
+    print(f"identifiable: {'yes' if cfg.k >= need else 'NO'} (needs k >= {need})")
+    return 0 if cfg.k >= need else 1
 
 
 def main(argv=None) -> int:

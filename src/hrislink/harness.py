@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bs_rx, hris_rx
 from .coding import build_coding, gen_symbols, qam_constellation
-from .identifiability import ReceiverSpec, check_identifiability, receiver_spec
+from .identifiability import ReceiverSpec, pair_subframes, receiver_spec
 from .rx_common import (AmbiguityError, EstimateReport, IdentifiabilityError, NonFiniteError,
                         RankDeficiencyError)
 from .scenario import ChannelRealization, ScenarioConfig, draw_channels, draw_noise
@@ -80,10 +80,10 @@ def combined_channel(ut_ris: np.ndarray, ris_bs: np.ndarray) -> np.ndarray:
 def ser(x_hat: np.ndarray, x_true: np.ndarray, order: int) -> float | np.ndarray:
     """Symbol error rate of hard minimum-distance decisions.
 
-    The entire first column is excluded (it carries the anchors for both
-    coding schemes).  Distance ties resolve to the lowest constellation
-    index, which makes the rate deterministic.  Stacks broadcast over leading
-    axes, one rate per matrix, and the sent indices are decided once per ``x_true`` matrix.
+    The whole first column goes unscored.  For krstc it holds the anchors; for tstc only ``(0, 0)`` is an
+    anchor, and the ``r - 1`` data symbols below it, which ``feedback_bits`` counts, are left out too.
+    Distance ties resolve to the lowest constellation index, which makes the rate deterministic.  Stacks
+    broadcast over leading axes, one rate per matrix, and the sent indices are decided once per ``x_true`` matrix.
     """
     x_hat = np.asarray(x_hat)
     x_true = np.asarray(x_true)
@@ -281,9 +281,9 @@ def run_sweep(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     configs = [_point_config(cfg, sweep_var, value) for value in points]
-    report = check_identifiability(cfg, pair)       # a sweep point changes neither the sizes nor the scheme
-    if not report.satisfied:
-        raise IdentifiabilityError(f"pair {pair[0]}-{pair[1]} needs k >= {report.min_k}, config has k={cfg.k}")
+    need = pair_subframes(cfg, pair)       # a sweep point changes neither the sizes nor the scheme
+    if cfg.k < need:
+        raise IdentifiabilityError(f"pair {pair[0]}-{pair[1]} needs k >= {need}, config has k={cfg.k}")
     seeds = [trial_seed(base_seed, i) for i in range(trials)]
     # One contiguous chunk of seeds per worker, in stacks of at most STACK_SLICES (trial, point) slices.
     size = min(math.ceil(trials / workers), max(1, STACK_SLICES // len(configs)))

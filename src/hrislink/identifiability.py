@@ -4,8 +4,9 @@
 dispatch, the receivers' own threshold checks and the CLI all read it.
 ``min_subframes`` evaluates, per receiver/entity/scheme, the minimum number
 of sub-frames that makes the receiver's least-squares steps uniquely
-solvable (under the full-rank coding design); ``tensor_ops`` holds the rank
-rule those steps are checked by.  ``flops_estimate`` and ``feedback_bits``
+solvable (under the full-rank coding design); ``pair_subframes`` is the
+larger of a surface/BS pair's two rows.  ``tensor_ops`` holds the rank rule
+those steps are checked by.  ``flops_estimate`` and ``feedback_bits``
 evaluate the per-receiver cost and control-link load formulas.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -102,45 +103,24 @@ def receiver_spec(receiver: str, entity: str, scheme: str) -> ReceiverSpec:
     raise ValueError(f"{receiver!r} is not a {ENTITY_NAMES.get(entity, entity)} receiver for {scheme}")
 
 
-@dataclass
-class IdentReport:
-    """Threshold check for one receiver row (or a receiver pair)."""
-
-    receiver: str
-    entity: str
-    scheme: str
-    min_k: int
-    k: int
-    satisfied: bool
-    rows: list = field(default_factory=list)
-
-
 def min_subframes(cfg: ScenarioConfig, receiver: str, entity: str) -> int:
     return receiver_spec(receiver, entity, cfg.scheme).threshold(Sizes.of(cfg))
 
 
-def check_identifiability(cfg: ScenarioConfig, pair: tuple[str, str]) -> IdentReport:
-    """Check one surface/BS receiver pair; both rows must hold simultaneously."""
-    sizes = Sizes.of(cfg)
-    rows = []
-    for receiver, entity in zip(pair, ("hris", "bs")):
-        need = receiver_spec(receiver, entity, cfg.scheme).threshold(sizes)
-        rows.append(IdentReport(receiver, entity, cfg.scheme, need, cfg.k, cfg.k >= need))
-    min_k = max(row.min_k for row in rows)
-    return IdentReport(f"{pair[0]}-{pair[1]}", "pair", cfg.scheme, min_k, cfg.k,
-                       cfg.k >= min_k, rows=rows)
+def pair_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
+    """Sub-frame threshold of a surface/BS pair: the larger of its two rows, which must both hold."""
+    return max(min_subframes(cfg, receiver, entity) for receiver, entity in zip(pair, ("hris", "bs")))
 
 
 def feasible_subframes(cfg: ScenarioConfig, pair: tuple[str, str]) -> int:
     """Smallest power-of-two sub-frame count that meets a pair's necessary floors.
 
-    Covers the identifiability rows plus the construction floors of the
+    Covers the pair threshold plus the construction floors of the
     coding design: the reflecting columns need ``k >= n`` and the Hadamard
     truncation needs ``k >= r*l`` (tstc) or ``k >= l`` (krstc).  The floor is
     necessary, not sufficient: the shipped coding can still be rank deficient.
     """
-    report = check_identifiability(cfg, pair)
-    floor = max(report.min_k, cfg.n, Sizes.of(cfg).c)
+    floor = max(pair_subframes(cfg, pair), cfg.n, Sizes.of(cfg).c)
     return 1 << max(0, (floor - 1).bit_length())
 
 

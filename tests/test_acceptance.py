@@ -23,7 +23,7 @@ from hrislink.harness import (
     trial_seed,
 )
 from hrislink.hris_rx import hris_bals, hris_kronf, hris_krf
-from hrislink.identifiability import check_identifiability, feedback_bits, flops_estimate, min_subframes
+from hrislink.identifiability import feedback_bits, flops_estimate, min_subframes, pair_subframes
 from hrislink.rx_common import IdentifiabilityError
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
@@ -60,7 +60,7 @@ def _passline(num, t0, limit, detail=""):
 def recovery_subframes(cfg: ScenarioConfig, pair) -> int:
     """Smallest power-of-two K meeting the pair's table rows, the joint
     uniqueness conditions (composite matrix ranks), and the design floors."""
-    rows = check_identifiability(cfg, pair).min_k
+    rows = pair_subframes(cfg, pair)
     if cfg.scheme == "tstc":
         floor = max(rows, cfg.l * cfg.r * cfg.n // cfg.nc, cfg.r * cfg.n,
                     cfg.n, cfg.r * cfg.l)

@@ -1,11 +1,12 @@
-"""The benchmark tracer's entry points exist in the package, and no other import in it goes unused.
+"""The benchmark tracer's entry points exist in the package, and no other import in it or in the tests goes unused.
 
 ``perfbench/tracing.py`` wraps hrislink functions under the module
 attributes their callers look up.  A renamed or dropped attribute makes
 the traced benchmark run fail, so every ``(module, attribute)`` it names
 must resolve.  The tracer is loaded from its file, unchanged.  An import
 the module never reads is allowed only where the tracer wraps it by that
-name and the import says so with ``# noqa: F401``.
+name and the import says so with ``# noqa: F401``; the tracer wraps nothing
+in the test modules, so there every unread import counts.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 
 def tracer_entry_points():
@@ -59,4 +61,10 @@ def test_src_has_no_unused_import():
         module_name = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
         unused += [f"{module_name}.{name}" for name, marked in unused_imports(path.read_text())
                    if not (marked and (module_name, name) in wrapped)]
+    assert not unused, unused
+
+
+def test_tests_have_no_unused_import():
+    unused = [f"{path.stem}.{name}" for path in sorted(TESTS.glob("*.py"))
+              for name, _ in unused_imports(path.read_text())]
     assert not unused, unused

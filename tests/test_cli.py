@@ -97,6 +97,53 @@ def test_check_exit_codes(cfg_file, tmp_path):
     assert "identifiable: NO" in bad.stdout
 
 
+# ``check`` at the default sizes, set by ``scheme`` and ``k`` in a config file:
+# (scheme, pair, k, exit code, the whole stdout).
+CHECK_REPORTS = [
+    ("tstc", "kronf-bals", 64, 0, (
+        "pair kronf-bals  scheme tstc  k=64\n"
+        "receiver  entity   min_k  ok           flops\n"
+        "kronf     hris        64  yes        2097664\n"
+        "bals      bs           8  yes    264192/iter\n"
+        "feedback bits (scenario 1): 1024\n"
+        "identifiable: yes (needs k >= 64)\n"
+    )),
+    ("krstc", "krf-h", 64, 0, (
+        "pair krf-h  scheme krstc  k=64\n"
+        "receiver  entity   min_k  ok           flops\n"
+        "krf       hris        32  yes         524544\n"
+        "h         bs           8  yes         262144\n"
+        "feedback bits (scenario 2): 1060\n"
+        "identifiable: yes (needs k >= 32)\n"
+    )),
+    ("tstc", "bals-bals", 8, 0, (
+        "pair bals-bals  scheme tstc  k=8\n"
+        "receiver  entity   min_k  ok           flops\n"
+        "bals      hris         8  yes    262208/iter\n"
+        "bals      bs           8  yes     33024/iter\n"
+        "feedback bits (scenario 1): 1024\n"
+        "identifiable: yes (needs k >= 8)\n"
+    )),
+    ("krstc", "bals-kronf", 32, 1, (
+        "pair bals-kronf  scheme krstc  k=32\n"
+        "receiver  entity   min_k  ok           flops\n"
+        "bals      hris         8  yes   1048832/iter\n"
+        "kronf     bs          64  NO          133120\n"
+        "feedback bits (scenario 1): 1024\n"
+        "identifiable: NO (needs k >= 64)\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("scheme,pair,k,code,stdout", CHECK_REPORTS,
+                         ids=[f"{scheme}-{pair}-k{k}" for scheme, pair, k, *_ in CHECK_REPORTS])
+def test_check_prints_the_whole_report(tmp_path, scheme, pair, k, code, stdout):
+    path = tmp_path / "check.cfg"
+    path.write_text(f"scheme = {scheme}\nk = {k}\n")
+    result = run_cli("check", "--config", str(path), "--pair", pair)
+    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, "")
+
+
 def test_check_names_the_config_file_it_rejects(tmp_path):
     odd = tmp_path / "odd.cfg"
     odd.write_text(CFG_TEXT.replace("k = 16", "k = 24"))

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrislink import bs_rx, hris_rx
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.identifiability import (
     RECEIVERS,
     Sizes,
-    check_identifiability,
     feasible_subframes,
     feedback_bits,
     flops_estimate,
     min_subframes,
+    pair_subframes,
 )
-from hrislink.rx_common import check_received
+from hrislink.rx_common import IdentifiabilityError, check_received
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 
 from oracle_models import rank_bounds
@@ -61,21 +62,17 @@ def test_min_subframes_unknown_combo():
         min_subframes(DEFAULTS, "h", "hris")
 
 
-def test_check_identifiability_pairs():
-    rep = check_identifiability(DEFAULTS, ("kronf", "bals"))
-    assert rep.min_k == 64 and rep.satisfied
+def test_pair_subframes_pairs():
+    assert pair_subframes(DEFAULTS, ("kronf", "bals")) == 64 <= DEFAULTS.k
     kr = DEFAULTS.replace(scheme="krstc")
-    rep2 = check_identifiability(kr, ("bals", "kronf"))
-    assert rep2.min_k == 64 and rep2.satisfied
-    rep3 = check_identifiability(kr.replace(k=32), ("bals", "kronf"))
-    assert not rep3.satisfied
-    rep4 = check_identifiability(DEFAULTS.replace(k=4), ("kronf", "h"))
-    assert not rep4.satisfied
+    assert pair_subframes(kr, ("bals", "kronf")) == 64 <= kr.k
+    assert pair_subframes(kr.replace(k=32), ("bals", "kronf")) > 32
+    assert pair_subframes(DEFAULTS.replace(k=4), ("kronf", "h")) > 4
 
 
-def test_check_identifiability_rejects_wrong_receiver_for_scheme():
+def test_pair_subframes_rejects_wrong_receiver_for_scheme():
     with pytest.raises(ValueError):
-        check_identifiability(DEFAULTS, ("krf", "bals"))
+        pair_subframes(DEFAULTS, ("krf", "bals"))
 
 
 def test_feasible_subframes_covers_design_floors():
@@ -88,18 +85,28 @@ def test_feasible_subframes_covers_design_floors():
     assert feasible_subframes(kr, ("krf", "kronf")) == 16
 
 
+def scheme_pairs(scheme):
+    """Every surface/BS receiver pair that serves ``scheme``."""
+    names = {entity: [s.name for s in RECEIVERS if s.entity == entity and scheme in s.schemes]
+             for entity in ("hris", "bs")}
+    return list(itertools.product(names["hris"], names["bs"]))
+
+
 @st.composite
-def feasible_configs(draw):
-    """A config whose ``k`` meets the floors of every pair of its scheme."""
+def small_configs(draw):
+    """A config of small random sizes, with ``k = 1``."""
     scheme = draw(st.sampled_from(["tstc", "krstc"]))
     l = draw(st.integers(1, 3))
     r = l if scheme == "krstc" else draw(st.integers(1, 3))
-    cfg = ScenarioConfig(m=draw(st.integers(1, 4)), n=draw(st.integers(1, 8)), nc=draw(st.integers(1, 3)),
-                         l=l, r=r, t=draw(st.integers(1, 5)), k=1, scheme=scheme)
-    names = {entity: [s.name for s in RECEIVERS if s.entity == entity and scheme in s.schemes]
-             for entity in ("hris", "bs")}
-    k = max(feasible_subframes(cfg, pair) for pair in itertools.product(names["hris"], names["bs"]))
-    return cfg.replace(k=k)
+    return ScenarioConfig(m=draw(st.integers(1, 4)), n=draw(st.integers(1, 8)), nc=draw(st.integers(1, 3)),
+                          l=l, r=r, t=draw(st.integers(1, 5)), k=1, scheme=scheme)
+
+
+@st.composite
+def feasible_configs(draw):
+    """A config whose ``k`` meets the floors of every pair of its scheme."""
+    cfg = draw(small_configs())
+    return cfg.replace(k=max(feasible_subframes(cfg, pair) for pair in scheme_pairs(cfg.scheme)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,6 +122,36 @@ def test_sizes_from_config_match_sizes_from_coding(cfg):
         got = check_received(np.zeros((rows, cfg.t, cfg.k), dtype=complex), coding, spec.fn)
         assert got == (expected if spec.entity == "bs" else replace(expected, m=None)), spec.fn
         assert spec.threshold(got) == spec.threshold(expected) == min_subframes(cfg, spec.name, spec.entity)
+
+
+def coding_of(cfg, k):
+    """A hand-built coding of ``k`` sub-frames at ``cfg``'s sizes; the receivers' entry check reads only its shapes."""
+    code = np.ones((cfg.l, cfg.r, k)) if cfg.scheme == "tstc" else np.ones((k, cfg.l))
+    return CodingSet(cfg.scheme, np.ones((cfg.nc, cfg.n, k), dtype=complex), np.ones((k, cfg.n), dtype=complex), code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs())
+def test_every_receiver_rejects_one_subframe_below_its_threshold(cfg):
+    # Criterion 4's rejection half at random sizes: the receiver itself refuses k = threshold - 1,
+    # its entry check takes k = threshold, and a pair needs the larger of its two rows.
+    need_of = {}
+    for spec in RECEIVERS:
+        if cfg.scheme not in spec.schemes:
+            continue
+        sizes = Sizes.of(cfg) if spec.entity == "bs" else replace(Sizes.of(cfg), m=None)
+        need = need_of[spec.name, spec.entity] = spec.threshold(sizes)
+        rows = cfg.m if spec.entity == "bs" else cfg.nc
+        # the BS's fed-back channel, and its symbols in scenario 2
+        fed = [np.zeros((cfg.n, cfg.l)), np.zeros((cfg.streams, cfg.t))][:spec.scenario] if spec.entity == "bs" else []
+        if need > 1:
+            receiver = getattr(hris_rx if spec.entity == "hris" else bs_rx, spec.fn)
+            with pytest.raises(IdentifiabilityError, match=f"needs at least {need} sub-frames, got {need - 1}$"):
+                receiver(np.zeros((rows, cfg.t, need - 1), dtype=complex), *fed, coding_of(cfg, need - 1))
+        got = check_received(np.zeros((rows, cfg.t, need), dtype=complex), coding_of(cfg, need), spec.fn, *fed)
+        assert got == replace(sizes, k=need), spec.fn
+    for surface, bs in scheme_pairs(cfg.scheme):
+        assert pair_subframes(cfg, (surface, bs)) == max(need_of[surface, "hris"], need_of[bs, "bs"])
 
 
 # ----------------------------------------------------------------- rank bounds

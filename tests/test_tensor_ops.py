@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from hrislink import tensor_ops
 from hrislink.coding import build_coding
 from hrislink.hris_rx import channel_code_matrix
 from hrislink.rx_common import RankDeficiencyError, require_full_rank
