@@ -11,9 +11,10 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 ``(w*n, w*n)`` Gram and a ``(w*n, t*m)`` cross, 64 KB and 32 KB at the default sizes:
 
 * :func:`bs_kronf` solves them for ``Z``, then splits it with a rank-1 factorization;
-* :func:`bs_bals` runs the shared ALS loop (:func:`~hrislink.rx_common.run_als`) over the BS-side
-  channel and the symbols on the two rearranged (:func:`als_tables`), from the symbols of
-  :func:`bs_kronf`'s solve of them where ``k`` reaches its threshold, not a random draw;
+* :func:`bs_bals` hands them to the shared ALS loop (:func:`~hrislink.rx_common.run_als`) over the BS-side
+  channel and the symbols, which rearranges them (:func:`~hrislink.rx_common.als_tables`) as it does the
+  surface's composite problem, from the symbols of :func:`bs_kronf`'s solve of them where ``k`` reaches its
+  threshold, not a random draw;
 * :func:`bs_channel_only`, the scenario-2 shortcut, takes one channel step of that
   loop (:func:`~hrislink.rx_common.channel_step`) at the fed-back symbols.
 
@@ -36,8 +37,8 @@ from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.
 
 from .coding import CodingSet
 from .identifiability import Sizes, receiver_spec
-from .rx_common import (AmbiguityError, EstimateReport, RankDeficiencyError, channel_step, check_received,
-                        init_symbols, normalize_anchor, require_full_rank, run_als)
+from .rx_common import (AmbiguityError, EstimateReport, RankDeficiencyError, als_tables, channel_step,
+                        check_received, init_symbols, normalize_anchor, require_full_rank, run_als)
 from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, unfold
 
@@ -63,14 +64,6 @@ def kronecker_problem(y: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np
     right, y3 = blocks.transpose(2, 0, 1).reshape(-1, blocks.shape[1]), unfold(y, 3)     # (w*n, k), (k, t*m)
     right_conj = right.conj()
     return right_conj @ right.T, right_conj @ y3, lambda: (right.T, y3)
-
-
-def als_tables(gram: np.ndarray, cross: np.ndarray, d: Sizes) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`kronecker_problem`'s Gram and cross rearranged into the ALS channel step's ``(w*w, n*n)`` Gram
-    table, ``[(s, s'), (i, j)]``, and ``(w*t, n*m)`` cross table, ``[(s, tau), (i, r)]``."""
-    w, n, t, m = d.w, d.n, d.t, d.m
-    return (gram.reshape(w, n, w, n).swapaxes(1, 2).reshape(w * w, n * n),
-            cross.reshape(w, n, t, m).swapaxes(1, 2).reshape(w * t, n * m))
 
 
 def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> np.ndarray:
@@ -103,7 +96,7 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
         with contextlib.suppress(RankDeficiencyError, AmbiguityError):
             start = _kronecker_split(require_full_rank(gram, cross, problem, "composite right factor"), d).symbols
     # the solution is h_hat^T, (n, m)
-    report = run_als(y_bs, *als_tables(gram, cross, d), (d.n, d.m),
+    report = run_als(y_bs, gram, cross, 1, (d.n, d.m),
                      lambda x_hat: (channel_code_matrix(blocks, x_hat).T, unfold(y_bs, 1).T),
                      lambda h_hat: symbol_code_matrix(blocks, h_hat),
                      init_symbols(d.w, d.t, init_seed) if start is None else start)
@@ -121,11 +114,12 @@ def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> Est
 def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarray, coding: CodingSet) -> EstimateReport:
     """One ALS channel step at the fed-back symbols (scenario 2), kept as they are: the channel inherits
     any scaling the fed-back estimates carry, so no anchor normalization is applied."""
-    d = check_received(y_bs, coding, "bs_channel_only", ut_channel, symbols)
+    check_received(y_bs, coding, "bs_channel_only", ut_channel, symbols)
 
     def step(y, g, x):
         blocks = reflect_blocks(coding, g)
-        return require_full_rank(*channel_step(*als_tables(*kronecker_problem(y, blocks)[:2], d), x), lambda: (
+        tables = als_tables(*kronecker_problem(y, blocks)[:2], 1, *x.shape)
+        return require_full_rank(*channel_step(*tables, x), lambda: (
             channel_code_matrix(blocks, x).T, unfold(y, 1).T), "channel-step regressor").T
 
     h_hat = _slice_by_slice(step, y_bs, ut_channel, symbols)

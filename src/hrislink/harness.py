@@ -288,6 +288,7 @@ def run_sweep(
     # One contiguous chunk of seeds per worker, in stacks of at most STACK_SLICES (trial, point) slices.
     size = min(math.ceil(trials / workers), max(1, STACK_SLICES // len(configs)))
     batches = [seeds[i:i + size] for i in range(0, trials, size)]
+    workers = min(workers, len(batches))     # a pool starts every worker process, however few the batches
     if workers > 1:
         # map keeps the trial order
         with ProcessPoolExecutor(max_workers=workers) as pool:

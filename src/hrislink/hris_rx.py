@@ -1,26 +1,17 @@
 """Semi-blind joint channel/symbol estimation at the sensing surface.
 
-Three receivers operate on the sensed tensor ``(nc, t, k)``:
+All three receivers fit the sensed tensor ``(nc, t, k)``, ``Y_k = phi_k G mix_k X``, through one least-squares
+problem per coding set (:func:`composite_problem`), ``F @ Z = unfold(y, 2).T`` with ``Z[(a, s, i), tau] =
+G[i, a] X[s, tau]`` and the composite regressor ``F``, ``kron(vec(mix_k^T)^T, phi_k)`` stacked over ``k``
+(:func:`composite_code_matrix`).  It is kept as ``F^H`` and its Gram, 256 KB at the default sizes:
 
-* :func:`hris_bals` runs the shared ALS loop
-  (:func:`~hrislink.rx_common.run_als`) on ``vec(G)`` (the vectorized
-  mode-3 unfolding) and the symbols (the transposed mode-2 unfolding).  It
-  supplies the channel step's ``(w*w, (l*n)**2)`` Gram table, kept per
-  coding set (:func:`channel_gram_table`), a ``(w*t, l*n)`` cross table
-  with the received signal, built once per call (256 KB and 8 KB at the
-  default sizes), the explicit regressor for the SVD fallback and the
-  symbol regressor;
-* :func:`hris_kronf` (tstc) recovers the Kronecker-structured composite of
-  channel and symbols in one least-squares solve, then splits it with a
-  rank-1 factorization after a block rearrangement;
-* :func:`hris_krf` (krstc) does the same for the column-wise Khatri-Rao
-  structured composite, with one rank-1 problem per stream.
-
-Both closed-form receivers also take stacks ``(s, nc, t, k)``, slice for slice exact.
-
-Each regressor is one batched product over the coding set's sub-frame
-stacks.  The closed-form receivers share one rank-checked pseudo-inverse of
-the composite regressor per coding set (:func:`composite_pinv`).
+* :func:`hris_kronf` (tstc) and :func:`hris_krf` (krstc) solve it on the columns that carry weight, all of them for
+  tstc and ``a == s`` for krstc (:func:`composite_pinv`), then split the composite with one rank-1 factorization,
+  or one per stream for krstc; both also take stacks ``(s, nc, t, k)``, slice for slice exact;
+* :func:`hris_bals` hands the Gram and the cross ``F^H unfold(y, 2).T`` to the shared ALS loop
+  (:func:`~hrislink.rx_common.run_als`), which rearranges them into its channel step on ``vec(G)`` as it does
+  the BS's; the explicit regressors (:func:`channel_code_matrix`, :func:`symbol_code_matrix`) serve the symbol
+  step and the SVD fallback.
 
 Every receiver ends by removing the scaling ambiguity against the anchor
 symbols (one scalar for tstc, one per stream for krstc).
@@ -69,63 +60,51 @@ def symbol_code_matrix(coding: CodingSet, channel: np.ndarray) -> np.ndarray:
 
 
 def composite_code_matrix(coding: CodingSet) -> np.ndarray:
-    """Composite regressor: ``kron(w_k.T, phi_k)`` stacked over ``k``.
+    """Composite regressor ``F``: ``kron(vec(mix_k.T).T, phi_k)`` stacked over ``k``, ``(k*nc, l*w*n)`` with
+    columns ``(a, s, i)``; only the ``a == s`` columns, ``kron(code[k], phi_k)``, carry weight for krstc."""
+    return _stacked_kron(coding.mix.reshape(coding.subframes, 1, -1), coding.phi)
 
-    ``w_k`` is ``vec(mix_k.T)`` for tstc (``l*r*n`` columns) or code row
-    ``k`` for krstc (``l*n`` columns).
+
+@lru_cache(maxsize=CODINGS_KEPT)
+def composite_problem(coding: CodingSet) -> tuple[np.ndarray, np.ndarray]:
+    """The surface's one least-squares problem, ``F`` of :func:`composite_code_matrix`, as ``(F^H F, F^H)``.
+
+    The Gram is ``sum_k conj(mix_k[a, s]) mix_k[b, s'] (phi_k^H phi_k)[i, j]`` at ``[(a, s, i), (b, s', j)]``,
+    ``16 (l w n)^2`` bytes, 256 KB at the default sizes.  Both are read-only and shared; the last
+    ``CODINGS_KEPT`` codings keep theirs.
     """
-    weights = coding.mix.reshape(coding.subframes, -1) if coding.scheme == "tstc" else coding.code
-    return _stacked_kron(weights[:, None, :], coding.phi)
+    f = composite_code_matrix(coding)
+    f_h = f.conj().T
+    gram = f_h @ f
+    gram.flags.writeable = f_h.flags.writeable = False
+    return gram, f_h
 
 
 @lru_cache(maxsize=CODINGS_KEPT)
 def composite_pinv(coding: CodingSet) -> np.ndarray:
-    """Pseudo-inverse of the full-column-rank composite regressor, once per coding set.
+    """Pseudo-inverse of ``F`` on its columns that carry weight, solved from :func:`composite_problem`'s Gram.
 
-    The result is read-only and shared; the last ``CODINGS_KEPT`` codings keep
-    theirs.  A coding whose composite regressor is rank deficient raises
-    :class:`RankDeficiencyError` on every call.
+    Those are the ``(a, s)`` entries some ``mix_k`` holds: all of them for tstc, ``a == s`` for krstc.  The
+    result is read-only and shared; the last ``CODINGS_KEPT`` codings keep theirs.  A coding whose weighted
+    columns are rank deficient raises :class:`RankDeficiencyError` on every call.
     """
-    fxg = composite_code_matrix(coding)
-    fxg_h = fxg.conj().T
-    inverse = require_full_rank(fxg_h @ fxg, fxg_h, lambda: (fxg, np.eye(len(fxg), dtype=fxg.dtype)),
-                                "composite code matrix")
+    gram, f_h = composite_problem(coding)
+    cols = np.flatnonzero(np.repeat(coding.mix.any(axis=0).ravel(), coding.elements))
+    f_h = f_h[cols]
+    inverse = require_full_rank(gram[np.ix_(cols, cols)], f_h, lambda: (
+        f_h.conj().T, np.eye(f_h.shape[1], dtype=f_h.dtype)), "composite code matrix")
     inverse.flags.writeable = False
     return inverse
-
-
-@lru_cache(maxsize=CODINGS_KEPT)
-def channel_gram_table(coding: CodingSet) -> np.ndarray:
-    """The table ``T`` that gives the channel-step Gram as ``(conj(X) @ X.T).ravel() @ T``, once per coding set.
-
-    With ``M_k = mix_k @ X`` the Gram ``sum_k kron(conj(M_k) M_k^T, phi_k^H phi_k)``
-    is ``sum_{s,s'} (conj(X) X^T)[s, s'] T_{ss'}``, where row ``(s, s')`` of ``T``
-    holds ``T_{ss'} = sum_k kron(conj(mix_k[:, s]) mix_k[:, s']^T, phi_k^H phi_k)``.
-    ``T`` is ``(w*w, (l*n)**2)``: ``16 w^2 l^2 n^2`` bytes, 256 KB at the default
-    sizes.  The result is read-only and shared; the last ``CODINGS_KEPT`` codings keep theirs.
-    """
-    (k, l, w), n = coding.mix.shape, coding.elements
-    mix_t = coding.mix.transpose(0, 2, 1)                           # mix_k^T, (k, w, l)
-    outer = (mix_t.conj()[:, :, None, :, None] * mix_t[:, None, :, None, :]).reshape(k, -1)  # (k, (s, s', a, b))
-    phi_gram = (coding.phi.conj().transpose(0, 2, 1) @ coding.phi).reshape(k, -1)             # (k, (i, j))
-    table = (outer.T @ phi_gram).reshape(w, w, l, l, n, n).transpose(0, 1, 2, 4, 3, 5).reshape(w * w, -1)
-    table.flags.writeable = False
-    return table
 
 
 def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
-    n, l, w, t, k = d.n, d.l, d.w, d.t, d.k
-    # The right-hand side vec(sum_k phi_k^H Y_k M_k^H) is conj(X).ravel() @ cross, from a table
-    # fixed within the call: cross[(s, tau), (a, i)] = sum_k conj(mix_k[a, s]) (phi_k^H Y_k)[i, tau], (w*t, l*n)
-    phi_h_y = coding.phi.conj().transpose(0, 2, 1) @ y_rc.transpose(2, 0, 1)          # (k, n, t)
-    cross = (coding.mix.conj().reshape(k, -1).T @ phi_h_y.reshape(k, -1)).reshape(l, w, n, t)
-    cross = cross.transpose(1, 3, 0, 2).reshape(w * t, l * n)
+    gram, f_h = composite_problem(coding)
     # the solution is vec(G), so G = solution.reshape(l, n).T
-    report = run_als(y_rc, channel_gram_table(coding), cross, (l, n),
+    report = run_als(y_rc, gram, f_h @ unfold(y_rc, 2).T, d.l, (d.l, d.n),
                      lambda x_hat: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)),
-                     lambda g_hat: symbol_code_matrix(coding, g_hat), init_symbols(w, t, init_seed))
+                     lambda g_hat: symbol_code_matrix(coding, g_hat), init_symbols(d.w, d.t, init_seed))
     return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 
 

@@ -1,7 +1,8 @@
 """Shared receiver plumbing: failure modes, reports, the one entry check of every receiver input, the
-one ALS loop (:func:`run_als`: from the caller's start, channel step contracted from the caller's
-tables by :func:`channel_step`, symbol step on the caller's regressor, stop rule), the full-rank
-solve of a caller's normal equations, and the anchor normalization.  Every solve goes through
+one ALS loop (:func:`run_als`: from the caller's start, channel step contracted by :func:`channel_step` from
+the caller's Kronecker-form normal equations, which :func:`als_tables` rearranges alike at the surface and the BS,
+symbol step on the caller's regressor, stop rule), the full-rank solve of a caller's normal equations, and
+the anchor normalization.  Every solve goes through
 :func:`~hrislink.tensor_ops.solve_gram`, which with :func:`~hrislink.tensor_ops.numerical_rank` holds the
 one full-column-rank rule."""
 
@@ -109,22 +110,24 @@ def _entry_facts(fn, scheme, sensing_shape, mix_shape, shape) -> tuple[ReceiverS
     return spec, sizes, spec.threshold(sizes)
 
 
-def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tuple[int, int],
+def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape: tuple[int, int],
             channel_problem: Callable, symbol_regressor: Callable, start: np.ndarray) -> EstimateReport:
     """Bilinear ALS from the caller's ``(w, t)`` symbols ``start`` until the residual stagnates or hits the floor.
 
-    The channel step solves the normal equations that :func:`channel_step` contracts from the caller's two
-    tables, with the explicit ``(a, b) = channel_problem(x)`` for the SVD fallback; the channel is
-    ``solution.reshape(shape).T``.  The symbol step solves the normal equations of ``symbol_regressor(channel) @ x
-    = unfold(y, 2).T``, formed here; its squared Frobenius misfit is the residual of the iteration.
+    The channel step solves the normal equations that :func:`channel_step` contracts from :func:`als_tables`'
+    rearrangement of the caller's Kronecker-form ``gram`` and ``cross``, with the explicit
+    ``(a, b) = channel_problem(x)`` for the SVD fallback; the channel is ``solution.reshape(shape).T``.  The
+    symbol step solves the normal equations of ``symbol_regressor(channel) @ x = unfold(y, 2).T``, formed here;
+    its squared Frobenius misfit is the residual of the iteration.
     """
+    gram_table, cross_table = als_tables(gram, cross, lead, *start.shape)
     y2t = unfold(y, 2).T
     floor = RESIDUAL_FLOOR * float(np.vdot(y, y).real)
     x_hat = start
     residuals: list[float] = []
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):
-        solution, channel_fallback = solve_gram(*channel_step(gram_table, cross, x_hat),
+        solution, channel_fallback = solve_gram(*channel_step(gram_table, cross_table, x_hat),
                                                 lambda: channel_problem(x_hat))
         channel = solution.reshape(shape).T
         regressor = symbol_regressor(channel)
@@ -140,6 +143,15 @@ def run_als(y: np.ndarray, gram_table: np.ndarray, cross: np.ndarray, shape: tup
             if prev > 0 and abs(resid - prev) <= REL_TOL * prev:
                 break
     return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
+
+
+def als_tables(gram: np.ndarray, cross: np.ndarray, lead: int, w: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Kronecker-form Gram ``[(a, s, i), (b, s', j)]`` and cross ``[(a, s, i), (tau, r)]``, with ``a`` below
+    ``lead`` and ``s`` below ``w``, rearranged into the ALS channel step's ``(w*w, (lead*n)**2)`` Gram table
+    ``[(s, s'), (a, i, b, j)]`` and ``(w*t, lead*n*m)`` cross table ``[(s, tau), (a, i, r)]``."""
+    n, m = len(gram) // (lead * w), cross.shape[1] // t
+    return (gram.reshape(lead, w, n, lead, w, n).transpose(1, 4, 0, 2, 3, 5).reshape(w * w, -1),
+            cross.reshape(lead, w, n, t, m).transpose(1, 3, 0, 2, 4).reshape(w * t, -1))
 
 
 def channel_step(gram_table: np.ndarray, cross: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

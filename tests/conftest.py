@@ -1,10 +1,22 @@
 """Shared fixtures."""
 
 import contextlib
+import os
+from pathlib import Path
 
 import pytest
 
+import hrislink
 from hrislink import bs_rx, hris_rx, rx_common
+
+
+@pytest.fixture(autouse=True, scope="session")
+def package_path_for_subprocesses():
+    """Put the imported package's directory on ``PYTHONPATH``, so ``python -m hrislink.cli`` in a subprocess finds it
+    also under a bare ``python -m pytest``, where only pytest's ``pythonpath`` setting does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(Path(hrislink.__file__).resolve().parents[1]), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

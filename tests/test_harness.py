@@ -639,6 +639,32 @@ def test_workers_pool_matches_serial(monkeypatch):
     assert chunksizes == [(1, [3, 2])]
 
 
+def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
+    # a process pool starts all its workers at the first submit, so the sweep asks for one per batch at most,
+    # and runs a single batch in-process; the stand-in pool maps serially and starts no process
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    cfg = small_cfg()
+    for trials in (3, 1):
+        serial = run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=trials, base_seed=5)
+        assert run_sweep(cfg, ("kronf", "h"), "pt", [20.0, 30.0], trials=trials, base_seed=5, workers=8) == serial
+    assert started == [3]
+
+
 @pytest.mark.parametrize("scheme, pair", [("tstc", ("bals", "bals")), ("krstc", ("krf", "kronf"))])
 def test_workers_pool_matches_serial_over_rho(scheme, pair):
     # the coding changes at every rho point, and every worker process keeps its own caches

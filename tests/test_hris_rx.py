@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.hris_rx import (
     channel_code_matrix,
-    channel_gram_table,
     composite_code_matrix,
     composite_pinv,
+    composite_problem,
     hris_bals,
     hris_kronf,
     hris_krf,
     symbol_code_matrix,
 )
 from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, IdentifiabilityError,
-                                RankDeficiencyError, normalize_anchor, require_full_rank, run_als)
+                                RankDeficiencyError, als_tables, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
 from hrislink.tensor_ops import RANK_TOL, numerical_rank, spectral_rank, unfold, vec
@@ -38,6 +38,15 @@ def make_case(seed=0, scheme="tstc", **kw):
     symbols = gen_symbols(cfg, rng)
     y = synth_yrc(channels, coding, symbols)
     return cfg, channels, coding, symbols, y
+
+
+def weighted_composite(coding):
+    """The composite regressor's columns that carry weight: all of them for tstc, those with ``a == s`` for krstc."""
+    f = composite_code_matrix(coding)
+    if coding.scheme == "tstc":
+        return f
+    l = coding.streams
+    return f.reshape(len(f), l, l, -1)[:, range(l), range(l)].reshape(len(f), -1)
 
 
 def nmse(a, b):
@@ -68,8 +77,9 @@ def test_composite_code_matrix_column_counts():
     cfg_k, _, coding_k, _, _ = make_case(scheme="krstc")
     assert composite_code_matrix(coding_t).shape == (cfg_t.k * cfg_t.nc,
                                                      cfg_t.l * cfg_t.r * cfg_t.n)
+    # one column per (a, s, i) for both schemes; only l*n of the krstc ones, a == s, carry weight
     assert composite_code_matrix(coding_k).shape == (cfg_k.k * cfg_k.nc,
-                                                     cfg_k.l * cfg_k.n)
+                                                     cfg_k.l * cfg_k.l * cfg_k.n)
 
 
 def test_channel_code_matrix_stacks_sensed_fit():
@@ -164,7 +174,7 @@ def test_run_als_stops_at_the_iteration_cap():
     y = np.array([1.0, 2.0], dtype=complex).reshape(2, 1, 1)
     regressors = itertools.cycle([np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)])
     ones = np.ones((1, 1), complex)
-    rep = run_als(y, ones, ones, (1, 1), None, lambda channel: next(regressors), ones)
+    rep = run_als(y, ones, ones, 1, (1, 1), None, lambda channel: next(regressors), ones)
     assert rep.iterations == MAX_ITERATIONS
     assert rep.residuals[:3] == pytest.approx([4.0, 1.0, 4.0])
 
@@ -225,7 +235,7 @@ def test_krf_exact_recovery_noiseless():
 def test_krf_columns_are_rank_one():
     cfg, channels, coding, symbols, y = make_case(scheme="krstc", n=4, k=16)
 
-    fxg = composite_code_matrix(coding)
+    fxg = weighted_composite(coding)
     q = unvec(vec(unfold(y, 2) @ np.linalg.pinv(fxg).T), cfg.n * cfg.t, cfg.l)
     for col in range(cfg.l):
         s = np.linalg.svd(unvec(q[:, col], cfg.t, cfg.n), compute_uv=False)
@@ -336,22 +346,24 @@ def test_composite_pinv_cached_per_coding(scheme):
     cached = composite_pinv(coding)
     assert composite_pinv(coding) is cached
     assert not cached.flags.writeable
-    expected = np.linalg.pinv(composite_code_matrix(coding))
+    expected = np.linalg.pinv(weighted_composite(coding))
     assert np.max(np.abs(cached - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("scheme", ["tstc", "krstc"])
-def test_channel_gram_table_cached_per_coding(scheme):
+def test_composite_problem_gives_the_channel_gram_table(scheme):
     cfg, _, coding, _, _ = make_case(scheme=scheme)
-    cached = channel_gram_table(coding)
-    assert channel_gram_table(coding) is cached
-    assert not cached.flags.writeable
-    assert cached.nbytes == 16 * (cfg.streams * cfg.l * cfg.n) ** 2
-    # row (s, s'): sum_k kron(conj(mix_k[:, s]) mix_k[:, s']^T, phi_k^H phi_k)
+    cached = composite_problem(coding)
+    assert composite_problem(coding) is cached
+    gram, f_h = cached
+    assert not gram.flags.writeable and not f_h.flags.writeable
+    assert gram.nbytes == 16 * (cfg.streams * cfg.l * cfg.n) ** 2
+    table = als_tables(gram, np.zeros((len(gram), 1)), cfg.l, cfg.streams, 1)[0]
+    # the ALS channel step's Gram table, row (s, s'): sum_k kron(conj(mix_k[:, s]) mix_k[:, s']^T, phi_k^H phi_k)
     want = np.array([sum(np.kron(np.outer(coding.mix[k][:, s].conj(), coding.mix[k][:, s2]),
                                  coding.phi[k].conj().T @ coding.phi[k]) for k in range(cfg.k)).ravel()
                      for s, s2 in itertools.product(range(cfg.streams), repeat=2)])
-    assert np.max(np.abs(cached - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(table - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("scheme, receiver", [("tstc", hris_kronf), ("krstc", hris_krf)])

@@ -70,8 +70,7 @@ def test_hris_symbol_code_matrix(case):
 
 def test_hris_composite_code_matrix(case):
     cfg, coding, _, _, _ = case
-    weights = [vec(mix(coding, k).T) if cfg.scheme == "tstc" else coding.code[k] for k in range(cfg.k)]
-    want = np.vstack([np.kron(weights[k][None, :], coding.sensing[:, :, k]) for k in range(cfg.k)])
+    want = np.vstack([np.kron(vec(mix(coding, k).T)[None, :], coding.sensing[:, :, k]) for k in range(cfg.k)])
     assert_same(composite_code_matrix(coding), want)
 
 
@@ -105,7 +104,8 @@ def test_bs_kronf_right_factor(case):
 
 @st.composite
 def bs_problems(draw):
-    """A small config at the ``kronf`` BS threshold (the largest of the three BS ones), and a seed."""
+    """A small config at the threshold of the closed-form surface receiver and the ``kronf`` BS one (the largest
+    of the three BS ones), and a seed."""
     scheme = draw(st.sampled_from(["tstc", "krstc"]))
     l = draw(st.integers(1, 3))
     r = l if scheme == "krstc" else draw(st.integers(1, 3))
@@ -126,7 +126,6 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
     coding = build_coding(cfg)
     rng = np.random.default_rng(seed)
     g, x, y = crandn(rng, cfg.n, cfg.l), crandn(rng, cfg.streams, cfg.t), crandn(rng, cfg.m, cfg.t, cfg.k)
-    w, n, t, m = cfg.streams, cfg.n, cfg.t, cfg.m
     gram, cross, problem_of = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))
     a, b = problem_of()
     # the Kronecker Gram and cross are the explicit normal equations of the right factor, bit for bit
@@ -142,27 +141,81 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
         with contextlib.suppress(RankDeficiencyError):
             bs_rx.bs_channel_only(y, g, x, coding)
 
-        def stop(y_bs, gram_table, cross_table, *rest):
-            seen.append((gram_table, cross_table))
+        def stop(y_bs, als_gram, als_cross, lead, *rest):
+            seen.append((als_gram, als_cross, lead))
             raise Seen
         patch.setattr(bs_rx, "run_als", stop)
         with pytest.raises(Seen):
             bs_rx.bs_bals(y, g, coding)
-    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (start_gram, start_cross, *_), (gram_table, cross_table) = seen
-    # bs_kronf, and bs_bals for its closed-form start (k is at bs_kronf's threshold), solve exactly these normal
-    # equations
-    assert np.array_equal(kronf_gram, gram) and np.array_equal(kronf_cross, cross)
-    assert np.array_equal(start_gram, gram) and np.array_equal(start_cross, cross)
-    # bs_bals' tables are their rearrangement: [(s, s'), (i, j)] from [(s, i), (s', j)], [(s, tau), (i, r)] from
-    # [(s, i), (tau, r)]
-    s1, s2, i, j = np.meshgrid(range(w), range(w), range(n), range(n), indexing="ij")
-    assert np.array_equal(gram_table, gram[s1 * n + i, s2 * n + j].reshape(w * w, n * n))
-    s1, tau, i, r = np.meshgrid(range(w), range(t), range(n), range(m), indexing="ij")
-    assert np.array_equal(cross_table, cross[s1 * n + i, tau * m + r].reshape(w * t, n * m))
-    # bs_channel_only's normal equations, contracted from those tables, are the explicit ones of its regressor C
+    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (start_gram, start_cross, *_), (als_gram, als_cross, lead) = seen
+    # bs_kronf, bs_bals for its closed-form start (k is at bs_kronf's threshold) and for its ALS loop, with one
+    # leading index, read exactly these normal equations
+    for got_gram, got_cross in ((kronf_gram, kronf_cross), (start_gram, start_cross), (als_gram, als_cross)):
+        assert np.array_equal(got_gram, gram) and np.array_equal(got_cross, cross)
+    assert lead == 1
+    # bs_channel_only's normal equations, contracted from their rearrangement, are the explicit ones of its regressor C
     c = bs_rx.channel_code_matrix(reflect_blocks(coding, g), x).T
     assert_same(h_gram, c.conj().T @ c)
     assert_same(h_rhs, c.conj().T @ unfold(y, 1).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=bs_problems())
+def test_surface_receivers_read_one_composite_problem(problem):
+    cfg, seed = problem
+    coding = build_coding(cfg)
+    y = crandn(np.random.default_rng(seed), cfg.nc, cfg.t, cfg.k)
+    l, w, n = cfg.l, cfg.streams, cfg.n
+    f = composite_code_matrix(coding)
+    gram, f_h = hris_rx.composite_problem(coding)
+    # the cached Gram and adjoint are the composite regressor's, bit for bit
+    assert np.array_equal(f_h, f.conj().T) and np.array_equal(gram, f.conj().T @ f)
+    columns = np.arange(l * w * n).reshape(l, w, n)
+    if cfg.scheme == "krstc":
+        # only the a == s columns carry weight, and they are kron(code[k], phi_k), bit for bit
+        blocks = f.reshape(len(f), l, w, n)
+        assert not blocks[:, ~np.eye(l, dtype=bool)].any()
+        want = np.vstack([np.kron(coding.code[k][None, :], coding.phi[k]) for k in range(cfg.k)])
+        assert np.array_equal(blocks[:, range(l), range(l)].reshape(len(f), -1), want)
+        columns = columns[range(l), range(l)]
+    weighted = columns.reshape(-1)
+
+    seen = []
+    solve = hris_rx.require_full_rank
+    hris_rx.composite_pinv.cache_clear()        # so the composite solve runs here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hris_rx, "require_full_rank", lambda *args: seen.append(args) or solve(*args))
+        # the solve is recorded before it runs; a rank-deficient one (some sizes at this k) is beside the point
+        with contextlib.suppress(RankDeficiencyError):
+            hris_rx.composite_pinv(coding)
+
+        def stop(y_rc, als_gram, als_cross, lead, *rest):
+            seen.append((als_gram, als_cross, lead))
+            raise Seen
+        patch.setattr(hris_rx, "run_als", stop)
+        with pytest.raises(Seen):
+            hris_rx.hris_bals(y, coding)
+    (pinv_gram, pinv_rhs, *_), (als_gram, als_cross, lead) = seen
+    # composite_pinv solves the cached Gram's weighted block against the weighted rows of F^H
+    assert np.array_equal(pinv_gram, gram[np.ix_(weighted, weighted)]) and np.array_equal(pinv_rhs, f_h[weighted])
+    # hris_bals hands the ALS loop that Gram, whole, and the cross F^H unfold(y, 2)^T, with l leading indices
+    assert als_gram is gram and lead == l
+    assert np.array_equal(als_cross, f_h @ unfold(y, 2).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.integers(1, 3), w=st.integers(1, 3), n=st.integers(1, 4), t=st.integers(1, 3), m=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_als_tables_rearrange_every_entry(lead, w, n, t, m, seed):
+    rng = np.random.default_rng(seed)
+    size = lead * w * n
+    gram, cross = crandn(rng, size, size), crandn(rng, size, t * m)
+    gram_table, cross_table = rx_common.als_tables(gram, cross, lead, w, t)
+    # [(s, s'), (a, i, b, j)] from [(a, s, i), (b, s', j)], and [(s, tau), (a, i, r)] from [(a, s, i), (tau, r)]
+    s1, s2, a, i, b, j = np.meshgrid(range(w), range(w), range(lead), range(n), range(lead), range(n), indexing="ij")
+    assert np.array_equal(gram_table, gram[(a * w + s1) * n + i, (b * w + s2) * n + j].reshape(w * w, -1))
+    s1, tau, a, i, r = np.meshgrid(range(w), range(t), range(lead), range(n), range(m), indexing="ij")
+    assert np.array_equal(cross_table, cross[(a * w + s1) * n + i, tau * m + r].reshape(w * t, -1))
 
 
 # ------------------------------------------- structured ALS normal equations
