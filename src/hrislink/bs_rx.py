@@ -11,15 +11,16 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 ``(w*n, w*n)`` Gram and a ``(w*n, t*m)`` cross, 64 KB and 32 KB at the default sizes:
 
 * :func:`bs_kronf` solves them for ``Z``, then splits it with a rank-1 factorization;
-* :func:`bs_bals` hands them to the shared ALS loop (:func:`~hrislink.rx_common.run_als`) over the BS-side
-  channel and the symbols, which rearranges them (:func:`~hrislink.rx_common.als_tables`) as it does the
-  surface's composite problem, from the symbols of :func:`bs_kronf`'s solve of them where ``k`` reaches its
+* :func:`bs_bals` hands them and the problem to the shared ALS loop (:func:`~hrislink.rx_common.run_als`) over
+  the BS-side channel and the symbols, which rearranges them (:func:`~hrislink.rx_common.als_tables`) as it does
+  the surface's composite problem, from the symbols of :func:`bs_kronf`'s solve of them where ``k`` reaches its
   threshold, not a random draw;
 * :func:`bs_channel_only`, the scenario-2 shortcut, takes one channel step of that
   loop (:func:`~hrislink.rx_common.channel_step`) at the fed-back symbols.
 
-The explicit regressors (:func:`channel_code_matrix`, :func:`symbol_code_matrix`) read the same blocks,
-for the ALS symbol step and the SVD fallbacks only.
+The channel steps' SVD fallbacks read their explicit regressor off ``right.T``
+(:func:`~hrislink.rx_common.channel_problem`); the ALS symbol step solves on its own regressor from the same
+blocks (:func:`symbol_code_matrix`).
 The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_rank` and also
 take stacks ``(s, m, t, k)``, the fed-back arrays stacked alike, one slice's blocks and normal equations
 at a time, so no stack-sized block array is built.
@@ -37,15 +38,10 @@ from numpy.linalg import pinv  # noqa: F401 -- perfbench/tracing.py wraps bs_rx.
 
 from .coding import CodingSet
 from .identifiability import Sizes, receiver_spec
-from .rx_common import (AmbiguityError, EstimateReport, RankDeficiencyError, als_tables, channel_step,
-                        check_received, init_symbols, normalize_anchor, require_full_rank, run_als)
+from .rx_common import (AmbiguityError, EstimateReport, RankDeficiencyError, als_tables, channel_problem,
+                        channel_step, check_received, init_symbols, normalize_anchor, require_full_rank, run_als)
 from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, unfold
-
-
-def channel_code_matrix(blocks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Channel-step regressor from a slice's ``(n, k, w)`` blocks: ``B_k @ X`` side by side, ``(n, k*t)``."""
-    return (blocks.reshape(-1, blocks.shape[2]) @ symbols).reshape(len(blocks), -1)
 
 
 def symbol_code_matrix(blocks: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
@@ -96,9 +92,7 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
         with contextlib.suppress(RankDeficiencyError, AmbiguityError):
             start = _kronecker_split(require_full_rank(gram, cross, problem, "composite right factor"), d).symbols
     # the solution is h_hat^T, (n, m)
-    report = run_als(y_bs, gram, cross, 1, (d.n, d.m),
-                     lambda x_hat: (channel_code_matrix(blocks, x_hat).T, unfold(y_bs, 1).T),
-                     lambda h_hat: symbol_code_matrix(blocks, h_hat),
+    report = run_als(y_bs, gram, cross, 1, (d.n, d.m), problem, lambda h_hat: symbol_code_matrix(blocks, h_hat),
                      init_symbols(d.w, d.t, init_seed) if start is None else start)
     return normalize_anchor(report, per_stream=False)
 
@@ -117,10 +111,9 @@ def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarra
     check_received(y_bs, coding, "bs_channel_only", ut_channel, symbols)
 
     def step(y, g, x):
-        blocks = reflect_blocks(coding, g)
-        tables = als_tables(*kronecker_problem(y, blocks)[:2], 1, *x.shape)
-        return require_full_rank(*channel_step(*tables, x), lambda: (
-            channel_code_matrix(blocks, x).T, unfold(y, 1).T), "channel-step regressor").T
+        gram, cross, problem = kronecker_problem(y, reflect_blocks(coding, g))
+        return require_full_rank(*channel_step(*als_tables(gram, cross, 1, *x.shape), x),
+                                 lambda: channel_problem(problem, 1, x), "channel-step regressor").T
 
     h_hat = _slice_by_slice(step, y_bs, ut_channel, symbols)
     return EstimateReport(h_hat, np.array(symbols, copy=True))

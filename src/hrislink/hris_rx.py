@@ -8,10 +8,10 @@ G[i, a] X[s, tau]`` and the composite regressor ``F``, ``kron(vec(mix_k^T)^T, ph
 * :func:`hris_kronf` (tstc) and :func:`hris_krf` (krstc) solve it on the columns that carry weight, all of them for
   tstc and ``a == s`` for krstc (:func:`composite_pinv`), then split the composite with one rank-1 factorization,
   or one per stream for krstc; both also take stacks ``(s, nc, t, k)``, slice for slice exact;
-* :func:`hris_bals` hands the Gram and the cross ``F^H unfold(y, 2).T`` to the shared ALS loop
-  (:func:`~hrislink.rx_common.run_als`), which rearranges them into its channel step on ``vec(G)`` as it does
-  the BS's; the explicit regressors (:func:`channel_code_matrix`, :func:`symbol_code_matrix`) serve the symbol
-  step and the SVD fallback.
+* :func:`hris_bals` hands the Gram, the cross ``F^H unfold(y, 2).T`` and the problem itself to the shared ALS
+  loop (:func:`~hrislink.rx_common.run_als`), which rearranges them into its channel step on ``vec(G)`` as it does
+  the BS's, and reads that step's SVD fallback off ``F`` (:func:`~hrislink.rx_common.channel_problem`); the
+  symbol step solves on its own regressor (:func:`symbol_code_matrix`).
 
 Every receiver ends by removing the scaling ambiguity against the anchor
 symbols (one scalar for tstc, one per stream for krstc).
@@ -33,21 +33,7 @@ from .rx_common import (
     require_full_rank,
     run_als,
 )
-from .tensor_ops import rank1_approx, unfold, vec
-
-
-def _stacked_kron(left: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``kron(left_k, phi_k)`` stacked over ``k``: ``(k*a*nc, b*n)`` from ``left`` of shape ``(k, a, b)``."""
-    (k, a, b), (_, nc, n) = left.shape, phi.shape
-    return (left[:, :, None, :, None] * phi[:, None, :, None, :]).reshape(k * a * nc, b * n)
-
-
-def channel_code_matrix(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
-    """Channel-step regressor: ``kron((mix_k @ X).T, phi_k)`` stacked over ``k``.
-
-    Applied to ``vec(G)`` it gives the stacked ``vec(phi_k @ G @ mix_k @ X)``.
-    """
-    return _stacked_kron((coding.mix @ symbols).transpose(0, 2, 1), coding.phi)
+from .tensor_ops import rank1_approx, unfold
 
 
 def symbol_code_matrix(coding: CodingSet, channel: np.ndarray) -> np.ndarray:
@@ -62,7 +48,8 @@ def symbol_code_matrix(coding: CodingSet, channel: np.ndarray) -> np.ndarray:
 def composite_code_matrix(coding: CodingSet) -> np.ndarray:
     """Composite regressor ``F``: ``kron(vec(mix_k.T).T, phi_k)`` stacked over ``k``, ``(k*nc, l*w*n)`` with
     columns ``(a, s, i)``; only the ``a == s`` columns, ``kron(code[k], phi_k)``, carry weight for krstc."""
-    return _stacked_kron(coding.mix.reshape(coding.subframes, 1, -1), coding.phi)
+    mix = coding.mix.reshape(coding.subframes, 1, -1, 1)
+    return (mix * coding.phi[:, :, None, :]).reshape(-1, mix.shape[2] * coding.elements)
 
 
 @lru_cache(maxsize=CODINGS_KEPT)
@@ -101,9 +88,9 @@ def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> Estima
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
     gram, f_h = composite_problem(coding)
+    y2t = unfold(y_rc, 2).T
     # the solution is vec(G), so G = solution.reshape(l, n).T
-    report = run_als(y_rc, gram, f_h @ unfold(y_rc, 2).T, d.l, (d.l, d.n),
-                     lambda x_hat: (channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)),
+    report = run_als(y_rc, gram, f_h @ y2t, d.l, (d.l, d.n), lambda: (f_h.conj().T, y2t),
                      lambda g_hat: symbol_code_matrix(coding, g_hat), init_symbols(d.w, d.t, init_seed))
     return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 

@@ -139,14 +139,14 @@ def feedback_bits(cfg: ScenarioConfig, scenario: int) -> int:
 
     Scenario 1 feeds back only the quantized UT-side channel estimate;
     scenario 2 additionally feeds back the decoded data symbols (anchors
-    are known and not sent).
+    are known and not sent), ``ceil(log2(qam_order))`` bits each.
     """
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
     channel_bits = cfg.l * cfg.n * cfg.eta
     if scenario == 1:
         return channel_bits
-    bits_per_symbol = round(math.log2(cfg.qam_order))
+    bits_per_symbol = (cfg.qam_order - 1).bit_length()
     if cfg.scheme == "tstc":
         return (cfg.r * cfg.t - 1) * bits_per_symbol + channel_bits
     return cfg.l * (cfg.t - 1) * bits_per_symbol + channel_bits

@@ -1,8 +1,8 @@
 """Shared receiver plumbing: failure modes, reports, the one entry check of every receiver input, the
 one ALS loop (:func:`run_als`: from the caller's start, channel step contracted by :func:`channel_step` from
-the caller's Kronecker-form normal equations, which :func:`als_tables` rearranges alike at the surface and the BS,
-symbol step on the caller's regressor, stop rule), the full-rank solve of a caller's normal equations, and
-the anchor normalization.  Every solve goes through
+the caller's Kronecker problem, whose normal equations :func:`als_tables` rearranges and whose SVD fallback
+:func:`channel_problem` reads, alike at the surface and the BS, symbol step on the caller's regressor, stop
+rule), the full-rank solve of a caller's normal equations, and the anchor normalization.  Every solve goes through
 :func:`~hrislink.tensor_ops.solve_gram`, which with :func:`~hrislink.tensor_ops.numerical_rank` holds the
 one full-column-rank rule."""
 
@@ -111,12 +111,12 @@ def _entry_facts(fn, scheme, sensing_shape, mix_shape, shape) -> tuple[ReceiverS
 
 
 def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape: tuple[int, int],
-            channel_problem: Callable, symbol_regressor: Callable, start: np.ndarray) -> EstimateReport:
+            problem: Callable, symbol_regressor: Callable, start: np.ndarray) -> EstimateReport:
     """Bilinear ALS from the caller's ``(w, t)`` symbols ``start`` until the residual stagnates or hits the floor.
 
     The channel step solves the normal equations that :func:`channel_step` contracts from :func:`als_tables`'
-    rearrangement of the caller's Kronecker-form ``gram`` and ``cross``, with the explicit
-    ``(a, b) = channel_problem(x)`` for the SVD fallback; the channel is ``solution.reshape(shape).T``.  The
+    rearrangement of the caller's Kronecker-form ``gram`` and ``cross``, those of ``problem() = (F, Y)``, whose
+    :func:`channel_problem` the SVD fallback reads; the channel is ``solution.reshape(shape).T``.  The
     symbol step solves the normal equations of ``symbol_regressor(channel) @ x = unfold(y, 2).T``, formed here;
     its squared Frobenius misfit is the residual of the iteration.
     """
@@ -128,7 +128,7 @@ def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):
         solution, channel_fallback = solve_gram(*channel_step(gram_table, cross_table, x_hat),
-                                                lambda: channel_problem(x_hat))
+                                                lambda: channel_problem(problem, lead, x_hat))
         channel = solution.reshape(shape).T
         regressor = symbol_regressor(channel)
         regressor_h = regressor.conj().T
@@ -159,6 +159,17 @@ def channel_step(gram_table: np.ndarray, cross: np.ndarray, x: np.ndarray) -> tu
     ``P.ravel() @ gram_table`` and the right-hand side ``conj(x).ravel() @ cross``."""
     size, x_conj = math.isqrt(gram_table.shape[1]), x.conj()
     return ((x_conj @ x.T).reshape(-1) @ gram_table).reshape(size, size), (x_conj.reshape(-1) @ cross).reshape(size, -1)
+
+
+def channel_problem(problem: Callable, lead: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ALS channel step's least-squares problem at the symbols ``x``, read off the Kronecker problem
+    ``problem() = (F, Y)`` whose normal equations :func:`als_tables` rearranges: ``F`` of shape ``(K, lead*w*n)``
+    with columns ``(a, s, i)``, contracted with ``x`` over ``s`` into the ``(K*t, lead*n)`` regressor with rows
+    ``(K, tau)``, and ``Y`` of ``K`` rows ``(tau, r)`` as ``K*t`` rows."""
+    f, y = problem()
+    w, t = x.shape
+    a = np.tensordot(f.reshape(len(f), lead, w, -1), x, axes=(2, 0))           # [K, a, i, tau]
+    return np.moveaxis(a, -1, 1).reshape(len(f) * t, -1), y.reshape(len(y) * t, -1)
 
 
 def require_full_rank(gram: np.ndarray, rhs: np.ndarray, problem: Callable, what: str) -> np.ndarray:

@@ -64,7 +64,7 @@ class ScenarioConfig:
     eta: int = 16            # feedback resolution, bits per channel coefficient
 
     def __post_init__(self):
-        for name in ("m", "n", "nc", "l", "r", "t", "k", "eta"):
+        for name in ("m", "n", "nc", "l", "r", "t", "k", "eta", "qam_order"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -2,8 +2,8 @@
 
 Third-order tensors are plain numpy arrays of shape ``(I1, I2, I3)``.  The
 frontal slice ``k`` is ``t[:, :, k]`` and every vectorisation is column-major
-(``order="F"``), so ``vec`` and the three unfoldings are cheap reshapes of
-the same linear layout.
+(``order="F"``), so the three unfoldings are cheap reshapes of the same
+linear layout.
 
 Unfolding conventions, for ``t`` of shape ``(I1, I2, I3)``:
 
@@ -17,7 +17,7 @@ solves them once an O(n^2) bound, from one triangular solve, on the
 certificate ``|U|_F |U^{-1}|_F >= sigma_max / sigma_min`` is below
 ``GRAM_CERTIFICATE_MAX``, which proves full column rank under the rank rule
 (``RANK_TOL``, :func:`numerical_rank`).  Any other Gram takes the SVD
-fallback, the only place that needs the explicit regressor.  The rank-1
+fallback on the explicit regressor, which only then is built.  The rank-1
 split (:func:`rank1_approx`) takes the top eigenpair of the small Gram.
 
 All functions are pure and never mutate their inputs.
@@ -30,11 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a 1-D vector."""
-    return np.asarray(m).reshape(-1, order="F")
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

@@ -3,14 +3,14 @@
 These rebuild the received tensors through the decoupled tensor forms
 (mode-n products of identity-core or phase tensors, contracted slice-wise)
 and through raw scalar sums, without touching the slice-wise synthesis code
-they are checked against.  The tensor operations that only these oracles
-need (:func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
+they are checked against.  The tensor operations that only the tests
+need (:func:`vec`, :func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
 live here, following the unfolding conventions of ``hrislink.tensor_ops``.
 :func:`comparison_certificate` recomputes, from the Gram alone, the
 inverse-free bound that ``hrislink.tensor_ops.solve_gram`` decides on, and
 :func:`gram_certificate` the exact certificate it bounds.  :func:`rank_bounds`
 checks the block-rank upper bounds that the sub-frame thresholds rest on
-against a concrete realization.
+against a concrete realization of the receivers' regressors.
 """
 
 import math
@@ -21,6 +21,7 @@ import scipy.linalg
 
 from hrislink import bs_rx, hris_rx
 from hrislink.coding import CodingSet
+from hrislink.rx_common import channel_problem
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_noise
 from hrislink.synthesis import reflect_blocks
 from hrislink.tensor_ops import numerical_rank, spectral_rank
@@ -77,8 +78,13 @@ def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     return m.reshape(i3, i2, i1).transpose(2, 1, 0)
 
 
+def vec(m: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a 1-D vector."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of ``hrislink.tensor_ops.vec``; ``v`` must hold exactly ``rows*cols`` entries."""
+    """Inverse of :func:`vec`; ``v`` must hold exactly ``rows*cols`` entries."""
     v = np.asarray(v).reshape(-1)
     if v.size != rows * cols:
         raise ValueError(f"cannot unvec {v.size} entries into {rows}x{cols}")
@@ -193,6 +199,20 @@ def with_noise(y: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
     return y + draw_noise(y.shape, cfg.noise_watts, rng)
 
 
+def sensed_channel_regressor(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
+    """The surface ALS channel step's regressor at ``symbols``, read off the composite problem as ``hris_bals``'
+    SVD fallback reads it: rows ``(k, c, tau)``, columns ``vec(G)``."""
+    f = hris_rx.composite_code_matrix(coding)
+    return channel_problem(lambda: (f, np.zeros((len(f), symbols.shape[1]))), coding.mix.shape[1], symbols)[0]
+
+
+def reflected_channel_regressor(blocks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The BS ALS channel step's regressor at ``symbols``, read off the Kronecker problem of a slice's ``(n, k, w)``
+    blocks as ``bs_bals``' SVD fallback reads it: ``(B_k X)^T`` stacked over ``k``, rows ``(k, tau)``."""
+    y = np.zeros((1, symbols.shape[1], blocks.shape[1]))      # only the regressor is read
+    return channel_problem(bs_rx.kronecker_problem(y, blocks)[2], 1, symbols)[0]
+
+
 @dataclass
 class RankReport:
     """Observed block ranks of one realization against their upper bounds."""
@@ -226,9 +246,8 @@ def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
     zeta_x = max_block_rank(hris_rx.symbol_code_matrix(coding, g).reshape(cfg.k, cfg.nc, -1))
     blocks = reflect_blocks(coding, g)
     xi_x = max_block_rank(bs_rx.symbol_code_matrix(blocks, h).reshape(cfg.k, cfg.m, -1))
-    xi_h_stack = bs_rx.channel_code_matrix(blocks, symbols).reshape(cfg.n, cfg.k, -1).transpose(1, 0, 2)
-    xi_h = max_block_rank(xi_h_stack)
-    fg_bar_rank = numerical_rank(hris_rx.channel_code_matrix(coding, symbols))
+    xi_h = max_block_rank(reflected_channel_regressor(blocks, symbols).reshape(cfg.k, cfg.t, -1))   # (B_k X)^T
+    fg_bar_rank = numerical_rank(sensed_channel_regressor(coding, symbols))
 
     # kappa_g <= l, so the width bound only binds for tstc.
     zeta_bound = min(cfg.nc, kappa_g, width)

@@ -27,7 +27,7 @@ from hrislink.identifiability import feedback_bits, flops_estimate, min_subframe
 from hrislink.rx_common import IdentifiabilityError
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_ybs, synth_yrc
-from hrislink.tensor_ops import unfold, vec
+from hrislink.tensor_ops import unfold
 
 from oracle_models import (
     fold,
@@ -36,6 +36,7 @@ from oracle_models import (
     reflected_tensor_form,
     sensed_scalar,
     sensed_tensor_form,
+    vec,
     with_noise,
 )
 

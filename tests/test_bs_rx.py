@@ -9,7 +9,6 @@ from hrislink.bs_rx import (
     bs_bals,
     bs_channel_only,
     bs_kronf,
-    channel_code_matrix,
     symbol_code_matrix,
 )
 from hrislink import bs_rx, rx_common, synthesis, tensor_ops
@@ -27,9 +26,9 @@ from hrislink.rx_common import (
 )
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import reflect_blocks, synth_ybs
-from hrislink.tensor_ops import unfold, vec
+from hrislink.tensor_ops import unfold
 
-from oracle_models import with_noise
+from oracle_models import reflected_channel_regressor, vec, with_noise
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -54,15 +53,15 @@ def test_channel_code_matrix_single_subframe():
     cfg, channels, coding, _, _ = make_case()
     single = CodingSet("tstc", coding.sensing[:, :, :1], coding.reflect[:1],
                        coding.code[:, :, :1])
-    out = channel_code_matrix(reflect_blocks(single, channels.ut_ris), np.eye(cfg.r))
+    out = reflected_channel_regressor(reflect_blocks(single, channels.ut_ris), np.eye(cfg.r))
     expected = np.diag(single.reflect[0]) @ channels.ut_ris @ single.code[:, :, 0]
-    assert np.allclose(out, expected)
+    assert np.allclose(out, expected.T)
 
 
 def test_design_matrices_zero_channel():
     cfg, _, coding, _, _ = make_case()
     zero = reflect_blocks(coding, np.zeros((cfg.n, cfg.l), dtype=complex))
-    assert np.all(channel_code_matrix(zero, np.eye(cfg.r)) == 0)
+    assert np.all(reflected_channel_regressor(zero, np.eye(cfg.r)) == 0)
     assert np.all(symbol_code_matrix(zero, np.eye(cfg.n)) == 0)
     assert symbol_code_matrix(zero, np.eye(cfg.n)).shape == (cfg.k * cfg.n, cfg.r)
 
@@ -228,9 +227,8 @@ def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
     builds.clear()
     problems.clear()
     fallback_regressors = []
-    channel_regressor = bs_rx.channel_code_matrix
-    monkeypatch.setattr(bs_rx, "channel_code_matrix", lambda *args: fallback_regressors.append(1) or
-                        channel_regressor(*args))
+    read = bs_rx.channel_problem
+    monkeypatch.setattr(bs_rx, "channel_problem", lambda *args: fallback_regressors.append(1) or read(*args))
     bs_channel_only(y, g, symbols, coding)
     assert builds == [1] and problems == [1] and fallback_regressors == [1]
 

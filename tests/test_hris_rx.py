@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hrislink.coding import CodingSet, build_coding, gen_symbols
 from hrislink.hris_rx import (
-    channel_code_matrix,
     composite_code_matrix,
     composite_pinv,
     composite_problem,
@@ -23,9 +22,9 @@ from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, 
                                 RankDeficiencyError, als_tables, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
-from hrislink.tensor_ops import RANK_TOL, numerical_rank, spectral_rank, unfold, vec
+from hrislink.tensor_ops import RANK_TOL, numerical_rank, spectral_rank, unfold
 
-from oracle_models import unvec, with_noise
+from oracle_models import sensed_channel_regressor, unvec, vec, with_noise
 
 
 def make_case(seed=0, scheme="tstc", **kw):
@@ -59,9 +58,10 @@ def test_channel_code_matrix_single_subframe():
     cfg, channels, coding, symbols, _ = make_case()
     single = CodingSet("tstc", coding.sensing[:, :, :1], coding.reflect[:1],
                        coding.code[:, :, :1])
-    out = channel_code_matrix(single, np.eye(cfg.r))
-    expected = np.kron(single.code[:, :, 0], single.sensing[:, :, 0].T).T
-    assert np.allclose(out, expected)
+    out = sensed_channel_regressor(single, np.eye(cfg.r))
+    expected = np.kron(single.code[:, :, 0], single.sensing[:, :, 0].T).T     # rows (s, c)
+    # the regressor's rows are (c, tau), and here tau = s
+    assert np.allclose(out, expected.reshape(cfg.r, cfg.nc, -1).swapaxes(0, 1).reshape(expected.shape))
     assert out.shape == (cfg.r * cfg.nc, cfg.l * cfg.n)
 
 
@@ -83,12 +83,12 @@ def test_composite_code_matrix_column_counts():
 
 
 def test_channel_code_matrix_stacks_sensed_fit():
-    # applying it to vec(channel) reproduces the per-sub-frame coded channel
+    # applying the channel step's regressor to vec(channel) reproduces the per-sub-frame coded channel, rows (c, tau)
     _, channels, coding, _, _ = make_case()
-    fg = channel_code_matrix(coding, np.eye(coding.streams))
+    fg = sensed_channel_regressor(coding, np.eye(coding.streams))
     out = fg @ vec(channels.ut_ris)
     k0 = coding.sensing[:, :, 0] @ channels.ut_ris @ coding.mix[0]
-    assert np.allclose(out[: k0.size], vec(k0))
+    assert np.allclose(out[: k0.size], k0.reshape(-1))
 
 
 # ------------------------------------------------------------------- als path

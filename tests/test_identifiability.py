@@ -240,6 +240,10 @@ def test_feedback_bits_hand_computed():
     assert feedback_bits(single, 2) == 2 * 4 * 16  # no data beyond anchors
     eta8 = DEFAULTS.replace(eta=8)
     assert feedback_bits(eta8, 1) == 512
+    # an M-QAM symbol takes ceil(log2 M) bits; scenario 2 adds the r*t - 1 = 7 data symbols of the defaults
+    for qam_order, bits in ((4, 2), (9, 4), (16, 4), (36, 6), (64, 6), (81, 7), (256, 8)):
+        cfg = DEFAULTS.replace(qam_order=qam_order)
+        assert feedback_bits(cfg, 2) - feedback_bits(cfg, 1) == 7 * bits
 
 
 def test_feedback_bits_bad_scenario():

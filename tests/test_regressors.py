@@ -4,9 +4,10 @@ The receivers build their regressors as batched products over the coding
 set's sub-frame stacks.  Here each one is rebuilt block by block with
 ``np.kron``/``np.diag`` from the raw code, on ``k > 1`` sub-frames and a
 random symbol matrix, for both coding schemes.  The ALS channel steps never
-build their regressor unless they fall back to the SVD; the normal
+build their regressor unless they fall back to the SVD, and then read it off
+their entity's Kronecker problem (``rx_common.channel_problem``); the normal
 equations they read from their tables are checked, at every iteration,
-against the explicit regressor over random feasible configurations.
+against the paper-form regressor over random feasible configurations.
 """
 
 import contextlib
@@ -21,14 +22,14 @@ from scipy.linalg import khatri_rao
 from hrislink import bs_rx, hris_rx, rx_common, tensor_ops
 from hrislink.bs_rx import bs_kronf
 from hrislink.coding import build_coding, gen_symbols
-from hrislink.hris_rx import channel_code_matrix, composite_code_matrix, symbol_code_matrix
+from hrislink.hris_rx import composite_code_matrix, symbol_code_matrix
 from hrislink.identifiability import feasible_subframes
-from hrislink.rx_common import RankDeficiencyError
+from hrislink.rx_common import RankDeficiencyError, channel_problem
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import reflect_blocks, synth_ybs, synth_yrc
-from hrislink.tensor_ops import unfold, vec
+from hrislink.tensor_ops import unfold
 
-from oracle_models import with_noise
+from oracle_models import vec, with_noise
 
 
 def crandn(rng, *shape):
@@ -51,6 +52,18 @@ def mix(coding, k):
     return coding.code[:, :, k] if coding.scheme == "tstc" else np.diag(coding.code[k])
 
 
+def hris_channel_regressor(coding, x):
+    """The surface channel step's regressor in paper form, ``kron((mix_k X)^T, phi_k)`` stacked over ``k``: rows
+    ``(k, tau, c)``, columns ``vec(G)``."""
+    return np.vstack([np.kron((mix(coding, k) @ x).T, coding.sensing[:, :, k]) for k in range(coding.subframes)])
+
+
+def bs_channel_regressor(coding, g, x):
+    """The BS channel step's regressor in paper form, ``(diag(psi_k) G mix_k X)^T`` stacked over ``k``: rows
+    ``(k, tau)``, columns ``i``."""
+    return np.hstack([np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(coding.subframes)]).T
+
+
 def assert_same(got, want):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -58,8 +71,13 @@ def assert_same(got, want):
 
 def test_hris_channel_code_matrix(case):
     cfg, coding, _, _, x = case
-    want = np.vstack([np.kron((mix(coding, k) @ x).T, coding.sensing[:, :, k]) for k in range(cfg.k)])
-    assert_same(channel_code_matrix(coding, x), want)
+    y = crandn(np.random.default_rng(13), cfg.nc, cfg.t, cfg.k)
+    # the problem hris_bals hands its ALS loop
+    a, b = channel_problem(lambda: (hris_rx.composite_problem(coding)[1].conj().T, unfold(y, 2).T), cfg.l, x)
+    # rows (k, c, tau), where the paper form has (k, tau, c)
+    want = hris_channel_regressor(coding, x).reshape(cfg.k, cfg.t, cfg.nc, -1).swapaxes(1, 2)
+    assert_same(a, want.reshape(a.shape))
+    assert np.array_equal(b, y.transpose(2, 0, 1).reshape(-1, 1))
 
 
 def test_hris_symbol_code_matrix(case):
@@ -76,8 +94,11 @@ def test_hris_composite_code_matrix(case):
 
 def test_bs_channel_code_matrix(case):
     cfg, coding, g, _, x = case
-    want = np.hstack([np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(cfg.k)])
-    assert_same(bs_rx.channel_code_matrix(reflect_blocks(coding, g), x), want)
+    y = crandn(np.random.default_rng(17), cfg.m, cfg.t, cfg.k)
+    a, b = channel_problem(bs_rx.kronecker_problem(y, reflect_blocks(coding, g))[2], 1, x)
+    assert_same(a, bs_channel_regressor(coding, g, x))
+    # rows (k, tau), columns r
+    assert np.array_equal(b, y.transpose(2, 1, 0).reshape(-1, cfg.m))
 
 
 def test_bs_symbol_code_matrix(case):
@@ -154,7 +175,7 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
         assert np.array_equal(got_gram, gram) and np.array_equal(got_cross, cross)
     assert lead == 1
     # bs_channel_only's normal equations, contracted from their rearrangement, are the explicit ones of its regressor C
-    c = bs_rx.channel_code_matrix(reflect_blocks(coding, g), x).T
+    c = bs_channel_regressor(coding, g, x)
     assert_same(h_gram, c.conj().T @ c)
     assert_same(h_rhs, c.conj().T @ unfold(y, 1).T)
 
@@ -216,6 +237,24 @@ def test_als_tables_rearrange_every_entry(lead, w, n, t, m, seed):
     assert np.array_equal(gram_table, gram[(a * w + s1) * n + i, (b * w + s2) * n + j].reshape(w * w, -1))
     s1, tau, a, i, r = np.meshgrid(range(w), range(t), range(lead), range(n), range(m), indexing="ij")
     assert np.array_equal(cross_table, cross[(a * w + s1) * n + i, tau * m + r].reshape(w * t, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.integers(1, 3), w=st.integers(1, 3), n=st.integers(1, 4), t=st.integers(1, 3), m=st.integers(1, 3),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_channel_problem_has_the_channel_step_normal_equations(lead, w, n, t, m, rows, seed):
+    rng = np.random.default_rng(seed)
+    f, y, x = crandn(rng, rows, lead * w * n), crandn(rng, rows, t * m), crandn(rng, w, t)
+    a, b = channel_problem(lambda: (f, y), lead, x)
+    # A[(K, tau), (a, i)] = sum_s F[K, (a, s, i)] X[s, tau] and B[(K, tau), r] = Y[K, (tau, r)], entry by entry
+    k_, tau, a_, i = np.meshgrid(range(rows), range(t), range(lead), range(n), indexing="ij")
+    want = sum(f[k_, (a_ * w + s) * n + i] * x[s, tau] for s in range(w)).reshape(rows * t, lead * n)
+    assert_same(a, want)
+    k_, tau, r = np.meshgrid(range(rows), range(t), range(m), indexing="ij")
+    assert np.array_equal(b, y[k_, tau * m + r].reshape(rows * t, m))
+    # they are the problem whose normal equations channel_step contracts from als_tables' rearrangement
+    f_h = f.conj().T
+    assert_normal_equations(rx_common.channel_step(*rx_common.als_tables(f_h @ f, f_h @ y, lead, w, t), x), a, b)
 
 
 # ------------------------------------------- structured ALS normal equations
@@ -298,14 +337,13 @@ def check_every_channel_step(cfg, seed, als_start):
 
     hris_steps = channel_solves(lambda: hris_rx.hris_bals(y_rc, coding), x, als_start)
     for gram, rhs, x_hat in hris_steps:  # the right-hand side of vec(G) comes as one column
-        assert_normal_equations((gram, rhs), channel_code_matrix(coding, x_hat), vec(unfold(y_rc, 3).T)[:, None])
+        assert_normal_equations((gram, rhs), hris_channel_regressor(coding, x_hat), vec(unfold(y_rc, 3).T)[:, None])
 
     # bs_bals first solves bs_kronf's (w*n)-column problem for its start where k reaches that receiver's threshold
     bs_steps = channel_solves(lambda: bs_rx.bs_bals(y_bs, g, coding), x, als_start,
                               start_solves=int(cfg.k >= cfg.streams * cfg.n))
     for gram, rhs, x_hat in bs_steps:
-        assert_normal_equations((gram, rhs), bs_rx.channel_code_matrix(reflect_blocks(coding, g), x_hat).T,
-                                unfold(y_bs, 1).T)
+        assert_normal_equations((gram, rhs), bs_channel_regressor(coding, g, x_hat), unfold(y_bs, 1).T)
     return len(hris_steps), len(bs_steps)
 
 
@@ -321,9 +359,19 @@ def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
     y_rc = with_noise(synth_yrc(channels, coding, sent), cfg, rng)
     y_bs = with_noise(synth_ybs(channels, coding, sent), cfg, rng)
     surface = hris_rx.hris_bals(y_rc, coding)
-    cholesky = [surface, bs_rx.bs_bals(y_bs, surface.channel, coding)]
+
+    def estimates():
+        return [hris_rx.hris_bals(y_rc, coding), bs_rx.bs_bals(y_bs, surface.channel, coding),
+                bs_rx.bs_channel_only(y_bs, surface.channel, surface.symbols, coding)]
+    cholesky = estimates()
     monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
-    svd = [hris_rx.hris_bals(y_rc, coding), bs_rx.bs_bals(y_bs, surface.channel, coding)]
+    explicit = []
+    for module in (rx_common, bs_rx):
+        monkeypatch.setattr(module, "channel_problem",
+                            lambda *args, read=module.channel_problem: explicit.append(1) or read(*args))
+    svd = estimates()
+    # every channel step, bs_channel_only's one too, solved on the problem read off its Kronecker problem
+    assert len(explicit) == svd[0].iterations + svd[1].iterations + 1
     for chol, fell_back in zip(cholesky, svd):
         assert chol.fallbacks == 0
         assert fell_back.iterations == chol.iterations
@@ -335,7 +383,7 @@ def test_bals_svd_fallback_gives_the_cholesky_estimate(scheme, monkeypatch):
 @pytest.mark.parametrize("cfg", NON_DIAGONAL, ids=["tstc", "krstc"])
 def test_examples_have_a_non_diagonal_surface_gram(cfg):
     x = crandn(np.random.default_rng(3), cfg.streams, cfg.t)
-    a = channel_code_matrix(build_coding(cfg), x)
+    a = hris_channel_regressor(build_coding(cfg), x)
     gram = a.conj().T @ a
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 0.01 * np.max(np.abs(gram))
 
@@ -345,8 +393,8 @@ def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
     def explicit(*args):
         raise AssertionError("the explicit channel-step regressor is built only on an SVD fallback")
 
-    monkeypatch.setattr(hris_rx, "channel_code_matrix", explicit)
-    monkeypatch.setattr(bs_rx, "channel_code_matrix", explicit)
+    monkeypatch.setattr(rx_common, "channel_problem", explicit)
+    monkeypatch.setattr(bs_rx, "channel_problem", explicit)
     cfg = ScenarioConfig(m=4, n=8, nc=2, l=2, r=2, t=4, k=16, scheme=scheme)
     rng = np.random.default_rng(23)
     channels, coding = draw_channels(cfg, rng), build_coding(cfg)
@@ -356,4 +404,5 @@ def test_bals_channel_steps_build_no_explicit_regressor(scheme, monkeypatch):
         y_bs = with_noise(synth_ybs(channels, coding, sent), cfg.replace(noise_dbm=noise_dbm), rng)
         surface = hris_rx.hris_bals(y_rc, coding)
         bs = bs_rx.bs_bals(y_bs, surface.channel, coding)
+        bs_rx.bs_channel_only(y_bs, surface.channel, surface.symbols, coding)
         assert surface.fallbacks == bs.fallbacks == 0

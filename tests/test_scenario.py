@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ def test_config_validation():
         ScenarioConfig(scheme="krstc", r=3, l=2)
     with pytest.raises(ValueError):
         ScenarioConfig(qam_order=12)
+    for qam_order in (64.0, -4):
+        with pytest.raises(ValueError, match=re.escape(f"qam_order must be a positive integer, got {qam_order!r}")):
+            ScenarioConfig(qam_order=qam_order)
     with pytest.raises(ValueError):
         ScenarioConfig(scheme="other")
     with pytest.raises(ValueError):

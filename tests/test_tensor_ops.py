@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
 from hrislink.coding import build_coding
-from hrislink.hris_rx import channel_code_matrix
 from hrislink.rx_common import RankDeficiencyError, require_full_rank
 from hrislink.scenario import ScenarioConfig
-from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, rank1_approx, solve_gram, spectral_rank, unfold, vec
+from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, rank1_approx, solve_gram, spectral_rank, unfold
 
-from oracle_models import comparison_certificate, fold, gram_certificate, mode_n_product, modewise_contraction, unvec
+from oracle_models import (comparison_certificate, fold, gram_certificate, mode_n_product, modewise_contraction,
+                           sensed_channel_regressor, unvec, vec)
 
 
 def crandn(rng, *shape):
@@ -361,7 +361,7 @@ def diagonal_gram(case):
     sizes, scheme = case.split()
     small = {"m": 4, "n": 8, "nc": 2, "l": 2, "r": 2, "t": 4, "k": 16} if sizes == "small" else {}
     cfg = ScenarioConfig(**small, scheme=scheme)
-    a = channel_code_matrix(build_coding(cfg), crandn(rng, cfg.streams, cfg.t))
+    a = sensed_channel_regressor(build_coding(cfg), crandn(rng, cfg.streams, cfg.t))
     gram = a.conj().T @ a
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-14 * np.max(np.abs(gram))
     return gram
