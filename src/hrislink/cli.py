@@ -16,7 +16,7 @@ import sys
 from .harness import format_float, parse_pair, records_to_csv, run_sweep
 from .identifiability import Sizes, feedback_bits, pair_subframes, receiver_spec
 from .rx_common import IdentifiabilityError
-from .scenario import ScenarioConfig
+from .scenario import SCHEMES, ScenarioConfig
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -30,7 +30,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--pair", required=True,
                         help="surface-BS receiver pair, e.g. kronf-bals or bals-h")
-    parser.add_argument("--scheme", choices=("tstc", "krstc"),
+    parser.add_argument("--scheme", choices=SCHEMES,
                         help="override the coding scheme from the configuration")
 
 

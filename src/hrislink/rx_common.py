@@ -3,8 +3,7 @@ one ALS loop (:func:`run_als`: from the caller's start, channel step contracted 
 the caller's Kronecker problem, whose normal equations :func:`als_tables` rearranges and whose SVD fallback
 :func:`channel_problem` reads, alike at the surface and the BS, symbol step on the caller's regressor, stop
 rule), the full-rank solve of a caller's normal equations, and the anchor normalization.  Every solve goes through
-:func:`~hrislink.tensor_ops.solve_gram`, which with :func:`~hrislink.tensor_ops.numerical_rank` holds the
-one full-column-rank rule."""
+:func:`~hrislink.tensor_ops.solve_gram`, which holds the one full-column-rank rule."""
 
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .coding import CODINGS_KEPT, CodingSet
 from .identifiability import ENTITY_NAMES, RECEIVERS, ReceiverSpec, Sizes
-from .tensor_ops import frobenius, numerical_rank, solve_gram, unfold
+from .tensor_ops import frobenius, solve_gram, unfold
 
 # The ALS stop rule (CP-ALS, Kolda & Bader 2009, section 3.4): at most
 # MAX_ITERATIONS iterations, ending early once the squared residual changes by
@@ -127,15 +126,15 @@ def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape
     residuals: list[float] = []
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):
-        solution, channel_fallback = solve_gram(*channel_step(gram_table, cross_table, x_hat),
-                                                lambda: channel_problem(problem, lead, x_hat))
+        solution, channel_rank = solve_gram(*channel_step(gram_table, cross_table, x_hat),
+                                            lambda: channel_problem(problem, lead, x_hat))
         channel = solution.reshape(shape).T
         regressor = symbol_regressor(channel)
         regressor_h = regressor.conj().T
-        x_hat, symbol_fallback = solve_gram(regressor_h @ regressor, regressor_h @ y2t, lambda: (regressor, y2t))
+        x_hat, symbol_rank = solve_gram(regressor_h @ regressor, regressor_h @ y2t, lambda: (regressor, y2t))
         resid = float(np.linalg.norm(y2t - regressor @ x_hat) ** 2)
         residuals.append(resid)
-        fallbacks += channel_fallback + symbol_fallback
+        fallbacks += (channel_rank is not None) + (symbol_rank is not None)
         if resid <= floor:
             break
         if len(residuals) >= 2:
@@ -175,16 +174,13 @@ def channel_problem(problem: Callable, lead: int, x: np.ndarray) -> tuple[np.nda
 def require_full_rank(gram: np.ndarray, rhs: np.ndarray, problem: Callable, what: str) -> np.ndarray:
     """:func:`~hrislink.tensor_ops.solve_gram` of ``gram @ x = rhs``, the normal equations of ``problem() = (a, b)``.
 
-    A certified Cholesky solve proves that ``a`` has full column rank, the Gram's order; the SVD fallback
-    first reads ``a``'s rank off its singular values and raises :class:`RankDeficiencyError` below it.
+    A certified Cholesky solve proves that ``a`` has full column rank, the Gram's order; below it, the rank the
+    SVD fallback read off ``a``'s singular values raises :class:`RankDeficiencyError`.
     """
-    def checked():
-        a, b = problem()
-        if (rank := numerical_rank(a)) < len(gram):
-            raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {len(gram)}")
-        return a, b
-
-    return solve_gram(gram, rhs, checked)[0]
+    x, rank = solve_gram(gram, rhs, problem)
+    if rank is not None and rank < len(gram):
+        raise RankDeficiencyError(f"{what} has numerical rank {rank}, need {len(gram)}")
+    return x
 
 
 def normalize_anchor(report: EstimateReport, per_stream: bool) -> EstimateReport:

@@ -16,9 +16,9 @@ forms (:func:`solve_gram`): a Cholesky factor ``U`` of the small Gram ``a^H a``
 solves them once an O(n^2) bound, from one triangular solve, on the
 certificate ``|U|_F |U^{-1}|_F >= sigma_max / sigma_min`` is below
 ``GRAM_CERTIFICATE_MAX``, which proves full column rank under the rank rule
-(``RANK_TOL``, :func:`numerical_rank`).  Any other Gram takes the SVD
-fallback on the explicit regressor, which only then is built.  The rank-1
-split (:func:`rank1_approx`) takes the top eigenpair of the small Gram.
+(``RANK_TOL``).  Any other Gram takes one SVD of the explicit regressor, built
+only then, which reads its rank by the rule and the solution truncated to it.
+The rank-1 split (:func:`rank1_approx`) takes the top eigenpair of the small Gram.
 
 All functions are pure and never mutate their inputs.
 """
@@ -57,25 +57,13 @@ def frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2))[..., 0, 0])
 
 
-# The one full-column-rank rule: singular values at or below RANK_TOL times the largest count as zero.  A solve
-# whose bound |U|_F |M(U)^{-1} e|_2 >= |U|_F |U^{-1}|_F >= sigma_max / sigma_min is below GRAM_CERTIFICATE_MAX
-# has sigma_min / sigma_max > 1e-4, 1e6 times above that cut, so it has full rank without an SVD, and its
-# normal-equation error is about eps * 1e8 at most.  The bound is at least the Gram's column count, so Grams of
-# 1e4 or more columns always take the SVD, where the rule counts the singular values.
+# The one full-column-rank rule: singular values at or below RANK_TOL times the largest count as zero, in the
+# rank the SVD fallback reads and in the directions its solution drops.  A solve whose bound |U|_F |M(U)^{-1} e|_2
+# >= |U|_F |U^{-1}|_F >= sigma_max / sigma_min is below GRAM_CERTIFICATE_MAX has sigma_min / sigma_max > 1e-4,
+# 1e6 times above that cut, so it has full rank without an SVD, and its normal-equation error is about eps * 1e8
+# at most.  The bound is at least the Gram's column count, so Grams of 1e4 or more columns always take the SVD.
 RANK_TOL = 1e-10
 GRAM_CERTIFICATE_MAX = 1e4
-
-
-def numerical_rank(mat: np.ndarray) -> int:
-    """Count singular values above ``RANK_TOL * sigma_max``."""
-    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False))
-
-
-def spectral_rank(s: np.ndarray) -> int:
-    """:func:`numerical_rank` read off descending singular values ``s``."""
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 @lru_cache(maxsize=64)
@@ -91,8 +79,8 @@ def gram_kit(gram_dtype: np.dtype, rhs_dtype: np.dtype, size: int) -> tuple:
             *scipy.linalg.blas.get_blas_funcs(("trsv", "nrm2"), (gram.real,)), signs, ones)
 
 
-def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np.ndarray, bool]:
-    """Solve the normal equations ``gram @ x = rhs``, and whether it fell back to the SVD.
+def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np.ndarray, int | None]:
+    """Solve the normal equations ``gram @ x = rhs``; also return the rank the SVD fallback read, ``None`` without one.
 
     ``gram`` and ``rhs`` are ``a^H a`` and ``a^H b`` of the least-squares problem
     ``a @ x = b``, however the caller formed them.  ``potrf`` factors
@@ -104,7 +92,9 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
     is at least the certificate ``|U|_F |U^{-1}|_F``, and one ``trsv`` gives it.
     When the factorization fails, the bound is not below the cap (NaN and inf
     included), or the solution is not finite, it calls ``problem()`` for the
-    explicit ``(a, b)`` and returns ``numpy.linalg.pinv(a) @ b``.
+    explicit ``(a, b)`` and one SVD ``a = U S V^H``: the rank ``r`` counts the
+    singular values above ``RANK_TOL`` times the largest, and the solution is the
+    truncated ``(V_r / s_r) @ (U_r^H b)`` (Golub & Van Loan, *Matrix Computations*, 5.5).
     """
     potrf, potrs, trsv, nrm2, signs, ones = gram_kit(gram.dtype, rhs.dtype, len(gram))
     factor, info = potrf(gram)
@@ -116,9 +106,11 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray, problem: Callable) -> tuple[np
         if nrm2(comparison.ravel(order="K")) * nrm2(trsv(comparison, ones)) < GRAM_CERTIFICATE_MAX:
             x, info = potrs(factor, rhs)
             if info == 0 and np.isfinite(x).all():
-                return x, False
+                return x, None
     a, b = problem()
-    return np.linalg.pinv(a) @ b, True
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[:1]))
+    return (vh[:rank].conj().T / s[:rank]) @ (u[:, :rank].conj().T @ b), rank
 
 
 def rank1_approx(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ and through raw scalar sums, without touching the slice-wise synthesis code
 they are checked against.  The tensor operations that only the tests
 need (:func:`vec`, :func:`fold`, :func:`unvec`, :func:`mode_n_product`, :func:`modewise_contraction`)
 live here, following the unfolding conventions of ``hrislink.tensor_ops``.
-:func:`comparison_certificate` recomputes, from the Gram alone, the
+:func:`numerical_rank` and :func:`spectral_rank` count singular values by the
+package's rank rule (``RANK_TOL``), as ``hrislink.tensor_ops.solve_gram``
+does on its SVD path.  :func:`comparison_certificate` recomputes, from the Gram alone, the
 inverse-free bound that ``hrislink.tensor_ops.solve_gram`` decides on, and
 :func:`gram_certificate` the exact certificate it bounds.  :func:`rank_bounds`
 checks the block-rank upper bounds that the sub-frame thresholds rest on
@@ -24,7 +26,19 @@ from hrislink.coding import CodingSet
 from hrislink.rx_common import channel_problem
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_noise
 from hrislink.synthesis import reflect_blocks
-from hrislink.tensor_ops import numerical_rank, spectral_rank
+from hrislink.tensor_ops import RANK_TOL
+
+
+def numerical_rank(mat: np.ndarray) -> int:
+    """Count singular values above ``RANK_TOL * sigma_max``."""
+    return spectral_rank(np.linalg.svd(np.atleast_2d(mat), compute_uv=False))
+
+
+def spectral_rank(s: np.ndarray) -> int:
+    """:func:`numerical_rank` read off descending singular values ``s``."""
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def gram_certificate(gram: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hrislink.harness import CSV_HEADER
+from hrislink.scenario import SCHEMES
 
 CFG_TEXT = """\
 m = 4
@@ -157,6 +158,12 @@ def test_check_scheme_override(cfg_file):
                      "--scheme", "krstc")
     assert result.returncode == 0, result.stderr
     assert "krstc" in result.stdout
+
+
+def test_unknown_scheme_lists_every_scheme(cfg_file):
+    result = run_cli("check", "--config", cfg_file, "--pair", "kronf-bals", "--scheme", "ostc")
+    assert result.returncode == 2 and not result.stdout
+    assert "ostc" in result.stderr and all(scheme in result.stderr for scheme in SCHEMES)
 
 
 def test_invalid_pair_for_scheme(cfg_file):

@@ -22,9 +22,9 @@ from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, 
                                 RankDeficiencyError, als_tables, normalize_anchor, require_full_rank, run_als)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
-from hrislink.tensor_ops import RANK_TOL, numerical_rank, spectral_rank, unfold
+from hrislink.tensor_ops import RANK_TOL, unfold
 
-from oracle_models import sensed_channel_regressor, unvec, vec, with_noise
+from oracle_models import numerical_rank, sensed_channel_regressor, spectral_rank, unvec, vec, with_noise
 
 
 def make_case(seed=0, scheme="tstc", **kw):

@@ -6,6 +6,7 @@ loops, power iteration) rather than by the functions under test.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
@@ -13,10 +14,10 @@ from scipy.linalg import khatri_rao
 from hrislink.coding import build_coding
 from hrislink.rx_common import RankDeficiencyError, require_full_rank
 from hrislink.scenario import ScenarioConfig
-from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, rank1_approx, solve_gram, spectral_rank, unfold
+from hrislink.tensor_ops import GRAM_CERTIFICATE_MAX, RANK_TOL, rank1_approx, solve_gram, unfold
 
 from oracle_models import (comparison_certificate, fold, gram_certificate, mode_n_product, modewise_contraction,
-                           sensed_channel_regressor, unvec, vec)
+                           sensed_channel_regressor, spectral_rank, unvec, vec)
 
 
 def crandn(rng, *shape):
@@ -266,7 +267,26 @@ def tall_orientation(a):
 def certified_solve(a, b):
     """``pinv(a) @ b`` from :func:`solve_gram` of a tall ``a``, and whether it fell back to the SVD: the
     least-squares solve of ``a @ x = b`` through its normal equations, as the ALS symbol step forms them."""
+    x, rank = gram_solve(a, b)
+    return x, rank is not None
+
+
+def gram_solve(a, b):
+    """:func:`solve_gram` of ``a @ x = b`` with the normal equations formed here: the solution and the rank its
+    SVD path read, ``None`` on the Cholesky path."""
     return solve_gram(a.conj().T @ a, a.conj().T @ b, lambda: (a, b))
+
+
+def assert_truncated_least_squares(a, b, x, rank):
+    """``x`` and ``rank`` are the least-squares solution of ``a @ x = b`` truncated at the rank rule and its rank,
+    by LAPACK's ``gelsd`` and :func:`oracle_models.spectral_rank`; an all-zero ``a`` gives exactly zero."""
+    assert rank == spectral_rank(np.linalg.svd(a, compute_uv=False))
+    want = scipy.linalg.lstsq(a, b, cond=RANK_TOL)[0]
+    assert x.shape == want.shape
+    if not a.any():
+        assert rank == 0 and np.array_equal(x, np.zeros_like(want))
+    else:
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def full_rank_solve(a, b, what):
@@ -458,9 +478,34 @@ def fallback_input(case):
 def test_solve_gram_falls_back_to_pinv(case):
     a, b = fallback_input(case)
     with np.errstate(over="ignore", invalid="ignore"):
-        x, fell_back = certified_solve(a, b)
-    assert fell_back
-    assert np.array_equal(x, np.linalg.pinv(a) @ b)
+        x, rank = gram_solve(a, b)
+    assert rank is not None
+    assert_truncated_least_squares(a, b, x, rank)
+
+
+def test_solve_gram_truncates_at_the_rank_rule():
+    # 1e-12 is below the RANK_TOL cut, though above numpy's default pinv cut of max(20, 4) * eps = 4.4e-15,
+    # whose solution would hold that direction at about 1e11 times the truncated solution's norm
+    rng = np.random.default_rng(109)
+    a = with_singular_values(rng, 20, np.array([1.0, 0.5, 0.1, 1e-12]))
+    for b in (crandn(rng, 20), crandn(rng, 20, 2)):
+        x, rank = gram_solve(a, b)
+        assert rank == 3
+        assert_truncated_least_squares(a, b, x, rank)
+
+
+def test_an_svd_path_solve_runs_one_svd(monkeypatch):
+    calls = []
+    svd, pinv = np.linalg.svd, np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append("svd") or svd(*args, **kw))
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: calls.append("pinv") or pinv(*args, **kw))
+    a, b = fallback_input("ill conditioned")
+    full_rank_solve(a, b, "a")
+    assert calls == ["svd"]
+    calls.clear()
+    a, b = fallback_input("rank deficient")
+    assert gram_solve(a, b)[1] == 3
+    assert calls == ["svd"]
 
 
 def test_solve_gram_calls_problem_only_on_fallback():
@@ -471,15 +516,15 @@ def test_solve_gram_calls_problem_only_on_fallback():
 
     rng = np.random.default_rng(97)
     a, b = with_singular_values(rng, 20, np.array([1.0, 0.5, 0.2, 0.1])), crandn(rng, 20, 2)
-    x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
-    assert not fell_back and not calls
+    x, rank = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
+    assert rank is None and not calls
     assert np.linalg.norm(x - np.linalg.pinv(a) @ b) <= 1e-10 * np.linalg.norm(x)
     for case in ("rank deficient", "all zero"):
         a, b = fallback_input(case)
         calls.clear()
-        x, fell_back = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
-        assert fell_back and calls == [1]
-        assert np.array_equal(x, np.linalg.pinv(a) @ b)
+        x, rank = solve_gram(a.conj().T @ a, a.conj().T @ b, problem_of(a, b))
+        assert rank is not None and calls == [1]
+        assert_truncated_least_squares(a, b, x, rank)
 
 
 @settings(max_examples=200, deadline=None)
