@@ -11,16 +11,16 @@ All three receivers read its normal equations (:func:`kronecker_problem`), a
 ``(w*n, w*n)`` Gram and a ``(w*n, t*m)`` cross, 64 KB and 32 KB at the default sizes:
 
 * :func:`bs_kronf` solves them for ``Z``, then splits it with a rank-1 factorization;
-* :func:`bs_bals` hands them and the problem to the shared ALS loop (:func:`~hrislink.rx_common.run_als`) over
-  the BS-side channel and the symbols, which rearranges them (:func:`~hrislink.rx_common.als_tables`) as it does
-  the surface's composite problem, from the symbols of :func:`bs_kronf`'s solve of them where ``k`` reaches its
-  threshold, not a random draw;
+* :func:`bs_bals` hands them, ``right`` and ``unfold(y, 3)`` to the shared ALS loop
+  (:func:`~hrislink.rx_common.run_als`) over the BS-side channel and the symbols, which rearranges them
+  (:func:`~hrislink.rx_common.als_tables`) as it does the surface's composite problem, from the symbols of
+  :func:`bs_kronf`'s solve of them where ``k`` reaches its threshold, not a random draw;
 * :func:`bs_channel_only`, the scenario-2 shortcut, takes one channel step of that
   loop (:func:`~hrislink.rx_common.channel_step`) at the fed-back symbols.
 
-The channel steps' SVD fallbacks read their explicit regressor off ``right.T``
-(:func:`~hrislink.rx_common.channel_problem`); the ALS symbol step solves on its own regressor from the same
-blocks (:func:`symbol_code_matrix`).
+So the model is stated once, as ``right``, the transpose ``F^T`` of the regressor ``F = right.T``: the channel
+steps' SVD fallbacks read their explicit regressor off it (:func:`~hrislink.rx_common.channel_problem`), and the
+ALS symbol step its regressor, ``H B_k`` stacked over ``k`` (:func:`~hrislink.rx_common.symbol_problem`).
 The closed-form receivers solve through :func:`~hrislink.rx_common.require_full_rank` and also
 take stacks ``(s, m, t, k)``, the fed-back arrays stacked alike, one slice's blocks and normal equations
 at a time, so no stack-sized block array is built.
@@ -44,22 +44,20 @@ from .synthesis import reflect_blocks
 from .tensor_ops import rank1_approx, unfold
 
 
-def symbol_code_matrix(blocks: np.ndarray, bs_channel: np.ndarray) -> np.ndarray:
-    """Symbol-step regressor from a slice's ``(n, k, w)`` blocks: ``H @ B_k`` stacked, ``(k*m, w)``, from the one
-    product ``H [B_1 ... B_K]``."""
-    n, k, w = blocks.shape
-    return (bs_channel @ blocks.reshape(n, -1)).reshape(-1, k, w).transpose(1, 0, 2).reshape(-1, w)
-
-
-def kronecker_problem(y: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """The normal equations of ``right.T @ Z.T = unfold(y, 3)`` and its ``(a, b)``, from a slice's ``(n, k, w)`` blocks.
+def kronecker_problem(y: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The normal equations of ``right.T @ Z.T = unfold(y, 3)``, then ``right`` and ``unfold(y, 3)``, from the blocks.
 
     With rows ``(s, i)`` of ``right``, the Gram ``conj(right) @ right.T`` is ``sum_k conj(B_k[i, s]) B_k[j, s']``
     at ``[(s, i), (s', j)]`` and the cross ``conj(right) @ unfold(y, 3)`` is ``sum_k conj(B_k[i, s]) Y_k[r, tau]``
     at ``[(s, i), (tau, r)]``."""
     right, y3 = blocks.transpose(2, 0, 1).reshape(-1, blocks.shape[1]), unfold(y, 3)     # (w*n, k), (k, t*m)
     right_conj = right.conj()
-    return right_conj @ right.T, right_conj @ y3, lambda: (right.T, y3)
+    return right_conj @ right.T, right_conj @ y3, right, y3
+
+
+def _solve_right_factor(gram: np.ndarray, cross: np.ndarray, right: np.ndarray, y3: np.ndarray) -> np.ndarray:
+    """The solution ``Z^T`` of :func:`kronecker_problem`, through :func:`~hrislink.rx_common.require_full_rank`."""
+    return require_full_rank(gram, cross, lambda: (right.T, y3), "composite right factor")
 
 
 def _slice_by_slice(solve: Callable, y_bs: np.ndarray, *stacked: np.ndarray) -> np.ndarray:
@@ -86,14 +84,13 @@ def bs_bals(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet, init_se
     ``init_symbols(w, t, init_seed)``."""
     d = check_received(y_bs, coding, "bs_bals", ut_channel)
     blocks = reflect_blocks(coding, ut_channel)                      # B_k[i, s] at [i, k, s], (n, k, w)
-    gram, cross, problem = kronecker_problem(y_bs, blocks)
+    problem = kronecker_problem(y_bs, blocks)
     start = None
     if d.k >= receiver_spec("kronf", "bs", d.scheme).threshold(d):
         with contextlib.suppress(RankDeficiencyError, AmbiguityError):
-            start = _kronecker_split(require_full_rank(gram, cross, problem, "composite right factor"), d).symbols
+            start = _kronecker_split(_solve_right_factor(*problem), d).symbols
     # the solution is h_hat^T, (n, m)
-    report = run_als(y_bs, gram, cross, 1, (d.n, d.m), problem, lambda h_hat: symbol_code_matrix(blocks, h_hat),
-                     init_symbols(d.w, d.t, init_seed) if start is None else start)
+    report = run_als(y_bs, *problem, 1, (d.n, d.m), init_symbols(d.w, d.t, init_seed) if start is None else start)
     return normalize_anchor(report, per_stream=False)
 
 
@@ -101,8 +98,7 @@ def bs_kronf(y_bs: np.ndarray, ut_channel: np.ndarray, coding: CodingSet) -> Est
     """Closed-form estimation: the composite ``kron(X^T, H)`` from :func:`kronecker_problem`, then a rank-1 split."""
     d = check_received(y_bs, coding, "bs_kronf", ut_channel)
     return _kronecker_split(_slice_by_slice(
-        lambda y, g: require_full_rank(*kronecker_problem(y, reflect_blocks(coding, g)), "composite right factor"),
-        y_bs, ut_channel), d)
+        lambda y, g: _solve_right_factor(*kronecker_problem(y, reflect_blocks(coding, g))), y_bs, ut_channel), d)
 
 
 def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarray, coding: CodingSet) -> EstimateReport:
@@ -111,9 +107,9 @@ def bs_channel_only(y_bs: np.ndarray, ut_channel: np.ndarray, symbols: np.ndarra
     check_received(y_bs, coding, "bs_channel_only", ut_channel, symbols)
 
     def step(y, g, x):
-        gram, cross, problem = kronecker_problem(y, reflect_blocks(coding, g))
+        gram, cross, right, y3 = kronecker_problem(y, reflect_blocks(coding, g))
         return require_full_rank(*channel_step(*als_tables(gram, cross, 1, *x.shape), x),
-                                 lambda: channel_problem(problem, 1, x), "channel-step regressor").T
+                                 lambda: channel_problem(right, y3, 1, x), "channel-step regressor").T
 
     h_hat = _slice_by_slice(step, y_bs, ut_channel, symbols)
     return EstimateReport(h_hat, np.array(symbols, copy=True))

@@ -44,7 +44,7 @@ class CodingSet:
     combiner normalization) or the ``(k, l)`` code matrix for krstc.
 
     ``phi`` stacks the slices ``phi_k`` as ``(k, nc, n)``, ``mix`` the mixing
-    matrices ``mix_k`` as ``(k, l, streams)`` (``diag(code[k])`` for krstc).
+    matrices ``mix_k`` as ``(k, l, w)`` for ``w`` streams (``diag(code[k])`` for krstc).
 
     The arrays are read-only copies of the ones passed in, so the stacks and
     anything derived from them can never go stale; equality and hashing are
@@ -74,10 +74,6 @@ class CodingSet:
     @property
     def elements(self) -> int:
         return self.sensing.shape[1]
-
-    @property
-    def streams(self) -> int:
-        return self.mix.shape[2]
 
 
 def design_phase_shifts(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

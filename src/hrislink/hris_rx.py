@@ -3,15 +3,15 @@
 All three receivers fit the sensed tensor ``(nc, t, k)``, ``Y_k = phi_k G mix_k X``, through one least-squares
 problem per coding set (:func:`composite_problem`), ``F @ Z = unfold(y, 2).T`` with ``Z[(a, s, i), tau] =
 G[i, a] X[s, tau]`` and the composite regressor ``F``, ``kron(vec(mix_k^T)^T, phi_k)`` stacked over ``k``
-(:func:`composite_code_matrix`).  It is kept as ``F^H`` and its Gram, 256 KB at the default sizes:
+(:func:`composite_code_matrix`).  It is kept as ``F^T`` and the Gram ``F^H F``, 256 KB at the default sizes:
 
 * :func:`hris_kronf` (tstc) and :func:`hris_krf` (krstc) solve it on the columns that carry weight, all of them for
   tstc and ``a == s`` for krstc (:func:`composite_pinv`), then split the composite with one rank-1 factorization,
   or one per stream for krstc; both also take stacks ``(s, nc, t, k)``, slice for slice exact;
-* :func:`hris_bals` hands the Gram, the cross ``F^H unfold(y, 2).T`` and the problem itself to the shared ALS
-  loop (:func:`~hrislink.rx_common.run_als`), which rearranges them into its channel step on ``vec(G)`` as it does
-  the BS's, and reads that step's SVD fallback off ``F`` (:func:`~hrislink.rx_common.channel_problem`); the
-  symbol step solves on its own regressor (:func:`symbol_code_matrix`).
+* :func:`hris_bals` hands the Gram, the cross ``F^H unfold(y, 2).T``, ``F^T`` and ``unfold(y, 2).T`` to the shared
+  ALS loop (:func:`~hrislink.rx_common.run_als`), which rearranges them into its channel step on ``vec(G)`` as it
+  does the BS's, and reads off ``F^T`` both that step's SVD fallback (:func:`~hrislink.rx_common.channel_problem`)
+  and the symbol step's regressor ``phi_k G mix_k`` (:func:`~hrislink.rx_common.symbol_problem`).
 
 Every receiver ends by removing the scaling ambiguity against the anchor
 symbols (one scalar for tstc, one per stream for krstc).
@@ -36,15 +36,6 @@ from .rx_common import (
 from .tensor_ops import rank1_approx, unfold
 
 
-def symbol_code_matrix(coding: CodingSet, channel: np.ndarray) -> np.ndarray:
-    """Symbol-step regressor: ``phi_k @ G @ mix_k`` stacked over ``k``, shape ``(k*nc, w)``.
-
-    The stacked ``phi_k @ G`` is one product of ``(k*nc, n)`` and ``(n, l)``.
-    """
-    k, nc, n = coding.phi.shape
-    return ((coding.phi.reshape(-1, n) @ channel).reshape(k, nc, -1) @ coding.mix).reshape(-1, coding.streams)
-
-
 def composite_code_matrix(coding: CodingSet) -> np.ndarray:
     """Composite regressor ``F``: ``kron(vec(mix_k.T).T, phi_k)`` stacked over ``k``, ``(k*nc, l*w*n)`` with
     columns ``(a, s, i)``; only the ``a == s`` columns, ``kron(code[k], phi_k)``, carry weight for krstc."""
@@ -54,17 +45,16 @@ def composite_code_matrix(coding: CodingSet) -> np.ndarray:
 
 @lru_cache(maxsize=CODINGS_KEPT)
 def composite_problem(coding: CodingSet) -> tuple[np.ndarray, np.ndarray]:
-    """The surface's one least-squares problem, ``F`` of :func:`composite_code_matrix`, as ``(F^H F, F^H)``.
+    """The surface's one least-squares problem, ``F`` of :func:`composite_code_matrix`, as ``(F^H F, F^T)``.
 
     The Gram is ``sum_k conj(mix_k[a, s]) mix_k[b, s'] (phi_k^H phi_k)[i, j]`` at ``[(a, s, i), (b, s', j)]``,
     ``16 (l w n)^2`` bytes, 256 KB at the default sizes.  Both are read-only and shared; the last
     ``CODINGS_KEPT`` codings keep theirs.
     """
     f = composite_code_matrix(coding)
-    f_h = f.conj().T
-    gram = f_h @ f
-    gram.flags.writeable = f_h.flags.writeable = False
-    return gram, f_h
+    gram, f_t = f.conj().T @ f, f.T
+    gram.flags.writeable = f_t.flags.writeable = False
+    return gram, f_t
 
 
 @lru_cache(maxsize=CODINGS_KEPT)
@@ -75,11 +65,11 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
     result is read-only and shared; the last ``CODINGS_KEPT`` codings keep theirs.  A coding whose weighted
     columns are rank deficient raises :class:`RankDeficiencyError` on every call.
     """
-    gram, f_h = composite_problem(coding)
+    gram, f_t = composite_problem(coding)
     cols = np.flatnonzero(np.repeat(coding.mix.any(axis=0).ravel(), coding.elements))
-    f_h = f_h[cols]
-    inverse = require_full_rank(gram[np.ix_(cols, cols)], f_h, lambda: (
-        f_h.conj().T, np.eye(f_h.shape[1], dtype=f_h.dtype)), "composite code matrix")
+    rows = f_t[cols]
+    inverse = require_full_rank(gram[np.ix_(cols, cols)], rows.conj(), lambda: (
+        rows.T, np.eye(rows.shape[1], dtype=rows.dtype)), "composite code matrix")
     inverse.flags.writeable = False
     return inverse
 
@@ -87,11 +77,11 @@ def composite_pinv(coding: CodingSet) -> np.ndarray:
 def hris_bals(y_rc: np.ndarray, coding: CodingSet, init_seed: int = 0) -> EstimateReport:
     """Alternating least-squares estimation of the UT-side channel and symbols."""
     d = check_received(y_rc, coding, "hris_bals")
-    gram, f_h = composite_problem(coding)
+    gram, f_t = composite_problem(coding)
     y2t = unfold(y_rc, 2).T
-    # the solution is vec(G), so G = solution.reshape(l, n).T
-    report = run_als(y_rc, gram, f_h @ y2t, d.l, (d.l, d.n), lambda: (f_h.conj().T, y2t),
-                     lambda g_hat: symbol_code_matrix(coding, g_hat), init_symbols(d.w, d.t, init_seed))
+    # the cross F^H Y without a conjugated copy of F; the solution is vec(G), so G = solution.reshape(l, n).T
+    report = run_als(y_rc, gram, (f_t @ y2t.conj()).conj(), f_t, y2t, d.l, (d.l, d.n),
+                     init_symbols(d.w, d.t, init_seed))
     return normalize_anchor(report, per_stream=coding.scheme == "krstc")
 
 

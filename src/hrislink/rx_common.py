@@ -1,9 +1,9 @@
-"""Shared receiver plumbing: failure modes, reports, the one entry check of every receiver input, the
-one ALS loop (:func:`run_als`: from the caller's start, channel step contracted by :func:`channel_step` from
-the caller's Kronecker problem, whose normal equations :func:`als_tables` rearranges and whose SVD fallback
-:func:`channel_problem` reads, alike at the surface and the BS, symbol step on the caller's regressor, stop
-rule), the full-rank solve of a caller's normal equations, and the anchor normalization.  Every solve goes through
-:func:`~hrislink.tensor_ops.solve_gram`, which holds the one full-column-rank rule."""
+"""Shared receiver plumbing: failure modes, reports, the one entry check of every receiver input, the one ALS
+loop (:func:`run_als`: from the caller's start, both steps on the caller's one Kronecker problem ``F @ Z = Y``,
+alike at the surface and the BS: the channel step contracted by :func:`channel_step` from the normal equations
+:func:`als_tables` rearranges, its SVD fallback on :func:`channel_problem`, the symbol step on :func:`symbol_problem`,
+both read off ``F^T``; stop rule), the full-rank solve of a caller's normal equations, and the anchor normalization.
+Every solve goes through :func:`~hrislink.tensor_ops.solve_gram`, which holds the one full-column-rank rule."""
 
 from __future__ import annotations
 
@@ -109,15 +109,15 @@ def _entry_facts(fn, scheme, sensing_shape, mix_shape, shape) -> tuple[ReceiverS
     return spec, sizes, spec.threshold(sizes)
 
 
-def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape: tuple[int, int],
-            problem: Callable, symbol_regressor: Callable, start: np.ndarray) -> EstimateReport:
+def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, f_t: np.ndarray, target: np.ndarray, lead: int,
+            shape: tuple[int, int], start: np.ndarray) -> EstimateReport:
     """Bilinear ALS from the caller's ``(w, t)`` symbols ``start`` until the residual stagnates or hits the floor.
 
-    The channel step solves the normal equations that :func:`channel_step` contracts from :func:`als_tables`'
-    rearrangement of the caller's Kronecker-form ``gram`` and ``cross``, those of ``problem() = (F, Y)``, whose
-    :func:`channel_problem` the SVD fallback reads; the channel is ``solution.reshape(shape).T``.  The
-    symbol step solves the normal equations of ``symbol_regressor(channel) @ x = unfold(y, 2).T``, formed here;
-    its squared Frobenius misfit is the residual of the iteration.
+    Both steps read the caller's one Kronecker problem ``F @ Z = target``, ``f_t = F^T``.  The channel step solves
+    the normal equations :func:`channel_step` contracts from :func:`als_tables`' rearrangement of its ``gram`` and
+    ``cross``, with :func:`channel_problem` as the SVD fallback; the channel is ``solution.reshape(shape).T``.  The
+    symbol step solves the normal equations of ``symbol_problem(f_t, lead, solution) @ x = unfold(y, 2).T``, formed
+    here; its squared Frobenius misfit is the residual of the iteration.
     """
     gram_table, cross_table = als_tables(gram, cross, lead, *start.shape)
     y2t = unfold(y, 2).T
@@ -127,9 +127,8 @@ def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape
     fallbacks = 0
     for _ in range(MAX_ITERATIONS):
         solution, channel_rank = solve_gram(*channel_step(gram_table, cross_table, x_hat),
-                                            lambda: channel_problem(problem, lead, x_hat))
-        channel = solution.reshape(shape).T
-        regressor = symbol_regressor(channel)
+                                            lambda: channel_problem(f_t, target, lead, x_hat))
+        regressor = symbol_problem(f_t, lead, solution)
         regressor_h = regressor.conj().T
         x_hat, symbol_rank = solve_gram(regressor_h @ regressor, regressor_h @ y2t, lambda: (regressor, y2t))
         resid = float(np.linalg.norm(y2t - regressor @ x_hat) ** 2)
@@ -141,7 +140,7 @@ def run_als(y: np.ndarray, gram: np.ndarray, cross: np.ndarray, lead: int, shape
             prev = residuals[-2]
             if prev > 0 and abs(resid - prev) <= REL_TOL * prev:
                 break
-    return EstimateReport(channel, x_hat, residuals, fallbacks=fallbacks)
+    return EstimateReport(solution.reshape(shape).T, x_hat, residuals, fallbacks=fallbacks)
 
 
 def als_tables(gram: np.ndarray, cross: np.ndarray, lead: int, w: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,15 +159,26 @@ def channel_step(gram_table: np.ndarray, cross: np.ndarray, x: np.ndarray) -> tu
     return ((x_conj @ x.T).reshape(-1) @ gram_table).reshape(size, size), (x_conj.reshape(-1) @ cross).reshape(size, -1)
 
 
-def channel_problem(problem: Callable, lead: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def channel_problem(f_t: np.ndarray, target: np.ndarray, lead: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ALS channel step's least-squares problem at the symbols ``x``, read off the Kronecker problem
-    ``problem() = (F, Y)`` whose normal equations :func:`als_tables` rearranges: ``F`` of shape ``(K, lead*w*n)``
-    with columns ``(a, s, i)``, contracted with ``x`` over ``s`` into the ``(K*t, lead*n)`` regressor with rows
-    ``(K, tau)``, and ``Y`` of ``K`` rows ``(tau, r)`` as ``K*t`` rows."""
-    f, y = problem()
+    ``F @ Z = target`` whose normal equations :func:`als_tables` rearranges: ``f_t = F^T`` of shape
+    ``(lead*w*n, K)`` with rows ``(a, s, i)``, contracted with ``x`` over ``s`` into the ``(K*t, lead*n)`` regressor
+    with rows ``(K, tau)``, and ``target`` of ``K`` rows ``(tau, r)`` as ``K*t`` rows."""
     w, t = x.shape
-    a = np.tensordot(f.reshape(len(f), lead, w, -1), x, axes=(2, 0))           # [K, a, i, tau]
-    return np.moveaxis(a, -1, 1).reshape(len(f) * t, -1), y.reshape(len(y) * t, -1)
+    a = np.tensordot(x, f_t.reshape(lead, w, -1, f_t.shape[1]), axes=(0, 1))       # [tau, a, i, K]
+    return a.transpose(3, 0, 1, 2).reshape(len(target) * t, -1), target.reshape(len(target) * t, -1)
+
+
+def symbol_problem(f_t: np.ndarray, lead: int, c: np.ndarray) -> np.ndarray:
+    """The ALS symbol step's regressor at the channel step's ``(lead*n, m)`` solution ``c``, read off the same
+    ``f_t = F^T`` as :func:`channel_problem`: ``sum_{a,i} F[K, (a, s, i)] c[(a, i), r]`` at ``[(K, r), s]``, the
+    ``(K*m, w)`` regressor of the symbols against ``unfold(y, 2).T``."""
+    n = len(c) // lead
+    f = f_t.reshape(lead, -1, n, f_t.shape[1]).swapaxes(-1, -2)        # [a, s, K, i]
+    regressor = f[0] @ c[:n]                                          # [s, K, r], summed over a
+    for a in range(1, lead):
+        regressor += f[a] @ c[a * n:(a + 1) * n]
+    return regressor.transpose(1, 2, 0).reshape(-1, len(regressor))
 
 
 def require_full_rank(gram: np.ndarray, rhs: np.ndarray, problem: Callable, what: str) -> np.ndarray:

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from hrislink import bs_rx, hris_rx
 from hrislink.coding import CodingSet
-from hrislink.rx_common import channel_problem
+from hrislink.rx_common import channel_problem, symbol_problem
 from hrislink.scenario import ChannelRealization, ScenarioConfig, draw_noise
 from hrislink.synthesis import reflect_blocks
 from hrislink.tensor_ops import RANK_TOL
@@ -216,15 +216,15 @@ def with_noise(y: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
 def sensed_channel_regressor(coding: CodingSet, symbols: np.ndarray) -> np.ndarray:
     """The surface ALS channel step's regressor at ``symbols``, read off the composite problem as ``hris_bals``'
     SVD fallback reads it: rows ``(k, c, tau)``, columns ``vec(G)``."""
-    f = hris_rx.composite_code_matrix(coding)
-    return channel_problem(lambda: (f, np.zeros((len(f), symbols.shape[1]))), coding.mix.shape[1], symbols)[0]
+    f_t = hris_rx.composite_problem(coding)[1]
+    return channel_problem(f_t, np.zeros((f_t.shape[1], symbols.shape[1])), coding.mix.shape[1], symbols)[0]
 
 
 def reflected_channel_regressor(blocks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """The BS ALS channel step's regressor at ``symbols``, read off the Kronecker problem of a slice's ``(n, k, w)``
     blocks as ``bs_bals``' SVD fallback reads it: ``(B_k X)^T`` stacked over ``k``, rows ``(k, tau)``."""
     y = np.zeros((1, symbols.shape[1], blocks.shape[1]))      # only the regressor is read
-    return channel_problem(bs_rx.kronecker_problem(y, blocks)[2], 1, symbols)[0]
+    return channel_problem(*bs_rx.kronecker_problem(y, blocks)[2:], 1, symbols)[0]
 
 
 @dataclass
@@ -252,14 +252,17 @@ def rank_bounds(cfg: ScenarioConfig, realization: ChannelRealization,
     kappa_g = numerical_rank(g)
     kappa_h = numerical_rank(h)
     kappa_x = numerical_rank(symbols)
-    width = coding.streams
+    width = coding.mix.shape[2]
 
     def max_block_rank(stack):
         return max(spectral_rank(s) for s in np.linalg.svd(stack, compute_uv=False))
 
-    zeta_x = max_block_rank(hris_rx.symbol_code_matrix(coding, g).reshape(cfg.k, cfg.nc, -1))
+    # the symbol-step regressors read off each entity's problem at the channel step's solution, vec(G) and H^T
+    zeta_x = max_block_rank(symbol_problem(hris_rx.composite_problem(coding)[1], cfg.l, vec(g)[:, None])
+                            .reshape(cfg.k, cfg.nc, -1))
     blocks = reflect_blocks(coding, g)
-    xi_x = max_block_rank(bs_rx.symbol_code_matrix(blocks, h).reshape(cfg.k, cfg.m, -1))
+    right = bs_rx.kronecker_problem(np.zeros((cfg.m, cfg.t, cfg.k)), blocks)[2]
+    xi_x = max_block_rank(symbol_problem(right, 1, h.T).reshape(cfg.k, cfg.m, -1))
     xi_h = max_block_rank(reflected_channel_regressor(blocks, symbols).reshape(cfg.k, cfg.t, -1))   # (B_k X)^T
     fg_bar_rank = numerical_rank(sensed_channel_regressor(coding, symbols))
 

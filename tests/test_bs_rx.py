@@ -9,7 +9,7 @@ from hrislink.bs_rx import (
     bs_bals,
     bs_channel_only,
     bs_kronf,
-    symbol_code_matrix,
+    kronecker_problem,
 )
 from hrislink import bs_rx, rx_common, synthesis, tensor_ops
 from hrislink.coding import CodingSet, build_coding, gen_symbols
@@ -23,6 +23,7 @@ from hrislink.rx_common import (
     RankDeficiencyError,
     init_symbols,
     normalize_anchor,
+    symbol_problem,
 )
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import reflect_blocks, synth_ybs
@@ -62,8 +63,10 @@ def test_design_matrices_zero_channel():
     cfg, _, coding, _, _ = make_case()
     zero = reflect_blocks(coding, np.zeros((cfg.n, cfg.l), dtype=complex))
     assert np.all(reflected_channel_regressor(zero, np.eye(cfg.r)) == 0)
-    assert np.all(symbol_code_matrix(zero, np.eye(cfg.n)) == 0)
-    assert symbol_code_matrix(zero, np.eye(cfg.n)).shape == (cfg.k * cfg.n, cfg.r)
+    # the symbol step's regressor at the channel step's solution H^T = I
+    right = kronecker_problem(np.zeros((cfg.m, cfg.t, cfg.k)), zero)[2]
+    assert np.all(symbol_problem(right, 1, np.eye(cfg.n)) == 0)
+    assert symbol_problem(right, 1, np.eye(cfg.n)).shape == (cfg.k * cfg.n, cfg.r)
 
 
 # ------------------------------------------------------------------- als path
@@ -93,7 +96,8 @@ def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     y = with_noise(synth_ybs(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     g = channels.ut_ris * np.sqrt(cfg.pt_watts)
     rep = bs_bals(y, g, coding)
-    misfit = unfold(y, 2).T - symbol_code_matrix(reflect_blocks(coding, g), rep.channel) @ rep.symbols
+    right = kronecker_problem(y, reflect_blocks(coding, g))[2]
+    misfit = unfold(y, 2).T - symbol_problem(right, 1, rep.channel.T) @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
 
@@ -192,8 +196,9 @@ def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
     cfg, channels, coding, symbols, _ = make_case(seed=2, scheme=scheme)
     y = with_noise(synth_ybs(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(5))
     g = channels.ut_ris * np.sqrt(cfg.pt_watts)
-    builds, problems, regressors, starts = [], [], [], []
+    builds, problems, handed, symbol_reads, starts = [], [], [], [], []
     reflect_blocks, kronecker_problem, run_als = synthesis.reflect_blocks, bs_rx.kronecker_problem, bs_rx.run_als
+    symbol_problem = rx_common.symbol_problem
 
     def counting(*args):
         builds.append(1)
@@ -204,24 +209,26 @@ def test_svd_fallbacks_read_the_blocks_of_the_call(scheme, monkeypatch):
         return kronecker_problem(*args)
 
     def recording_als(*args):
-        *head, symbol_regressor, start = args
-        starts.append(start)
+        handed.append(args[3])
+        starts.append(args[-1])
+        return run_als(*args)
 
-        def recorded(h_hat):
-            regressors.append((h_hat, symbol_regressor(h_hat)))
-            return regressors[-1][1]
-        return run_als(*head, recorded, start)
+    def recorded(f_t, *rest):
+        symbol_reads.append(f_t)
+        return symbol_problem(f_t, *rest)
 
     monkeypatch.setattr(tensor_ops, "GRAM_CERTIFICATE_MAX", 0.0)
     monkeypatch.setattr(synthesis, "reflect_blocks", counting)
     monkeypatch.setattr(bs_rx, "reflect_blocks", counting)
     monkeypatch.setattr(bs_rx, "kronecker_problem", counting_problems)
     monkeypatch.setattr(bs_rx, "run_als", recording_als)
+    monkeypatch.setattr(rx_common, "symbol_problem", recorded)
     rep = bs_bals(y, g, coding)
     assert builds == [1] and problems == [1] and rep.iterations >= 2 and rep.fallbacks == 2 * rep.iterations
     blocks = reflect_blocks(coding, g)
-    assert len(regressors) == rep.iterations
-    assert all(np.array_equal(regressor, symbol_code_matrix(blocks, h_hat)) for h_hat, regressor in regressors)
+    # every symbol step reads its regressor off the right factor of the call's one Kronecker problem
+    assert len(symbol_reads) == rep.iterations
+    assert np.array_equal(handed[0], kronecker_problem(y, blocks)[2]) and all(f_t is handed[0] for f_t in symbol_reads)
     # the closed-form start, on the SVD path too, is bs_kronf's
     assert np.array_equal(starts[0], bs_kronf(y, g, coding).symbols)
     builds.clear()

@@ -1,10 +1,16 @@
-"""CLI contract: CSV shape, determinism, and check exit codes."""
+"""CLI contract: CSV shape, determinism, and check exit codes.
+
+Output and exit codes are checked through ``cli.main`` in this process; the
+tests whose point is the process itself (byte-identical reruns, worker
+processes, ``--help``) start ``python -m hrislink.cli``.
+"""
 
 import subprocess
 import sys
 
 import pytest
 
+from hrislink import cli
 from hrislink.harness import CSV_HEADER
 from hrislink.scenario import SCHEMES
 
@@ -29,17 +35,28 @@ def run_cli(*args):
 
 
 @pytest.fixture()
+def run_main(capsys):
+    """``run_main(*args)`` runs ``cli.main(args)`` here and returns its exit code and captured output as
+    ``run_cli`` does."""
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+    return run
+
+
+@pytest.fixture()
 def cfg_file(tmp_path):
     path = tmp_path / "desk.cfg"
     path.write_text(CFG_TEXT)
     return str(path)
 
 
-def test_sweep_emits_documented_csv(cfg_file, tmp_path):
+def test_sweep_emits_documented_csv(cfg_file, tmp_path, run_main):
     out = tmp_path / "curve.csv"
-    result = run_cli("sweep", "--config", cfg_file, "--pair", "kronf-bals",
-                     "--sweep", "pt", "--points", "20,30", "--trials", "3",
-                     "--seed", "1", "--out", str(out))
+    result = run_main("sweep", "--config", cfg_file, "--pair", "kronf-bals",
+                      "--sweep", "pt", "--points", "20,30", "--trials", "3",
+                      "--seed", "1", "--out", str(out))
     assert result.returncode == 0, result.stderr
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -71,29 +88,29 @@ def test_sweep_workers_give_byte_identical_csv(cfg_file, tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_rejects_fewer_than_one_worker(cfg_file, workers):
-    result = run_cli("sweep", "--config", cfg_file, "--pair", "kronf-h", "--sweep", "pt",
-                     "--points", "30", "--trials", "1", "--workers", workers)
+def test_sweep_rejects_fewer_than_one_worker(cfg_file, workers, run_main):
+    result = run_main("sweep", "--config", cfg_file, "--pair", "kronf-h", "--sweep", "pt",
+                      "--points", "30", "--trials", "1", "--workers", workers)
     assert result.returncode == 1
     assert "workers must be at least 1" in result.stderr and not result.stdout
 
 
-def test_sweep_to_stdout(cfg_file):
-    result = run_cli("sweep", "--config", cfg_file, "--pair", "kronf-h",
-                     "--sweep", "pt", "--points", "30", "--trials", "1", "--seed", "0")
+def test_sweep_to_stdout(cfg_file, run_main):
+    result = run_main("sweep", "--config", cfg_file, "--pair", "kronf-h",
+                      "--sweep", "pt", "--points", "30", "--trials", "1", "--seed", "0")
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == CSV_HEADER
 
 
-def test_check_exit_codes(cfg_file, tmp_path):
-    ok = run_cli("check", "--config", cfg_file, "--pair", "kronf-bals")
+def test_check_exit_codes(cfg_file, tmp_path, run_main):
+    ok = run_main("check", "--config", cfg_file, "--pair", "kronf-bals")
     assert ok.returncode == 0, ok.stderr
     assert "identifiable: yes" in ok.stdout
     assert "feedback bits" in ok.stdout
 
     short = tmp_path / "short.cfg"
     short.write_text(CFG_TEXT.replace("k = 16", "k = 8"))
-    bad = run_cli("check", "--config", str(short), "--pair", "kronf-bals")
+    bad = run_main("check", "--config", str(short), "--pair", "kronf-bals")
     assert bad.returncode == 1
     assert "identifiable: NO" in bad.stdout
 
@@ -138,36 +155,38 @@ CHECK_REPORTS = [
 
 @pytest.mark.parametrize("scheme,pair,k,code,stdout", CHECK_REPORTS,
                          ids=[f"{scheme}-{pair}-k{k}" for scheme, pair, k, *_ in CHECK_REPORTS])
-def test_check_prints_the_whole_report(tmp_path, scheme, pair, k, code, stdout):
+def test_check_prints_the_whole_report(tmp_path, scheme, pair, k, code, stdout, run_main):
     path = tmp_path / "check.cfg"
     path.write_text(f"scheme = {scheme}\nk = {k}\n")
-    result = run_cli("check", "--config", str(path), "--pair", pair)
+    result = run_main("check", "--config", str(path), "--pair", pair)
     assert (result.returncode, result.stdout, result.stderr) == (code, stdout, "")
 
 
-def test_check_names_the_config_file_it_rejects(tmp_path):
+def test_check_names_the_config_file_it_rejects(tmp_path, run_main):
     odd = tmp_path / "odd.cfg"
     odd.write_text(CFG_TEXT.replace("k = 16", "k = 24"))
-    result = run_cli("check", "--config", str(odd), "--pair", "kronf-bals")
+    result = run_main("check", "--config", str(odd), "--pair", "kronf-bals")
     assert result.returncode == 1
     assert f"{odd}: Sylvester Hadamard construction needs k to be a power of two, got 24" in result.stderr
 
 
-def test_check_scheme_override(cfg_file):
-    result = run_cli("check", "--config", cfg_file, "--pair", "krf-bals",
-                     "--scheme", "krstc")
+def test_check_scheme_override(cfg_file, run_main):
+    result = run_main("check", "--config", cfg_file, "--pair", "krf-bals",
+                      "--scheme", "krstc")
     assert result.returncode == 0, result.stderr
     assert "krstc" in result.stdout
 
 
-def test_unknown_scheme_lists_every_scheme(cfg_file):
-    result = run_cli("check", "--config", cfg_file, "--pair", "kronf-bals", "--scheme", "ostc")
-    assert result.returncode == 2 and not result.stdout
-    assert "ostc" in result.stderr and all(scheme in result.stderr for scheme in SCHEMES)
+def test_unknown_scheme_lists_every_scheme(cfg_file, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check", "--config", cfg_file, "--pair", "kronf-bals", "--scheme", "ostc"])
+    stdout, stderr = capsys.readouterr()
+    assert exit_.value.code == 2 and not stdout
+    assert "ostc" in stderr and all(scheme in stderr for scheme in SCHEMES)
 
 
-def test_invalid_pair_for_scheme(cfg_file):
-    result = run_cli("check", "--config", cfg_file, "--pair", "krf-bals")
+def test_invalid_pair_for_scheme(cfg_file, run_main):
+    result = run_main("check", "--config", cfg_file, "--pair", "krf-bals")
     assert result.returncode == 1
     assert "error" in result.stderr
 
@@ -178,10 +197,10 @@ def test_help_exits_cleanly():
     assert "sweep" in result.stdout and "check" in result.stdout
 
 
-def test_sweep_identifiability_violation_fails(cfg_file, tmp_path):
+def test_sweep_identifiability_violation_fails(cfg_file, tmp_path, run_main):
     short = tmp_path / "short.cfg"
     short.write_text(CFG_TEXT.replace("k = 16", "k = 8"))
-    result = run_cli("sweep", "--config", str(short), "--pair", "kronf-bals",
-                     "--sweep", "pt", "--points", "30", "--trials", "1")
+    result = run_main("sweep", "--config", str(short), "--pair", "kronf-bals",
+                      "--sweep", "pt", "--points", "30", "--trials", "1")
     assert result.returncode == 1
     assert "error" in result.stderr

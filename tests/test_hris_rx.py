@@ -16,10 +16,11 @@ from hrislink.hris_rx import (
     hris_bals,
     hris_kronf,
     hris_krf,
-    symbol_code_matrix,
 )
+from hrislink import rx_common
 from hrislink.rx_common import (MAX_ITERATIONS, AmbiguityError, EstimateReport, IdentifiabilityError,
-                                RankDeficiencyError, als_tables, normalize_anchor, require_full_rank, run_als)
+                                RankDeficiencyError, als_tables, normalize_anchor, require_full_rank, run_als,
+                                symbol_problem)
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import synth_yrc
 from hrislink.tensor_ops import RANK_TOL, unfold
@@ -44,7 +45,7 @@ def weighted_composite(coding):
     f = composite_code_matrix(coding)
     if coding.scheme == "tstc":
         return f
-    l = coding.streams
+    l = coding.mix.shape[2]
     return f.reshape(len(f), l, l, -1)[:, range(l), range(l)].reshape(len(f), -1)
 
 
@@ -67,7 +68,8 @@ def test_channel_code_matrix_single_subframe():
 
 def test_symbol_code_matrix_zero_channel():
     _, _, coding, _, _ = make_case()
-    out = symbol_code_matrix(coding, np.zeros((8, 2), dtype=complex))
+    # the symbol step's regressor at the channel step's solution vec(G) of an all-zero (8, 2) channel
+    out = symbol_problem(composite_problem(coding)[1], 2, np.zeros((8 * 2, 1), dtype=complex))
     assert out.shape == (16 * 2, 2)
     assert np.all(out == 0)
 
@@ -85,7 +87,7 @@ def test_composite_code_matrix_column_counts():
 def test_channel_code_matrix_stacks_sensed_fit():
     # applying the channel step's regressor to vec(channel) reproduces the per-sub-frame coded channel, rows (c, tau)
     _, channels, coding, _, _ = make_case()
-    fg = sensed_channel_regressor(coding, np.eye(coding.streams))
+    fg = sensed_channel_regressor(coding, np.eye(coding.mix.shape[2]))
     out = fg @ vec(channels.ut_ris)
     k0 = coding.sensing[:, :, 0] @ channels.ut_ris @ coding.mix[0]
     assert np.allclose(out[: k0.size], k0.reshape(-1))
@@ -116,7 +118,8 @@ def test_bals_residual_is_the_squared_symbol_step_misfit(scheme, raw_estimates):
     cfg, channels, coding, symbols, _ = make_case(seed=3, scheme=scheme)
     y = with_noise(synth_yrc(channels, coding, np.sqrt(cfg.pt_watts) * symbols), cfg, np.random.default_rng(10))
     rep = hris_bals(y, coding)
-    misfit = unfold(y, 2).T - symbol_code_matrix(coding, rep.channel) @ rep.symbols
+    regressor = symbol_problem(composite_problem(coding)[1], cfg.l, vec(rep.channel)[:, None])
+    misfit = unfold(y, 2).T - regressor @ rep.symbols
     assert rep.residuals[-1] == pytest.approx(np.linalg.norm(misfit) ** 2, rel=1e-12, abs=0)
 
 
@@ -167,14 +170,15 @@ def test_bals_reaches_the_closed_form_estimate(scheme, pt_dbm):
     assert worst <= 1e-9
 
 
-def test_run_als_stops_at_the_iteration_cap():
+def test_run_als_stops_at_the_iteration_cap(monkeypatch):
     # unfold(y, 2).T = [[1], [2]] against symbol regressors alternating [[1], [0]] and [[0], [1]]:
     # the residuals go 4, 1, 4, ..., never settle, and never reach the floor; tables of ones
     # give the 1x1 channel step a positive Gram, so it never falls back
     y = np.array([1.0, 2.0], dtype=complex).reshape(2, 1, 1)
     regressors = itertools.cycle([np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)])
+    monkeypatch.setattr(rx_common, "symbol_problem", lambda f_t, lead, c: next(regressors))
     ones = np.ones((1, 1), complex)
-    rep = run_als(y, ones, ones, 1, (1, 1), None, lambda channel: next(regressors), ones)
+    rep = run_als(y, ones, ones, ones, ones, 1, (1, 1), ones)
     assert rep.iterations == MAX_ITERATIONS
     assert rep.residuals[:3] == pytest.approx([4.0, 1.0, 4.0])
 
@@ -355,8 +359,8 @@ def test_composite_problem_gives_the_channel_gram_table(scheme):
     cfg, _, coding, _, _ = make_case(scheme=scheme)
     cached = composite_problem(coding)
     assert composite_problem(coding) is cached
-    gram, f_h = cached
-    assert not gram.flags.writeable and not f_h.flags.writeable
+    gram, f_t = cached
+    assert not gram.flags.writeable and not f_t.flags.writeable
     assert gram.nbytes == 16 * (cfg.streams * cfg.l * cfg.n) ** 2
     table = als_tables(gram, np.zeros((len(gram), 1)), cfg.l, cfg.streams, 1)[0]
     # the ALS channel step's Gram table, row (s, s'): sum_k kron(conj(mix_k[:, s]) mix_k[:, s']^T, phi_k^H phi_k)

@@ -3,11 +3,12 @@
 The receivers build their regressors as batched products over the coding
 set's sub-frame stacks.  Here each one is rebuilt block by block with
 ``np.kron``/``np.diag`` from the raw code, on ``k > 1`` sub-frames and a
-random symbol matrix, for both coding schemes.  The ALS channel steps never
-build their regressor unless they fall back to the SVD, and then read it off
-their entity's Kronecker problem (``rx_common.channel_problem``); the normal
-equations they read from their tables are checked, at every iteration,
-against the paper-form regressor over random feasible configurations.
+random symbol matrix, for both coding schemes.  Both ALS steps read their
+regressor off the Kronecker problem each receiver hands its ALS loop: the
+symbol step always (``rx_common.symbol_problem``), the channel step only when it
+falls back to the SVD (``rx_common.channel_problem``).  The normal equations the
+channel steps read from their tables are checked, at every iteration, against
+the paper-form regressor over random feasible configurations.
 """
 
 import contextlib
@@ -22,9 +23,9 @@ from scipy.linalg import khatri_rao
 from hrislink import bs_rx, hris_rx, rx_common, tensor_ops
 from hrislink.bs_rx import bs_kronf
 from hrislink.coding import build_coding, gen_symbols
-from hrislink.hris_rx import composite_code_matrix, symbol_code_matrix
+from hrislink.hris_rx import composite_code_matrix
 from hrislink.identifiability import feasible_subframes
-from hrislink.rx_common import RankDeficiencyError, channel_problem
+from hrislink.rx_common import RankDeficiencyError, channel_problem, symbol_problem
 from hrislink.scenario import ScenarioConfig, draw_channels
 from hrislink.synthesis import reflect_blocks, synth_ybs, synth_yrc
 from hrislink.tensor_ops import unfold
@@ -69,11 +70,29 @@ def assert_same(got, want):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+class Seen(Exception):
+    """Raised by a recording stand-in once it has what the test needs."""
+
+
+def als_problem(module, receive):
+    """The ``(f_t, target, lead)`` that ``receive()`` hands ``module.run_als``, which is stopped there."""
+    seen = []
+
+    def stop(y, gram, cross, f_t, target, lead, shape, start):
+        seen.append((f_t, target, lead))
+        raise Seen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "run_als", stop)
+        with pytest.raises(Seen):
+            receive()
+    return seen[0]
+
+
 def test_hris_channel_code_matrix(case):
     cfg, coding, _, _, x = case
     y = crandn(np.random.default_rng(13), cfg.nc, cfg.t, cfg.k)
     # the problem hris_bals hands its ALS loop
-    a, b = channel_problem(lambda: (hris_rx.composite_problem(coding)[1].conj().T, unfold(y, 2).T), cfg.l, x)
+    a, b = channel_problem(*als_problem(hris_rx, lambda: hris_rx.hris_bals(y, coding)), x)
     # rows (k, c, tau), where the paper form has (k, tau, c)
     want = hris_channel_regressor(coding, x).reshape(cfg.k, cfg.t, cfg.nc, -1).swapaxes(1, 2)
     assert_same(a, want.reshape(a.shape))
@@ -82,8 +101,11 @@ def test_hris_channel_code_matrix(case):
 
 def test_hris_symbol_code_matrix(case):
     cfg, coding, g, _, _ = case
+    y = crandn(np.random.default_rng(13), cfg.nc, cfg.t, cfg.k)
+    f_t, _, lead = als_problem(hris_rx, lambda: hris_rx.hris_bals(y, coding))
     want = np.vstack([coding.sensing[:, :, k] @ g @ mix(coding, k) for k in range(cfg.k)])
-    assert_same(symbol_code_matrix(coding, g), want)
+    # read off the problem hris_bals hands its ALS loop, at the channel step's solution vec(G)
+    assert_same(symbol_problem(f_t, lead, vec(g)[:, None]), want)
 
 
 def test_hris_composite_code_matrix(case):
@@ -95,7 +117,8 @@ def test_hris_composite_code_matrix(case):
 def test_bs_channel_code_matrix(case):
     cfg, coding, g, _, x = case
     y = crandn(np.random.default_rng(17), cfg.m, cfg.t, cfg.k)
-    a, b = channel_problem(bs_rx.kronecker_problem(y, reflect_blocks(coding, g))[2], 1, x)
+    # the problem bs_bals hands its ALS loop
+    a, b = channel_problem(*als_problem(bs_rx, lambda: bs_rx.bs_bals(y, g, coding)), x)
     assert_same(a, bs_channel_regressor(coding, g, x))
     # rows (k, tau), columns r
     assert np.array_equal(b, y.transpose(2, 1, 0).reshape(-1, cfg.m))
@@ -103,17 +126,19 @@ def test_bs_channel_code_matrix(case):
 
 def test_bs_symbol_code_matrix(case):
     cfg, coding, g, h, _ = case
+    y = crandn(np.random.default_rng(17), cfg.m, cfg.t, cfg.k)
+    f_t, _, lead = als_problem(bs_rx, lambda: bs_rx.bs_bals(y, g, coding))
     want = np.vstack([h @ np.diag(coding.reflect[k]) @ g @ mix(coding, k) for k in range(cfg.k)])
-    assert_same(bs_rx.symbol_code_matrix(reflect_blocks(coding, g), h), want)
+    # read off the problem bs_bals hands its ALS loop, at the channel step's solution H^T
+    assert_same(symbol_problem(f_t, lead, h.T), want)
 
 
 def test_bs_kronf_right_factor(case):
     cfg, coding, g, h, x = case
     y = np.stack([h @ np.diag(coding.reflect[k]) @ g @ mix(coding, k) @ x for k in range(cfg.k)], axis=2)
     # the explicit problem behind the normal equations bs_kronf solves is right.T @ Z.T = unfold(y, 3)
-    a, b = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))[2]()
+    right, b = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))[2:]
     assert np.array_equal(b, unfold(y, 3))
-    right = a.T
     want = np.column_stack([vec(np.diag(coding.reflect[k]) @ g @ mix(coding, k)) for k in range(cfg.k)])
     assert_same(right, want)
     if cfg.scheme == "krstc":
@@ -136,10 +161,6 @@ def bs_problems(draw):
     return cfg.replace(k=feasible_subframes(cfg, (surface, "kronf"))), draw(st.integers(0, 2**32 - 1))
 
 
-class Seen(Exception):
-    """Raised by a recording stand-in once it has what the test needs."""
-
-
 @settings(max_examples=40, deadline=None)
 @given(problem=bs_problems())
 def test_bs_receivers_read_one_kronecker_problem(problem):
@@ -147,8 +168,8 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
     coding = build_coding(cfg)
     rng = np.random.default_rng(seed)
     g, x, y = crandn(rng, cfg.n, cfg.l), crandn(rng, cfg.streams, cfg.t), crandn(rng, cfg.m, cfg.t, cfg.k)
-    gram, cross, problem_of = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))
-    a, b = problem_of()
+    gram, cross, right, b = bs_rx.kronecker_problem(y, reflect_blocks(coding, g))
+    a = right.T
     # the Kronecker Gram and cross are the explicit normal equations of the right factor, bit for bit
     assert np.array_equal(gram, a.conj().T @ a) and np.array_equal(cross, a.conj().T @ b)
 
@@ -162,18 +183,19 @@ def test_bs_receivers_read_one_kronecker_problem(problem):
         with contextlib.suppress(RankDeficiencyError):
             bs_rx.bs_channel_only(y, g, x, coding)
 
-        def stop(y_bs, als_gram, als_cross, lead, *rest):
-            seen.append((als_gram, als_cross, lead))
+        def stop(y_bs, als_gram, als_cross, f_t, target, lead, *rest):
+            seen.append((als_gram, als_cross, f_t, target, lead))
             raise Seen
         patch.setattr(bs_rx, "run_als", stop)
         with pytest.raises(Seen):
             bs_rx.bs_bals(y, g, coding)
-    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (start_gram, start_cross, *_), (als_gram, als_cross, lead) = seen
+    (kronf_gram, kronf_cross, *_), (h_gram, h_rhs, *_), (start_gram, start_cross, *_), als = seen
+    als_gram, als_cross, f_t, target, lead = als
     # bs_kronf, bs_bals for its closed-form start (k is at bs_kronf's threshold) and for its ALS loop, with one
-    # leading index, read exactly these normal equations
+    # leading index, read exactly these normal equations, and the ALS loop the right factor F^T and unfold(y, 3)
     for got_gram, got_cross in ((kronf_gram, kronf_cross), (start_gram, start_cross), (als_gram, als_cross)):
         assert np.array_equal(got_gram, gram) and np.array_equal(got_cross, cross)
-    assert lead == 1
+    assert np.array_equal(f_t, right) and np.array_equal(target, b) and lead == 1
     # bs_channel_only's normal equations, contracted from their rearrangement, are the explicit ones of its regressor C
     c = bs_channel_regressor(coding, g, x)
     assert_same(h_gram, c.conj().T @ c)
@@ -188,9 +210,10 @@ def test_surface_receivers_read_one_composite_problem(problem):
     y = crandn(np.random.default_rng(seed), cfg.nc, cfg.t, cfg.k)
     l, w, n = cfg.l, cfg.streams, cfg.n
     f = composite_code_matrix(coding)
-    gram, f_h = hris_rx.composite_problem(coding)
-    # the cached Gram and adjoint are the composite regressor's, bit for bit
-    assert np.array_equal(f_h, f.conj().T) and np.array_equal(gram, f.conj().T @ f)
+    gram, f_t = hris_rx.composite_problem(coding)
+    # the cached Gram and transpose are the composite regressor's, bit for bit
+    f_h = f.conj().T
+    assert np.array_equal(f_t, f.T) and np.array_equal(gram, f_h @ f)
     columns = np.arange(l * w * n).reshape(l, w, n)
     if cfg.scheme == "krstc":
         # only the a == s columns carry weight, and they are kron(code[k], phi_k), bit for bit
@@ -210,18 +233,19 @@ def test_surface_receivers_read_one_composite_problem(problem):
         with contextlib.suppress(RankDeficiencyError):
             hris_rx.composite_pinv(coding)
 
-        def stop(y_rc, als_gram, als_cross, lead, *rest):
-            seen.append((als_gram, als_cross, lead))
+        def stop(y_rc, als_gram, als_cross, als_f_t, target, lead, *rest):
+            seen.append((als_gram, als_cross, als_f_t, target, lead))
             raise Seen
         patch.setattr(hris_rx, "run_als", stop)
         with pytest.raises(Seen):
             hris_rx.hris_bals(y, coding)
-    (pinv_gram, pinv_rhs, *_), (als_gram, als_cross, lead) = seen
+    (pinv_gram, pinv_rhs, *_), (als_gram, als_cross, als_f_t, target, lead) = seen
     # composite_pinv solves the cached Gram's weighted block against the weighted rows of F^H
     assert np.array_equal(pinv_gram, gram[np.ix_(weighted, weighted)]) and np.array_equal(pinv_rhs, f_h[weighted])
-    # hris_bals hands the ALS loop that Gram, whole, and the cross F^H unfold(y, 2)^T, with l leading indices
-    assert als_gram is gram and lead == l
-    assert np.array_equal(als_cross, f_h @ unfold(y, 2).T)
+    # hris_bals hands the ALS loop that Gram, whole, the cross F^H unfold(y, 2)^T, and the cached F^T with
+    # unfold(y, 2)^T, with l leading indices
+    assert als_gram is gram and als_f_t is f_t and lead == l
+    assert np.array_equal(als_cross, f_h @ unfold(y, 2).T) and np.array_equal(target, unfold(y, 2).T)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +269,7 @@ def test_als_tables_rearrange_every_entry(lead, w, n, t, m, seed):
 def test_channel_problem_has_the_channel_step_normal_equations(lead, w, n, t, m, rows, seed):
     rng = np.random.default_rng(seed)
     f, y, x = crandn(rng, rows, lead * w * n), crandn(rng, rows, t * m), crandn(rng, w, t)
-    a, b = channel_problem(lambda: (f, y), lead, x)
+    a, b = channel_problem(f.T, y, lead, x)
     # A[(K, tau), (a, i)] = sum_s F[K, (a, s, i)] X[s, tau] and B[(K, tau), r] = Y[K, (tau, r)], entry by entry
     k_, tau, a_, i = np.meshgrid(range(rows), range(t), range(lead), range(n), indexing="ij")
     want = sum(f[k_, (a_ * w + s) * n + i] * x[s, tau] for s in range(w)).reshape(rows * t, lead * n)
@@ -255,6 +279,23 @@ def test_channel_problem_has_the_channel_step_normal_equations(lead, w, n, t, m,
     # they are the problem whose normal equations channel_step contracts from als_tables' rearrangement
     f_h = f.conj().T
     assert_normal_equations(rx_common.channel_step(*rx_common.als_tables(f_h @ f, f_h @ y, lead, w, t), x), a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=st.integers(1, 3), w=st.integers(1, 3), n=st.integers(1, 4), m=st.integers(1, 3), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_symbol_problem_has_the_symbol_step_regressor(lead, w, n, m, rows, seed):
+    rng = np.random.default_rng(seed)
+    f, c, x = crandn(rng, rows, lead * w * n), crandn(rng, lead * n, m), crandn(rng, w, 2)
+    s_hat = symbol_problem(f.T, lead, c)
+    # S[(K, r), s] = sum_{a, i} F[K, (a, s, i)] c[(a, i), r], entry by entry
+    k_, r, s = np.meshgrid(range(rows), range(m), range(w), indexing="ij")
+    want = sum(f[k_, (a * w + s) * n + i] * c[a * n + i, r] for a in range(lead) for i in range(n))
+    assert_same(s_hat, want.reshape(rows * m, w))
+    # it is the regressor of the symbols in F @ Z with Z[(a, s, i), (tau, r)] = c[(a, i), r] x[s, tau], whose K rows
+    # (tau, r) are the symbol step's K*m rows (r) and columns tau
+    z = np.einsum("air,st->asitr", c.reshape(lead, n, m), x).reshape(lead * w * n, -1)
+    assert_same(s_hat @ x, (f @ z).reshape(rows, 2, m).swapaxes(1, 2).reshape(rows * m, 2))
 
 
 # ------------------------------------------- structured ALS normal equations
